@@ -147,7 +147,7 @@ class ProblemValue:
         self.named = named
         self.body = body
         self.env = env
-        self.cache = None      # (mesh, matrix, factorization)
+        self.cache = None      # (mesh, matrix); the matrix caches its LU
 
 
 class FileValue:
@@ -1318,24 +1318,14 @@ class Interpreter:
             else np.zeros(test.space.ndof)
 
         if reuse:
-            _, A, lu = prob.cache
+            A = prob.cache[1]
         else:
             if not bilinear:
                 raise EvalError(f"problem {prob.name!r} has no bilinear part")
             a_form = F.VarForm(bilinear_terms=bilinear, dirichlet=dirichlet)
             A = F.assemble_bilinear(a_form, unknown.space, test.space, tgv=tgv)
-            lu = None
-        if solver == "CG":
-            result = solve_cg(A, b)
-            if not result.converged:
-                self._log(1, f"{prob.name}: CG stopped at residual {result.relative_residual:.2e}")
-            x = result.x
-            prob.cache = (unknown.space.mesh, A, None)
-        else:
-            lu = lu if lu is not None else factorize(A)
-            x = lu.solve(b)
-            prob.cache = (unknown.space.mesh, A, lu)
-        unknown.dofs[:] = x
+            prob.cache = (unknown.space.mesh, A)
+        unknown.dofs[:] = self._solve_matrix(A, b, solver)
 
     # -- operator dispatch ------------------------------------------------------------
 
@@ -1445,7 +1435,7 @@ class Interpreter:
     def _linalg_op(self, op, a, b, line):
         if isinstance(a, SolveProxy):
             if op == "*" and isinstance(b, np.ndarray):
-                return self._solve_matrix(a.matrix, b)
+                return self._solve_matrix(a.matrix, b, getattr(a.matrix, "_solver", "LU"))
             raise EvalError("A^-1 must multiply a vector", line)
         if isinstance(a, SparseMatrix) and op == "^":
             if b == -1:
@@ -1518,8 +1508,7 @@ class Interpreter:
             raise EvalError(f"operator {op!r} undefined for array and number", line)
         raise EvalError(f"operator {op!r} undefined here", line)
 
-    def _solve_matrix(self, A: SparseMatrix, b):
-        solver = getattr(A, "_solver", "LU")
+    def _solve_matrix(self, A: SparseMatrix, b, solver):
         if solver == "CG":
             result = solve_cg(A, np.asarray(b, dtype=float))
             if not result.converged:

@@ -343,6 +343,17 @@ def integrate_1d(mesh, labels, g) -> float:
 # --------------------------------------------------------------------------
 # assembly
 
+def _term_context(mesh, term):
+    """Cell context, quadrature scale (n, nq) and nq for one form term."""
+    if term.kind == "int2d":
+        rule = _rule(term.quad)
+        scale = mesh.signed_areas()[:, None] * rule.w[None, :]
+        return _cell_context(mesh, rule), scale, len(rule.w)
+    ctx, length = _edge_context(mesh, _select_edges(mesh, term.labels))
+    _, w = EDGE_RULE
+    return ctx, length[:, None] * w[None, :], len(w)
+
+
 def _cell_basis(space, kind, ctx, nq):
     """Basis table of shape (n, nq, nloc) and the DOF map (n, nloc)."""
     mesh = ctx.mesh
@@ -388,17 +399,7 @@ def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
     mesh = trial.mesh
     rows_acc, cols_acc, vals_acc = [], [], []
     for term in form.bilinear_terms:
-        if term.kind == "int2d":
-            rule = _rule(term.quad)
-            ctx = _cell_context(mesh, rule)
-            scale = mesh.signed_areas()[:, None] * rule.w[None, :]
-            nq = len(rule.w)
-        else:
-            sel = _select_edges(mesh, term.labels)
-            ctx, length = _edge_context(mesh, sel)
-            _, w = EDGE_RULE
-            scale = length[:, None] * w[None, :]
-            nq = len(w)
+        ctx, scale, nq = _term_context(mesh, term)
         for (uk, vk), f in term.expr.terms.items():
             C = _coef_values(f, ctx) * scale
             Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
@@ -435,17 +436,7 @@ def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> n
     mesh = test.mesh
     b = np.zeros(test.ndof)
     for term in form.linear_terms:
-        if term.kind == "int2d":
-            rule = _rule(term.quad)
-            ctx = _cell_context(mesh, rule)
-            scale = mesh.signed_areas()[:, None] * rule.w[None, :]
-            nq = len(rule.w)
-        else:
-            sel = _select_edges(mesh, term.labels)
-            ctx, length = _edge_context(mesh, sel)
-            _, w = EDGE_RULE
-            scale = length[:, None] * w[None, :]
-            nq = len(w)
+        ctx, scale, nq = _term_context(mesh, term)
         for (_, vk), f in term.expr.terms.items():
             C = _coef_values(f, ctx) * scale
             Bv, dof_v = _cell_basis(test, vk, ctx, nq)

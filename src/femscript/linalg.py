@@ -1,5 +1,10 @@
 """Sparse CSR matrices, direct and conjugate-gradient solvers, dense helpers.
 
+`SparseMatrix` wraps one `scipy.sparse.csr_matrix` and leaves every kernel
+to scipy, with two exceptions kept for bit-identical results: `from_coo`
+sums duplicates in a fixed order, and `+` keeps entries that sum to exactly
+zero (scipy's prunes them, changing the pattern and so the LU ordering).
+
 The direct solver wraps SuperLU (fill-reducing column permutation plus
 partial pivoting); the factorization is cached on the matrix and reused by
 repeated solves.  The conjugate gradient is written here, Jacobi
@@ -16,57 +21,72 @@ import scipy.sparse.linalg as _spla
 from .errors import InvalidArgumentError, SingularMatrixError, SolverError, UnsupportedError
 
 
+def _check_range(idx, bound, what):
+    if len(idx) and (idx.min() < 0 or idx.max() >= bound):
+        raise InvalidArgumentError(f"{what} index out of range")
+
+
+def _csr_matrix(data, indices, indptr, shape):
+    # int32 indices while they fit: scipy's constructor would otherwise scan
+    # and downcast int64 ones, an O(nnz) cost on every matrix built.
+    idx = np.int32 if max(*shape, len(indices)) <= np.iinfo(np.int32).max else np.int64
+    return _sp.csr_matrix((data, indices.astype(idx, copy=False),
+                           indptr.astype(idx, copy=False)), shape=shape)
+
+
 class SparseMatrix:
     """Real CSR matrix; immutable once constructed.
 
     Column indices are strictly increasing within each row and duplicates
-    are summed away at construction.
+    are summed away at construction.  Stored zeros are never pruned.
     """
 
-    def __init__(self, indptr, indices, data, shape, validate=True):
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.data = np.ascontiguousarray(data)
-        self.shape = (int(shape[0]), int(shape[1]))
-        if validate:
-            self._validate()
-        for arr in (self.indptr, self.indices, self.data):
-            arr.setflags(write=False)
-        self._lu = None
-
-    def _validate(self):
-        n, m = self.shape
-        if len(self.indptr) != n + 1 or self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
+    def __init__(self, indptr, indices, data, shape):
+        n, m = int(shape[0]), int(shape[1])
+        indptr = np.array(indptr, dtype=np.int64)
+        indices = np.array(indices, dtype=np.int64)
+        data = np.array(data)
+        if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices) \
+                or len(data) != len(indices):
             raise InvalidArgumentError("inconsistent CSR row offsets")
-        if np.diff(self.indptr).min(initial=0) < 0:
+        lengths = np.diff(indptr)
+        if lengths.min(initial=0) < 0:
             raise InvalidArgumentError("row offsets must be monotone")
-        if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= m):
-            raise InvalidArgumentError("column index out of range")
-        for r in range(n):
-            cols = self.indices[self.indptr[r]:self.indptr[r + 1]]
-            if len(cols) > 1 and (np.diff(cols) <= 0).any():
-                raise InvalidArgumentError(
-                    f"row {r}: column indices not strictly increasing")
+        _check_range(indices, m, "column")
+        rows = np.repeat(np.arange(n), lengths)
+        bad = np.flatnonzero((np.diff(indices) <= 0) & (rows[1:] == rows[:-1]))
+        if len(bad):
+            raise InvalidArgumentError(
+                f"row {rows[bad[0]]}: column indices not strictly increasing")
+        self._csr, self._lu = _csr_matrix(data, indices, indptr, (n, m)), None
+
+    @classmethod
+    def _wrap(cls, csr):
+        """Wrap a canonical csr_matrix built in this module, unchecked."""
+        self = cls.__new__(cls)
+        self._csr, self._lu = csr, None
+        return self
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
+        """Sum duplicate (row, col) entries in a fixed order: a stable sort
+        by (row, col) keeps ties in input order, then np.add.reduceat sums
+        each run.  This order is what makes assembly bit-for-bit
+        deterministic; scipy's own COO conversion sums in another."""
+        shape = (int(shape[0]), int(shape[1]))
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if len(rows):
-            first = np.ones(len(rows), dtype=bool)
-            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.where(first)[0]
-            summed = np.add.reduceat(vals, starts)
-            rows, cols = rows[starts], cols[starts]
-        else:
-            summed = vals
+        _check_range(rows, shape[0], "row")
+        _check_range(cols, shape[1], "column")
+        key = rows * shape[1] + cols
+        order = np.argsort(key, kind="stable")
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        summed = np.add.reduceat(vals[order], starts)
+        first = order[starts]
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, cols, summed, shape, validate=False)
+        np.cumsum(np.bincount(rows[first], minlength=shape[0]), out=indptr[1:])
+        return cls._wrap(_csr_matrix(summed, cols[first], indptr, shape))
 
     @classmethod
     def from_dense(cls, M):
@@ -82,35 +102,25 @@ class SparseMatrix:
     # -- queries ----------------------------------------------------------
 
     @property
+    def shape(self):
+        return self._csr.shape
+
+    @property
     def nnz(self):
-        return len(self.data)
+        return self._csr.nnz
 
     def to_dense(self):
-        M = np.zeros(self.shape, dtype=self.data.dtype)
-        for r in range(self.shape[0]):
-            sl = slice(self.indptr[r], self.indptr[r + 1])
-            M[r, self.indices[sl]] = self.data[sl]
-        return M
+        return self._csr.toarray()
 
     def diagonal(self):
-        d = np.zeros(min(self.shape), dtype=self.data.dtype)
-        for r in range(len(d)):
-            sl = slice(self.indptr[r], self.indptr[r + 1])
-            cols = self.indices[sl]
-            k = np.searchsorted(cols, r)
-            if k < len(cols) and cols[k] == r:
-                d[r] = self.data[sl][k]
-        return d
+        return self._csr.diagonal()
 
     def row_sums(self):
-        out = np.zeros(self.shape[0], dtype=self.data.dtype)
-        np.add.at(out, np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.data)
-        return out
+        # a matvec with ones sums each row left to right, as a loop would
+        return self._csr @ np.ones(self.shape[1], dtype=self._csr.dtype)
 
     def transpose(self):
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return SparseMatrix.from_coo(self.indices, rows, self.data,
-                                     (self.shape[1], self.shape[0]))
+        return SparseMatrix._wrap(self._csr.T.tocsr())
 
     @property
     def T(self):
@@ -121,50 +131,43 @@ class SparseMatrix:
         if v.ndim != 1 or len(v) != self.shape[1]:
             raise InvalidArgumentError(
                 f"matvec shape mismatch: {self.shape} @ {v.shape}")
-        prod = self.data * v[self.indices]
-        out = np.zeros(self.shape[0], dtype=prod.dtype)
-        np.add.at(out, np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), prod)
-        return out
+        return self._csr @ v
 
     def __add__(self, other):
         if not isinstance(other, SparseMatrix) or other.shape != self.shape:
             raise InvalidArgumentError("can only add sparse matrices of equal shape")
-        r1 = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        r2 = np.repeat(np.arange(other.shape[0]), np.diff(other.indptr))
+        # Not scipy's +, which drops entries that sum to exactly zero.
+        a, b = self._csr, other._csr
+        r1 = np.repeat(np.arange(self.shape[0]), np.diff(a.indptr))
+        r2 = np.repeat(np.arange(other.shape[0]), np.diff(b.indptr))
         return SparseMatrix.from_coo(
-            np.concatenate([r1, r2]),
-            np.concatenate([self.indices, other.indices]),
-            np.concatenate([self.data, other.data]), self.shape)
+            np.concatenate([r1, r2]), np.concatenate([a.indices, b.indices]),
+            np.concatenate([a.data, b.data]), self.shape)
 
     def scale(self, alpha):
-        return SparseMatrix(self.indptr, self.indices, self.data * alpha,
-                            self.shape, validate=False)
+        A = self._csr
+        return SparseMatrix._wrap(_csr_matrix(A.data * alpha, A.indices, A.indptr, A.shape))
 
     def with_diagonal(self, dof_indices, value) -> "SparseMatrix":
-        """Copy with the diagonal of the given rows overwritten by `value`."""
-        dof_indices = np.asarray(dof_indices, dtype=np.int64)
-        data = self.data.copy()
-        missing = []
-        for r in dof_indices:
-            sl = slice(self.indptr[r], self.indptr[r + 1])
-            cols = self.indices[sl]
-            k = np.searchsorted(cols, r)
-            if k < len(cols) and cols[k] == r:
-                data[self.indptr[r] + k] = value
-            else:
-                missing.append(r)
-        if not missing:
-            return SparseMatrix(self.indptr, self.indices, data, self.shape,
-                                validate=False)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        miss = np.asarray(missing, dtype=np.int64)
-        return SparseMatrix.from_coo(
-            np.concatenate([rows, miss]),
-            np.concatenate([self.indices, miss]),
-            np.concatenate([data, np.full(len(miss), value)]), self.shape)
-
-    def to_scipy(self):
-        return _sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        """Copy with the diagonal of the given rows overwritten by `value`,
+        inserted where missing.  Only the entries of those rows are read."""
+        r = np.unique(np.asarray(dof_indices, dtype=np.int64))
+        _check_range(r, min(self.shape), "row")
+        A = self._csr
+        lengths = A.indptr[r + 1] - A.indptr[r]
+        seg_rows = np.repeat(r, lengths)
+        # positions of the entries of rows r in A's arrays, row after row
+        pos = np.arange(len(seg_rows)) + np.repeat(A.indptr[r] - np.cumsum(lengths) + lengths,
+                                                   lengths)
+        on_diag = A.indices[pos] == seg_rows
+        data = A.data.copy()
+        data[pos[on_diag]] = value
+        out = SparseMatrix._wrap(_csr_matrix(data, A.indices, A.indptr, A.shape))
+        missing = np.setdiff1d(r, seg_rows[on_diag], assume_unique=True)
+        if len(missing):
+            out = out + SparseMatrix.from_coo(missing, missing,
+                                              np.full(len(missing), value), self.shape)
+        return out
 
     def __repr__(self):
         return f"SparseMatrix({self.shape[0]}x{self.shape[1]}, nnz={self.nnz})"
@@ -178,7 +181,7 @@ class LuFactorization:
         if A.shape[0] != A.shape[1]:
             raise InvalidArgumentError("LU needs a square matrix")
         try:
-            self._splu = _spla.splu(A.to_scipy().tocsc())
+            self._splu = _spla.splu(A._csr.tocsc())
         except RuntimeError as exc:
             raise SingularMatrixError(str(exc)) from exc
         self.shape = A.shape

@@ -109,6 +109,10 @@ def test_heat_golden_table_full():
 # -- criterion: nonlinear elliptic studies ------------------------------------------------
 
 def test_nonlinear_cubic_table(disk_meshes):
+    """Cubic table: the +-15% per-row gate (N <= 128), strictly decreasing
+    errors and the N=128 to 256 rate in [1.85, 2.15], which the published
+    column must pass too (1.959 there). The rate at N=128 is not checked:
+    the published one, 1.838, is outside the window itself."""
     with criterion("nonlinear elliptic: cubic problem table"):
         hist = []
         _, _, err = run_fixed_point("ellnl", 16, mesh=disk_meshes[0], history=hist)
@@ -118,9 +122,9 @@ def test_nonlinear_cubic_table(disk_meshes):
             if row.N <= 128:
                 assert abs(row.error - ref) <= 0.15 * ref, \
                     f"N={row.N}: {row.error} vs {ref}"
-        last_two = [r.rate_space for r in rows[-2:]]
-        for rate in last_two:
-            assert 1.85 <= rate <= 2.15, f"asymptotic rate {rate} outside [1.85, 2.15]"
+        failures = (_rate_failures("published cubic", ELLNL_TABLE, [3])
+                    + _rate_failures("cubic", [r.error for r in rows], [3]))
+        assert not failures, "; ".join(failures)
 
 
 DBC_TABLES = ((0.0, ELLNL_DBC0_TABLE), (50.0, ELLNL_DBC50_TABLE))

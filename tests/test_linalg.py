@@ -167,11 +167,35 @@ def test_from_coo_sums_duplicates():
     assert A.to_dense()[0, 1] == 5.0
 
 
+def test_from_coo_sums_in_stable_row_col_order():
+    # Reference: a stable lexsort by (row, col), then one np.add.reduceat per
+    # run of equal entries; assembly's bit-for-bit determinism rests on it.
+    rng = np.random.default_rng(2)
+    rows = rng.integers(0, 5, 400)
+    cols = rng.integers(0, 4, 400)
+    vals = rng.standard_normal(400) * 10.0 ** rng.integers(-8, 8, 400)
+    order = np.lexsort((cols, rows))
+    r, c, x = rows[order], cols[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+    ref = np.zeros((5, 4))
+    ref[r[starts], c[starts]] = np.add.reduceat(x, starts)
+    assert np.array_equal(SparseMatrix.from_coo(rows, cols, vals, (5, 4)).to_dense(), ref)
+
+
 def test_csr_invariants_validated():
-    with pytest.raises(InvalidArgumentError):
-        SparseMatrix([0, 2], [1, 0], [1.0, 1.0], (1, 2))  # decreasing columns
-    with pytest.raises(InvalidArgumentError):
-        SparseMatrix([0, 1], [5], [1.0], (1, 2))  # column out of range
+    bad = [
+        lambda: SparseMatrix([0, 2], [1, 0], [1.0, 1.0], (1, 2)),  # decreasing columns
+        lambda: SparseMatrix([0, 1], [5], [1.0], (1, 2)),  # column out of range
+        lambda: SparseMatrix.from_coo([-1], [0], [1.0], (2, 2)),  # negative row
+        lambda: SparseMatrix.from_coo([0], [-1], [1.0], (2, 2)),  # negative column
+        lambda: SparseMatrix.from_coo([0], [7], [1.0], (2, 2)),  # column out of range
+        lambda: SparseMatrix.from_coo([5], [0], [1.0], (2, 2)),  # row out of range
+        lambda: SparseMatrix.identity(2).with_diagonal([2], 1.0),  # pinned row out of range
+        lambda: SparseMatrix.identity(2).with_diagonal([-1], 1.0),  # negative pinned row
+    ]
+    for build in bad:
+        with pytest.raises(InvalidArgumentError):
+            build()
 
 
 def test_matvec_and_transpose_roundtrip():
@@ -187,6 +211,11 @@ def test_with_diagonal_adds_missing_entries():
     B = A.with_diagonal(np.array([0, 1]), 7.0)
     D = B.to_dense()
     assert D[0, 0] == 7.0 and D[1, 1] == 7.0 and D[0, 1] == 2.0
+    # stored zeros stay stored, in the pinned rows and elsewhere
+    Z = SparseMatrix.from_coo([0, 0, 1], [0, 1, 0], [1.0, 0.0, 0.0], (2, 2))
+    P = Z.with_diagonal([0, 1], 5.0)
+    assert P.nnz == 4
+    assert np.array_equal(P.to_dense(), [[5.0, 0.0], [0.0, 5.0]])
 
 
 def test_matrix_add_and_scale():
@@ -195,3 +224,9 @@ def test_matrix_add_and_scale():
     S = A + B
     assert np.array_equal(S.to_dense(), [[1.0, 1.0], [1.0, 2.0]])
     assert np.array_equal(A.scale(-2).to_dense(), [[-2.0, 0.0], [0.0, -4.0]])
+    # entries that sum to exactly zero, and zero scalings, keep the pattern
+    C = SparseMatrix.from_dense(np.array([[-1.0, 0.0], [0.0, -2.0]]))
+    Zsum = A + C
+    assert Zsum.nnz == 2 and not Zsum.to_dense().any()
+    assert (S + B.scale(-1.0)).nnz == S.nnz
+    assert A.scale(0.0).nnz == A.nnz
