@@ -21,6 +21,9 @@ from .. import forms as F
 from .._fmt import fmt_real
 from ..errors import FemError, UnsupportedError
 from ..fespace import FeFunction, FeSpace
+# The benchmark's tracer (bench/tracing.py) wraps the interpreter's
+# interpolation at this module-level name; keep the alias while it does.
+from ..fespace import interpolate as interpolate_field
 from ..fields import (Constant, Field, FeField, Unary as FieldUnary,
                       X as FIELD_X, Y as FIELD_Y)
 from ..io.exporters import export_eps
@@ -335,27 +338,6 @@ def _format_value(v):
     return str(v)
 
 
-def interpolate_field(space: FeSpace, field: Field) -> np.ndarray:
-    """Field values at the DOF sites, without point location."""
-    mesh = space.mesh
-    from ..fields import CellContext
-    if space.elem == "P1":
-        lam = np.eye(3)
-        p = mesh.points[mesh.tri]
-        ctx = CellContext(mesh, np.arange(mesh.nt), p[:, :, 0], p[:, :, 1], lam)
-        vals = np.broadcast_to(np.asarray(field.eval_cells(ctx), dtype=float),
-                               (mesh.nt, 3))
-        out = np.zeros(mesh.nv)
-        out[mesh.tri.ravel()] = vals.ravel()
-        return out
-    lam = np.full((1, 3), 1.0 / 3.0)
-    b = mesh.barycenters()
-    ctx = CellContext(mesh, np.arange(mesh.nt), b[:, :1], b[:, 1:], lam)
-    vals = np.broadcast_to(np.asarray(field.eval_cells(ctx), dtype=float),
-                           (mesh.nt, 1))
-    return vals[:, 0].copy()
-
-
 # --------------------------------------------------------------------------
 
 class Interpreter:
@@ -496,32 +478,34 @@ class Interpreter:
                 self._log(1, f"set: ignoring named parameter {key!r}")
         return 0
 
-    def _transform_from_pair(self, pair_ast, env):
+    def _moved(self, mesh, pair_ast, env):
+        """`mesh` with its vertices moved to [fx, fy], evaluated at the P1
+        DOF sites of `mesh`."""
         fenv = Env(parent=env)
         fenv.define("x", FIELD_X)
         fenv.define("y", FIELD_Y)
         pair = self.eval(pair_ast, fenv)
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise EvalError("coordinate transform must be [fx, fy]")
-        fx, fy = (self._as_field(p) for p in pair)
-        return lambda x, y: (fx.eval_points(x, y), fy.eval_points(x, y))
+        space = FeSpace(mesh, "P1")
+        qx, qy = (interpolate_field(space, self._as_field(p)).dofs for p in pair)
+        return move_mesh(mesh, lambda x, y: (qx, qy))
 
     def _bi_square(self, interp, env, args, named):
         if len(args) < 2:
             raise EvalError("square(m, n[, [fx, fy]]) needs two sizes")
         m = int(self.eval(args[0].value, env))
         n = int(self.eval(args[1].value, env))
-        transform = None
+        mesh = build_square(m, n)
         if len(args) > 2:
-            transform = self._transform_from_pair(args[2].value, env)
-        return build_square(m, n, transform)
+            mesh = self._moved(mesh, args[2].value, env)
+        return mesh
 
     def _bi_movemesh(self, interp, env, args, named):
         mesh = self.eval(args[0].value, env)
         if not isinstance(mesh, Mesh):
             raise EvalError("movemesh expects a mesh first")
-        transform = self._transform_from_pair(args[1].value, env)
-        return move_mesh(mesh, transform)
+        return self._moved(mesh, args[1].value, env)
 
     def _bi_buildmesh(self, interp, env, args, named):
         for key in named:
@@ -790,9 +774,9 @@ class Interpreter:
         elif _is_number(value):
             u.dofs[:] = float(value)
         elif isinstance(value, Field):
-            u.dofs[:] = interpolate_field(u.space, value)
+            u.dofs[:] = interpolate_field(u.space, value).dofs
         elif isinstance(value, FuncValue) and value.analytic:
-            u.dofs[:] = interpolate_field(u.space, self._as_field(value))
+            u.dofs[:] = interpolate_field(u.space, self._as_field(value)).dofs
         else:
             raise EvalError(f"cannot assign {type(value).__name__} to an FE function", line)
 

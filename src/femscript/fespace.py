@@ -1,9 +1,12 @@
 """P0/P1 finite element spaces: DOF numbering, interpolation, point evaluation.
 
 P1 numbers one DOF per vertex (dof_of(t, k) = vertex index), P0 one DOF per
-triangle at its barycenter.  Point evaluation locates the containing triangle
-by walking the adjacency graph from the last hit, falling back to a brute
-scan, and interpolates barycentrically.
+triangle at its barycenter.  Interpolation evaluates a coefficient, the same
+kind of expression an integrand takes, through `Field.eval_cells` at one site
+per DOF (`dof_values`); FE assignment in scripts, Dirichlet values and mesh
+transforms all go through it.  Point evaluation at arbitrary coordinates
+locates the containing triangle by walking the adjacency graph from the last
+hit, falling back to a brute scan, and interpolates barycentrically.
 """
 
 import numpy as np
@@ -30,13 +33,6 @@ class FeSpace:
         if local != 0:
             raise InvalidArgumentError("P0 has a single local DOF per triangle")
         return t
-
-    def dof_sites(self):
-        """Coordinates where DOF values live: vertices (P1) or barycenters (P0)."""
-        if self.elem == "P1":
-            return self.mesh.points[:, 0], self.mesh.points[:, 1]
-        b = self.mesh.barycenters()
-        return b[:, 0], b[:, 1]
 
     def function(self, values=None) -> "FeFunction":
         u = FeFunction(self)
@@ -71,23 +67,63 @@ class FeFunction:
         return f"FeFunction({self.space.elem}, ndof={self.space.ndof})"
 
 
-def interpolate(space: FeSpace, f) -> FeFunction:
-    """Interpolate an analytic function at the DOF sites.
+def _dof_context(space: FeSpace):
+    """One evaluation site per DOF, cached on the mesh per element kind.
 
-    `f` may be vectorized over coordinate arrays or plain scalar->scalar.
+    P0 sites are the barycenters (lambda = 1/3).  A P1 site is its vertex seen
+    from the highest-index incident triangle, with a one-hot barycentric row;
+    that triangle gives the value of a P0 function or of a gradient there.  A
+    vertex in no triangle is seen from triangle 0, where only fields that do
+    not read FE values are meaningful.
     """
-    x, y = space.dof_sites()
+    from .fields import CellContext  # fields imports this module
+    mesh = space.mesh
+
+    def build():
+        if space.elem == "P0":
+            b = mesh.barycenters()
+            return CellContext(mesh, np.arange(mesh.nt), b[:, :1], b[:, 1:],
+                               np.full((1, 3), 1.0 / 3.0))
+        site = np.zeros(mesh.nv, dtype=np.int64)          # flat index 3*t + k
+        np.maximum.at(site, mesh.tri.ravel(), np.arange(3 * mesh.nt))
+        p = mesh.points
+        return CellContext(mesh, site // 3, p[:, :1], p[:, 1:], np.eye(3)[site % 3][:, None, :])
+    return mesh._cached(("dof_sites", space.elem), build)
+
+
+def dof_values(space: FeSpace, f, dofs=None) -> np.ndarray:
+    """Values of a coefficient at the DOF sites of `space`, or at the DOFs
+    `dofs` only.
+
+    `f` is a number, a Field, an FE function on the same mesh, or a callable
+    f(x, y) vectorized over flat coordinate arrays; a callable that fails on
+    arrays is called once per site with floats.  Raises NumericError if a
+    value is not finite.
+    """
+    from .fields import CellContext, FunctionField, as_field  # fields imports this module
+    ctx = _dof_context(space)
+    if dofs is not None:
+        lam = ctx.lam if ctx.lam.ndim == 2 else ctx.lam[dofs]
+        ctx = CellContext(ctx.mesh, ctx.tri[dofs], ctx.x[dofs], ctx.y[dofs], lam)
+    x, y = ctx.x[:, 0], ctx.y[:, 0]
+    field = as_field(f)
     try:
-        vals = np.asarray(f(x, y), dtype=float)
-        vals = np.broadcast_to(vals, x.shape).copy()
+        vals = field.eval_cells(ctx)
     except (TypeError, ValueError):
-        vals = np.array([float(f(float(xi), float(yi))) for xi, yi in zip(x, y)])
+        if not isinstance(field, FunctionField):
+            raise
+        vals = np.reshape([float(f(float(xi), float(yi))) for xi, yi in zip(x, y)], ctx.x.shape)
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), ctx.x.shape)[:, 0].copy()
     if not np.all(np.isfinite(vals)):
         k = int(np.argmin(np.isfinite(vals)))
         raise NumericError(f"interpolated function not finite at ({x[k]:g}, {y[k]:g})")
-    u = FeFunction(space)
-    u.dofs[:] = vals
-    return u
+    return vals
+
+
+def interpolate(space: FeSpace, f) -> FeFunction:
+    """The FE function of `space` whose DOF values are `f` at the DOF sites
+    (see `dof_values` for what `f` may be)."""
+    return space.function(dof_values(space, f))
 
 
 class _Locator:

@@ -1,15 +1,18 @@
 """Scalar fields over a mesh: the coefficient language of integrands.
 
-A Field can be evaluated in bulk at quadrature points of many triangles
-(`eval_cells`) or at raw coordinates (`eval_points`).  Arithmetic on fields
-builds expression trees, so integrands like `(uh - uex)**2` or
-`4*sin(x**2 + y**2 - 1)*x**2` evaluate vectorized during assembly.
+A Field has one evaluation protocol, `eval_cells`: values in bulk at sites
+given as (triangle, barycentric coordinates), the quadrature points of
+assembly or the DOF sites of interpolation (`fespace.dof_values`).  An FE
+function is only evaluated on its own mesh this way; point evaluation at raw
+coordinates is `fespace.evaluate`.  Arithmetic on fields builds expression
+trees, so integrands like `(uh - uex)**2` or `4*sin(x**2 + y**2 - 1)*x**2`
+evaluate vectorized during assembly.
 """
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fespace import FeFunction, evaluate as point_eval
+from .fespace import FeFunction
 
 
 class CellContext:
@@ -27,9 +30,6 @@ class CellContext:
 
 class Field:
     def eval_cells(self, ctx):
-        raise NotImplementedError
-
-    def eval_points(self, x, y):
         raise NotImplementedError
 
     # arithmetic -----------------------------------------------------------
@@ -93,9 +93,6 @@ class Constant(Field):
     def eval_cells(self, ctx):
         return self.value
 
-    def eval_points(self, x, y):
-        return np.full(np.shape(x), self.value)
-
 
 class Coordinate(Field):
     def __init__(self, axis):
@@ -104,22 +101,16 @@ class Coordinate(Field):
     def eval_cells(self, ctx):
         return ctx.x if self.axis == 0 else ctx.y
 
-    def eval_points(self, x, y):
-        return np.asarray(x if self.axis == 0 else y, dtype=float)
-
 
 class FunctionField(Field):
-    """Wraps a vectorized callable f(x, y)."""
+    """Wraps a vectorized callable f(x, y), called on flat coordinate arrays."""
 
     def __init__(self, fn):
         self.fn = fn
 
     def eval_cells(self, ctx):
-        return np.asarray(self.fn(ctx.x, ctx.y), dtype=float)
-
-    def eval_points(self, x, y):
-        return np.asarray(self.fn(np.asarray(x, dtype=float),
-                                  np.asarray(y, dtype=float)), dtype=float)
+        vals = np.asarray(self.fn(ctx.x.ravel(), ctx.y.ravel()), dtype=float)
+        return vals.reshape(ctx.x.shape) if vals.ndim else vals
 
 
 class FeField(Field):
@@ -139,12 +130,6 @@ class FeField(Field):
         if ctx.lam.ndim == 2:
             return nodal @ ctx.lam.T                    # (n, nq)
         return np.einsum("nk,nqk->nq", nodal, ctx.lam)
-
-    def eval_points(self, x, y):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.array([point_eval(self.u, xi, yi) for xi, yi in zip(xs.ravel(), ys.ravel())])
-        return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
 
 class FeGradField(Field):
@@ -166,9 +151,6 @@ class FeGradField(Field):
         vals = np.einsum("nk,nk->n", nodal, g[ctx.tri])
         return np.broadcast_to(vals[:, None], ctx.x.shape)
 
-    def eval_points(self, x, y):
-        raise InvalidArgumentError("gradients of FE functions are integrand-only")
-
 
 class Binary(Field):
     def __init__(self, op, a, b):
@@ -179,9 +161,6 @@ class Binary(Field):
     def eval_cells(self, ctx):
         return self.op(self.a.eval_cells(ctx), self.b.eval_cells(ctx))
 
-    def eval_points(self, x, y):
-        return self.op(self.a.eval_points(x, y), self.b.eval_points(x, y))
-
 
 class Unary(Field):
     def __init__(self, op, a):
@@ -190,9 +169,6 @@ class Unary(Field):
 
     def eval_cells(self, ctx):
         return self.op(self.a.eval_cells(ctx))
-
-    def eval_points(self, x, y):
-        return self.op(self.a.eval_points(x, y))
 
 
 X = Coordinate(0)

@@ -6,7 +6,10 @@ degree-1 in both trial and test assemble to a matrix, terms degree-1 in the
 test function alone to a vector; mixing orders inside one integral is an
 error.  Dirichlet conditions use the giant-diagonal penalty: the matrix
 diagonal of every constrained DOF is overwritten with `tgv` and the right
-hand side entry with `tgv` times the interpolated boundary value.
+hand side entry with `tgv` times the boundary value.  That value is the
+clause's coefficient evaluated at the pinned DOF sites only, through the
+interpolation routine `fespace.dof_values`, so an FE function in it must live
+on the form's mesh and a non-finite value at a pinned vertex is an error.
 
 Assembly accumulates contributions in ascending triangle order and sums
 duplicates with a stable sort, so results are bit-identical across runs.
@@ -18,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
-from .fespace import FeFunction, FeSpace
+from .fespace import FeFunction, FeSpace, dof_values
 from .fields import CellContext, Constant, Field, FeField, FeGradField, as_field
 from .linalg import SparseMatrix
 
@@ -384,11 +387,22 @@ def _coef_values(f, ctx):
 
 
 def dirichlet_dofs(space: FeSpace, labels):
-    """DOF indices pinned by a Dirichlet clause on the given labels."""
+    """DOF indices pinned by a Dirichlet clause on the given labels, sorted.
+
+    The read-only result is cached on the mesh per label set; a label missing
+    from the boundary raises on every call.
+    """
     if space.elem != "P1":
         raise InvalidArgumentError("Dirichlet clauses need vertex DOFs (P1)")
-    _select_edges(space.mesh, labels)  # validates presence
-    return space.mesh.vertices_on_labels(labels)
+    mesh = space.mesh
+    labels = frozenset(int(v) for v in labels)
+
+    def build():
+        _select_edges(mesh, labels)  # validates presence
+        dofs = mesh.vertices_on_labels(labels)
+        dofs.setflags(write=False)
+        return dofs
+    return mesh._cached(("dirichlet_dofs", labels), build)
 
 
 def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
@@ -432,7 +446,7 @@ def _dirichlet_union(form, space):
 
 def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> np.ndarray:
     """Assemble the vector of all linear terms, then pin Dirichlet entries to
-    tgv times the interpolated boundary value."""
+    tgv times the boundary value at each pinned DOF."""
     mesh = test.mesh
     b = np.zeros(test.ndof)
     for term in form.linear_terms:
@@ -444,13 +458,5 @@ def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> n
             np.add.at(b, dof_v.ravel(), contrib.ravel())
     for bc in form.dirichlet:
         dofs = dirichlet_dofs(test, bc.labels)
-        pts = mesh.points[dofs]
-        if isinstance(bc.value, FeField) and bc.value.u.space.elem == "P1" \
-                and bc.value.u.space.mesh is mesh:
-            gvals = bc.value.u.dofs[dofs]
-        else:
-            gvals = np.broadcast_to(
-                np.asarray(bc.value.eval_points(pts[:, 0], pts[:, 1]), dtype=float),
-                (len(dofs),))
-        b[dofs] = gvals * tgv
+        b[dofs] = dof_values(test, bc.value, dofs) * tgv
     return b

@@ -49,12 +49,12 @@ class Mesh:
         self.vertex_label = np.ascontiguousarray(vertex_labels, dtype=np.int64)
         self.region = np.ascontiguousarray(regions, dtype=np.int64)
         self.edge_label = np.ascontiguousarray(edge_labels, dtype=np.int64)
+        self._cache = {}
         if validate:
             self._validate()
         for arr in (self.points, self.tri, self.edge, self.vertex_label,
                     self.region, self.edge_label):
             arr.setflags(write=False)
-        self._cache = {}
 
     # -- basic counts ----------------------------------------------------
 
@@ -110,16 +110,7 @@ class Mesh:
         return self._cache[key]
 
     def signed_areas(self):
-        def build():
-            p = self.points[self.tri]
-            a = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-            return a
-        if not hasattr(self, "_cache"):  # during validation
-            p = self.points[self.tri]
-            return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                          - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-        return self._cached("areas", build)
+        return self._cached("areas", lambda: _signed_areas(self.points, self.tri))
 
     def total_area(self) -> float:
         return float(self.signed_areas().sum())
@@ -154,42 +145,48 @@ class Mesh:
         lo, hi = self.bbox()
         return float(np.hypot(*(hi - lo)))
 
+    def _edge_table(self):
+        """Every triangle edge (v[k], v[k+1]) as the key min*nv + max, sorted,
+        with the stable argsort: `order[i]` is the flat index 3*t + k of the
+        i-th smallest key, ties in ascending (t, k)."""
+        a = self.tri
+        b = np.roll(self.tri, -1, axis=1)
+        keys = (np.minimum(a, b) * self.nv + np.maximum(a, b)).ravel()
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+
     def neighbors(self):
-        """Triangle adjacency: neighbors()[t, k] faces edge (v[k], v[k+1]), -1 on the hull."""
+        """Triangle adjacency: neighbors()[t, k] faces edge (v[k], v[k+1]), -1 on the hull.
+
+        Copies of one edge pair up two by two in (t, k) order, so a
+        non-conforming edge shared by more than two triangles gets the same
+        partners as a scan that pairs each copy with the previous unpaired one.
+        """
         def build():
-            nbr = np.full((self.nt, 3), -1, dtype=np.int64)
-            owner = {}
-            for t in range(self.nt):
-                vs = self.tri[t]
-                for k in range(3):
-                    a, b = int(vs[k]), int(vs[(k + 1) % 3])
-                    key = (min(a, b), max(a, b))
-                    if key in owner:
-                        t2, k2 = owner.pop(key)
-                        nbr[t, k] = t2
-                        nbr[t2, k2] = t
-                    else:
-                        owner[key] = (t, k)
-            return nbr
+            keys, order = self._edge_table()
+            n = len(keys)
+            start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            rank = np.arange(n) - np.repeat(start, np.diff(np.r_[start, n]))
+            first = np.flatnonzero((rank % 2 == 0)[:-1] & (keys[1:] == keys[:-1]))
+            nbr = np.full(3 * self.nt, -1, dtype=np.int64)
+            nbr[order[first]] = order[first + 1] // 3
+            nbr[order[first + 1]] = order[first] // 3
+            return nbr.reshape(self.nt, 3)
         return self._cached("neighbors", build)
 
     def edge_triangle(self):
-        """For each labeled edge, the indices of incident triangles (nt_inc, first)."""
+        """For each labeled edge, the lowest-index incident triangle (-1 if
+        none) and the number of incident triangles: (first, count)."""
         def build():
-            owner = {}
-            for t in range(self.nt):
-                vs = self.tri[t]
-                for k in range(3):
-                    a, b = int(vs[k]), int(vs[(k + 1) % 3])
-                    owner.setdefault((min(a, b), max(a, b)), []).append(t)
-            tri_of = np.full(self.ne, -1, dtype=np.int64)
-            count = np.zeros(self.ne, dtype=np.int64)
-            for e in range(self.ne):
-                a, b = int(self.edge[e, 0]), int(self.edge[e, 1])
-                inc = owner.get((min(a, b), max(a, b)), [])
-                count[e] = len(inc)
-                tri_of[e] = inc[0] if inc else -1
-            return tri_of, count
+            keys, order = self._edge_table()
+            a, b = self.edge[:, 0], self.edge[:, 1]
+            want = np.minimum(a, b) * self.nv + np.maximum(a, b)
+            lo = np.searchsorted(keys, want, side="left")
+            count = np.searchsorted(keys, want, side="right") - lo
+            first = np.full(self.ne, -1, dtype=np.int64)
+            hit = count > 0
+            first[hit] = order[lo[hit]] // 3
+            return first, count
         return self._cached("edge_tri", build)
 
     def boundary_labels(self):
@@ -202,79 +199,61 @@ class Mesh:
         return np.unique(self.edge[mask])
 
 
-def build_square(m: int, n: int, transform=None) -> Mesh:
+def build_square(m: int, n: int) -> Mesh:
     """Structured mesh of the unit square: m x n cells, each split along the
     (i,j)-(i+1,j+1) diagonal.  Boundary labels: 1 bottom, 2 right, 3 top, 4 left.
 
-    `transform`, if given, maps (x, y) arrays to transformed coordinate arrays.
+    Vertex (i, j) has index j*(m+1) + i.  Cells come row by row, each as the
+    triangles (a, b, c) and (a, c, d) with a = (i, j), b = (i+1, j),
+    c = (i+1, j+1), d = (i, j+1).  Boundary edges run counter-clockwise from
+    (0, 0).  A vertex takes the label of the first boundary edge touching it.
     """
     if m < 1 or n < 1:
         raise InvalidArgumentError(f"square needs m, n >= 1, got {m}, {n}")
     xs = np.linspace(0.0, 1.0, m + 1)
     ys = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
-    px = X.ravel()
-    py = Y.ravel()
+    points = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (m + 1) + i
+    vid = np.arange((m + 1) * (n + 1)).reshape(n + 1, m + 1)   # vid[j, i]
+    a, b = vid[:-1, :-1].ravel(), vid[:-1, 1:].ravel()
+    c, d = vid[1:, 1:].ravel(), vid[1:, :-1].ravel()
+    tris = np.stack([np.stack([a, b, c], axis=1),
+                     np.stack([a, c, d], axis=1)], axis=1).reshape(-1, 3)
 
-    tris = np.empty((2 * m * n, 3), dtype=np.int64)
-    k = 0
-    for j in range(n):
-        for i in range(m):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris[k] = (a, b, c)
-            tris[k + 1] = (a, c, d)
-            k += 2
+    ring = np.concatenate([vid[0, :],            # bottom, left to right
+                           vid[1:, m],           # right, upward
+                           vid[n, m - 1::-1],    # top, right to left
+                           vid[n - 1::-1, 0]])   # left, downward
+    edges = np.column_stack([ring[:-1], ring[1:]])
+    labels = np.repeat(np.array([1, 2, 3, 4], dtype=np.int64), [m, n, m, n])
 
-    edges = []
-    labels = []
-    for i in range(m):                      # bottom, label 1, left to right
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        labels.append(1)
-    for j in range(n):                      # right, label 2, upward
-        edges.append((vid(m, j), vid(m, j + 1)))
-        labels.append(2)
-    for i in range(m, 0, -1):               # top, label 3, right to left
-        edges.append((vid(i, n), vid(i - 1, n)))
-        labels.append(3)
-    for j in range(n, 0, -1):               # left, label 4, downward
-        edges.append((vid(0, j), vid(0, j - 1)))
-        labels.append(4)
-    edges = np.array(edges, dtype=np.int64)
-    labels = np.array(labels, dtype=np.int64)
-
-    vlab = np.zeros(len(px), dtype=np.int64)
-    for (a, b), lab in zip(edges[::-1], labels[::-1]):  # first edge wins
-        vlab[a] = lab
-        vlab[b] = lab
-
-    if transform is not None:
-        px, py = _apply_transform(transform, px, py)
-    points = np.column_stack([px, py])
-    return Mesh(points, tris, edges, vertex_labels=vlab, edge_labels=labels)
+    vlab = np.zeros((n + 1, m + 1), dtype=np.int64)
+    vlab[:, 0] = 4
+    vlab[n, :] = 3
+    vlab[:, m] = 2
+    vlab[0, :] = 1
+    return Mesh(points, tris, edges, vertex_labels=vlab.ravel(), edge_labels=labels)
 
 
-def _apply_transform(transform, px, py):
-    out = transform(px, py)
-    qx, qy = out
-    qx = np.broadcast_to(np.asarray(qx, dtype=float), px.shape).copy()
-    qy = np.broadcast_to(np.asarray(qy, dtype=float), py.shape).copy()
-    return qx, qy
+def _signed_areas(points, tri):
+    p = points[tri]
+    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
 def move_mesh(mesh: Mesh, transform) -> Mesh:
     """Apply a coordinate transform, keeping connectivity and labels.
 
-    Raises FoldOverError if any transformed triangle degenerates or flips.
+    `transform` maps the vertex coordinate arrays (x, y) to a pair of new
+    coordinate arrays.  Raises FoldOverError if any transformed triangle
+    degenerates or flips.
     """
-    px, py = _apply_transform(transform, mesh.points[:, 0], mesh.points[:, 1])
-    points = np.column_stack([px, py])
-    p = points[mesh.tri]
-    areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    px, py = mesh.points[:, 0], mesh.points[:, 1]
+    qx, qy = transform(px, py)
+    points = np.column_stack([np.broadcast_to(np.asarray(qx, dtype=float), px.shape),
+                              np.broadcast_to(np.asarray(qy, dtype=float), py.shape)])
+    areas = _signed_areas(points, mesh.tri)
     if (areas <= 0).any():
         k = int(np.argmin(areas))
         raise FoldOverError(f"transform folds triangle {k} (area {areas[k]:g})")

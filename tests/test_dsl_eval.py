@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from femscript.dsl import EvalError, run_source
-from femscript.errors import UnsupportedError
+from femscript.errors import FoldOverError, InvalidArgumentError, UnsupportedError
 from femscript.linalg import dot
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.edp"))
@@ -435,3 +435,50 @@ def test_corpus_borders_writes_eps(tmp_path):
     area, nv4, ne_circle, ne_hole = out.getvalue().split()
     assert float(area) == pytest.approx(20.0, abs=1e-9)
     assert int(ne_circle) == 50 and int(ne_hole) == 80
+
+
+# -- coefficients are evaluated at DOF sites of their own mesh -------------------
+
+OTHER_MESH_G = """
+mesh Th=square(4,4);
+mesh Tg=square(5,5);
+fespace Vh(Th,P1);
+fespace Gh(Tg,P1);
+Gh g=x;
+Vh u,v;
+"""
+
+
+@pytest.mark.parametrize("use", [
+    "solve P(u,v) = int2d(Th)(dx(u)*dx(v) + dy(u)*dy(v)) - int2d(Th)(v) + on(1,2,3,4,u=g);",
+    "Th = movemesh(Th, [x+g, y]);",
+    "mesh Ts = square(4, 4, [x+g, y]);",
+])
+def test_fe_coefficient_from_another_mesh_rejected(use):
+    with pytest.raises(InvalidArgumentError):
+        run(OTHER_MESH_G + use)
+
+
+def test_movemesh_moves_each_vertex_by_the_dof_value():
+    src = """
+    mesh Th=square(6,6);
+    fespace Vh(Th,P1);
+    Vh u=0.05*sin(3*x)*y;
+    mesh Tm=movemesh(Th, [x+u, y]);
+    """
+    r, _ = run(src)
+    Th, Tm, u = (r.env.lookup(k) for k in ("Th", "Tm", "u"))
+    assert np.array_equal(Tm.points[:, 0], Th.points[:, 0] + u.dofs)
+    assert np.array_equal(Tm.points[:, 1], Th.points[:, 1])
+
+
+def test_square_transform_and_its_fold():
+    r, _ = run("mesh Th=square(3,2,[2*x, y+x]);")
+    from femscript.mesh import build_square
+    ref = build_square(3, 2)
+    Th = r.env.lookup("Th")
+    assert np.array_equal(Th.points, np.column_stack([2 * ref.points[:, 0],
+                                                      ref.points.sum(axis=1)]))
+    assert np.array_equal(Th.tri, ref.tri)
+    with pytest.raises(FoldOverError):
+        run("mesh Th=square(3,3,[-x, y]);")

@@ -286,3 +286,58 @@ def test_robin_boundary_term(square10):
                             square10.vertices_on_labels({2}))
     S = assemble_bilinear(bilinear(STIFF), Vh, Vh).to_dense()
     assert np.abs((A - S)[np.ix_(interior, interior)]).max() == 0.0
+
+
+# -- one interpolation routine: numbers, fields, FE functions, Dirichlet values --
+
+@pytest.mark.parametrize("elem", ["P1", "P0"])
+def test_interpolate_accepts_numbers_fields_and_fe_functions(square10, elem):
+    from femscript.fespace import interpolate
+    Vh = FeSpace(square10, elem)
+    sites = square10.points if elem == "P1" else square10.barycenters()
+    assert np.array_equal(interpolate(Vh, 2.5).dofs, np.full(Vh.ndof, 2.5))
+    assert np.array_equal(interpolate(Vh, X * X + 1.0).dofs, sites[:, 0] ** 2 + 1.0)
+    u = Vh.function(np.random.default_rng(3).standard_normal(Vh.ndof))
+    assert np.array_equal(interpolate(Vh, u).dofs, u.dofs)
+    assert np.array_equal(interpolate(Vh, as_field(u)).dofs, u.dofs)
+
+
+def test_interpolate_rejects_fe_function_of_another_mesh(square10, square16):
+    from femscript.fespace import interpolate
+    g = FeSpace(square16, "P1").function()
+    with pytest.raises(InvalidArgumentError):
+        interpolate(FeSpace(square10, "P1"), g)
+
+
+def test_dirichlet_value_checked_at_pinned_vertices_only():
+    mesh = build_square(10, 10)
+    Vh = FeSpace(mesh, "P1")
+    g = 1.0 / (X - 0.5)          # infinite at x = 0.5, a vertex of label 1 only
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NumericError):
+            assemble_linear(VarForm(dirichlet=[DirichletBC(frozenset({1}), g)]), Vh)
+        b = assemble_linear(VarForm(dirichlet=[DirichletBC(frozenset({2}), g)]), Vh)
+    assert np.all(np.isfinite(b))
+    pinned = dirichlet_dofs(Vh, {2})
+    assert np.array_equal(b[pinned], 2.0 * 1e30 * np.ones(len(pinned)))
+
+
+def test_dirichlet_value_from_another_mesh_rejected(square10, square16):
+    Vh = FeSpace(square10, "P1")
+    g = FeSpace(square16, "P1").function(1.0)
+    form = VarForm(dirichlet=[DirichletBC(ALL_LABELS, as_field(g))])
+    with pytest.raises(InvalidArgumentError):
+        assemble_linear(form, Vh)
+
+
+def test_dirichlet_dofs_cached_read_only_and_missing_label_raises_each_call():
+    mesh = build_square(4, 4)
+    Vh = FeSpace(mesh, "P1")
+    first = dirichlet_dofs(Vh, [1, 2])
+    assert dirichlet_dofs(Vh, frozenset({2, 1})) is first
+    assert first.tolist() == sorted(set(mesh.vertices_on_labels({1, 2}).tolist()))
+    with pytest.raises(ValueError):
+        first[0] = 0
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError):
+            dirichlet_dofs(Vh, {1, 7})

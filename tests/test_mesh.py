@@ -261,3 +261,91 @@ def test_l_shape_reflex_corner():
     # no triangle escapes into the notch
     bc = m.barycenters()
     assert not ((bc[:, 0] > 1) & (bc[:, 1] > 1)).any()
+
+
+# -- adjacency and the structured square against loop references ----------------
+
+def _neighbors_reference(mesh):
+    nbr = np.full((mesh.nt, 3), -1, dtype=np.int64)
+    owner = {}
+    for t in range(mesh.nt):
+        for k in range(3):
+            a, b = int(mesh.tri[t, k]), int(mesh.tri[t, (k + 1) % 3])
+            key = (min(a, b), max(a, b))
+            if key in owner:
+                t2, k2 = owner.pop(key)
+                nbr[t, k] = t2
+                nbr[t2, k2] = t
+            else:
+                owner[key] = (t, k)
+    return nbr
+
+
+def _edge_triangle_reference(mesh):
+    owner = {}
+    for t in range(mesh.nt):
+        for k in range(3):
+            a, b = int(mesh.tri[t, k]), int(mesh.tri[t, (k + 1) % 3])
+            owner.setdefault((min(a, b), max(a, b)), []).append(t)
+    first = np.full(mesh.ne, -1, dtype=np.int64)
+    count = np.zeros(mesh.ne, dtype=np.int64)
+    for e in range(mesh.ne):
+        a, b = int(mesh.edge[e, 0]), int(mesh.edge[e, 1])
+        inc = owner.get((min(a, b), max(a, b)), [])
+        count[e] = len(inc)
+        first[e] = inc[0] if inc else -1
+    return first, count
+
+
+def _holed_disk():
+    outer = Border(lambda t: (math.cos(t), math.sin(t)), 0.0, 2 * math.pi, 50, 1)
+    hole = Border(lambda t: (0.3 + 0.3 * math.cos(t), 0.3 * math.sin(t)),
+                  0.0, 2 * math.pi, -30, 2)
+    return build_from_borders([outer, hole])
+
+
+@pytest.mark.parametrize("which", ["square10", "circle50", "holed"])
+def test_adjacency_matches_dict_reference(which, request):
+    mesh = _holed_disk() if which == "holed" else request.getfixturevalue(which)
+    assert np.array_equal(mesh.neighbors(), _neighbors_reference(mesh))
+    first, count = mesh.edge_triangle()
+    ref_first, ref_count = _edge_triangle_reference(mesh)
+    assert np.array_equal(first, ref_first)
+    assert np.array_equal(count, ref_count)
+
+
+def test_adjacency_of_an_edge_shared_three_times():
+    # three triangles on edge (0, 1): copies pair in (t, k) order, the third stays open
+    pts = [(0, 0), (1, 0), (0.5, 1), (0.5, 2), (0.5, 3)]
+    mesh = Mesh(pts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)], [(0, 1)], validate=False)
+    assert np.array_equal(mesh.neighbors(), _neighbors_reference(mesh))
+    assert [a.tolist() for a in mesh.edge_triangle()] == [[0], [3]]
+
+
+def _square_reference(m, n):
+    def vid(i, j):
+        return j * (m + 1) + i
+    tris = []
+    for j in range(n):
+        for i in range(m):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
+    edges = ([(vid(i, 0), vid(i + 1, 0)) for i in range(m)]
+             + [(vid(m, j), vid(m, j + 1)) for j in range(n)]
+             + [(vid(i, n), vid(i - 1, n)) for i in range(m, 0, -1)]
+             + [(vid(0, j), vid(0, j - 1)) for j in range(n, 0, -1)])
+    labels = [1] * m + [2] * n + [3] * m + [4] * n
+    vlab = [0] * ((m + 1) * (n + 1))
+    for (a, b), lab in zip(edges[::-1], labels[::-1]):  # first edge wins
+        vlab[a] = vlab[b] = lab
+    return tris, edges, labels, vlab
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (1, 1), (2, 5)])
+def test_build_square_matches_loop_reference(m, n):
+    tris, edges, labels, vlab = _square_reference(m, n)
+    mesh = build_square(m, n)
+    assert mesh.tri.tolist() == [list(t) for t in tris]
+    assert mesh.edge.tolist() == [list(e) for e in edges]
+    assert mesh.edge_label.tolist() == labels
+    assert mesh.vertex_label.tolist() == vlab
