@@ -767,13 +767,13 @@ class Interpreter:
             env.define(d.name, u)
 
     def _assign_fe(self, u: FeFunction, value, line=None):
-        if isinstance(value, FeFunction):
-            if value.space.ndof != u.space.ndof:
-                raise EvalError("FE assignment across incompatible spaces", line)
+        if (isinstance(value, FeFunction) and value.space.mesh is u.space.mesh
+                and value.space.elem == u.space.elem):
             u.dofs[:] = value.dofs
         elif _is_number(value):
             u.dofs[:] = float(value)
-        elif isinstance(value, Field):
+        elif isinstance(value, (Field, FeFunction)):
+            # another mesh raises InvalidArgumentError, as it does for g+0
             u.dofs[:] = interpolate_field(u.space, value).dofs
         elif isinstance(value, FuncValue) and value.analytic:
             u.dofs[:] = interpolate_field(u.space, self._as_field(value)).dofs

@@ -40,7 +40,7 @@ class SingularMatrixError(FemError):
 
 
 class SolverError(FemError):
-    """An iterative solver broke down."""
+    """An iterative solver broke down or did not converge."""
 
 
 class UnsupportedError(FemError):

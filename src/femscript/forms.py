@@ -13,6 +13,9 @@ on the form's mesh and a non-finite value at a pinned vertex is an error.
 
 Assembly accumulates contributions in ascending triangle order and sums
 duplicates with a stable sort, so results are bit-identical across runs.
+Element contributions that are exactly zero (the lumped mass's off-diagonals,
+the stiffness couplings across a right angle) are not stored, so the lumped
+P1 mass is diagonal; an entry whose contributions cancel is still stored.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -427,6 +430,8 @@ def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
         rows = np.concatenate(rows_acc)
         cols = np.concatenate(cols_acc)
         vals = np.concatenate(vals_acc)
+        keep = vals != 0.0      # drops single contributions, never sums
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
     else:
         rows = cols = np.zeros(0, dtype=np.int64)
         vals = np.zeros(0)

@@ -439,9 +439,10 @@ def test_corpus_borders_writes_eps(tmp_path):
 
 # -- coefficients are evaluated at DOF sites of their own mesh -------------------
 
+# Tg has as many vertices as Th, so only the mesh itself tells them apart
 OTHER_MESH_G = """
 mesh Th=square(4,4);
-mesh Tg=square(5,5);
+mesh Tg=movemesh(Th,[2*x,y]);
 fespace Vh(Th,P1);
 fespace Gh(Tg,P1);
 Gh g=x;
@@ -453,10 +454,18 @@ Vh u,v;
     "solve P(u,v) = int2d(Th)(dx(u)*dx(v) + dy(u)*dy(v)) - int2d(Th)(v) + on(1,2,3,4,u=g);",
     "Th = movemesh(Th, [x+g, y]);",
     "mesh Ts = square(4, 4, [x+g, y]);",
+    "Vh w=g;",
+    "u=g;",
 ])
 def test_fe_coefficient_from_another_mesh_rejected(use):
     with pytest.raises(InvalidArgumentError):
         run(OTHER_MESH_G + use)
+
+
+def test_bare_fe_assignment_on_the_same_mesh_copies_dofs():
+    r, _ = run(OTHER_MESH_G + "Gh w=g;")
+    assert np.array_equal(r.env.lookup("w").dofs, r.env.lookup("g").dofs)
+    assert r.env.lookup("w").dofs is not r.env.lookup("g").dofs
 
 
 def test_movemesh_moves_each_vertex_by_the_dof_value():

@@ -167,6 +167,10 @@ def test_stiffness_row_sums_vanish(square16, circle50):
         Vh = FeSpace(mesh, "P1")
         A = assemble_bilinear(bilinear(STIFF), Vh, Vh)
         assert np.abs(A.row_sums()).max() <= 1e-12
+    # the couplings across the square's diagonals are exact zeros, not stored
+    Vh = FeSpace(square16, "P1")
+    A = assemble_bilinear(bilinear(STIFF), Vh, Vh)
+    assert np.diff(A._csr.indptr).max() <= 5
 
 
 def test_symmetry_before_penalty(circle50):
@@ -185,6 +189,22 @@ def test_lumped_and_default_mass_row_sums(square10):
     # the lumped matrix is diagonal
     off = ML.to_dense() - np.diag(ML.diagonal())
     assert np.abs(off).max() == 0.0
+    assert ML.nnz == Vh.ndof
+
+
+def test_cancelling_contributions_stay_stored():
+    # a P0 coefficient of +1 and -1 on the two triangles of the unit square:
+    # the shared edge's entries sum to exactly zero but are still stored
+    from femscript.fespace import interpolate
+    mesh = build_square(1, 1)
+    Vh = FeSpace(mesh, "P1")
+    c = interpolate(FeSpace(mesh, "P0"), lambda x, y: np.where(x > y, 1.0, -1.0))
+    assert sorted(c.dofs) == [-1.0, 1.0]
+    A = assemble_bilinear(bilinear(as_form(U) * as_field(c) * V), Vh, Vh)
+    a, b = np.intersect1d(mesh.tri[0], mesh.tri[1])
+    D = A.to_dense()
+    assert D[a, b] == 0.0 and D[b, a] == 0.0 and D[a, a] == 0.0
+    assert A.nnz == assemble_bilinear(bilinear(MASS), Vh, Vh).nnz == 14
 
 
 def test_assembly_is_linear_in_the_form(square10):

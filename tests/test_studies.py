@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from femscript.errors import InvalidArgumentError
+from femscript.errors import InvalidArgumentError, SolverError
 from femscript.fespace import FeSpace
 from femscript.fields import Constant, as_field
 from femscript.forms import (DirichletBC, FormTerm, TestFunction, TrialFunction,
@@ -13,7 +13,8 @@ from femscript.linalg import factorize, solve_lu
 from femscript.mesh import build_square
 from femscript.studies import (ConvergenceRow, FixedPointConfig, ThetaSchemeConfig,
                                convergence_rate, run_fixed_point, run_heat_single,
-                               run_heat_study, run_poisson_study, solve_poisson)
+                               run_heat_study, run_nonlinear_study, run_poisson_study,
+                               solve_poisson)
 
 
 # -- convergence_rate ------------------------------------------------------------
@@ -105,6 +106,18 @@ def test_fixed_point_reports_nonconvergence():
     assert err >= 1e-10
 
 
+def test_nonlinear_study_raises_on_nonconvergence():
+    with pytest.raises(SolverError, match=r"N=16: increment .* after 2 iterations"):
+        run_nonlinear_study("ellnl", 2, FixedPointConfig(max_iter=2))
+
+
+def test_nonlinear_study_rows_carry_iterations():
+    rows = run_nonlinear_study("ellnl", 2)
+    for row in rows:
+        _, iters, err = run_fixed_point("ellnl", row.N)
+        assert row.iterations == iters and err < 1e-10
+
+
 # -- theta scheme ------------------------------------------------------------------------
 
 def test_dt_rule_branches():
@@ -175,3 +188,4 @@ def test_heat_study_rows_have_rates():
 def test_row_dataclass_shape():
     row = ConvergenceRow(N=16, h=1 / 16, error=1.0)
     assert row.dt is None and row.rate_space is None and row.rate_time is None
+    assert row.iterations is None
