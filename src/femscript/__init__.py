@@ -11,9 +11,8 @@ from .forms import (DEFAULT_TGV, DirichletBC, FormExpr, FormTerm, TestFunction,
 from .linalg import (CgResult, LuFactorization, SparseMatrix, det, dot,
                      elem_div, elem_mul, factorize, matvec, outer, solve_cg,
                      solve_lu, trace, transpose)
-from .mesh import (Border, BoundaryEdge, Mesh, Triangle, Vertex,
-                   build_from_borders, build_square, load_msh, move_mesh,
-                   save_msh)
+from .mesh import (Border, Mesh, build_from_borders, build_square, load_msh,
+                   move_mesh, save_msh)
 from .studies import (ConvergenceRow, FixedPointConfig, ThetaSchemeConfig,
                       convergence_rate, run_fixed_point, run_heat_single,
                       run_heat_study, run_nonlinear_study, run_poisson_study,
@@ -23,8 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "Mesh", "Vertex", "Triangle", "BoundaryEdge",
-    "build_square", "move_mesh", "Border", "build_from_borders",
+    "Mesh", "build_square", "move_mesh", "Border", "build_from_borders",
     "save_msh", "load_msh",
     "FeSpace", "FeFunction", "create_space", "interpolate", "evaluate",
     "Field", "Constant", "FunctionField", "FeField", "X", "Y", "as_field",

@@ -2,10 +2,13 @@
 
 Values are Python natives (int/float/complex/str), numpy arrays (vectors and
 dense matrices), kernel objects (Mesh, FeSpace, FeFunction, SparseMatrix),
-and small wrapper types for the language's form/border/stream machinery.
+and small wrapper types for the language's border/stream machinery.
 Variational integrands evaluate in a "field" environment where x and y are
 coordinate fields and FE functions lift to fields, so one evaluator serves
-plain arithmetic, analytic functions, and form assembly alike.
+plain arithmetic, analytic functions, and form assembly alike.  The term
+algebra of `varf`/`problem`/`solve` bodies yields the kernel's own types: an
+integral becomes a `forms.FormTerm` and an `on()` clause a
+`forms.DirichletBC`, collected in a `Terms` value that assembly consumes as is.
 """
 
 import math
@@ -24,8 +27,8 @@ from ..fespace import FeFunction, FeSpace
 # The benchmark's tracer (bench/tracing.py) wraps the interpreter's
 # interpolation at this module-level name; keep the alias while it does.
 from ..fespace import interpolate as interpolate_field
-from ..fields import (Constant, Field, FeField, Unary as FieldUnary,
-                      X as FIELD_X, Y as FIELD_Y)
+from ..fields import (Binary as FieldBinary, Constant, Field, FeField,
+                      Unary as FieldUnary, X as FIELD_X, Y as FIELD_Y)
 from ..io.exporters import export_eps
 from ..linalg import SparseMatrix, factorize, solve_cg
 from ..linalg import det as _det, dot as _dot, outer as _outer, trace as _trace
@@ -219,41 +222,29 @@ class Integrator:
     quad: str = "default"
 
 
-@dataclass
-class IntegralTerm:
-    kind: str
-    mesh: Mesh
-    labels: tuple
-    quad: str
-    expr: object           # FormExpr
+class Terms:
+    """The integrals and on() clauses of a variational form: bilinear and
+    linear `F.FormTerm`s, each in source order, `(unknown name,
+    F.DirichletBC)` pairs, and the mesh of each integral."""
 
-    def negate(self):
-        return IntegralTerm(self.kind, self.mesh, self.labels, self.quad, -self.expr)
+    def __init__(self, bilinear=(), linear=(), dirichlet=(), meshes=()):
+        self.bilinear = list(bilinear)
+        self.linear = list(linear)
+        self.dirichlet = list(dirichlet)
+        self.meshes = list(meshes)
 
-    def scale(self, c):
-        return IntegralTerm(self.kind, self.mesh, self.labels, self.quad,
-                            F.as_form(float(c)) * self.expr)
+    def __add__(self, other):
+        return Terms(self.bilinear + other.bilinear, self.linear + other.linear,
+                     self.dirichlet + other.dirichlet, self.meshes + other.meshes)
 
+    def map(self, fn, what, line):
+        """Apply `fn` to every integrand; on() clauses cannot be `what`."""
+        if self.dirichlet:
+            raise EvalError(f"cannot {what} a Dirichlet clause", line)
 
-@dataclass
-class OnClause:
-    labels: tuple
-    var: str
-    value_ast: object
-    env: Env
-
-
-class TermSum:
-    def __init__(self, terms):
-        self.terms = list(terms)
-
-    @staticmethod
-    def wrap(v):
-        if isinstance(v, TermSum):
-            return v
-        if isinstance(v, (IntegralTerm, OnClause)):
-            return TermSum([v])
-        return None
+        def each(terms):
+            return [F.FormTerm(t.kind, fn(t.expr), t.labels, t.quad) for t in terms]
+        return Terms(each(self.bilinear), each(self.linear), (), self.meshes)
 
 
 @dataclass
@@ -295,15 +286,21 @@ class Builtin:
     lazy: bool = False
 
 
+# field operators as ufuncs; comparisons and logic yield 0/1 indicator fields
+FIELD_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+               "^": np.power}
+FIELD_CMP = {"<": np.less, "<=": np.less_equal, ">": np.greater,
+             ">=": np.greater_equal, "==": np.equal, "!=": np.not_equal,
+             "&": np.logical_and, "&&": np.logical_and,
+             "|": np.logical_or, "||": np.logical_or}
+
 ELEMENT_NAMES = ("P0", "P1", "P2", "P3", "P4", "P1dc", "P2dc", "P1b", "RT0")
 SOLVER_NAMES = {"LU": "LU", "CG": "CG", "sparsesolver": "LU", "UMFPACK": "LU",
                 "GMRES": "LU", "Cholesky": "LU", "Crout": "LU"}
 
 
 def _simplify(v):
-    if isinstance(v, np.bool_):
-        return int(v)
-    if isinstance(v, np.integer):
+    if isinstance(v, (np.bool_, np.integer)):
         return int(v)
     if isinstance(v, np.floating):
         return float(v)
@@ -422,11 +419,11 @@ class Interpreter:
         g.define("mean", Builtin("mean", self._bi_unsupported("mean")))
         g.define("intalledges", Builtin("intalledges", self._bi_unsupported("intalledges")))
         g.define("int3d", Builtin("int3d", self._bi_unsupported("int3d")))
-        g.define("dx", Builtin("dx", self._bi_dx))
-        g.define("dy", Builtin("dy", self._bi_dy))
+        g.define("dx", Builtin("dx", lambda i, e, a, n: F.dx(a[0])))
+        g.define("dy", Builtin("dy", lambda i, e, a, n: F.dy(a[0])))
         g.define("dz", Builtin("dz", self._bi_unsupported("dz")))
-        g.define("int2d", Builtin("int2d", self._bi_int2d))
-        g.define("int1d", Builtin("int1d", self._bi_int1d))
+        g.define("int2d", Builtin("int2d", self._bi_integrator("int2d")))
+        g.define("int1d", Builtin("int1d", self._bi_integrator("int1d")))
         g.define("on", Builtin("on", self._bi_on, lazy=True))
         g.define("trace", Builtin("trace", lambda i, e, a, n: _trace(a[0])))
         g.define("det", Builtin("det", lambda i, e, a, n: _simplify(_det(a[0]))))
@@ -436,22 +433,15 @@ class Interpreter:
             if len(args) != 1:
                 raise EvalError(f"{name} takes one argument")
             v = args[0]
-            if isinstance(v, Field):
-                return FieldUnary(fn, v)
-            if isinstance(v, FeFunction):
-                return FieldUnary(fn, FeField(v))
-            if isinstance(v, FuncValue):
+            if isinstance(v, (Field, FeFunction, FuncValue)):
                 return FieldUnary(fn, self._as_field(v))
-            out = fn(v)
-            return _simplify(out)
+            return _simplify(fn(v))
         return call
 
     def _bi_abs(self, interp, env, args, named):
         v = args[0]
-        if isinstance(v, Field):
-            return abs(v)
-        if isinstance(v, FeFunction):
-            return abs(FeField(v))
+        if isinstance(v, (Field, FeFunction)):
+            return abs(self._as_field(v))
         if isinstance(v, np.ndarray):
             return np.abs(v)
         return abs(v)
@@ -481,10 +471,7 @@ class Interpreter:
     def _moved(self, mesh, pair_ast, env):
         """`mesh` with its vertices moved to [fx, fy], evaluated at the P1
         DOF sites of `mesh`."""
-        fenv = Env(parent=env)
-        fenv.define("x", FIELD_X)
-        fenv.define("y", FIELD_Y)
-        pair = self.eval(pair_ast, fenv)
+        pair = self.eval_field_expr(pair_ast, env)
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise EvalError("coordinate transform must be [fx, fy]")
         space = FeSpace(mesh, "P1")
@@ -520,26 +507,21 @@ class Interpreter:
 
     def _make_border(self, run: BorderRun):
         bv = run.border
-        t0 = bv.t0
-        t1 = bv.t1
 
-        def param(t):
+        def body(t):
             benv = Env(parent=bv.env)
             benv.define(bv.param, float(t))
             benv.define("x", 0.0)
             benv.define("y", 0.0)
             benv.define("label", 0)
             self.exec_body(bv.body, benv)
-            return float(benv.vars["x"]), float(benv.vars["y"])
+            return benv.vars
 
-        benv = Env(parent=bv.env)
-        benv.define(bv.param, float(t0))
-        benv.define("x", 0.0)
-        benv.define("y", 0.0)
-        benv.define("label", 0)
-        self.exec_body(bv.body, benv)
-        label = int(benv.vars["label"])
-        return Border(param, t0, t1, run.count, label)
+        def param(t):
+            out = body(t)
+            return float(out["x"]), float(out["y"])
+
+        return Border(param, bv.t0, bv.t1, run.count, int(body(bv.t0)["label"]))
 
     def _bi_savemesh(self, interp, env, args, named):
         mesh, path = args[0], args[1]
@@ -556,35 +538,13 @@ class Interpreter:
             raise UnsupportedError(f"{name} is outside the supported subset")
         return call
 
-    def _bi_dx(self, interp, env, args, named):
-        return self._diff(args[0], 0)
-
-    def _bi_dy(self, interp, env, args, named):
-        return self._diff(args[0], 1)
-
-    def _diff(self, v, axis):
-        if isinstance(v, (F.TrialFunction, F.TestFunction, FeFunction)):
-            return F.dx(v) if axis == 0 else F.dy(v)
-        if isinstance(v, FeField):
-            return F.dx(v.u) if axis == 0 else F.dy(v.u)
-        raise EvalError("dx/dy apply to FE functions or problem unknowns")
-
-    def _bi_int2d(self, interp, env, args, named):
-        mesh = args[0]
-        if not isinstance(mesh, Mesh):
-            raise EvalError("int2d expects a mesh")
-        quad = "default"
-        if "qft" in named:
-            quad = str(named["qft"])
-        return Integrator("int2d", mesh, (), quad)
-
-    def _bi_int1d(self, interp, env, args, named):
-        mesh = args[0]
-        if not isinstance(mesh, Mesh):
-            raise EvalError("int1d expects a mesh")
-        labels = tuple(int(a) for a in args[1:])
-        quad = str(named.get("qft", "default"))
-        return Integrator("int1d", mesh, labels, quad)
+    def _bi_integrator(self, kind):
+        def call(interp, env, args, named):
+            if not isinstance(args[0], Mesh):
+                raise EvalError(f"{kind} expects a mesh")
+            labels = tuple(int(a) for a in args[1:]) if kind == "int1d" else ()
+            return Integrator(kind, args[0], labels, str(named.get("qft", "default")))
+        return call
 
     def _bi_on(self, interp, env, args, named_asts):
         labels = []
@@ -604,7 +564,8 @@ class Interpreter:
                 value_ast = arg.value
         if var is None:
             raise EvalError("on() needs `unknown=value`")
-        return OnClause(tuple(labels), var, value_ast, env)
+        value = self._as_field(self.eval_field_expr(value_ast, env))
+        return Terms(dirichlet=[(var, F.DirichletBC(frozenset(labels), value))])
 
     def _bi_plot(self, interp, env, args, named):
         ps = named.get("ps")
@@ -659,7 +620,7 @@ class Interpreter:
     def _st_ExprStmt(self, stmt, env):
         value = self.eval(stmt.expr, env)
         if isinstance(value, ProblemValue):
-            self.solve_problem(value)
+            self.solve_problem(value, stmt.line)
 
     def _st_LoadStmt(self, stmt, env):
         self._log(1, f"load \"{stmt.module}\": plugins are not supported, ignored")
@@ -799,7 +760,7 @@ class Interpreter:
                              stmt.named, stmt.body, env)
         env.define(stmt.name, value)
         if stmt.kind == "solve":
-            self.solve_problem(value)
+            self.solve_problem(value, stmt.line)
 
     def _st_If(self, stmt, env):
         if self._truthy(self.eval(stmt.cond, env)):
@@ -921,46 +882,31 @@ class Interpreter:
         # negation
         if isinstance(v, (F.FormExpr, F.TrialFunction, F.TestFunction)):
             return -F.as_form(v)
-        if isinstance(v, Field):
-            return -v
-        if isinstance(v, FeFunction):
-            return -FeField(v)
+        if isinstance(v, (Field, FeFunction)):
+            return -self._as_field(v)
         if isinstance(v, np.ndarray):
             return -v
         if isinstance(v, SparseMatrix):
             return v.scale(-1.0)
-        if isinstance(v, TermSum) or isinstance(v, (IntegralTerm, OnClause)):
-            return self._negate_terms(v, node.line)
+        if isinstance(v, Terms):
+            return v.map(lambda e: -e, "negate", node.line)
         if _is_number(v):
             return _simplify(-v)
         raise EvalError(f"cannot negate {type(v).__name__}", node.line)
 
-    def _negate_terms(self, v, line):
-        ts = TermSum.wrap(v)
-        out = []
-        for term in ts.terms:
-            if isinstance(term, OnClause):
-                raise EvalError("cannot negate a Dirichlet clause", line)
-            out.append(term.negate())
-        return TermSum(out)
-
     def _ev_Binary(self, node, env):
-        if node.op in ("&", "&&"):
+        if node.op in ("&", "&&", "|", "||"):
             left = self.eval(node.left, env)
-            if isinstance(left, (Field, FeFunction)) or _is_fieldish(left):
-                right = self.eval(node.right, env)
-                return self.binary_op("&", left, right, node.line)
-            if not self._truthy(left):
-                return 0
-            return int(self._truthy(self.eval(node.right, env)))
-        if node.op in ("|", "||"):
-            left = self.eval(node.left, env)
-            if isinstance(left, (Field, FeFunction)) or _is_fieldish(left):
-                right = self.eval(node.right, env)
-                return self.binary_op("|", left, right, node.line)
-            if self._truthy(left):
-                return 1
-            return int(self._truthy(self.eval(node.right, env)))
+            if isinstance(left, (Field, FeFunction)):
+                return self.binary_op(node.op, left, self.eval(node.right, env), node.line)
+            # short-circuit: a false left decides `&`, a true one decides `|`
+            is_and = node.op in ("&", "&&")
+            if self._truthy(left) != is_and:
+                return int(not is_and)
+            right = self.eval(node.right, env)
+            if isinstance(right, (Field, FeFunction)):
+                return self.binary_op(node.op, left, right, node.line)
+            return int(self._truthy(right))
         if node.op == ">>":
             left = self.eval(node.left, env)
             if isinstance(left, (InStream, FileValue)):
@@ -1196,93 +1142,66 @@ class Interpreter:
         if isinstance(value, (F.TrialFunction, F.TestFunction)):
             value = F.as_form(value)
         if isinstance(value, F.FormExpr):
-            if value.is_pure():
-                value = value.pure_field()
-            else:
-                return IntegralTerm(integ.kind, integ.mesh, integ.labels, integ.quad,
-                                    value)
+            if not value.is_pure():
+                return self._form_term(integ, value, node.line)
+            value = value.pure_field()
         field = self._as_field(value)
         if integ.kind == "int2d":
             return F.integrate_2d(integ.mesh, field, integ.quad)
         return F.integrate_1d(integ.mesh, set(integ.labels), field)
 
-    def _split_terms(self, value, unknown, line):
-        ts = TermSum.wrap(value)
-        if ts is None:
-            raise EvalError("a variational form needs integral or boundary terms", line)
-        bilinear = []
-        linear = []
-        dirichlet = []
-        for term in ts.terms:
-            if isinstance(term, OnClause):
-                if term.var != unknown:
-                    raise EvalError(
-                        f"on() constrains {term.var!r}, expected the unknown {unknown!r}",
-                        line)
-                value_field = self._on_value_field(term)
-                dirichlet.append(F.DirichletBC(frozenset(term.labels), value_field))
-                continue
-            expr = term.expr
-            has_u = expr.has_trial()
-            has_v = expr.has_test()
-            keys = set(expr.terms)
-            if has_u and has_v:
-                if any(uk is None or vk is None for uk, vk in keys):
-                    raise EvalError("an integral cannot mix bilinear and linear parts",
-                                    line)
-                bilinear.append(F.FormTerm(term.kind, expr,
-                                           frozenset(term.labels) or None, term.quad))
-            elif has_v:
-                linear.append(F.FormTerm(term.kind, expr,
-                                         frozenset(term.labels) or None, term.quad))
-            elif has_u:
-                raise EvalError("integral contains the unknown without a test function",
-                                line)
-            else:
-                raise EvalError("integral without unknown or test function in a form",
-                                line)
-        return bilinear, linear, dirichlet
+    def _form_term(self, integ: Integrator, expr, line):
+        """An integrand with the unknown or the test function, as Terms."""
+        bilinear = expr.has_trial()
+        if bilinear and not expr.has_test():
+            raise EvalError("integral contains the unknown without a test function", line)
+        if bilinear and any(uk is None or vk is None for uk, vk in expr.terms):
+            raise EvalError("an integral cannot mix bilinear and linear parts", line)
+        term = [F.FormTerm(integ.kind, expr, frozenset(integ.labels) or None, integ.quad)]
+        if bilinear:
+            return Terms(bilinear=term, meshes=[integ.mesh])
+        return Terms(linear=term, meshes=[integ.mesh])
 
-    def _on_value_field(self, clause: OnClause):
-        value = self.eval_field_expr(clause.value_ast, clause.env)
-        return self._as_field(value)
-
-    def _form_env(self, env, unknown, test):
+    def _eval_form(self, body, env, unknown, test, space, line):
+        """Evaluate a form body with `unknown` and `test` bound to the trial
+        and test placeholders; returns (bilinear, linear, dirichlet)."""
         fenv = Env(parent=env)
         fenv.define(unknown, F.TrialFunction())
         fenv.define(test, F.TestFunction())
-        return fenv
-
-    def _named_args(self, named, env):
-        out = {}
-        for arg in named:
-            out[arg.name] = self.eval(arg.value, env)
-        return out
+        terms = self.eval(body, fenv)
+        if not isinstance(terms, Terms):
+            raise EvalError("a variational form needs integral or boundary terms", line)
+        for var, _ in terms.dirichlet:
+            if var != unknown:
+                raise EvalError(
+                    f"on() constrains {var!r}, expected the unknown {unknown!r}", line)
+        if any(mesh is not space.mesh for mesh in terms.meshes):
+            raise EvalError("an integral runs over a mesh other than the unknown's", line)
+        return terms.bilinear, terms.linear, [bc for _, bc in terms.dirichlet]
 
     def _assemble_varf(self, varf: VarfValue, args, named, line):
-        if len(args) != 2:
-            raise EvalError("a varf is assembled with two arguments", line)
-        fenv = self._form_env(varf.env, varf.unknown, varf.test)
-        value = self.eval(varf.body, fenv)
-        bilinear, linear, dirichlet = self._split_terms(value, varf.unknown, line)
+        if len(args) != 2 or not isinstance(args[1], FeSpace) or \
+                not (isinstance(args[0], FeSpace) or _is_number(args[0])):
+            raise EvalError("assemble a varf as name(Vh,Vh) or name(0,Vh)", line)
+        bilinear, linear, dirichlet = self._eval_form(varf.body, varf.env, varf.unknown,
+                                                      varf.test, args[1], line)
         tgv = float(named.get("tgv", F.DEFAULT_TGV))
-        if isinstance(args[0], FeSpace) and isinstance(args[1], FeSpace):
+        if isinstance(args[0], FeSpace):
             form = F.VarForm(bilinear_terms=bilinear, dirichlet=dirichlet)
             return F.assemble_bilinear(form, args[0], args[1], tgv=tgv)
-        if _is_number(args[0]) and isinstance(args[1], FeSpace):
-            if not linear and not dirichlet:
-                raise EvalError("varf has no linear part to assemble", line)
-            form = F.VarForm(linear_terms=linear, dirichlet=dirichlet)
-            return F.assemble_linear(form, args[1], tgv=tgv)
-        raise EvalError("assemble a varf as name(Vh,Vh) or name(0,Vh)", line)
+        if not linear and not dirichlet:
+            raise EvalError("varf has no linear part to assemble", line)
+        form = F.VarForm(linear_terms=linear, dirichlet=dirichlet)
+        return F.assemble_linear(form, args[1], tgv=tgv)
 
-    def solve_problem(self, prob: ProblemValue):
+    def solve_problem(self, prob: ProblemValue, line=None):
         env = prob.env
-        unknown = env.lookup(prob.unknown)
-        test = env.lookup(prob.test)
+        unknown = env.lookup(prob.unknown, line)
+        test = env.lookup(prob.test, line)
         if not isinstance(unknown, FeFunction) or not isinstance(test, FeFunction):
-            raise EvalError(f"problem {prob.name!r}: unknown and test must be FE functions")
-        named = self._named_args(prob.named, env)
+            raise EvalError(f"problem {prob.name!r}: unknown and test must be FE functions",
+                            line)
+        named = {arg.name: self.eval(arg.value, env) for arg in prob.named}
         init = named.get("init", 0)
         solver = SOLVER_NAMES.get(str(named.get("solver", "sparsesolver")), "LU")
         for key in named:
@@ -1292,9 +1211,8 @@ class Interpreter:
 
         reuse = (self._truthy(init) and prob.cache is not None
                  and prob.cache[0] is unknown.space.mesh)
-        fenv = self._form_env(env, prob.unknown, prob.test)
-        value = self.eval(prob.body, fenv)
-        bilinear, linear, dirichlet = self._split_terms(value, prob.unknown, None)
+        bilinear, linear, dirichlet = self._eval_form(prob.body, env, prob.unknown,
+                                                      prob.test, unknown.space, line)
         rhs_terms = [F.FormTerm(t.kind, -t.expr, t.labels, t.quad) for t in linear]
         b_form = F.VarForm(linear_terms=rhs_terms, dirichlet=dirichlet) \
             if (rhs_terms or dirichlet) else None
@@ -1305,7 +1223,7 @@ class Interpreter:
             A = prob.cache[1]
         else:
             if not bilinear:
-                raise EvalError(f"problem {prob.name!r} has no bilinear part")
+                raise EvalError(f"problem {prob.name!r} has no bilinear part", line)
             a_form = F.VarForm(bilinear_terms=bilinear, dirichlet=dirichlet)
             A = F.assemble_bilinear(a_form, unknown.space, test.space, tgv=tgv)
             prob.cache = (unknown.space.mesh, A)
@@ -1315,8 +1233,7 @@ class Interpreter:
 
     def binary_op(self, op, a, b, line=None):
         # form-term algebra
-        if isinstance(a, (TermSum, IntegralTerm, OnClause)) or \
-           isinstance(b, (TermSum, IntegralTerm, OnClause)):
+        if isinstance(a, Terms) or isinstance(b, Terms):
             return self._terms_op(op, a, b, line)
         # symbolic form expressions
         if isinstance(a, (F.FormExpr, F.TrialFunction, F.TestFunction)) or \
@@ -1357,8 +1274,7 @@ class Interpreter:
                 return BorderSum(runs)
             raise EvalError(f"operator {op!r} undefined for borders", line)
         # linear algebra
-        if isinstance(a, (np.ndarray, Transposed, TransposedList, SparseMatrix, SolveProxy)) or \
-           isinstance(b, (np.ndarray, Transposed, TransposedList, SparseMatrix, SolveProxy)):
+        if isinstance(a, LINALG_TYPES) or isinstance(b, LINALG_TYPES):
             return self._linalg_op(op, a, b, line)
         if _is_number(a) and _is_number(b):
             return self._number_op(op, a, b, line)
@@ -1367,19 +1283,14 @@ class Interpreter:
             line)
 
     def _terms_op(self, op, a, b, line):
+        if op == "*" and (_is_number(a) or _is_number(b)):
+            c, terms = (a, b) if _is_number(a) else (b, a)
+            return terms.map(lambda e: F.as_form(self._as_field(c)) * e, "scale", line)
         if op not in ("+", "-"):
-            if op == "*" and _is_number(a) and isinstance(b, IntegralTerm):
-                return b.scale(a)
-            if op == "*" and _is_number(b) and isinstance(a, IntegralTerm):
-                return a.scale(b)
             raise EvalError(f"operator {op!r} undefined for form terms", line)
-        ta = TermSum.wrap(a)
-        tb = TermSum.wrap(b)
-        if ta is None or tb is None:
+        if not (isinstance(a, Terms) and isinstance(b, Terms)):
             raise EvalError("form terms only combine with form terms", line)
-        if op == "-":
-            tb = self._negate_terms(tb, line)
-        return TermSum(ta.terms + tb.terms)
+        return a + (b.map(lambda e: -e, "negate", line) if op == "-" else b)
 
     def _form_op(self, op, a, b, line):
         fa = F.as_form(a) if isinstance(a, (F.FormExpr, F.TrialFunction, F.TestFunction)) \
@@ -1403,18 +1314,11 @@ class Interpreter:
     def _field_op(self, op, a, b, line):
         fa = self._as_field(a)
         fb = self._as_field(b)
-        table = {
-            "+": lambda: fa + fb, "-": lambda: fa - fb, "*": lambda: fa * fb,
-            "/": lambda: fa / fb, "^": lambda: fa ** fb,
-            "<": lambda: fa < fb, "<=": lambda: fa <= fb,
-            ">": lambda: fa > fb, ">=": lambda: fa >= fb,
-            "&": lambda: _field_and(fa, fb), "&&": lambda: _field_and(fa, fb),
-            "|": lambda: _field_or(fa, fb), "||": lambda: _field_or(fa, fb),
-            "==": lambda: _field_eq(fa, fb), "!=": lambda: _field_ne(fa, fb),
-        }
-        if op not in table:
-            raise EvalError(f"operator {op!r} undefined for fields", line)
-        return table[op]()
+        if op in FIELD_ARITH:
+            return FieldBinary(FIELD_ARITH[op], fa, fb)
+        if op in FIELD_CMP:
+            return fa._cmp(FIELD_CMP[op], fb)
+        raise EvalError(f"operator {op!r} undefined for fields", line)
 
     def _linalg_op(self, op, a, b, line):
         if isinstance(a, SolveProxy):
@@ -1446,6 +1350,12 @@ class Interpreter:
             if op == "*" and isinstance(a, np.ndarray) and a.ndim == 1:
                 return _outer(a, b.data)
             raise EvalError("vector times transposed vector is the only outer form", line)
+        num, vec = (a, b) if _is_number(a) else (b, a)
+        if op == "*" and _is_number(num) and isinstance(vec, (list, TransposedList)):
+            # a number scales a bracket vector (or its transpose) entry by entry
+            items = [self.binary_op("*", num, x, line)
+                     for x in (vec.items if isinstance(vec, TransposedList) else vec)]
+            return TransposedList(items) if isinstance(vec, TransposedList) else items
         if isinstance(a, TransposedList):
             if op == "*" and isinstance(b, list):
                 if len(a.items) != len(b):
@@ -1573,25 +1483,4 @@ class TransposedList:
         self.items = items
 
 
-def _is_fieldish(v):
-    return isinstance(v, (Field, FeFunction))
-
-
-def _field_and(a, b):
-    from ..fields import Binary as FieldBinary
-    return FieldBinary(lambda x, y: np.logical_and(x != 0, y != 0).astype(float), a, b)
-
-
-def _field_or(a, b):
-    from ..fields import Binary as FieldBinary
-    return FieldBinary(lambda x, y: np.logical_or(x != 0, y != 0).astype(float), a, b)
-
-
-def _field_eq(a, b):
-    from ..fields import Binary as FieldBinary
-    return FieldBinary(lambda x, y: (x == y).astype(float), a, b)
-
-
-def _field_ne(a, b):
-    from ..fields import Binary as FieldBinary
-    return FieldBinary(lambda x, y: (x != y).astype(float), a, b)
+LINALG_TYPES = (np.ndarray, list, Transposed, TransposedList, SparseMatrix, SolveProxy)

@@ -75,8 +75,6 @@ EDGE_RULE = (np.array([0.5 - _g, 0.5 + _g]), np.array([0.5, 0.5]))
 
 
 def _rule(quad) -> QuadRule:
-    if isinstance(quad, QuadRule):
-        return quad
     try:
         return RULES_2D[quad]
     except KeyError:

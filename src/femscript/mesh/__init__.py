@@ -1,10 +1,9 @@
-from .core import BoundaryEdge, Mesh, Triangle, Vertex, build_square, move_mesh
+from .core import Mesh, build_square, move_mesh
 from .delaunay import Border, build_from_borders
 from .mshio import load_msh, save_msh
 
 __all__ = [
-    "Mesh", "Vertex", "Triangle", "BoundaryEdge",
-    "build_square", "move_mesh",
+    "Mesh", "build_square", "move_mesh",
     "Border", "build_from_borders",
     "save_msh", "load_msh",
 ]

@@ -5,37 +5,16 @@ and labeled boundary edges live in read-only numpy arrays, and derived
 geometry (areas, basis gradients, adjacency) is cached lazily.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import FoldOverError, InvalidArgumentError
-
-
-@dataclass(frozen=True)
-class Vertex:
-    x: float
-    y: float
-    label: int = 0
-
-
-@dataclass(frozen=True)
-class Triangle:
-    v: tuple  # three vertex indices, counter-clockwise
-    region: int = 0
-
-
-@dataclass(frozen=True)
-class BoundaryEdge:
-    v: tuple  # two vertex indices
-    label: int = 0
 
 
 class Mesh:
     """2D conforming triangulation with integer-labeled boundary edges."""
 
     def __init__(self, points, triangles, edges, *, vertex_labels=None,
-                 regions=None, edge_labels=None, validate=True):
+                 regions=None, edge_labels=None):
         self.points = np.ascontiguousarray(points, dtype=float)
         self.tri = np.ascontiguousarray(triangles, dtype=np.int64)
         edges = np.asarray(edges, dtype=np.int64)
@@ -50,8 +29,7 @@ class Mesh:
         self.region = np.ascontiguousarray(regions, dtype=np.int64)
         self.edge_label = np.ascontiguousarray(edge_labels, dtype=np.int64)
         self._cache = {}
-        if validate:
-            self._validate()
+        self._validate()
         for arr in (self.points, self.tri, self.edge, self.vertex_label,
                     self.region, self.edge_label):
             arr.setflags(write=False)
@@ -69,16 +47,6 @@ class Mesh:
     @property
     def ne(self):
         return len(self.edge)
-
-    def vertex(self, i) -> Vertex:
-        x, y = self.points[i]
-        return Vertex(float(x), float(y), int(self.vertex_label[i]))
-
-    def triangle(self, k) -> Triangle:
-        return Triangle(tuple(int(v) for v in self.tri[k]), int(self.region[k]))
-
-    def boundary_edge(self, k) -> BoundaryEdge:
-        return BoundaryEdge(tuple(int(v) for v in self.edge[k]), int(self.edge_label[k]))
 
     def __repr__(self):
         return f"Mesh(nv={self.nv}, nt={self.nt}, ne={self.ne})"
@@ -131,12 +99,6 @@ class Mesh:
             gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
             return gx / a2[:, None], gy / a2[:, None]
         return self._cached("grads", build)
-
-    def edge_lengths(self):
-        def build():
-            d = self.points[self.edge[:, 1]] - self.points[self.edge[:, 0]]
-            return np.hypot(d[:, 0], d[:, 1])
-        return self._cached("edge_len", build)
 
     def bbox(self):
         return (self.points.min(axis=0), self.points.max(axis=0))

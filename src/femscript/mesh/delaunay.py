@@ -34,6 +34,8 @@ EPS_REL = 1e-12
 DEFAULT_SIZE_FACTOR = 1.1
 DEFAULT_SMOOTHING_PASSES = 3
 QUALITY_BOUND = 1.0
+# refinement stops with a GeometryError beyond this many points
+MAX_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -561,8 +563,8 @@ def _winding_numbers(px, py, seg_a, seg_b):
     return wind.sum(axis=1)
 
 
-def build_from_borders(borders, size_factor=None, smoothing=DEFAULT_SMOOTHING_PASSES,
-                       max_points=2_000_000) -> Mesh:
+def build_from_borders(borders, size_factor=None,
+                       smoothing=DEFAULT_SMOOTHING_PASSES) -> Mesh:
     """Mesh the region enclosed by the sampled border loops."""
     if size_factor is None:
         size_factor = DEFAULT_SIZE_FACTOR
@@ -689,7 +691,7 @@ def build_from_borders(borders, size_factor=None, smoothing=DEFAULT_SMOOTHING_PA
         if kind == "vertex" or not tr.kept[loc_t]:
             blocked.add(t)
             continue
-        if len(tr.pts) > max_points:
+        if len(tr.pts) > MAX_POINTS:
             raise GeometryError("refinement exceeded the point budget")
         changed = []
         vi = tr.insert(cc, changed)

@@ -15,9 +15,9 @@ import numpy as np
 from .errors import InvalidArgumentError, SolverError
 from .fespace import FeSpace, interpolate
 from .fields import Constant, as_field
-from .forms import (DirichletBC, FormTerm, TestFunction, TrialFunction, VarForm,
-                    as_form, assemble_bilinear, assemble_linear, dirichlet_dofs,
-                    dx, dy, integrate_2d)
+from .forms import (DEFAULT_TGV, DirichletBC, FormTerm, TestFunction, TrialFunction,
+                    VarForm, as_form, assemble_bilinear, assemble_linear,
+                    dirichlet_dofs, dx, dy, integrate_2d)
 from .linalg import factorize
 from .mesh import Border, build_from_borders, build_square
 
@@ -186,8 +186,8 @@ def run_fixed_point(problem: str, N: int, cfg: FixedPointConfig = None, mesh=Non
 
     `rhs` overrides the manufactured right-hand side (a callable of x, y);
     `history`, if given a list, collects the successive-iterate errors.
-    Returns (u_h, iterations, final_err); non-convergence at max_iter is
-    reported through the returned err, not raised.
+    Returns (u_h, iterations, final_err).  Raises SolverError if the
+    increment is still at or above cfg.tol after cfg.max_iter iterations.
     """
     if cfg is None:
         cfg = FixedPointConfig()
@@ -230,7 +230,7 @@ def run_fixed_point(problem: str, N: int, cfg: FixedPointConfig = None, mesh=Non
         A = S + Mv
         if negate:
             A = A.scale(-1.0)
-        A = A.with_diagonal(pinned, 1e30)
+        A = A.with_diagonal(pinned, DEFAULT_TGV)
         uh.dofs[:] = factorize(A).solve(b)
         diff = as_field(uh) - as_field(prev)
         err = math.sqrt(integrate_2d(mesh, diff * diff))
@@ -239,14 +239,17 @@ def run_fixed_point(problem: str, N: int, cfg: FixedPointConfig = None, mesh=Non
         V.dofs[:] = uh.dofs ** 2 if problem == "ellnl" else uh.dofs
         prev.dofs[:] = uh.dofs
         iterations += 1
+    if not err < cfg.tol:       # a NaN increment is not convergence either
+        raise SolverError(f"fixed point did not converge at N={N}: increment "
+                          f"{err:g} after {iterations} iterations")
     return uh, iterations, err
 
 
 def run_nonlinear_study(problem: str, nref: int, cfg: FixedPointConfig = None,
                         meshes=None):
     """Table of L2 errors vs the manufactured solution on N = 2^(n+4) disks,
-    with each solve's iteration count.  Raises SolverError if a fixed-point
-    solve ends with its increment at or above cfg.tol."""
+    with each solve's iteration count.  A fixed-point solve that does not
+    converge raises SolverError."""
     if cfg is None:
         cfg = FixedPointConfig()
     if nref < 2:
@@ -256,10 +259,7 @@ def run_nonlinear_study(problem: str, nref: int, cfg: FixedPointConfig = None,
     for n in range(nref):
         N = 2 ** (n + 4)
         mesh = meshes[n] if meshes is not None else disk_mesh(N)
-        uh, iterations, inc = run_fixed_point(problem, N, cfg, mesh=mesh)
-        if inc >= cfg.tol:
-            raise SolverError(f"fixed point did not converge at N={N}: increment "
-                              f"{inc:g} after {iterations} iterations")
+        uh, iterations, _ = run_fixed_point(problem, N, cfg, mesh=mesh)
         uex = interpolate(FeSpace(mesh, "P1"), exact)
         diff = as_field(uh) - as_field(uex)
         err = math.sqrt(integrate_2d(mesh, diff * diff))
@@ -308,7 +308,7 @@ def run_heat_single(cfg: ThetaSchemeConfig) -> HeatResult:
     A = Mlump.scale(1.0 / dt)
     if cfg.theta > 0:
         A = A + S.scale(cfg.theta * cfg.mu)
-    A = A.with_diagonal(pinned, 1e30)
+    A = A.with_diagonal(pinned, DEFAULT_TGV)
     lu = factorize(A)
 
     px = mesh.points[:, 0]

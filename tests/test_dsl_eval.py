@@ -268,6 +268,107 @@ def test_mixing_linear_and_bilinear_in_one_integral_rejected():
         run(src)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("int2d(Th)(dx(u)*dx(v) - v)", "cannot mix bilinear and linear parts"),
+    ("int2d(Th)(u) + int2d(Th)(u*v)", "unknown without a test function"),
+    ("int2d(Th)(u*v) - on(1,u=0)", "cannot negate a Dirichlet clause"),
+    ("int2d(Th)(u*v) + 2*on(1,u=0)", "cannot scale a Dirichlet clause"),
+], ids=["mix", "no-test-function", "negate-on", "scale-on"])
+def test_form_term_errors_give_the_line(body, message):
+    src = f"mesh Th=square(2,2);\nfespace Vh(Th,P1);\nVh u,v;\nsolve p(u,v) = {body};"
+    with pytest.raises(EvalError, match=message) as err:
+        run(src)
+    assert err.value.line == 4
+
+
+def test_complex_factor_of_form_terms_unsupported():
+    with pytest.raises(UnsupportedError):
+        run("mesh Th=square(2,2); fespace Vh(Th,P1); Vh u,v;"
+            "solve p(u,v) = 2i*int2d(Th)(u*v) + on(1,u=0);")
+
+
+def test_logic_with_a_number_first_gives_the_same_indicator():
+    src = """
+    mesh Th=square(4,4);
+    real a=int2d(Th)(1 && (x<0.5)), b=int2d(Th)((x<0.5) && 1);
+    real c=int2d(Th)(0 || (x<0.5)), d=int2d(Th)((x<0.5) || 0);
+    """
+    r, _ = run(src)
+    a, b, c, d = (r.env.lookup(k) for k in "abcd")
+    assert a == b == c == d < 1.0
+
+
+# the unknown lives on Tk; the integrals run over Th
+OTHER_MESH_FORM = """
+mesh Th=square(4,4);
+mesh Tk=square(8,8);
+fespace Vh(Tk,P1);
+Vh u,v;
+"""
+OTHER_MESH_BODY = "int2d(Th)(dx(u)*dx(v)+dy(u)*dy(v)) - int2d(Th)(v) + on(1,2,3,4,u=0)"
+
+
+@pytest.mark.parametrize("use", [
+    f"solve p(u,v) = {OTHER_MESH_BODY};",
+    f"problem p(u,v) = {OTHER_MESH_BODY};\np;",
+    f"varf a(u,v) = {OTHER_MESH_BODY};\nmatrix A = a(Vh,Vh);",
+], ids=["solve", "problem", "varf"])
+def test_integral_over_another_mesh_rejected(use):
+    src = OTHER_MESH_FORM + use
+    with pytest.raises(EvalError, match="mesh other than the unknown's") as err:
+        run(src)
+    # reported at the statement that solves or assembles
+    assert err.value.line == src.count("\n") + 1
+
+
+@pytest.mark.parametrize("integrand", [
+    "c*Grad(u)'*Grad(v)", "Grad(u)'*c*Grad(v)", "Grad(u)'*(Grad(v)*c)",
+])
+def test_number_times_bracket_vector_distributes(integrand):
+    src = f"""
+    mesh Th=square(6,6);
+    fespace Vh(Th,P1);
+    real c=2.;
+    macro Grad(u)[dx(u),dy(u)]//
+    varf a(u,v) = int2d(Th)({integrand}) + on(1,u=0);
+    varf b(u,v) = int2d(Th)(c*(dx(u)*dx(v)+dy(u)*dy(v))) + on(1,u=0);
+    matrix A=a(Vh,Vh), B=b(Vh,Vh);
+    """
+    r, _ = run(src)
+    A, B = r.env.lookup("A"), r.env.lookup("B")
+    assert A.nnz == B.nnz
+    assert np.array_equal(A.to_dense(), B.to_dense())
+
+
+def test_solve_matches_the_python_api_bit_for_bit():
+    src = """
+    mesh Th=square(12,12);
+    fespace Vh(Th,P1);
+    Vh uh,vh;
+    func f=x*y+1;
+    solve p(uh,vh) = int2d(Th)(dx(uh)*dx(vh)+dy(uh)*dy(vh)) + int2d(Th)(uh*vh)
+        - int2d(Th)(f*vh) + on(1,2,3,4,uh=x);
+    """
+    r, _ = run(src)
+    from femscript.fespace import FeSpace
+    from femscript.fields import X, Y
+    from femscript.forms import (DirichletBC, FormTerm, TestFunction, TrialFunction,
+                                 VarForm, as_form, assemble_bilinear, assemble_linear,
+                                 dx, dy)
+    from femscript.linalg import factorize
+    from femscript.mesh import build_square
+
+    Vh = FeSpace(build_square(12, 12), "P1")
+    u, v = TrialFunction(), TestFunction()
+    bc = DirichletBC(frozenset({1, 2, 3, 4}), X)
+    A = assemble_bilinear(VarForm(bilinear_terms=[
+        FormTerm("int2d", dx(u) * dx(v) + dy(u) * dy(v)),
+        FormTerm("int2d", as_form(u) * v)], dirichlet=[bc]), Vh, Vh)
+    b = assemble_linear(VarForm(linear_terms=[FormTerm("int2d", as_form(X * Y + 1) * v)],
+                                dirichlet=[bc]), Vh)
+    assert np.array_equal(r.env.lookup("uh").dofs, factorize(A).solve(b))
+
+
 def test_complex_fe_space_unsupported():
     src = """
     mesh Th=square(2,2);

@@ -317,7 +317,7 @@ def test_adjacency_matches_dict_reference(which, request):
 def test_adjacency_of_an_edge_shared_three_times():
     # three triangles on edge (0, 1): copies pair in (t, k) order, the third stays open
     pts = [(0, 0), (1, 0), (0.5, 1), (0.5, 2), (0.5, 3)]
-    mesh = Mesh(pts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)], [(0, 1)], validate=False)
+    mesh = Mesh(pts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)], [(0, 1)])
     assert np.array_equal(mesh.neighbors(), _neighbors_reference(mesh))
     assert [a.tolist() for a in mesh.edge_triangle()] == [[0], [3]]
 
