@@ -48,10 +48,14 @@ def build_parser():
 
 def _print_rows(rows, csv_path=None):
     has_dt = any(r.dt is not None for r in rows)
+    has_iters = any(r.iterations is not None for r in rows)
     header = ["N", "h"] + (["dt"] if has_dt else []) + ["L2 error", "rate"]
     if has_dt:
         header.append("time rate")
-    widths = [6, 12] + ([12] if has_dt else []) + [14, 9] + ([9] if has_dt else [])
+    if has_iters:
+        header.append("iters")
+    widths = [6, 12] + ([12] if has_dt else []) + [14, 9] + ([9] if has_dt else []) \
+        + ([6] if has_iters else [])
 
     def fmt(row):
         cells = [str(row.N), f"{row.h:.6g}"]
@@ -61,6 +65,8 @@ def _print_rows(rows, csv_path=None):
         cells.append("-" if row.rate_space is None else f"{row.rate_space:.4f}")
         if has_dt:
             cells.append("-" if row.rate_time is None else f"{row.rate_time:.4f}")
+        if has_iters:
+            cells.append("-" if row.iterations is None else str(row.iterations))
         return cells
 
     print("  ".join(h.rjust(w) for h, w in zip(header, widths)))

@@ -284,6 +284,7 @@ class Builtin:
     name: str
     fn: object
     lazy: bool = False
+    nargs: int = 0      # positional arguments the builtin reads at least
 
 
 # field operators as ufuncs; comparisons and logic yield 0/1 indicator fields
@@ -392,41 +393,41 @@ class Interpreter:
                          ("sinh", np.sinh), ("cosh", np.cosh), ("tanh", np.tanh),
                          ("exp", np.exp), ("log", np.log), ("log10", np.log10),
                          ("sqrt", np.sqrt), ("floor", np.floor), ("ceil", np.ceil)]:
-            g.define(name, Builtin(name, self._make_math(name, fn)))
-        g.define("abs", Builtin("abs", self._bi_abs))
-        g.define("pow", Builtin("pow", lambda i, e, a, n: _simplify(a[0] ** a[1])))
-        g.define("atan2", Builtin("atan2", lambda i, e, a, n: math.atan2(a[0], a[1])))
-        g.define("min", Builtin("min", lambda i, e, a, n: _simplify(min(a))))
-        g.define("max", Builtin("max", lambda i, e, a, n: _simplify(max(a))))
-        g.define("imag", Builtin("imag", lambda i, e, a, n: complex(a[0]).imag))
-        g.define("real", Builtin("real", lambda i, e, a, n: complex(a[0]).real))
-        g.define("int", Builtin("int", lambda i, e, a, n: int(a[0])))
-        g.define("complex", Builtin("complex", lambda i, e, a, n: complex(a[0])))
-        g.define("conj", Builtin("conj", lambda i, e, a, n: complex(a[0]).conjugate()))
+            g.define(name, Builtin(name, self._make_math(name, fn), nargs=1))
+        g.define("abs", Builtin("abs", self._bi_abs, nargs=1))
+        g.define("pow", Builtin("pow", lambda i, e, a, n: _simplify(a[0] ** a[1]), nargs=2))
+        g.define("atan2", Builtin("atan2", lambda i, e, a, n: math.atan2(a[0], a[1]), nargs=2))
+        g.define("min", Builtin("min", lambda i, e, a, n: _simplify(min(a)), nargs=1))
+        g.define("max", Builtin("max", lambda i, e, a, n: _simplify(max(a)), nargs=1))
+        g.define("imag", Builtin("imag", lambda i, e, a, n: complex(a[0]).imag, nargs=1))
+        g.define("real", Builtin("real", lambda i, e, a, n: complex(a[0]).real, nargs=1))
+        g.define("int", Builtin("int", lambda i, e, a, n: int(a[0]), nargs=1))
+        g.define("complex", Builtin("complex", lambda i, e, a, n: complex(a[0]), nargs=1))
+        g.define("conj", Builtin("conj", lambda i, e, a, n: complex(a[0]).conjugate(), nargs=1))
         g.define("exit", Builtin("exit", self._bi_exit))
         g.define("clock", Builtin("clock", lambda i, e, a, n: time.perf_counter() - i._t0))
-        g.define("exec", Builtin("exec", self._bi_exec))
+        g.define("exec", Builtin("exec", self._bi_exec, nargs=1))
         g.define("plot", Builtin("plot", self._bi_plot))
-        g.define("set", Builtin("set", self._bi_set))
-        g.define("square", Builtin("square", self._bi_square, lazy=True))
-        g.define("movemesh", Builtin("movemesh", self._bi_movemesh, lazy=True))
-        g.define("buildmesh", Builtin("buildmesh", self._bi_buildmesh))
-        g.define("savemesh", Builtin("savemesh", self._bi_savemesh))
-        g.define("readmesh", Builtin("readmesh", self._bi_readmesh))
+        g.define("set", Builtin("set", self._bi_set, nargs=1))
+        g.define("square", Builtin("square", self._bi_square, lazy=True, nargs=2))
+        g.define("movemesh", Builtin("movemesh", self._bi_movemesh, lazy=True, nargs=2))
+        g.define("buildmesh", Builtin("buildmesh", self._bi_buildmesh, nargs=1))
+        g.define("savemesh", Builtin("savemesh", self._bi_savemesh, nargs=2))
+        g.define("readmesh", Builtin("readmesh", self._bi_readmesh, nargs=1))
         g.define("adaptmesh", Builtin("adaptmesh", self._bi_unsupported("adaptmesh")))
         g.define("trunc", Builtin("trunc", self._bi_unsupported("trunc")))
         g.define("jump", Builtin("jump", self._bi_unsupported("jump")))
         g.define("mean", Builtin("mean", self._bi_unsupported("mean")))
         g.define("intalledges", Builtin("intalledges", self._bi_unsupported("intalledges")))
         g.define("int3d", Builtin("int3d", self._bi_unsupported("int3d")))
-        g.define("dx", Builtin("dx", lambda i, e, a, n: F.dx(a[0])))
-        g.define("dy", Builtin("dy", lambda i, e, a, n: F.dy(a[0])))
+        g.define("dx", Builtin("dx", lambda i, e, a, n: F.dx(a[0]), nargs=1))
+        g.define("dy", Builtin("dy", lambda i, e, a, n: F.dy(a[0]), nargs=1))
         g.define("dz", Builtin("dz", self._bi_unsupported("dz")))
-        g.define("int2d", Builtin("int2d", self._bi_integrator("int2d")))
-        g.define("int1d", Builtin("int1d", self._bi_integrator("int1d")))
+        g.define("int2d", Builtin("int2d", self._bi_integrator("int2d"), nargs=1))
+        g.define("int1d", Builtin("int1d", self._bi_integrator("int1d"), nargs=1))
         g.define("on", Builtin("on", self._bi_on, lazy=True))
-        g.define("trace", Builtin("trace", lambda i, e, a, n: _trace(a[0])))
-        g.define("det", Builtin("det", lambda i, e, a, n: _simplify(_det(a[0]))))
+        g.define("trace", Builtin("trace", lambda i, e, a, n: _trace(a[0]), nargs=1))
+        g.define("det", Builtin("det", lambda i, e, a, n: _simplify(_det(a[0])), nargs=1))
 
     def _make_math(self, name, fn):
         def call(interp, env, args, named):
@@ -479,8 +480,6 @@ class Interpreter:
         return move_mesh(mesh, lambda x, y: (qx, qy))
 
     def _bi_square(self, interp, env, args, named):
-        if len(args) < 2:
-            raise EvalError("square(m, n[, [fx, fy]]) needs two sizes")
         m = int(self.eval(args[0].value, env))
         n = int(self.eval(args[1].value, env))
         mesh = build_square(m, n)
@@ -608,7 +607,14 @@ class Interpreter:
         method = getattr(self, "_st_" + t, None)
         if method is None:
             raise EvalError(f"cannot execute {t}", getattr(stmt, "line", None))
-        method(stmt, env)
+        try:
+            method(stmt, env)
+        except FemError as exc:
+            # the innermost statement names the line; a located error passes
+            if getattr(exc, "line", None) is None and stmt.line:
+                exc.line = stmt.line
+                exc.args = (f"line {stmt.line}: {exc}",)
+            raise
 
     def _st_Block(self, stmt, env):
         child = Env(parent=env)
@@ -1007,8 +1013,12 @@ class Interpreter:
 
     def _ev_Call(self, node, env):
         callee = self.eval(node.callee, env)
-        if isinstance(callee, Builtin) and callee.lazy:
-            return callee.fn(self, env, node.args, {})
+        if isinstance(callee, Builtin):
+            if sum(a.name is None for a in node.args) < callee.nargs:
+                raise EvalError(f"{callee.name} needs {callee.nargs} argument"
+                                f"{'s' if callee.nargs > 1 else ''}", node.line)
+            if callee.lazy:
+                return callee.fn(self, env, node.args, {})
         if isinstance(callee, Integrator):
             return self._integrate(callee, node, env)
         args = []

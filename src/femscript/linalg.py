@@ -148,6 +148,15 @@ class SparseMatrix:
         A = self._csr
         return SparseMatrix._wrap(_csr_matrix(A.data * alpha, A.indices, A.indptr, A.shape))
 
+    def scale_columns(self, d):
+        """Copy with column j multiplied by d[j], that is A @ diag(d)."""
+        d = np.asarray(d)
+        if d.shape != (self.shape[1],):
+            raise InvalidArgumentError(f"column scaling needs {self.shape[1]} factors")
+        A = self._csr
+        return SparseMatrix._wrap(_csr_matrix(A.data * d[A.indices], A.indices, A.indptr,
+                                              A.shape))
+
     def with_diagonal(self, dof_indices, value) -> "SparseMatrix":
         """Copy with the diagonal of the given rows overwritten by `value`,
         inserted where missing.  Only the entries of those rows are read."""

@@ -1,6 +1,10 @@
-"""Convergence-study drivers: Poisson on the structured square, fixed-point
-solves of two nonlinear elliptic problems on the unit disk, and theta-scheme
-time integration of the heat equation, with observed-order computation.
+"""Convergence-study drivers: Poisson on the structured square, two
+nonlinear elliptic problems on the unit disk, and theta-scheme time
+integration of the heat equation, with observed-order computation.
+
+The nonlinear problems are solved by a sequence of linear solves, either
+the published listings' Picard loop (run_fixed_point's default) or Newton
+on the same discrete equations, which the study tables use.
 
 Manufactured solutions and right-hand sides are transcribed verbatim from
 the published listings (the computer-algebra output), not re-derived.
@@ -176,13 +180,21 @@ def ellnl_dbc_rhs(dbc):
 
 
 def run_fixed_point(problem: str, N: int, cfg: FixedPointConfig = None, mesh=None,
-                    rhs=None, history=None):
-    """Fixed-point iteration of the frozen-coefficient linearization.
+                    rhs=None, history=None, method: str = "picard"):
+    """Solve one nonlinear problem by a sequence of linear solves.
 
     problem "ellnl": -Laplace(u) + u^3 = f, u = 0 on the circle; the cubic
-    term is iterated as V*u with V frozen to the previous square.
+    term is u*V*v with V the P1 interpolant of u^2.
     problem "ellnl_dbc": Laplace(u) = u^2 written with a negated form and
-    boundary value cfg.dbc; V freezes the previous iterate itself.
+    boundary value cfg.dbc; here V is u itself.
+
+    method "picard" (the default) is the published listings' loop: V is
+    frozen at the previous iterate.  method "newton" solves the same
+    discrete equations with their Jacobian, -(S + 2 M_u) for "ellnl_dbc"
+    and S + M_{u^2} + 2 M_u diag(u) for "ellnl" (S the stiffness matrix,
+    M_w the mass matrix weighted by the P1 function w; not symmetric).
+    Both penalize the Dirichlet rows alike and stop on the same test: the
+    L2 norm of the increment below cfg.tol.
 
     `rhs` overrides the manufactured right-hand side (a callable of x, y);
     `history`, if given a list, collects the successive-iterate errors.
@@ -193,23 +205,22 @@ def run_fixed_point(problem: str, N: int, cfg: FixedPointConfig = None, mesh=Non
         cfg = FixedPointConfig()
     if problem not in ("ellnl", "ellnl_dbc"):
         raise InvalidArgumentError(f"unknown fixed-point problem {problem!r}")
+    if method not in ("picard", "newton"):
+        raise InvalidArgumentError(f"unknown fixed-point method {method!r}")
     if mesh is None:
         mesh = disk_mesh(N)
     Vh = FeSpace(mesh, "P1")
     u, v = TrialFunction(), TestFunction()
     stiff = dx(u) * dx(v) + dy(u) * dy(v)
     labels = frozenset({1})
+    cubic = problem == "ellnl"
 
-    if problem == "ellnl":
+    if cubic:
         fh = interpolate(Vh, rhs if rhs is not None else ellnl_rhs)
         gval = 0.0
-        start = 0.0
-        negate = False
     else:
         fh = interpolate(Vh, rhs if rhs is not None else ellnl_dbc_rhs(cfg.dbc))
         gval = cfg.dbc
-        start = cfg.dbc
-        negate = True
 
     l = VarForm(linear_terms=[FormTerm("int2d", as_form(as_field(fh)) * v)],
                 dirichlet=[DirichletBC(labels, Constant(gval))])
@@ -218,25 +229,39 @@ def run_fixed_point(problem: str, N: int, cfg: FixedPointConfig = None, mesh=Non
     S = assemble_bilinear(VarForm(bilinear_terms=[FormTerm("int2d", stiff)]), Vh, Vh)
     pinned = dirichlet_dofs(Vh, labels)
 
-    uh = Vh.function(start)
+    def mass(w):
+        # the mass matrix weighted by the P1 function with DOFs w
+        weight = as_field(Vh.function(w))
+        return assemble_bilinear(
+            VarForm(bilinear_terms=[FormTerm("int2d", as_form(u) * weight * v)]), Vh, Vh)
+
+    uh = Vh.function(gval)
     prev = uh.copy()
-    V = Vh.function(start ** 2 if problem == "ellnl" else start)
     err = math.inf
     iterations = 0
     while err >= cfg.tol and iterations < cfg.max_iter:
-        Mv = assemble_bilinear(
-            VarForm(bilinear_terms=[FormTerm("int2d", as_form(u) * as_field(V) * v)]),
-            Vh, Vh)
-        A = S + Mv
-        if negate:
+        w = uh.dofs
+        if method == "picard":
+            A, load = S + mass(w ** 2 if cubic else w), b
+        elif cubic:
+            Mu, Mu2 = mass(w), mass(w ** 2)
+            A = S + Mu2 + Mu.scale_columns(2.0 * w)
+            load = b + 2.0 * (Mu2 @ w)
+        else:
+            Mu = mass(w)
+            A = S + Mu.scale(2.0)
+            load = b - Mu @ w
+        if method == "newton":
+            load[pinned] = b[pinned]
+        if not cubic:
             A = A.scale(-1.0)
-        A = A.with_diagonal(pinned, DEFAULT_TGV)
-        uh.dofs[:] = factorize(A).solve(b)
+        # the penalized matrix and its LU die with this statement instead of
+        # staying alive while the next iterate's matrices are assembled
+        uh.dofs[:] = factorize(A.with_diagonal(pinned, DEFAULT_TGV)).solve(load)
         diff = as_field(uh) - as_field(prev)
         err = math.sqrt(integrate_2d(mesh, diff * diff))
         if history is not None:
             history.append(err)
-        V.dofs[:] = uh.dofs ** 2 if problem == "ellnl" else uh.dofs
         prev.dofs[:] = uh.dofs
         iterations += 1
     if not err < cfg.tol:       # a NaN increment is not convergence either
@@ -248,8 +273,10 @@ def run_fixed_point(problem: str, N: int, cfg: FixedPointConfig = None, mesh=Non
 def run_nonlinear_study(problem: str, nref: int, cfg: FixedPointConfig = None,
                         meshes=None):
     """Table of L2 errors vs the manufactured solution on N = 2^(n+4) disks,
-    with each solve's iteration count.  A fixed-point solve that does not
-    converge raises SolverError."""
+    with each solve's iteration count.  Every disk is solved by Newton
+    (run_fixed_point's method="newton"): the same discrete solution as the
+    published Picard loop, in 4-5 linear solves instead of 14-214.  A solve
+    that does not converge raises SolverError."""
     if cfg is None:
         cfg = FixedPointConfig()
     if nref < 2:
@@ -259,7 +286,7 @@ def run_nonlinear_study(problem: str, nref: int, cfg: FixedPointConfig = None,
     for n in range(nref):
         N = 2 ** (n + 4)
         mesh = meshes[n] if meshes is not None else disk_mesh(N)
-        uh, iterations, _ = run_fixed_point(problem, N, cfg, mesh=mesh)
+        uh, iterations, _ = run_fixed_point(problem, N, cfg, mesh=mesh, method="newton")
         uex = interpolate(FeSpace(mesh, "P1"), exact)
         diff = as_field(uh) - as_field(uex)
         err = math.sqrt(integrate_2d(mesh, diff * diff))

@@ -298,6 +298,33 @@ def test_logic_with_a_number_first_gives_the_same_indicator():
     assert a == b == c == d < 1.0
 
 
+@pytest.mark.parametrize("call", ["abs()", "pow(2)", "atan2(1)", "min()", "int()",
+                                  "trace()", "det()", "dx()", "int2d()", "int1d()"])
+def test_builtin_missing_argument_gives_the_line(call):
+    with pytest.raises(EvalError, match=r"^line 2: \w+ needs \d argument") as err:
+        run(f"real b = 1;\nreal a = {call};")
+    assert err.value.line == 2
+
+
+def test_lazy_builtin_missing_argument_gives_the_line():
+    with pytest.raises(EvalError, match="^line 2: movemesh needs 2 arguments"):
+        run("mesh Th=square(2,2);\nmesh Tk=movemesh(Th);")
+
+
+def test_kernel_error_gets_the_statement_line():
+    with pytest.raises(InvalidArgumentError, match="^line 3: d/dx applies") as err:
+        run("mesh Th=square(2,2);\nfespace Vh(Th,P1);\nVh u=dx(1);")
+    assert err.value.line == 3
+
+
+def test_kernel_error_keeps_the_innermost_line():
+    src = "mesh Th=square(2,2);\nfunc real f(real t) {\n  return dx(t);\n}\n{\n real a = f(1);\n}"
+    with pytest.raises(InvalidArgumentError) as err:
+        run(src)
+    assert err.value.line == 3
+    assert str(err.value).startswith("line 3: d/dx") and str(err.value).count("line") == 1
+
+
 # the unknown lives on Tk; the integrals run over Th
 OTHER_MESH_FORM = """
 mesh Th=square(4,4);

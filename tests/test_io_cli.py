@@ -181,6 +181,13 @@ def test_cli_run_script_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_run_builtin_arity_error_gives_the_line(tmp_path, capsys):
+    path = tmp_path / "bad.edp"
+    path.write_text("real b = 1;\nreal a = abs();\n")
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 2: abs needs 1 argument\n"
+
+
 def test_cli_study_poisson_table(capsys):
     assert main(["study", "poisson", "--nref", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -195,6 +202,21 @@ def test_cli_study_csv(tmp_path, capsys):
                  "--csv", str(csv)]) == 0
     lines = csv.read_text().splitlines()
     assert len(lines) == 3 and lines[0].startswith("N,")
+
+
+def test_cli_study_ellnl_reports_iterations(tmp_path, capsys):
+    csv = tmp_path / "rows.csv"
+    assert main(["study", "ellnl", "--dbc", "50", "--nref", "2", "--csv", str(csv)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split()[-1] == "iters"
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "N,h,L2 error,rate,iters"
+    for printed, row in zip(out[1:], lines[1:]):
+        iters = int(row.split(",")[-1])
+        assert printed.split()[-1] == str(iters) and 1 <= iters <= 8
+    # tables whose rows carry no iteration count keep their columns
+    assert main(["study", "poisson", "--nref", "2", "--csv", str(csv)]) == 0
+    assert csv.read_text().splitlines()[0] == "N,h,L2 error,rate"
 
 
 def test_cli_mesh_info(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from femscript.errors import InvalidArgumentError, SolverError
-from femscript.fespace import FeSpace
+from femscript.fespace import FeSpace, interpolate
 from femscript.fields import Constant, as_field
 from femscript.forms import (DirichletBC, FormTerm, TestFunction, TrialFunction,
                              VarForm, as_form, assemble_bilinear, assemble_linear,
@@ -12,7 +12,8 @@ from femscript.forms import (DirichletBC, FormTerm, TestFunction, TrialFunction,
 from femscript.linalg import factorize, solve_lu
 from femscript.mesh import build_square
 from femscript.studies import (ConvergenceRow, FixedPointConfig, ThetaSchemeConfig,
-                               convergence_rate, run_fixed_point, run_heat_single,
+                               convergence_rate, ellnl_dbc_exact, ellnl_exact,
+                               run_fixed_point, run_heat_single,
                                run_heat_study, run_nonlinear_study, run_poisson_study,
                                solve_poisson)
 
@@ -113,8 +114,37 @@ def test_nonlinear_study_raises_on_nonconvergence():
 def test_nonlinear_study_rows_carry_iterations():
     rows = run_nonlinear_study("ellnl", 2)
     for row in rows:
-        _, iters, err = run_fixed_point("ellnl", row.N)
+        _, iters, err = run_fixed_point("ellnl", row.N, method="newton")
         assert row.iterations == iters and err < 1e-10
+
+
+def test_fixed_point_unknown_method():
+    with pytest.raises(InvalidArgumentError, match="bogus"):
+        run_fixed_point("ellnl", 16, method="bogus")
+
+
+def test_newton_reports_nonconvergence_like_picard():
+    with pytest.raises(SolverError, match=r"N=16: increment .* after 2 iterations"):
+        run_fixed_point("ellnl", 16, FixedPointConfig(max_iter=2), method="newton")
+
+
+@pytest.mark.parametrize("problem,dbc", [("ellnl", 0.0), ("ellnl_dbc", 0.0),
+                                         ("ellnl_dbc", 50.0)])
+def test_newton_matches_picard(disk_meshes, problem, dbc):
+    """Newton and Picard solve the same discrete equations: at a tight
+    tolerance their study rows agree far below any table gate, and Newton
+    needs a handful of solves where DBC=50 Picard needs about 200."""
+    cfg = FixedPointConfig(tol=1e-12, dbc=dbc)
+    exact = ellnl_exact if problem == "ellnl" else ellnl_dbc_exact(dbc)
+    for N, mesh in zip((16, 32, 64), disk_meshes):
+        errors = {}
+        for method in ("picard", "newton"):
+            uh, iters, _ = run_fixed_point(problem, N, cfg, mesh=mesh, method=method)
+            diff = as_field(uh) - as_field(interpolate(uh.space, exact))
+            errors[method] = math.sqrt(integrate_2d(mesh, diff * diff))
+            if method == "newton":
+                assert iters <= 8
+        assert errors["newton"] == pytest.approx(errors["picard"], rel=5e-9, abs=0.0)
 
 
 # -- theta scheme ------------------------------------------------------------------------
