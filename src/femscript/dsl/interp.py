@@ -300,6 +300,18 @@ SOLVER_NAMES = {"LU": "LU", "CG": "CG", "sparsesolver": "LU", "UMFPACK": "LU",
                 "GMRES": "LU", "Cholesky": "LU", "Crout": "LU"}
 
 
+def _checked_index(shape, idx, line):
+    """Integer indices into the leading axes of shape, each within its axis."""
+    try:
+        idx = tuple(int(i) for i in idx)
+    except (TypeError, ValueError, OverflowError):
+        raise EvalError("an index must be an integer", line) from None
+    if len(idx) > len(shape) or not all(0 <= i < n for i, n in zip(idx, shape)):
+        raise EvalError(f"index {', '.join(map(str, idx))} out of range for size "
+                        f"{'x'.join(map(str, shape))}", line)
+    return idx if len(idx) > 1 else idx[0]
+
+
 def _simplify(v):
     if isinstance(v, (np.bool_, np.integer)):
         return int(v)
@@ -998,17 +1010,14 @@ class Interpreter:
         args = [self.eval(a, env) for a in node.args]
         if isinstance(base, FeFunction) and not args:
             return base.dofs
-        if isinstance(base, np.ndarray):
-            if len(args) == 1:
-                return _simplify(base[int(args[0])])
-            if len(args) == 2:
-                return _simplify(base[int(args[0]), int(args[1])])
+        if isinstance(base, np.ndarray) and len(args) in (1, 2):
+            return _simplify(base[_checked_index(base.shape, args, node.line)])
         if isinstance(base, Mesh) and len(args) == 1:
-            return TriangleProxy(base, int(args[0]))
+            return TriangleProxy(base, _checked_index((base.nt,), args, node.line))
         if isinstance(base, TriangleProxy) and len(args) == 1:
-            return base.vertex(int(args[0]))
+            return base.vertex(_checked_index((3,), args, node.line))
         if isinstance(base, list) and len(args) == 1:
-            return base[int(args[0])]
+            return base[_checked_index((len(base),), args, node.line)]
         raise EvalError(f"cannot index {type(base).__name__}", node.line)
 
     def _ev_Call(self, node, env):
@@ -1018,7 +1027,7 @@ class Interpreter:
                 raise EvalError(f"{callee.name} needs {callee.nargs} argument"
                                 f"{'s' if callee.nargs > 1 else ''}", node.line)
             if callee.lazy:
-                return callee.fn(self, env, node.args, {})
+                return self._call_builtin(callee, env, node.args, {}, node.line)
         if isinstance(callee, Integrator):
             return self._integrate(callee, node, env)
         args = []
@@ -1029,7 +1038,7 @@ class Interpreter:
             else:
                 named[a.name] = self.eval(a.value, env)
         if isinstance(callee, Builtin):
-            return callee.fn(self, env, args, named)
+            return self._call_builtin(callee, env, args, named, node.line)
         if isinstance(callee, FuncValue):
             return self._call_func(callee, args, node.line)
         if isinstance(callee, FeFunction):
@@ -1046,12 +1055,18 @@ class Interpreter:
             return BorderRun(callee, int(args[0]))
         if isinstance(callee, VarfValue):
             return self._assemble_varf(callee, args, named, node.line)
-        if isinstance(callee, np.ndarray):
-            if len(args) == 1:
-                return _simplify(callee[int(args[0])])
-            if len(args) == 2:
-                return _simplify(callee[int(args[0]), int(args[1])])
+        if isinstance(callee, np.ndarray) and len(args) in (1, 2):
+            return _simplify(callee[_checked_index(callee.shape, args, node.line)])
         raise EvalError(f"cannot call {type(callee).__name__}", node.line)
+
+    def _call_builtin(self, callee, env, args, named, line):
+        """Call a builtin; a bad argument type or value raises EvalError."""
+        try:
+            return callee.fn(self, env, args, named)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            if isinstance(exc, FemError):
+                raise
+            raise EvalError(f"{callee.name}: {exc}", line) from None
 
     def _call_func(self, f: FuncValue, args, line):
         if f.analytic:
@@ -1130,15 +1145,15 @@ class Interpreter:
                     raise EvalError("cannot assign that to a DOF vector", target.line)
                 return
             if isinstance(base, np.ndarray):
-                idx = tuple(int(self.eval(a, env)) for a in target.args)
-                base[idx if len(idx) > 1 else idx[0]] = value
+                idx = [self.eval(a, env) for a in target.args]
+                base[_checked_index(base.shape, idx, target.line)] = value
                 return
             raise EvalError("invalid indexed assignment", target.line)
         if t == "Call":
             base = self.eval(target.callee, env)
             if isinstance(base, np.ndarray):
-                idx = tuple(int(self.eval(a.value, env)) for a in target.args)
-                base[idx if len(idx) > 1 else idx[0]] = value
+                idx = [self.eval(a.value, env) for a in target.args]
+                base[_checked_index(base.shape, idx, target.line)] = value
                 return
             raise EvalError("invalid call assignment", target.line)
         raise EvalError("invalid assignment target", getattr(target, "line", None))

@@ -11,11 +11,22 @@ the local boundary spacing scaled by `size_factor`.
 Predicates use an epsilon relative to the domain diameter; cocircular or
 collinear ties count as "not inside", which keeps insertion terminating on
 symmetric inputs (all samples of one circle are cocircular).
+
+The meshes are reproducible bit for bit, and three orders in `smooth` fix
+their last bits, so a faster version must keep all three:
+- a vertex moves to the mean of its ring, summed in the iteration order of
+  the ring's set, which follows the order of insertion (triangles by index);
+- vertices move Gauss-Seidel style in sorted order, each one seeing the
+  neighbours that already moved;
+- `_relegalize` flips in triangle-index sweep order; a worklist would change
+  which of two cocircular diagonals survives.
 """
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,6 +47,25 @@ DEFAULT_SMOOTHING_PASSES = 3
 QUALITY_BOUND = 1.0
 # refinement stops with a GeometryError beyond this many points
 MAX_POINTS = 2_000_000
+
+
+def _orient(pa, pb, pc):
+    """Twice the signed area of (pa, pb, pc). Like `_incircle`, it takes
+    (x, y) pairs or numpy arrays of x and y rows, with the same arithmetic."""
+    return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
+
+
+def _incircle(pa, pb, pc, pd):
+    """Positive when pd lies inside the circle through the CCW (pa, pb, pc)."""
+    adx, ady = pa[0] - pd[0], pa[1] - pd[1]
+    bdx, bdy = pb[0] - pd[0], pb[1] - pd[1]
+    cdx, cdy = pc[0] - pd[0], pc[1] - pd[1]
+    ad = adx * adx + ady * ady
+    bd = bdx * bdx + bdy * bdy
+    cd = cdx * cdx + cdy * cdy
+    return (adx * (bdy * cd - bd * cdy)
+            - ady * (bdx * cd - bd * cdx)
+            + ad * (bdx * cdy - bdy * cdx))
 
 
 @dataclass(frozen=True)
@@ -79,20 +109,11 @@ class _Triangulation:
 
     # -- predicates -------------------------------------------------------
 
-    def _orient(self, pa, pb, pc):
-        return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
+    _orient = staticmethod(_orient)
 
-    def _incircle(self, t, p):
-        a, b, c = (self.pts[v] for v in self.tris[t])
-        adx, ady = a[0] - p[0], a[1] - p[1]
-        bdx, bdy = b[0] - p[0], b[1] - p[1]
-        cdx, cdy = c[0] - p[0], c[1] - p[1]
-        ad = adx * adx + ady * ady
-        bd = bdx * bdx + bdy * bdy
-        cd = cdx * cdx + cdy * cdy
-        return (adx * (bdy * cd - bd * cdy)
-                - ady * (bdx * cd - bd * cdx)
-                + ad * (bdx * cdy - bdy * cdx))
+    def _corners(self, t):
+        i, j, k = self.tris[t]
+        return self.pts[i], self.pts[j], self.pts[k]
 
     # -- topology helpers --------------------------------------------------
 
@@ -144,43 +165,38 @@ class _Triangulation:
             seen += 1
             if seen > limit:
                 return self._locate_brute(p)
-            vs = self.tris[t]
-            pa, pb, pc = (self.pts[v] for v in vs)
-            o = (self._orient(pa, pb, p), self._orient(pb, pc, p), self._orient(pc, pa, p))
-            worst = min(range(3), key=lambda k: o[k])
+            o = self._edge_orients(t, p)
+            worst = min(range(3), key=o.__getitem__)
             if o[worst] < -self.tol_orient:
                 nxt = self.nbr[t][worst]
                 if nxt == -1:
                     return self._locate_brute(p)
                 t = nxt
                 continue
-            self._hint = t
-            for k in range(3):
-                q = self.pts[vs[k]]
-                if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= self.tol_pt2:
-                    return t, "vertex", k
-            for k in range(3):
-                if abs(o[k]) <= self.tol_orient:
-                    return t, "edge", k
-            return t, "in", -1
+            return self._classify(t, p, o)
 
     def _locate_brute(self, p):
         for t, vs in enumerate(self.tris):
-            if vs is None:
-                continue
-            pa, pb, pc = (self.pts[v] for v in vs)
-            o = (self._orient(pa, pb, p), self._orient(pb, pc, p), self._orient(pc, pa, p))
-            if min(o) >= -self.tol_orient:
-                self._hint = t
-                for k in range(3):
-                    q = self.pts[vs[k]]
-                    if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= self.tol_pt2:
-                        return t, "vertex", k
-                for k in range(3):
-                    if abs(o[k]) <= self.tol_orient:
-                        return t, "edge", k
-                return t, "in", -1
+            if vs is not None:
+                o = self._edge_orients(t, p)
+                if min(o) >= -self.tol_orient:
+                    return self._classify(t, p, o)
         raise GeometryError(f"point {p} outside the triangulation")
+
+    def _edge_orients(self, t, p):
+        pa, pb, pc = self._corners(t)
+        return _orient(pa, pb, p), _orient(pb, pc, p), _orient(pc, pa, p)
+
+    def _classify(self, t, p, o):
+        """`locate`'s answer for p in triangle t, whose edge orients are o."""
+        self._hint = t
+        for k, q in enumerate(self._corners(t)):
+            if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= self.tol_pt2:
+                return t, "vertex", k
+        for k in range(3):
+            if abs(o[k]) <= self.tol_orient:
+                return t, "edge", k
+        return t, "in", -1
 
     # -- insertion -----------------------------------------------------------
 
@@ -279,15 +295,12 @@ class _Triangulation:
             n = self.nbr[t][k]
             if n == -1 or self.is_constrained(a, b):
                 continue
-            kn = None
-            for kk in range(3):
-                if self.tris[n][kk] == b and self.tris[n][(kk + 1) % 3] == a:
-                    kn = kk
-                    break
-            if kn is None:
+            vn = self.tris[n]
+            kn = vn.index(b) if b in vn else -1
+            if kn < 0 or vn[(kn + 1) % 3] != a:
                 continue
-            d = self.tris[n][(kn + 2) % 3]
-            if self._incircle(t, self.pts[d]) <= self.tol_in:
+            d = vn[(kn + 2) % 3]
+            if _incircle(*self._corners(t), self.pts[d]) <= self.tol_in:
                 continue
             c = self.tris[t][(k + 2) % 3]
             n_bc = self.nbr[t][(k + 1) % 3]
@@ -393,18 +406,7 @@ class _Triangulation:
         if len(chain) > 1:
             pa, pb = self.pts[a], self.pts[b]
             for j in range(1, len(chain)):
-                pc = self.pts[chain[ci]]
-                pd = self.pts[chain[j]]
-                adx, ady = pa[0] - pd[0], pa[1] - pd[1]
-                bdx, bdy = pb[0] - pd[0], pb[1] - pd[1]
-                cdx, cdy = pc[0] - pd[0], pc[1] - pd[1]
-                ad = adx * adx + ady * ady
-                bd = bdx * bdx + bdy * bdy
-                cd = cdx * cdx + cdy * cdy
-                det = (adx * (bdy * cd - bd * cdy)
-                       - ady * (bdx * cd - bd * cdx)
-                       + ad * (bdx * cdy - bdy * cdx))
-                if det > self.tol_in:
+                if _incircle(pa, pb, self.pts[chain[ci]], self.pts[chain[j]]) > self.tol_in:
                     ci = j
         c = chain[ci]
         t = len(self.tris)
@@ -440,58 +442,97 @@ class _Triangulation:
 
         A vertex moves to its one-ring centroid only if every incident
         triangle keeps positive area; constrained and super vertices stay.
+        Rings are rebuilt only where triangles flipped (module docstring).
         """
+        pts, tris = self.pts, self.tris
+        fixed = {v for key in self.constrained for v in key}
+        incident, ring = {}, {}
+        changed = [t for t, vs in enumerate(tris) if vs is not None]
         for _ in range(passes):
-            ring = {}
-            incident = {}
-            movable = set()
-            for t, vs in enumerate(self.tris):
-                if vs is None or not self.kept[t]:
-                    continue
-                for k in range(3):
-                    a = vs[k]
-                    ring.setdefault(a, set()).update((vs[(k + 1) % 3], vs[(k + 2) % 3]))
-                    incident.setdefault(a, []).append(t)
-                    movable.add(a)
-            for a in list(movable):
-                if a < self.n_super:
-                    movable.discard(a)
-            for key in self.constrained:
-                movable.discard(key[0])
-                movable.discard(key[1])
-            for a in sorted(movable):
+            # a vertex whose incident triangles changed is in a changed one now
+            now = {v: [] for t in changed for v in tris[t]}
+            for t in changed:
+                for v in tris[t] if self.kept[t] else ():
+                    now[v].append(t)
+            for a, ts in now.items():
+                ts += [t for t in incident.get(a, ()) if a in tris[t] and t not in ts]
+                ts.sort()
+                incident[a] = ts
+                ring[a] = self._ring(a, ts)
+            for a in sorted(a for a, ts in incident.items()
+                            if ts and a >= self.n_super and a not in fixed):
                 nbrs = ring[a]
-                cx = sum(self.pts[v][0] for v in nbrs) / len(nbrs)
-                cy = sum(self.pts[v][1] for v in nbrs) / len(nbrs)
-                old = self.pts[a]
-                self.pts[a] = [cx, cy]
-                ok = True
+                cx = sum([pts[v][0] for v in nbrs]) / len(nbrs)
+                cy = sum([pts[v][1] for v in nbrs]) / len(nbrs)
+                old = pts[a]
+                pts[a] = [cx, cy]
                 for t in incident[a]:
-                    if self.tris[t] is None:
-                        continue
-                    pa, pb, pc = (self.pts[v] for v in self.tris[t])
-                    if self._orient(pa, pb, pc) <= self.tol_orient:
-                        ok = False
+                    i, j, k = tris[t]
+                    if self._orient(pts[i], pts[j], pts[k]) <= self.tol_orient:
+                        pts[a] = old
                         break
-                if not ok:
-                    self.pts[a] = old
-            self._relegalize()
+            changed = self._relegalize()
+
+    def _ring(self, a, ts):
+        """a's neighbours in the set order a sweep over ts in index order gives."""
+        ring = set()
+        for t in ts:
+            i, j, k = self.tris[t]
+            ring.update((j, k) if a == i else (k, i) if a == j else (i, j))
+        return tuple(ring)
 
     def _relegalize(self, max_sweeps=20):
+        """Sweep the kept triangles' edges in index order with `_legalize` until
+        a sweep flips nothing; return the flipped triangles. Only candidates
+        and edges of or facing a flipped triangle are visited: any other edge
+        is in the state `_flip_candidates` saw, so `_legalize` would not flip it.
+        """
+        cand = self._flip_candidates()
+        flipped = set()
         for _ in range(max_sweeps):
             flips = []
-            for t, vs in enumerate(self.tris):
-                if vs is None or not self.kept[t]:
+            queued = {t for t, _ in cand} | {m for f in flipped for m in (f, *self.nbr[f])}
+            pending = sorted(queued - {-1})
+            while pending:
+                t = heapq.heappop(pending)
+                if not self.kept[t]:
                     continue
                 for k in range(3):
-                    self._legalize(t, k, flips)
+                    if (t, k) in cand or t in flipped or self.nbr[t][k] in flipped:
+                        n_flips = len(flips)
+                        self._legalize(t, k, flips)
+                        flipped.update(flips[n_flips:])
+                        for f in flips[n_flips:]:
+                            for m in (f, *self.nbr[f]):
+                                if m > t and m not in queued:
+                                    queued.add(m)
+                                    heapq.heappush(pending, m)
             if not flips:
-                return
+                break
+        return flipped
+
+    def _flip_candidates(self):
+        """Edges (t, k) of kept triangles that `_legalize` would flip now: the
+        same `_incircle` test on numpy rows, hence the same bits."""
+        pts = np.array(self.pts)
+        tri = np.fromiter(chain.from_iterable(vs or (0, 0, 0) for vs in self.tris),
+                          np.int64).reshape(-1, 3)
+        nbr = np.fromiter(chain.from_iterable(ns or (-1, -1, -1) for ns in self.nbr),
+                          np.int64).reshape(-1, 3)
+        corners = [pts[tri[:, j]].T for j in range(3)]
+        out = set()
+        for k in range(3):
+            n = nbr[:, k]
+            d = tri[n].sum(axis=1) - tri[:, k] - tri[:, (k + 1) % 3]  # opposite vertex
+            use = np.array(self.kept) & (n >= 0) & (d >= 0) & (d < len(pts))
+            det = _incircle(*corners, pts[np.where(use, d, 0)].T)
+            out.update((int(t), k) for t in np.flatnonzero(use & ~(det <= self.tol_in)))
+        return out
 
     # -- geometry ---------------------------------------------------------
 
     def circumcenter(self, t):
-        a, b, c = (self.pts[v] for v in self.tris[t])
+        a, b, c = self._corners(t)
         d = 2.0 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
         if abs(d) < self.tol_orient:
             return None
@@ -503,7 +544,7 @@ class _Triangulation:
         return (ux, uy)
 
     def edge_range(self, t):
-        a, b, c = (self.pts[v] for v in self.tris[t])
+        a, b, c = self._corners(t)
         e = ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2,
              (b[0] - c[0]) ** 2 + (b[1] - c[1]) ** 2,
              (c[0] - a[0]) ** 2 + (c[1] - a[1]) ** 2)
@@ -536,16 +577,26 @@ class _Welder:
         return idx
 
 
-def _segments_properly_intersect(p1, q1, p2, q2, tol):
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    o1 = orient(p1, q1, p2)
-    o2 = orient(p1, q1, q2)
-    o3 = orient(p2, q2, p1)
-    o4 = orient(p2, q2, q1)
-    return (o1 > tol) != (o2 > tol) and (o1 < -tol) != (o2 < -tol) \
-        and (o3 > tol) != (o4 > tol) and (o3 < -tol) != (o4 < -tol) \
-        and min(abs(o1), abs(o2), abs(o3), abs(o4)) > tol
+def _check_no_crossings(points, segs, tol):
+    """Raise if two boundary segments properly cross: each one's endpoints lie
+    on opposite sides of the other, every orient beyond tol. A shared (welded)
+    endpoint, or a segment paired with itself, makes one orient exactly 0."""
+    pts = np.array(points)
+    p = pts[[a for a, _, _ in segs]].T       # x and y rows
+    q = pts[[b for _, b, _ in segs]].T
+
+    def opposite(o1, o2):
+        return ((o1 > tol) != (o2 > tol)) & ((o1 < -tol) != (o2 < -tol))
+
+    rows = max(1, (1 << 18) // len(segs))      # bounds the memory of a block of pairs
+    for i0 in range(0, len(segs), rows):
+        i = slice(i0, i0 + rows)
+        p1, q1 = p[:, i, None], q[:, i, None]
+        o1, o2 = _orient(p1, q1, p), _orient(p1, q1, q)
+        o3, o4 = _orient(p, q, p1), _orient(p, q, q1)
+        small = np.minimum(np.minimum(abs(o1), abs(o2)), np.minimum(abs(o3), abs(o4)))
+        if (opposite(o1, o2) & opposite(o3, o4) & (small > tol)).any():
+            raise GeometryError("boundary segments intersect each other")
 
 
 def _winding_numbers(px, py, seg_a, seg_b):
@@ -601,16 +652,7 @@ def build_from_borders(borders, size_factor=None,
     if any(d != 2 for d in degree.values()):
         raise GeometryError("boundary traverses a point more than once")
 
-    tol_x = EPS_REL * scale * scale
-    for i in range(len(segs)):
-        a1, b1, _ = segs[i]
-        for j in range(i + 1, len(segs)):
-            a2, b2, _ = segs[j]
-            if len({a1, b1, a2, b2}) < 4:
-                continue
-            if _segments_properly_intersect(points[a1], points[b1],
-                                            points[a2], points[b2], tol_x):
-                raise GeometryError("boundary segments intersect each other")
+    _check_no_crossings(points, segs, EPS_REL * scale * scale)
 
     tr = _Triangulation(scale)
     tr.init_super(lo, hi)
@@ -637,10 +679,9 @@ def build_from_borders(borders, size_factor=None,
     seg_a = np.array([points[a] for a, _, _ in segs])
     seg_b = np.array([points[b] for _, b, _ in segs])
     live = [t for t, vs in enumerate(tr.tris) if vs is not None]
-    bx = np.array([(tr.pts[tr.tris[t][0]][0] + tr.pts[tr.tris[t][1]][0]
-                    + tr.pts[tr.tris[t][2]][0]) / 3 for t in live])
-    by = np.array([(tr.pts[tr.tris[t][0]][1] + tr.pts[tr.tris[t][1]][1]
-                    + tr.pts[tr.tris[t][2]][1]) / 3 for t in live])
+    corners = [tr._corners(t) for t in live]
+    bx = np.array([(a[0] + b[0] + c[0]) / 3 for a, b, c in corners])
+    by = np.array([(a[1] + b[1] + c[1]) / 3 for a, b, c in corners])
     wind = _winding_numbers(bx, by, seg_a, seg_b)
     for t, w in zip(live, wind):
         tr.kept[t] = w > 0
@@ -669,11 +710,14 @@ def build_from_borders(borders, size_factor=None,
 
     queue = deque(t for t, vs in enumerate(tr.tris) if vs is not None and tr.kept[t])
     blocked = set()
+    good = set()    # points stay put while refining: a good (ordered) triple stays good
     while queue:
         t = queue.popleft()
         if t in blocked or tr.tris[t] is None or not tr.kept[t]:
             continue
         vs = tr.tris[t]
+        if tuple(vs) in good:
+            continue
         cx = (tr.pts[vs[0]][0] + tr.pts[vs[1]][0] + tr.pts[vs[2]][0]) / 3
         cy = (tr.pts[vs[0]][1] + tr.pts[vs[1]][1] + tr.pts[vs[2]][1]) / 3
         cc = tr.circumcenter(t)
@@ -686,6 +730,7 @@ def build_from_borders(borders, size_factor=None,
         # radius/shortest-edge bound 1 enforces angles of 30 degrees and up
         skinny = radius > QUALITY_BOUND * shortest
         if not (oversized or skinny):
+            good.add(tuple(vs))
             continue
         loc_t, kind, _ = tr.locate(cc, hint=t)
         if kind == "vertex" or not tr.kept[loc_t]:
@@ -702,19 +747,19 @@ def build_from_borders(borders, size_factor=None,
         if tr.tris[t] is not None:
             queue.append(t)
 
+    del good        # a few MiB at N=256, freed before smoothing allocates its rings
     if smoothing:
         tr.smooth(passes=smoothing)
     return _extract_mesh(tr, segs, vert_of, seg_labels, borders)
 
 
 def _extract_mesh(tr, segs, vert_of, seg_labels, borders):
-    keep_ts = [t for t, vs in enumerate(tr.tris) if vs is not None and tr.kept[t]]
-    if not keep_ts:
+    kept = [vs for vs, k in zip(tr.tris, tr.kept) if vs is not None and k]
+    if not kept:
         raise GeometryError("empty mesh")
-    used = sorted({v for t in keep_ts for v in tr.tris[t]})
-    remap = {v: i for i, v in enumerate(used)}
-    points = np.array([tr.pts[v] for v in used])
-    tris = np.array([[remap[v] for v in tr.tris[t]] for t in keep_ts], dtype=np.int64)
+    used, tris = np.unique(np.array(kept, dtype=np.int64).ravel(), return_inverse=True)
+    remap = dict(zip(used.tolist(), range(len(used))))
+    points = np.array(tr.pts)[used]
 
     vlab = np.zeros(len(used), dtype=np.int64)
     edges = []
@@ -727,5 +772,5 @@ def _extract_mesh(tr, segs, vert_of, seg_labels, borders):
     for (a, b), lab in zip(reversed(edges), reversed(elabs)):  # first edge wins
         vlab[a] = lab
         vlab[b] = lab
-    return Mesh(points, tris, np.array(edges, dtype=np.int64),
+    return Mesh(points, tris.reshape(-1, 3), np.array(edges, dtype=np.int64),
                 vertex_labels=vlab, edge_labels=np.array(elabs, dtype=np.int64))

@@ -306,6 +306,30 @@ def test_builtin_missing_argument_gives_the_line(call):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("stmt, message", [
+    ("real a = v[5];", "index 5 out of range for size 2"),
+    ("v[-7] = 1;", "index -7 out of range for size 2"),
+    ("real a = v(5);", "index 5 out of range for size 2"),
+    ("v(2) = 1;", "index 2 out of range for size 2"),
+    ("real a = A[1, 7];", "index 1, 7 out of range for size 2x2"),
+    ("real a = Th[8][0].x;", "index 8 out of range for size 8"),
+    ("real a = Th[0][3].x;", "index 3 out of range for size 3"),
+])
+def test_index_out_of_range_gives_the_line(stmt, message):
+    src = f"real[int] v(2);\nreal[int,int] A(2,2);\nmesh Th=square(2,2);\n{stmt}"
+    with pytest.raises(EvalError, match=f"^line 4: {message}$") as err:
+        run(src)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("call", ['int("abc")', 'atan2("x", 1)', "abs(s)", "pow(0., -1)"])
+def test_builtin_bad_argument_gives_the_line(call):
+    name = call.split("(")[0]
+    with pytest.raises(EvalError, match=f"^line 2: {name}: ") as err:
+        run(f'string s = "ab";\nreal a = {call};')
+    assert err.value.line == 2
+
+
 def test_lazy_builtin_missing_argument_gives_the_line():
     with pytest.raises(EvalError, match="^line 2: movemesh needs 2 arguments"):
         run("mesh Th=square(2,2);\nmesh Tk=movemesh(Th);")

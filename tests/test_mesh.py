@@ -1,8 +1,12 @@
+import hashlib
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from femscript.dsl import run_source
 from femscript.errors import (FoldOverError, GeometryError, InvalidArgumentError,
                               MeshFileError)
 from femscript.mesh import (Border, Mesh, build_from_borders, build_square,
@@ -116,6 +120,66 @@ def test_self_intersection_raises():
     bow = Border(param, 0.0, 4.0, 8, 1)
     with pytest.raises(GeometryError):
         build_from_borders([bow])
+
+
+def _hole_near_the_boundary(radius):
+    # the hole's rightmost sample lies at x = 0.5 + radius, the outer's at x = 1
+    outer = Border(lambda t: (math.cos(t), math.sin(t)), 0.0, 2 * math.pi, 40, 1)
+    hole = Border(lambda t: (0.5 + radius * math.cos(t), radius * math.sin(t)),
+                  0.0, 2 * math.pi, -30, 2)
+    return [outer, hole]
+
+
+def test_close_segments_without_crossing_mesh():
+    m = build_from_borders(_hole_near_the_boundary(0.499))
+    outer = 20.0 * math.sin(2.0 * math.pi / 40.0)
+    hole = 15.0 * 0.499 ** 2 * math.sin(2.0 * math.pi / 30.0)
+    assert abs(m.total_area() - (outer - hole)) <= 1e-11
+    with pytest.raises(GeometryError, match="intersect"):
+        build_from_borders(_hole_near_the_boundary(0.501))
+
+
+def _properly_intersect_reference(p1, q1, p2, q2, tol):
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    o1 = orient(p1, q1, p2)
+    o2 = orient(p1, q1, q2)
+    o3 = orient(p2, q2, p1)
+    o4 = orient(p2, q2, q1)
+    return (o1 > tol) != (o2 > tol) and (o1 < -tol) != (o2 < -tol) \
+        and (o3 > tol) != (o4 > tol) and (o3 < -tol) != (o4 < -tol) \
+        and min(abs(o1), abs(o2), abs(o3), abs(o4)) > tol
+
+
+def test_crossing_check_matches_pairwise_reference():
+    """The vectorized boundary check rejects exactly the segment sets the
+    pairwise loop rejects, touching, collinear and near-miss pairs included."""
+    from femscript.mesh.delaunay import _check_no_crossings
+    rng = np.random.default_rng(7)
+    tol = 1e-12
+    rejected = 0
+    for trial in range(400):
+        points = [tuple(map(float, p)) for p in rng.integers(0, 4, size=(6, 2))]
+        points += [(1.0, 1.0 + 1e-13), (2.0, 2.0 - 1e-12), (1.5, 1.5 + 3e-12)]
+        segs = []
+        for _ in range(3):
+            a, b = rng.choice(len(points), size=2, replace=False)
+            if points[a] != points[b]:
+                segs.append((int(a), int(b), 1))
+        if not segs:
+            continue
+        expected = any(
+            len({a1, b1, a2, b2}) == 4 and _properly_intersect_reference(
+                points[a1], points[b1], points[a2], points[b2], tol)
+            for i, (a1, b1, _) in enumerate(segs) for a2, b2, _ in segs[i + 1:])
+        try:
+            _check_no_crossings(points, segs, tol)
+            raised = False
+        except GeometryError:
+            raised = True
+        assert raised == expected, (trial, points, segs)
+        rejected += raised
+    assert 50 < rejected < 350
 
 
 def test_conformity_square_and_circle(square10, circle50):
@@ -349,3 +413,112 @@ def test_build_square_matches_loop_reference(m, n):
     assert mesh.edge.tolist() == [list(e) for e in edges]
     assert mesh.edge_label.tolist() == labels
     assert mesh.vertex_label.tolist() == vlab
+
+
+# -- golden meshes -----------------------------------------------------------------
+
+def _mesh_digest(mesh):
+    h = hashlib.sha256()
+    for a in (mesh.points, mesh.tri, mesh.edge, mesh.vertex_label, mesh.edge_label):
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+GOLDEN_DISKS = {
+    16: "6a3bc8c1e5c3a9e69d9b4e27bdb2d4a0ff7944e6688f73fd60cad18156178fa7",
+    32: "3ead04316fd73728ab7d0e7734377cb88eaeb136b1fa1dd07536907f210d2add",
+    64: "628705735d4404c6f13db7a143f826437203a1a3a9249b341cc8e761525810b1",
+    128: "d65409e765f0786d1eaf42c5d48796c5de914aa66e76d6f9a1f7187fff9eb578",
+    256: "fbb37a0c18a6ad1eea2985ab1f8294f8c55ac6a9fc5e698358eaab21192a05a3",
+}
+
+GOLDEN_BORDER_SETS = {
+    "size_factor_1.4": "04cb8ec514394989637523154cb15b149ecb158cde4262be14f363012be04989",
+    "smoothing_0": "9ff7e706ece50ec5189772c01b9a6c73faa2c90271043776040075896dbbbe63",
+    "hole": "ec0097a4429739c09c0515105b7623dcb9d4ebe33b7b4e7afdb6c5efb089e789",
+    "interface": "2061d8812e10014a0217ddceb5603359995ceb560c504392346a6c7ba3d6d541",
+    "l_shape": "6fe52a107188d40d468065ebc71a1665bf4be05c38a3593e59c8aca9916fa5f1",
+}
+
+GOLDEN_CORPUS = {
+    "Th": "23d0a689295a4abdc2efae2576cdb2c6ec545050c9f320f0282d97ac5451f013",
+    "MeshName": "69bb7bda5e2b5846b0f6f14f337433d3ebcac3dffa46d31c1c4e60a5c7d17cf4",
+    "Thwithouthole": GOLDEN_BORDER_SETS["interface"],
+    "Thwithhole": GOLDEN_BORDER_SETS["hole"],
+}
+
+
+def test_golden_disk_meshes(disk_meshes):
+    """The Delaunay mesher's output is pinned byte for byte.
+
+    Each digest covers the dtype, shape and bytes of `points`, `tri`, `edge`,
+    `vertex_label` and `edge_label`. The border samples come from `math.cos`
+    and `math.sin`, so the digests hold for the libm they were recorded with
+    (glibc on x86-64); on another libm the samples, and so the meshes, may
+    differ in the last bit. A speed-up of the mesher must leave them unchanged.
+    """
+    assert {mesh.ne: _mesh_digest(mesh) for mesh in disk_meshes} == GOLDEN_DISKS
+
+
+def test_golden_border_set_meshes():
+    """As `test_golden_disk_meshes`, for other settings and border sets."""
+    meshes = {
+        "size_factor_1.4": build_from_borders([circle_border(64)], size_factor=1.4),
+        "smoothing_0": build_from_borders([circle_border(64)], smoothing=0),
+        "hole": build_from_borders(_hole_borders(-30)),
+        "interface": build_from_borders(_hole_borders(+30)),
+        "l_shape": build_from_borders(_l_shape_borders()),
+    }
+    assert {k: _mesh_digest(m) for k, m in meshes.items()} == GOLDEN_BORDER_SETS
+
+
+def test_golden_corpus_buildmesh(tmp_path):
+    """As `test_golden_disk_meshes`, for the meshes `buildmesh` makes in
+    `tests/corpus/borders_buildmesh.edp`, `buildmesh(C(50))` among them."""
+    source = (Path(__file__).parent / "corpus" / "borders_buildmesh.edp").read_text()
+    result = run_source(source, script_dir=str(tmp_path), stdout=io.StringIO(),
+                        verbosity=0)
+    assert result.exit_code == 0
+    assert {k: _mesh_digest(result.env.lookup(k)) for k in GOLDEN_CORPUS} == GOLDEN_CORPUS
+
+
+def _relegalize_reference(tr, max_sweeps=20):
+    """Full sweeps: every edge of every kept triangle, in triangle-index order."""
+    for _ in range(max_sweeps):
+        flips = []
+        for t, vs in enumerate(tr.tris):
+            if vs is None or not tr.kept[t]:
+                continue
+            for k in range(3):
+                tr._legalize(t, k, flips)
+        if not flips:
+            return
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relegalize_matches_full_sweeps(seed):
+    """The candidate-driven Delaunay repair flips exactly what full sweeps flip,
+    here after jittering the vertices of a random Delaunay triangulation."""
+    import copy
+    from femscript.mesh.delaunay import _Triangulation
+    rng = np.random.default_rng(seed)
+    tr = _Triangulation(scale=1.0)
+    tr.init_super((0.0, 0.0), (1.0, 1.0))
+    for p in rng.random((300, 2)):
+        tr.insert(tuple(p))
+    tr.kept = [vs is not None and min(vs) >= tr.n_super for vs in tr.tris]
+    for a in range(tr.n_super, len(tr.pts)):
+        old = tr.pts[a]
+        tr.pts[a] = [float(v) for v in old + rng.normal(0.0, 0.02, 2)]
+        if any(a in vs and tr._orient(*tr._corners(t)) <= tr.tol_orient
+               for t, vs in enumerate(tr.tris)):
+            tr.pts[a] = old
+    reference = copy.deepcopy(tr)
+    _relegalize_reference(reference)
+    before = copy.deepcopy(tr.tris)
+    flipped = tr._relegalize()
+    assert tr.tris == reference.tris and tr.nbr == reference.nbr
+    assert {t for t, (a, b) in enumerate(zip(before, tr.tris)) if a != b} <= flipped
+    assert len(flipped) > 50

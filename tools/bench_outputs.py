@@ -9,9 +9,10 @@ dump      imports femscript from DIR/src and loads DIR/bench/workloads.py by
           run pass in a temporary directory, and pickles {workload: outputs}
           to out.pkl.  Nothing is written under bench/.
 compare   for each workload in both files: whether the pickled outputs are
-          byte-identical, and the largest relative deviation over the float
+          byte-identical, then one line per output key (nested dict keys
+          joined by "/") with the largest relative deviation over its float
           and array leaves (|a - b| / |b| for a number, max|a - b| / max|b|
-          for an array).
+          for an array), so that iteration counts do not mask table rows.
 
 To check a change against its parent, dump both checkouts with this script,
 one with --root pointing at a copy of the parent, and compare the files.
@@ -87,6 +88,18 @@ def max_rel_dev(a, b):
     return 0.0 if a == b else math.inf
 
 
+def key_deviations(a, b, path=""):
+    """(key path, max_rel_dev) for each value of b below its nested dicts;
+    a key present on one side only reads inf."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [(path, max_rel_dev(a, b))]
+    out = []
+    for k in list(b) + [k for k in a if k not in b]:
+        sub = f"{path}/{k}" if path else str(k)
+        out += key_deviations(a[k], b[k], sub) if k in a and k in b else [(sub, math.inf)]
+    return out
+
+
 def compare(path_a, path_b):
     with open(path_a, "rb") as f:
         a = pickle.load(f)
@@ -97,8 +110,9 @@ def compare(path_a, path_b):
             print(f"{name}: missing from {path_a}")
             continue
         same = pickle.dumps(a[name]) == pickle.dumps(b[name])
-        print(f"{name}: bytes {'equal' if same else 'differ'}, "
-              f"max relative deviation {max_rel_dev(a[name], b[name]):.3g}")
+        print(f"{name}: bytes {'equal' if same else 'differ'}")
+        for key, dev in key_deviations(a[name], b[name]):
+            print(f"  {key or '(outputs)'}: max relative deviation {dev:.3g}")
 
 
 def main(argv=None):
