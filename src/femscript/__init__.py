@@ -3,7 +3,7 @@ interpreter, and drivers for convergence studies."""
 
 from . import errors
 from .fespace import FeFunction, FeSpace, create_space, evaluate, interpolate
-from .fields import Constant, Field, FeField, FunctionField, X, Y, as_field
+from .fields import Constant, Field, FunctionField, X, Y, as_field
 from .forms import (DEFAULT_TGV, DirichletBC, FormExpr, FormTerm, TestFunction,
                     TrialFunction, VarForm, as_form, assemble_bilinear,
                     assemble_linear, dirichlet_dofs, dx, dy, integrate_1d,
@@ -25,7 +25,7 @@ __all__ = [
     "Mesh", "build_square", "move_mesh", "Border", "build_from_borders",
     "save_msh", "load_msh",
     "FeSpace", "FeFunction", "create_space", "interpolate", "evaluate",
-    "Field", "Constant", "FunctionField", "FeField", "X", "Y", "as_field",
+    "Field", "Constant", "FunctionField", "X", "Y", "as_field",
     "TrialFunction", "TestFunction", "FormExpr", "FormTerm", "VarForm",
     "DirichletBC", "as_form", "dx", "dy", "integrate_2d", "integrate_1d",
     "assemble_bilinear", "assemble_linear", "dirichlet_dofs", "DEFAULT_TGV",

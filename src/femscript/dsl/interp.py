@@ -1,14 +1,21 @@
 """Tree-walking evaluator.
 
 Values are Python natives (int/float/complex/str), numpy arrays (vectors and
-dense matrices), kernel objects (Mesh, FeSpace, FeFunction, SparseMatrix),
-and small wrapper types for the language's border/stream machinery.
+dense matrices), kernel objects (Mesh, FeSpace, FeFunction, SparseMatrix,
+Field, FormExpr), and one small type per language concept that has no kernel
+counterpart: `Stream` (cout, cin, cerr and files), `Transposed` (v' of an
+array or of a bracket list), `BorderValue` and `BorderSum` (buildmesh's
+argument; `C(n)` is a sum of one run), plus functions, varfs and problems.
 Variational integrands evaluate in a "field" environment where x and y are
-coordinate fields and FE functions lift to fields, so one evaluator serves
-plain arithmetic, analytic functions, and form assembly alike.  The term
-algebra of `varf`/`problem`/`solve` bodies yields the kernel's own types: an
-integral becomes a `forms.FormTerm` and an `on()` clause a
-`forms.DirichletBC`, collected in a `Terms` value that assembly consumes as is.
+coordinate fields; an FE function is a field and the unknown and test
+function are forms, so one evaluator serves plain arithmetic, analytic
+functions, and form assembly alike.  The term algebra of
+`varf`/`problem`/`solve` bodies yields the kernel's own types: an integral
+becomes a `forms.FormTerm` and an `on()` clause a `forms.DirichletBC`,
+collected in a `Terms` value that assembly consumes as is.
+
+A Python error that a statement raises on bad data (an arithmetic, value,
+type or OS error, or runaway recursion) becomes an EvalError naming the line.
 """
 
 import math
@@ -27,8 +34,8 @@ from ..fespace import FeFunction, FeSpace
 # The benchmark's tracer (bench/tracing.py) wraps the interpreter's
 # interpolation at this module-level name; keep the alias while it does.
 from ..fespace import interpolate as interpolate_field
-from ..fields import (Binary as FieldBinary, Constant, Field, FeField,
-                      Unary as FieldUnary, X as FIELD_X, Y as FIELD_Y)
+from ..fields import (Binary as FieldBinary, Constant, Field, Unary as FieldUnary,
+                      X as FIELD_X, Y as FIELD_Y)
 from ..io.exporters import export_eps
 from ..linalg import SparseMatrix, factorize, solve_cg
 from ..linalg import det as _det, dot as _dot, outer as _outer, trace as _trace
@@ -120,16 +127,11 @@ class BorderValue:
     t1: float
     body: tuple
     env: Env
-    label_hint: int = 0
-
-
-@dataclass
-class BorderRun:
-    border: BorderValue
-    count: int
 
 
 class BorderSum:
+    """buildmesh's argument: (border, point count) runs in source order."""
+
     def __init__(self, runs):
         self.runs = list(runs)
 
@@ -156,62 +158,40 @@ class ProblemValue:
         self.cache = None      # (mesh, matrix); the matrix caches its LU
 
 
-class FileValue:
-    def __init__(self, path, mode):
-        self.path = path
-        self.mode = mode
-        self.handle = open(path, mode)
+class Stream:
+    """A text stream: `direction` "in" or "out".  A stream the script opened
+    (`owned`, a file) flushes on every write and closes with its scope."""
+
+    def __init__(self, handle, name, direction, owned=False):
+        self.handle = handle
+        self.name = name
+        self.direction = direction
+        self.owned = owned
         self._tokens = []
 
-    def write(self, text):
+    def write(self, text, flush=False):
+        if self.direction != "out":
+            raise EvalError(f"cannot write to the input stream {self.name}")
         self.handle.write(text)
-        self.handle.flush()
+        if flush or self.owned:
+            getattr(self.handle, "flush", lambda: None)()
 
     def next_token(self):
+        if self.direction != "in":
+            raise EvalError(f"cannot read from the output stream {self.name}")
         while not self._tokens:
             line = self.handle.readline()
             if not line:
-                raise EvalError(f"end of file while reading {self.path!r}")
+                raise EvalError(f"end of {self.name} while reading")
             self._tokens = line.split()
         return self._tokens.pop(0)
 
     def close(self):
-        if not self.handle.closed:
+        if self.owned and not self.handle.closed:
             self.handle.close()
 
 
-class OutStream:
-    def __init__(self, target):
-        self.target = target
-
-    def write(self, text):
-        self.target.write(text)
-
-
-class InStream:
-    def __init__(self, source):
-        self.source = source
-        self._tokens = []
-
-    def next_token(self):
-        while not self._tokens:
-            line = self.source.readline()
-            if not line:
-                raise EvalError("end of standard input")
-            self._tokens = line.split()
-        return self._tokens.pop(0)
-
-
-class EndlType:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-
-ENDL = EndlType()
+ENDL = object()     # `endl`: writes a newline and flushes
 
 
 @dataclass
@@ -327,7 +307,7 @@ def _is_number(v):
 
 
 def _fieldable(v):
-    return isinstance(v, (Field, FeFunction, FuncValue)) or _is_number(v)
+    return isinstance(v, (Field, FuncValue)) or _is_number(v)
 
 
 def _format_value(v):
@@ -389,9 +369,9 @@ class Interpreter:
         g.define("true", 1)
         g.define("false", 0)
         g.define("endl", ENDL)
-        g.define("cout", OutStream(self.stdout))
-        g.define("cerr", OutStream(sys.stderr))
-        g.define("cin", InStream(self.stdin))
+        g.define("cout", Stream(self.stdout, "cout", "out"))
+        g.define("cerr", Stream(sys.stderr, "cerr", "out"))
+        g.define("cin", Stream(self.stdin, "cin", "in"))
         for name in ELEMENT_NAMES:
             g.define(name, name)
         for name in SOLVER_NAMES:
@@ -446,15 +426,15 @@ class Interpreter:
             if len(args) != 1:
                 raise EvalError(f"{name} takes one argument")
             v = args[0]
-            if isinstance(v, (Field, FeFunction, FuncValue)):
+            if isinstance(v, (Field, FuncValue)):
                 return FieldUnary(fn, self._as_field(v))
             return _simplify(fn(v))
         return call
 
     def _bi_abs(self, interp, env, args, named):
         v = args[0]
-        if isinstance(v, (Field, FeFunction)):
-            return abs(self._as_field(v))
+        if isinstance(v, Field):
+            return abs(v)
         if isinstance(v, np.ndarray):
             return np.abs(v)
         return abs(v)
@@ -509,16 +489,11 @@ class Interpreter:
         for key in named:
             self._log(1, f"buildmesh: ignoring named parameter {key!r}")
         v = args[0]
-        if isinstance(v, BorderRun):
-            v = BorderSum([v])
         if not isinstance(v, BorderSum):
             raise EvalError("buildmesh expects a sum of border runs")
-        borders = [self._make_border(run) for run in v.runs]
-        return build_from_borders(borders)
+        return build_from_borders([self._make_border(bv, n) for bv, n in v.runs])
 
-    def _make_border(self, run: BorderRun):
-        bv = run.border
-
+    def _make_border(self, bv: BorderValue, count):
         def body(t):
             benv = Env(parent=bv.env)
             benv.define(bv.param, float(t))
@@ -532,7 +507,7 @@ class Interpreter:
             out = body(t)
             return float(out["x"]), float(out["y"])
 
-        return Border(param, bv.t0, bv.t1, run.count, int(body(bv.t0)["label"]))
+        return Border(param, bv.t0, bv.t1, count, int(body(bv.t0)["label"]))
 
     def _bi_savemesh(self, interp, env, args, named):
         mesh, path = args[0], args[1]
@@ -565,7 +540,7 @@ class Interpreter:
             if arg.name is None:
                 v = self.eval(arg.value, env)
                 if isinstance(v, BorderValue):
-                    labels.append(self._make_border(BorderRun(v, 1)).label)
+                    labels.append(self._make_border(v, 1).label)
                 else:
                     labels.append(int(v))
             else:
@@ -627,6 +602,9 @@ class Interpreter:
                 exc.line = stmt.line
                 exc.args = (f"line {stmt.line}: {exc}",)
             raise
+        except (ArithmeticError, ValueError, TypeError, OSError, RecursionError) as exc:
+            # bad data in the script (1/0, a negative size, a missing file)
+            raise EvalError(f"{type(exc).__name__}: {exc}", stmt.line) from None
 
     def _st_Block(self, stmt, env):
         child = Env(parent=env)
@@ -651,7 +629,7 @@ class Interpreter:
             value = self._make_declared(stmt, d, env)
             if stmt.base in ("ofstream", "ifstream"):
                 old = env.vars.get(d.name)
-                if isinstance(old, FileValue):
+                if isinstance(old, Stream):
                     old.close()
                 env.files.append(value)
             env.define(d.name, value)
@@ -663,11 +641,12 @@ class Interpreter:
         if base in ("ofstream", "ifstream"):
             if len(sizes) != 1:
                 raise EvalError(f"{base} needs a file path", stmt.line)
-            mode = "w" if base == "ofstream" else "r"
+            out = base == "ofstream"
             try:
-                return FileValue(self._resolve(sizes[0]), mode)
+                handle = open(self._resolve(sizes[0]), "w" if out else "r")
             except OSError as exc:
                 raise EvalError(f"cannot open {sizes[0]!r}: {exc}", stmt.line)
+            return Stream(handle, f"file {sizes[0]!r}", "out" if out else "in", owned=True)
         if base == "mesh":
             if sizes:
                 return load_msh(self._resolve(sizes[0]))
@@ -751,7 +730,7 @@ class Interpreter:
             u.dofs[:] = value.dofs
         elif _is_number(value):
             u.dofs[:] = float(value)
-        elif isinstance(value, (Field, FeFunction)):
+        elif isinstance(value, Field):
             # another mesh raises InvalidArgumentError, as it does for g+0
             u.dofs[:] = interpolate_field(u.space, value).dofs
         elif isinstance(value, FuncValue) and value.analytic:
@@ -835,8 +814,6 @@ class Interpreter:
     def _as_field(self, v) -> Field:
         if isinstance(v, Field):
             return v
-        if isinstance(v, FeFunction):
-            return FeField(v)
         if isinstance(v, FuncValue):
             if not v.analytic:
                 raise EvalError(f"function {v.name!r} needs explicit arguments here")
@@ -867,8 +844,7 @@ class Interpreter:
 
     def _ev_ListExpr(self, node, env):
         items = [self.eval(x, env) for x in node.items]
-        if any(isinstance(v, (F.FormExpr, F.TrialFunction, F.TestFunction, Field,
-                              FeFunction, FuncValue)) for v in items):
+        if any(isinstance(v, (F.FormExpr, Field, FuncValue)) for v in items):
             return items
         if all(isinstance(v, np.ndarray) and v.ndim == 1 for v in items) and items:
             return np.vstack(items)
@@ -898,10 +874,8 @@ class Interpreter:
         if node.op == "!":
             return int(not self._truthy(v))
         # negation
-        if isinstance(v, (F.FormExpr, F.TrialFunction, F.TestFunction)):
-            return -F.as_form(v)
-        if isinstance(v, (Field, FeFunction)):
-            return -self._as_field(v)
+        if isinstance(v, (F.FormExpr, Field)):
+            return -v
         if isinstance(v, np.ndarray):
             return -v
         if isinstance(v, SparseMatrix):
@@ -915,19 +889,19 @@ class Interpreter:
     def _ev_Binary(self, node, env):
         if node.op in ("&", "&&", "|", "||"):
             left = self.eval(node.left, env)
-            if isinstance(left, (Field, FeFunction)):
+            if isinstance(left, Field):
                 return self.binary_op(node.op, left, self.eval(node.right, env), node.line)
             # short-circuit: a false left decides `&`, a true one decides `|`
             is_and = node.op in ("&", "&&")
             if self._truthy(left) != is_and:
                 return int(not is_and)
             right = self.eval(node.right, env)
-            if isinstance(right, (Field, FeFunction)):
+            if isinstance(right, Field):
                 return self.binary_op(node.op, left, right, node.line)
             return int(self._truthy(right))
         if node.op == ">>":
             left = self.eval(node.left, env)
-            if isinstance(left, (InStream, FileValue)):
+            if isinstance(left, Stream):
                 self.read_stream(left, node.right, env)
                 return left
             right = self.eval(node.right, env)
@@ -973,7 +947,7 @@ class Interpreter:
         if isinstance(v, SparseMatrix):
             return v.T
         if isinstance(v, list):  # form/field vector
-            return TransposedList(v)
+            return Transposed(v)
         raise EvalError(f"cannot transpose {type(v).__name__}", node.line)
 
     def _ev_Member(self, node, env):
@@ -1052,7 +1026,7 @@ class Interpreter:
         if isinstance(callee, BorderValue):
             if len(args) != 1:
                 raise EvalError("border run needs a point count", node.line)
-            return BorderRun(callee, int(args[0]))
+            return BorderSum([(callee, int(args[0]))])
         if isinstance(callee, VarfValue):
             return self._assemble_varf(callee, args, named, node.line)
         if isinstance(callee, np.ndarray) and len(args) in (1, 2):
@@ -1164,8 +1138,6 @@ class Interpreter:
         if len(node.args) != 1 or node.args[0].name is not None:
             raise EvalError("integral takes a single integrand", node.line)
         value = self.eval_field_expr(node.args[0].value, env)
-        if isinstance(value, (F.TrialFunction, F.TestFunction)):
-            value = F.as_form(value)
         if isinstance(value, F.FormExpr):
             if not value.is_pure():
                 return self._form_term(integ, value, node.line)
@@ -1261,18 +1233,16 @@ class Interpreter:
         if isinstance(a, Terms) or isinstance(b, Terms):
             return self._terms_op(op, a, b, line)
         # symbolic form expressions
-        if isinstance(a, (F.FormExpr, F.TrialFunction, F.TestFunction)) or \
-           isinstance(b, (F.FormExpr, F.TrialFunction, F.TestFunction)):
+        if isinstance(a, F.FormExpr) or isinstance(b, F.FormExpr):
             return self._form_op(op, a, b, line)
         # streams
-        if op == "<<" and isinstance(a, (OutStream, FileValue)):
+        if op == "<<" and isinstance(a, Stream):
             self._write_stream(a, b)
             return a
-        if op == ">>" and isinstance(a, (InStream, FileValue)):
+        if op == ">>" and isinstance(a, Stream):
             raise EvalError("stream reads assign into a variable; use `is >> name`", line)
         # fields
         if isinstance(a, Field) or isinstance(b, Field) or \
-           isinstance(a, FeFunction) or isinstance(b, FeFunction) or \
            (isinstance(a, FuncValue) and _fieldable(b)) or \
            (isinstance(b, FuncValue) and _fieldable(a)):
             return self._field_op(op, a, b, line)
@@ -1286,18 +1256,12 @@ class Interpreter:
                 return int(a != b)
             raise EvalError(f"operator {op!r} undefined for strings", line)
         # borders
-        if isinstance(a, (BorderRun, BorderSum)) or isinstance(b, (BorderRun, BorderSum)):
-            if op == "+":
-                runs = []
-                for v in (a, b):
-                    if isinstance(v, BorderRun):
-                        runs.append(v)
-                    elif isinstance(v, BorderSum):
-                        runs.extend(v.runs)
-                    else:
-                        raise EvalError("borders only combine with borders", line)
-                return BorderSum(runs)
-            raise EvalError(f"operator {op!r} undefined for borders", line)
+        if isinstance(a, BorderSum) or isinstance(b, BorderSum):
+            if op != "+":
+                raise EvalError(f"operator {op!r} undefined for borders", line)
+            if not (isinstance(a, BorderSum) and isinstance(b, BorderSum)):
+                raise EvalError("borders only combine with borders", line)
+            return BorderSum(a.runs + b.runs)
         # linear algebra
         if isinstance(a, LINALG_TYPES) or isinstance(b, LINALG_TYPES):
             return self._linalg_op(op, a, b, line)
@@ -1310,18 +1274,18 @@ class Interpreter:
     def _terms_op(self, op, a, b, line):
         if op == "*" and (_is_number(a) or _is_number(b)):
             c, terms = (a, b) if _is_number(a) else (b, a)
-            return terms.map(lambda e: F.as_form(self._as_field(c)) * e, "scale", line)
+            return terms.map(lambda e: self._as_form(c) * e, "scale", line)
         if op not in ("+", "-"):
             raise EvalError(f"operator {op!r} undefined for form terms", line)
         if not (isinstance(a, Terms) and isinstance(b, Terms)):
             raise EvalError("form terms only combine with form terms", line)
         return a + (b.map(lambda e: -e, "negate", line) if op == "-" else b)
 
+    def _as_form(self, v) -> F.FormExpr:
+        return v if isinstance(v, F.FormExpr) else F.as_form(self._as_field(v))
+
     def _form_op(self, op, a, b, line):
-        fa = F.as_form(a) if isinstance(a, (F.FormExpr, F.TrialFunction, F.TestFunction)) \
-            else F.as_form(self._as_field(a))
-        fb = F.as_form(b) if isinstance(b, (F.FormExpr, F.TrialFunction, F.TestFunction)) \
-            else F.as_form(self._as_field(b))
+        fa, fb = self._as_form(a), self._as_form(b)
         if op == "+":
             return fa + fb
         if op == "-":
@@ -1365,32 +1329,29 @@ class Interpreter:
             if op == "+" and isinstance(a, SparseMatrix) and isinstance(b, SparseMatrix):
                 return a + b
             raise EvalError(f"operator {op!r} undefined for sparse matrices", line)
-        if isinstance(a, Transposed):
-            if op == "*" and isinstance(b, np.ndarray) and b.ndim == 1:
-                return _simplify(_dot(a.data, b))
-            if op == "*" and isinstance(b, np.ndarray) and b.ndim == 2:
-                return a.data @ b
-            raise EvalError("transposed vectors multiply vectors", line)
-        if isinstance(b, Transposed):
-            if op == "*" and isinstance(a, np.ndarray) and a.ndim == 1:
-                return _outer(a, b.data)
-            raise EvalError("vector times transposed vector is the only outer form", line)
         num, vec = (a, b) if _is_number(a) else (b, a)
-        if op == "*" and _is_number(num) and isinstance(vec, (list, TransposedList)):
+        items = vec.data if isinstance(vec, Transposed) else vec
+        if op == "*" and _is_number(num) and isinstance(items, list):
             # a number scales a bracket vector (or its transpose) entry by entry
-            items = [self.binary_op("*", num, x, line)
-                     for x in (vec.items if isinstance(vec, TransposedList) else vec)]
-            return TransposedList(items) if isinstance(vec, TransposedList) else items
-        if isinstance(a, TransposedList):
-            if op == "*" and isinstance(b, list):
-                if len(a.items) != len(b):
+            items = [self.binary_op("*", num, x, line) for x in items]
+            return Transposed(items) if isinstance(vec, Transposed) else items
+        if isinstance(a, Transposed):
+            if op == "*" and isinstance(a.data, list) and isinstance(b, list):
+                if len(a.data) != len(b):
                     raise EvalError("dot product of vectors of different lengths", line)
                 total = None
-                for x, y in zip(a.items, b):
+                for x, y in zip(a.data, b):
                     prod = self.binary_op("*", x, y, line)
                     total = prod if total is None else self.binary_op("+", total, prod, line)
                 return total
-            raise EvalError("transposed bracket vectors multiply bracket vectors", line)
+            if op == "*" and isinstance(a.data, np.ndarray) and isinstance(b, np.ndarray):
+                return _simplify(_dot(a.data, b)) if b.ndim == 1 else a.data @ b
+            raise EvalError("a transposed vector multiplies a vector of its kind", line)
+        if isinstance(b, Transposed):
+            if op == "*" and isinstance(a, np.ndarray) and a.ndim == 1 and \
+                    isinstance(b.data, np.ndarray):
+                return _outer(a, b.data)
+            raise EvalError("vector times transposed vector is the only outer form", line)
         if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
             if a.ndim == 2 and b.ndim == 1 and op == "*":
                 return a @ b
@@ -1465,9 +1426,7 @@ class Interpreter:
 
     def _write_stream(self, stream, value):
         if value is ENDL:
-            stream.write("\n")
-            if isinstance(stream, OutStream):
-                getattr(stream.target, "flush", lambda: None)()
+            stream.write("\n", flush=True)
             return
         if isinstance(value, FeFunction):
             value = value.dofs
@@ -1499,13 +1458,10 @@ class Interpreter:
 
 
 class Transposed:
+    """v' of a 1-D array or of a bracket list of fields and forms."""
+
     def __init__(self, data):
         self.data = data
 
 
-class TransposedList:
-    def __init__(self, items):
-        self.items = items
-
-
-LINALG_TYPES = (np.ndarray, list, Transposed, TransposedList, SparseMatrix, SolveProxy)
+LINALG_TYPES = (np.ndarray, list, Transposed, SparseMatrix, SolveProxy)

@@ -1,17 +1,20 @@
 """P0/P1 finite element spaces: DOF numbering, interpolation, point evaluation.
 
 P1 numbers one DOF per vertex (dof_of(t, k) = vertex index), P0 one DOF per
-triangle at its barycenter.  Interpolation evaluates a coefficient, the same
-kind of expression an integrand takes, through `Field.eval_cells` at one site
-per DOF (`dof_values`); FE assignment in scripts, Dirichlet values and mesh
-transforms all go through it.  Point evaluation at arbitrary coordinates
-locates the containing triangle by walking the adjacency graph from the last
-hit, falling back to a brute scan, and interpolates barycentrically.
+triangle at its barycenter.  An FE function is a `fields.Field`, so it enters
+integrands and coefficient expressions as it is.  Interpolation evaluates a
+coefficient, the same kind of expression an integrand takes, through
+`Field.values` at one site per DOF (`dof_values`); FE assignment in scripts,
+Dirichlet values and mesh transforms all go through it.  Point evaluation at
+arbitrary coordinates locates the containing triangle by walking the
+adjacency graph from the last hit, falling back to a brute scan, and
+interpolates barycentrically.
 """
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError, OutOfDomainError
+from .errors import InvalidArgumentError, OutOfDomainError
+from .fields import CellContext, Field, FunctionField, as_field
 from .mesh import Mesh
 
 _ELEMS = ("P0", "P1")
@@ -48,8 +51,9 @@ def create_space(mesh: Mesh, elem: str) -> FeSpace:
     return FeSpace(mesh, elem)
 
 
-class FeFunction:
-    """DOF-value vector bound to a space; callable at points of the domain."""
+class FeFunction(Field):
+    """DOF-value vector bound to a space; a coefficient field on its mesh,
+    callable at points of the domain."""
 
     def __init__(self, space: FeSpace):
         self.space = space
@@ -62,6 +66,17 @@ class FeFunction:
 
     def __call__(self, x, y):
         return evaluate(self, x, y)
+
+    def eval_cells(self, ctx):
+        if self.space.mesh is not ctx.mesh:
+            raise InvalidArgumentError("FE coefficient lives on a different mesh")
+        if self.space.elem == "P0":
+            vals = self.dofs[ctx.tri]                   # (n,)
+            return np.broadcast_to(vals[:, None], ctx.x.shape)
+        nodal = self.dofs[ctx.mesh.tri[ctx.tri]]        # (n, 3)
+        if ctx.lam.ndim == 2:
+            return nodal @ ctx.lam.T                    # (n, nq)
+        return np.einsum("nk,nqk->nq", nodal, ctx.lam)
 
     def __repr__(self):
         return f"FeFunction({self.space.elem}, ndof={self.space.ndof})"
@@ -76,7 +91,6 @@ def _dof_context(space: FeSpace):
     vertex in no triangle is seen from triangle 0, where only fields that do
     not read FE values are meaningful.
     """
-    from .fields import CellContext  # fields imports this module
     mesh = space.mesh
 
     def build():
@@ -98,26 +112,21 @@ def dof_values(space: FeSpace, f, dofs=None) -> np.ndarray:
     `f` is a number, a Field, an FE function on the same mesh, or a callable
     f(x, y) vectorized over flat coordinate arrays; a callable that fails on
     arrays is called once per site with floats.  Raises NumericError if a
-    value is not finite.
+    value is not finite (`Field.values`).
     """
-    from .fields import CellContext, FunctionField, as_field  # fields imports this module
     ctx = _dof_context(space)
     if dofs is not None:
         lam = ctx.lam if ctx.lam.ndim == 2 else ctx.lam[dofs]
         ctx = CellContext(ctx.mesh, ctx.tri[dofs], ctx.x[dofs], ctx.y[dofs], lam)
-    x, y = ctx.x[:, 0], ctx.y[:, 0]
     field = as_field(f)
     try:
-        vals = field.eval_cells(ctx)
+        vals = field.values(ctx)
     except (TypeError, ValueError):
         if not isinstance(field, FunctionField):
             raise
-        vals = np.reshape([float(f(float(xi), float(yi))) for xi, yi in zip(x, y)], ctx.x.shape)
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), ctx.x.shape)[:, 0].copy()
-    if not np.all(np.isfinite(vals)):
-        k = int(np.argmin(np.isfinite(vals)))
-        raise NumericError(f"interpolated function not finite at ({x[k]:g}, {y[k]:g})")
-    return vals
+        vals = FunctionField(lambda x, y: [float(f(float(xi), float(yi)))
+                                           for xi, yi in zip(x, y)]).values(ctx)
+    return vals[:, 0].copy()
 
 
 def interpolate(space: FeSpace, f) -> FeFunction:

@@ -2,17 +2,19 @@
 
 A Field has one evaluation protocol, `eval_cells`: values in bulk at sites
 given as (triangle, barycentric coordinates), the quadrature points of
-assembly or the DOF sites of interpolation (`fespace.dof_values`).  An FE
-function is only evaluated on its own mesh this way; point evaluation at raw
-coordinates is `fespace.evaluate`.  Arithmetic on fields builds expression
-trees, so integrands like `(uh - uex)**2` or `4*sin(x**2 + y**2 - 1)*x**2`
-evaluate vectorized during assembly.
+assembly or the DOF sites of interpolation (`fespace.dof_values`).
+`values` is the checked form of it that every consumer uses.  An FE function
+(`fespace.FeFunction`) is itself a Field, evaluated this way on its own mesh
+only; point evaluation at raw coordinates is `fespace.evaluate`.  Arithmetic
+on fields builds expression trees, so integrands like `(uh - uex)**2` or
+`4*sin(x**2 + y**2 - 1)*x**2` evaluate vectorized during assembly.  An
+operand that is not a coefficient (a form, say) is left to its own
+arithmetic, so `uh * v` is a form.
 """
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .fespace import FeFunction
+from .errors import InvalidArgumentError, NumericError
 
 
 class CellContext:
@@ -32,34 +34,44 @@ class Field:
     def eval_cells(self, ctx):
         raise NotImplementedError
 
+    def values(self, ctx) -> np.ndarray:
+        """`eval_cells` as floats of the sites' shape; raises NumericError at
+        the first site where a value is not finite."""
+        vals = np.broadcast_to(np.asarray(self.eval_cells(ctx), dtype=float), ctx.x.shape)
+        if not np.all(np.isfinite(vals)):
+            k = int(np.argmin(np.isfinite(vals).ravel()))
+            raise NumericError(f"coefficient is not finite at "
+                               f"({ctx.x.flat[k]:g}, {ctx.y.flat[k]:g})")
+        return vals
+
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        return Binary(np.add, self, as_field(other))
+        return _binary(np.add, self, other)
 
     def __radd__(self, other):
-        return Binary(np.add, as_field(other), self)
+        return _binary(np.add, other, self)
 
     def __sub__(self, other):
-        return Binary(np.subtract, self, as_field(other))
+        return _binary(np.subtract, self, other)
 
     def __rsub__(self, other):
-        return Binary(np.subtract, as_field(other), self)
+        return _binary(np.subtract, other, self)
 
     def __mul__(self, other):
-        return Binary(np.multiply, self, as_field(other))
+        return _binary(np.multiply, self, other)
 
     def __rmul__(self, other):
-        return Binary(np.multiply, as_field(other), self)
+        return _binary(np.multiply, other, self)
 
     def __truediv__(self, other):
-        return Binary(np.divide, self, as_field(other))
+        return _binary(np.divide, self, other)
 
     def __rtruediv__(self, other):
-        return Binary(np.divide, as_field(other), self)
+        return _binary(np.divide, other, self)
 
     def __pow__(self, other):
-        return Binary(np.power, self, as_field(other))
+        return _binary(np.power, self, other)
 
     def __neg__(self):
         return Unary(np.negative, self)
@@ -69,9 +81,8 @@ class Field:
 
     # comparisons produce 0/1 indicator fields (used by cutoff coefficients)
 
-    def _cmp(self, op, other, swap=False):
-        a, b = (as_field(other), self) if swap else (self, as_field(other))
-        return Binary(lambda u, v: op(u, v).astype(float), a, b)
+    def _cmp(self, op, other):
+        return _binary(lambda u, v: op(u, v).astype(float), self, other)
 
     def __lt__(self, other):
         return self._cmp(np.less, other)
@@ -113,29 +124,10 @@ class FunctionField(Field):
         return vals.reshape(ctx.x.shape) if vals.ndim else vals
 
 
-class FeField(Field):
-    """An FE function seen as a field (values via local interpolation)."""
-
-    def __init__(self, u: FeFunction):
-        self.u = u
-
-    def eval_cells(self, ctx):
-        u = self.u
-        if u.space.mesh is not ctx.mesh:
-            raise InvalidArgumentError("FE coefficient lives on a different mesh")
-        if u.space.elem == "P0":
-            vals = u.dofs[ctx.tri]                      # (n,)
-            return np.broadcast_to(vals[:, None], ctx.x.shape)
-        nodal = u.dofs[ctx.mesh.tri[ctx.tri]]           # (n, 3)
-        if ctx.lam.ndim == 2:
-            return nodal @ ctx.lam.T                    # (n, nq)
-        return np.einsum("nk,nqk->nq", nodal, ctx.lam)
-
-
 class FeGradField(Field):
     """Partial derivative of a P1 FE function: piecewise constant."""
 
-    def __init__(self, u: FeFunction, axis):
+    def __init__(self, u, axis):
         self.u = u
         self.axis = axis
 
@@ -178,10 +170,17 @@ Y = Coordinate(1)
 def as_field(obj) -> Field:
     if isinstance(obj, Field):
         return obj
-    if isinstance(obj, FeFunction):
-        return FeField(obj)
     if isinstance(obj, (int, float, np.integer, np.floating)):
         return Constant(obj)
     if callable(obj):
         return FunctionField(obj)
     raise InvalidArgumentError(f"cannot use {type(obj).__name__} as a coefficient field")
+
+
+def _binary(op, a, b):
+    """`op(a, b)` as a field, or NotImplemented when an operand is not a
+    coefficient, so that the other operand's arithmetic (a form's) decides."""
+    try:
+        return Binary(op, as_field(a), as_field(b))
+    except InvalidArgumentError:
+        return NotImplemented

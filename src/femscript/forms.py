@@ -1,7 +1,10 @@
 """Variational forms: quadrature, symbolic integrands, sparse assembly.
 
 A FormExpr is a sum of products `coef * (trial part) * (test part)` where the
-trial/test parts are one of {value, d/dx, d/dy} and `coef` is a Field.  Terms
+trial/test parts are one of {value, d/dx, d/dy} and `coef` is a Field.  The
+trial and test functions are themselves forms (`1 * u` and `1 * v`), and a
+Field on either side of one (an FE function, a constant) is its coefficient,
+so `uh * v` and `dx(u) * dx(v)` are written as on paper.  Terms
 degree-1 in both trial and test assemble to a matrix, terms degree-1 in the
 test function alone to a vector; mixing orders inside one integral is an
 error.  Dirichlet conditions use the giant-diagonal penalty: the matrix
@@ -23,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError
 from .fespace import FeFunction, FeSpace, dof_values
-from .fields import CellContext, Constant, Field, FeField, FeGradField, as_field
+from .fields import CellContext, Constant, Field, FeGradField, as_field
 from .linalg import SparseMatrix
 
 DEFAULT_TGV = 1e30
@@ -84,18 +87,6 @@ def _rule(quad) -> QuadRule:
 # --------------------------------------------------------------------------
 # symbolic trial/test layer
 
-class TrialFunction:
-    """Placeholder for the unknown in a bilinear integrand."""
-
-
-class TestFunction:
-    """Placeholder for the test function in an integrand."""
-
-
-def _atom(uk=None, vk=None):
-    return FormExpr({(uk, vk): Constant(1.0)})
-
-
 def _combine(k1, k2, what):
     if k1 is None:
         return k2
@@ -106,8 +97,6 @@ def _combine(k1, k2, what):
 
 class FormExpr:
     """Multilinear polynomial in the trial/test atoms with Field coefficients."""
-
-    _form_expr_marker = True
 
     def __init__(self, terms):
         self.terms = dict(terms)
@@ -133,14 +122,6 @@ class FormExpr:
 
     # arithmetic ------------------------------------------------------------
 
-    @staticmethod
-    def _wrap(other):
-        if isinstance(other, FormExpr):
-            return other
-        if isinstance(other, (TrialFunction, TestFunction)):
-            return as_form(other)
-        return FormExpr({(None, None): as_field(other)})
-
     def _merge(self, other, sign):
         out = dict(self.terms)
         for k, f in other.terms.items():
@@ -149,22 +130,22 @@ class FormExpr:
         return FormExpr(out)
 
     def __add__(self, other):
-        return self._merge(self._wrap(other), +1)
+        return self._merge(as_form(other), +1)
 
     def __radd__(self, other):
-        return self._wrap(other)._merge(self, +1)
+        return as_form(other)._merge(self, +1)
 
     def __sub__(self, other):
-        return self._merge(self._wrap(other), -1)
+        return self._merge(as_form(other), -1)
 
     def __rsub__(self, other):
-        return self._wrap(other)._merge(self, -1)
+        return as_form(other)._merge(self, -1)
 
     def __neg__(self):
         return FormExpr({k: -f for k, f in self.terms.items()})
 
     def __mul__(self, other):
-        other = self._wrap(other)
+        other = as_form(other)
         out = {}
         for (u1, v1), f1 in self.terms.items():
             for (u2, v2), f2 in other.terms.items():
@@ -174,10 +155,10 @@ class FormExpr:
         return FormExpr(out)
 
     def __rmul__(self, other):
-        return self._wrap(other).__mul__(self)
+        return as_form(other).__mul__(self)
 
     def __truediv__(self, other):
-        other = self._wrap(other)
+        other = as_form(other)
         div = other.pure_field()
         return FormExpr({k: f / div for k, f in self.terms.items()})
 
@@ -192,36 +173,46 @@ class FormExpr:
         raise InvalidArgumentError("cannot raise a trial/test expression to that power")
 
 
+class TrialFunction(FormExpr):
+    """The unknown of a bilinear integrand: the form `1 * u`."""
+
+    def __init__(self):
+        super().__init__({("val", None): Constant(1.0)})
+
+
+class TestFunction(FormExpr):
+    """The test function of an integrand: the form `1 * v`."""
+
+    __test__ = False        # not a test class for pytest
+
+    def __init__(self):
+        super().__init__({(None, "val"): Constant(1.0)})
+
+
 def as_form(obj) -> FormExpr:
     if isinstance(obj, FormExpr):
         return obj
-    if isinstance(obj, TrialFunction):
-        return _atom(uk="val")
-    if isinstance(obj, TestFunction):
-        return _atom(vk="val")
     return FormExpr({(None, None): as_field(obj)})
 
 
 def dx(obj):
-    """d/dx of a trial/test placeholder or of an FE function."""
+    """d/dx of a trial/test function or of an FE function."""
     return _diff(obj, 0)
 
 
 def dy(obj):
-    """d/dy of a trial/test placeholder or of an FE function."""
+    """d/dy of a trial/test function or of an FE function."""
     return _diff(obj, 1)
 
 
 def _diff(obj, axis):
     kind = "dx" if axis == 0 else "dy"
     if isinstance(obj, TrialFunction):
-        return _atom(uk=kind)
+        return FormExpr({(kind, None): Constant(1.0)})
     if isinstance(obj, TestFunction):
-        return _atom(vk=kind)
+        return FormExpr({(None, kind): Constant(1.0)})
     if isinstance(obj, FeFunction):
         return FeGradField(obj, axis)
-    if isinstance(obj, FeField):
-        return FeGradField(obj.u, axis)
     raise InvalidArgumentError(
         f"d/d{'xy'[axis]} applies to trial/test placeholders or FE functions")
 
@@ -287,10 +278,7 @@ def integrate_2d(mesh, g, quad="default") -> float:
     ctx = _cell_context(mesh, rule)
     if isinstance(g, FormExpr):
         g = g.pure_field()
-    vals = np.broadcast_to(np.asarray(as_field(g).eval_cells(ctx), dtype=float),
-                           ctx.x.shape)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("integrand is not finite on the domain")
+    vals = as_field(g).values(ctx)
     area = mesh.signed_areas()
     # pairwise np.sum keeps the roundoff of large meshes near machine epsilon
     return float(np.sum(area * (vals @ rule.w)))
@@ -336,10 +324,7 @@ def integrate_1d(mesh, labels, g) -> float:
     ctx, length = _edge_context(mesh, sel)
     if isinstance(g, FormExpr):
         g = g.pure_field()
-    vals = np.broadcast_to(np.asarray(as_field(g).eval_cells(ctx), dtype=float),
-                           ctx.x.shape)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("integrand is not finite on the boundary")
+    vals = as_field(g).values(ctx)
     _, w = EDGE_RULE
     return float(np.sum(length * (vals @ w)))
 
@@ -379,14 +364,6 @@ def _cell_basis(space, kind, ctx, nq):
     return np.broadcast_to(g[ctx.tri][:, None, :], (n, nq, 3)), dofs
 
 
-def _coef_values(f, ctx):
-    vals = np.asarray(f.eval_cells(ctx), dtype=float)
-    vals = np.broadcast_to(vals, ctx.x.shape)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("form coefficient is not finite")
-    return vals
-
-
 def dirichlet_dofs(space: FeSpace, labels):
     """DOF indices pinned by a Dirichlet clause on the given labels, sorted.
 
@@ -416,7 +393,7 @@ def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
     for term in form.bilinear_terms:
         ctx, scale, nq = _term_context(mesh, term)
         for (uk, vk), f in term.expr.terms.items():
-            C = _coef_values(f, ctx) * scale
+            C = f.values(ctx) * scale
             Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
             Bv, dof_v = _cell_basis(test, vk, ctx, nq)
             loc = np.einsum("nq,nqi,nqj->nij", C, Bv, Bu)
@@ -455,7 +432,7 @@ def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> n
     for term in form.linear_terms:
         ctx, scale, nq = _term_context(mesh, term)
         for (_, vk), f in term.expr.terms.items():
-            C = _coef_values(f, ctx) * scale
+            C = f.values(ctx) * scale
             Bv, dof_v = _cell_basis(test, vk, ctx, nq)
             contrib = np.einsum("nq,nqi->ni", C, Bv)
             np.add.at(b, dof_v.ravel(), contrib.ravel())

@@ -202,7 +202,12 @@ class _Triangulation:
 
     def insert(self, p, changed=None):
         """Insert p, returning its vertex index (existing index if welded)."""
-        t, kind, k = self.locate(p)
+        return self._insert_at(p, self.locate(p), changed)
+
+    def _insert_at(self, p, where, changed):
+        """Insert p where `locate` found it: (t, kind, k).  Returns -1 if p
+        lies on a constrained edge."""
+        t, kind, k = where
         if kind == "vertex":
             return self.tris[t][k]
         pi = len(self.pts)
@@ -732,14 +737,15 @@ def build_from_borders(borders, size_factor=None,
         if not (oversized or skinny):
             good.add(tuple(vs))
             continue
-        loc_t, kind, _ = tr.locate(cc, hint=t)
+        where = tr.locate(cc, hint=t)
+        loc_t, kind, _ = where
         if kind == "vertex" or not tr.kept[loc_t]:
             blocked.add(t)
             continue
         if len(tr.pts) > MAX_POINTS:
             raise GeometryError("refinement exceeded the point budget")
         changed = []
-        vi = tr.insert(cc, changed)
+        vi = tr._insert_at(cc, where, changed)
         if vi < 0:
             blocked.add(t)
             continue

@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SolverError
 from .fespace import FeSpace, interpolate
-from .fields import Constant, as_field
+from .fields import Constant
 from .forms import (DEFAULT_TGV, DirichletBC, FormTerm, TestFunction, TrialFunction,
-                    VarForm, as_form, assemble_bilinear, assemble_linear,
-                    dirichlet_dofs, dx, dy, integrate_2d)
+                    VarForm, assemble_bilinear, assemble_linear, dirichlet_dofs, dx, dy,
+                    integrate_2d)
 from .linalg import factorize
 from .mesh import Border, build_from_borders, build_square
 
@@ -124,11 +124,11 @@ def solve_poisson(N: int):
     uex = interpolate(Vh, poisson_exact)
     a = VarForm(bilinear_terms=[FormTerm("int2d", dx(u) * dx(v) + dy(u) * dy(v))],
                 dirichlet=[DirichletBC(SQUARE_LABELS, Constant(0.0))])
-    l = VarForm(linear_terms=[FormTerm("int2d", as_form(as_field(fh)) * v)])
+    l = VarForm(linear_terms=[FormTerm("int2d", fh * v)])
     A = assemble_bilinear(a, Vh, Vh)
     b = assemble_linear(l, Vh)
     uh = Vh.function(factorize(A).solve(b))
-    diff = as_field(uh) - as_field(uex)
+    diff = uh - uex
     err = math.sqrt(integrate_2d(mesh, diff * diff))
     return Vh, uh, err
 
@@ -222,7 +222,7 @@ def run_fixed_point(problem: str, N: int, cfg: FixedPointConfig = None, mesh=Non
         fh = interpolate(Vh, rhs if rhs is not None else ellnl_dbc_rhs(cfg.dbc))
         gval = cfg.dbc
 
-    l = VarForm(linear_terms=[FormTerm("int2d", as_form(as_field(fh)) * v)],
+    l = VarForm(linear_terms=[FormTerm("int2d", fh * v)],
                 dirichlet=[DirichletBC(labels, Constant(gval))])
     b = assemble_linear(l, Vh)
 
@@ -231,9 +231,9 @@ def run_fixed_point(problem: str, N: int, cfg: FixedPointConfig = None, mesh=Non
 
     def mass(w):
         # the mass matrix weighted by the P1 function with DOFs w
-        weight = as_field(Vh.function(w))
+        weight = Vh.function(w)
         return assemble_bilinear(
-            VarForm(bilinear_terms=[FormTerm("int2d", as_form(u) * weight * v)]), Vh, Vh)
+            VarForm(bilinear_terms=[FormTerm("int2d", u * weight * v)]), Vh, Vh)
 
     uh = Vh.function(gval)
     prev = uh.copy()
@@ -258,7 +258,7 @@ def run_fixed_point(problem: str, N: int, cfg: FixedPointConfig = None, mesh=Non
         # the penalized matrix and its LU die with this statement instead of
         # staying alive while the next iterate's matrices are assembled
         uh.dofs[:] = factorize(A.with_diagonal(pinned, DEFAULT_TGV)).solve(load)
-        diff = as_field(uh) - as_field(prev)
+        diff = uh - prev
         err = math.sqrt(integrate_2d(mesh, diff * diff))
         if history is not None:
             history.append(err)
@@ -288,7 +288,7 @@ def run_nonlinear_study(problem: str, nref: int, cfg: FixedPointConfig = None,
         mesh = meshes[n] if meshes is not None else disk_mesh(N)
         uh, iterations, _ = run_fixed_point(problem, N, cfg, mesh=mesh, method="newton")
         uex = interpolate(FeSpace(mesh, "P1"), exact)
-        diff = as_field(uh) - as_field(uex)
+        diff = uh - uex
         err = math.sqrt(integrate_2d(mesh, diff * diff))
         rows.append(ConvergenceRow(N=N, h=1.0 / N, error=err, iterations=iterations))
     return _attach_rates(rows)
@@ -323,7 +323,7 @@ def run_heat_single(cfg: ThetaSchemeConfig) -> HeatResult:
     mesh = build_square(N, N)
     Vh = FeSpace(mesh, "P1")
     u, v = TrialFunction(), TestFunction()
-    uv = as_form(u) * v
+    uv = u * v
     stiff = dx(u) * dx(v) + dy(u) * dy(v)
 
     Mlump = assemble_bilinear(
@@ -361,7 +361,7 @@ def run_heat_single(cfg: ThetaSchemeConfig) -> HeatResult:
     uh = Vh.function(un)
     # measured against the analytic solution, so an order-5 rule is needed
     # for the integral itself not to pollute the reported error
-    err_field = as_field(uh) - as_field(heat_exact(t))
+    err_field = uh - heat_exact(t)
     error = math.sqrt(integrate_2d(mesh, err_field * err_field, quad="order5"))
     return HeatResult(u=uh, n_steps=n_steps, t_final=t, error=error)
 

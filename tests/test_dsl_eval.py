@@ -643,3 +643,83 @@ def test_square_transform_and_its_fold():
     assert np.array_equal(Th.tri, ref.tri)
     with pytest.raises(FoldOverError):
         run("mesh Th=square(3,3,[-x, y]);")
+
+
+# -- a Python error on bad script data becomes an EvalError with the line --------
+
+@pytest.mark.parametrize("src", [
+    "real[int] v(-1);",
+    'real[int] v("a");',
+    'string s="a"; real b = s + 1;',
+    "real[int,int] A(2,2); real[int] b(3); real[int] c = A*b;",
+    "real a = 2^1e6;",
+    "int a = 5 % 0;",
+    "real a = 1./0;",
+    'mesh Th=readmesh("nope.msh");',
+    'mesh Th("nope.msh");',
+    "func real f(real n){return f(n+1);} real a=f(1);",
+    'ifstream f("in.txt"); f << 1;',
+    'ofstream g("o.txt"); real a; g >> a;',
+])
+def test_python_error_in_a_statement_gives_the_line(src, tmp_path):
+    (tmp_path / "in.txt").write_text("1 2\n")
+    with pytest.raises(EvalError, match="^line 1: ") as err:
+        run(src, script_dir=str(tmp_path))
+    assert err.value.line == 1
+
+
+# -- the language's array and matrix operators, against numpy and Python ---------
+
+LINALG_PRELUDE = """real[int] a=[1,2,3], b=[4,-5,6.5];
+real[int,int] M=[[1,2],[3,4]];
+real[int] w=[5,-6];
+matrix S=M;
+"""
+_a, _b = np.array([1.0, 2, 3]), np.array([4.0, -5, 6.5])
+_M, _w = np.array([[1.0, 2], [3, 4]]), np.array([5.0, -6])
+
+
+@pytest.mark.parametrize("stmt, expected", [
+    ("real[int] c=a+b;", _a + _b),
+    ("real[int] c=a-b;", _a - _b),
+    ("real[int] c=a+2;", _a + 2),
+    ("real[int] c=2+a;", 2 + _a),
+    ("real[int] c=a-2;", _a - 2),
+    ("real[int] c=2-a;", 2 - _a),
+    ("real[int] c=a*3;", _a * 3),
+    ("real[int] c=3*a;", 3 * _a),
+    ("real[int] c=a/4;", _a / 4),
+    ("real[int] c=1/a;", 1 / _a),
+    ("real[int] c=a^2;", _a ** 2),
+    ("real[int] c=M*w;", _M @ _w),
+    ("real[int,int] c=M*M;", _M @ _M),
+    ("real[int] c=w'*M;", _w @ _M),
+    ("real[int] c=S*w;", _M @ _w),
+    ("matrix c=2*S;", 2 * _M),
+    ("matrix c=S*0.5;", 0.5 * _M),
+    ("matrix c=S+S;", _M + _M),
+    ("real[int] c(3); c=b;", _b),
+    ("real[int] c(3); c=1;", np.ones(3)),
+    ("int c=7%3;", 1),
+    ("real c=7.5%2;", 7.5 % 2),
+    ("int c=3^35;", 3 ** 35),
+    ("real c=2^(-2);", 0.25),
+])
+def test_array_and_matrix_operators(stmt, expected):
+    r, _ = run(LINALG_PRELUDE + stmt)
+    c = r.env.lookup("c")
+    if hasattr(c, "to_dense"):
+        c = c.to_dense()
+    assert type(c) is type(expected)
+    assert np.array_equal(c, expected)
+
+
+@pytest.mark.parametrize("stmt, message", [
+    ("real[int] c(2); c=a;", "array assignment with mismatched sizes"),
+    ("int c=1/0;", "integer division by zero"),
+    ("real[int] c=a*b;", "use u'\\*v for dot products"),
+    ("real[int] c=2*a';", "vector times transposed vector is the only outer form"),
+])
+def test_array_operator_errors(stmt, message):
+    with pytest.raises(EvalError, match=f"^line 5: {message}"):
+        run(LINALG_PRELUDE + stmt)

@@ -361,3 +361,45 @@ def test_dirichlet_dofs_cached_read_only_and_missing_label_raises_each_call():
     for _ in range(2):
         with pytest.raises(InvalidArgumentError):
             dirichlet_dofs(Vh, {1, 7})
+
+
+# -- one type per concept: an FE function is a field, U and V are forms ---------
+
+def _assembled(expr, Vh):
+    if expr.has_trial():
+        return assemble_bilinear(bilinear(expr), Vh, Vh).to_dense()
+    return assemble_linear(VarForm(linear_terms=[FormTerm("int2d", expr)]), Vh)
+
+
+@pytest.mark.parametrize("plain, wrapped", [
+    (lambda uh: uh * V, lambda uh: as_form(as_field(uh)) * V),
+    (lambda uh: V * uh, lambda uh: V * as_form(as_field(uh))),
+    (lambda uh: Constant(2.0) * V, lambda uh: as_form(as_field(Constant(2.0))) * V),
+    (lambda uh: 2 * U * V, lambda uh: as_form(as_field(2)) * U * V),
+    (lambda uh: U * uh * V, lambda uh: U * as_form(as_field(uh)) * V),
+], ids=["uh*v", "v*uh", "Constant*v", "2*u*v", "u*uh*v"])
+def test_fields_and_forms_combine_without_wrappers(square10, plain, wrapped):
+    Vh = FeSpace(square10, "P1")
+    uh = Vh.function(1.0 + square10.points[:, 0] * square10.points[:, 1])
+    assert np.array_equal(_assembled(plain(uh), Vh), _assembled(wrapped(uh), Vh))
+
+
+def test_fe_function_difference_integrates_as_its_wrapped_spelling(square10):
+    from femscript.fespace import interpolate
+    Vh = FeSpace(square10, "P1")
+    uh = interpolate(Vh, lambda x, y: np.sin(x) * y)
+    uex = interpolate(Vh, lambda x, y: x * y)
+    d, dw = uh - uex, as_field(uh) - as_field(uex)
+    assert integrate_2d(square10, d * d) == integrate_2d(square10, dw * dw)
+    assert as_field(uh) is uh
+
+
+def test_fe_function_of_another_mesh_in_an_integrand_rejected(square10, square16):
+    Vh = FeSpace(square10, "P1")
+    g = FeSpace(square16, "P1").function(1.0)
+    with pytest.raises(InvalidArgumentError):
+        _assembled(g * V, Vh)
+    with pytest.raises(InvalidArgumentError):
+        _assembled(U * g * V, Vh)
+    with pytest.raises(InvalidArgumentError):
+        integrate_2d(square10, g * g)
