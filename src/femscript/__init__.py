@@ -9,8 +9,7 @@ from .forms import (DEFAULT_TGV, DirichletBC, FormExpr, FormTerm, TestFunction,
                     assemble_linear, dirichlet_dofs, dx, dy, integrate_1d,
                     integrate_2d)
 from .linalg import (CgResult, LuFactorization, SparseMatrix, det, dot,
-                     elem_div, elem_mul, factorize, matvec, outer, solve_cg,
-                     solve_lu, trace, transpose)
+                     factorize, outer, solve_cg, solve_lu, trace)
 from .mesh import (Border, Mesh, build_from_borders, build_square, load_msh,
                    move_mesh, save_msh)
 from .studies import (ConvergenceRow, FixedPointConfig, ThetaSchemeConfig,
@@ -30,8 +29,7 @@ __all__ = [
     "DirichletBC", "as_form", "dx", "dy", "integrate_2d", "integrate_1d",
     "assemble_bilinear", "assemble_linear", "dirichlet_dofs", "DEFAULT_TGV",
     "SparseMatrix", "LuFactorization", "CgResult", "factorize", "solve_lu",
-    "solve_cg", "dot", "outer", "matvec", "transpose", "elem_mul", "elem_div",
-    "trace", "det",
+    "solve_cg", "dot", "outer", "trace", "det",
     "ConvergenceRow", "ThetaSchemeConfig", "FixedPointConfig",
     "convergence_rate", "run_poisson_study", "solve_poisson",
     "run_fixed_point", "run_nonlinear_study", "run_heat_single", "run_heat_study",

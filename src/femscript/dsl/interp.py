@@ -14,11 +14,20 @@ functions, and form assembly alike.  The term algebra of
 becomes a `forms.FormTerm` and an `on()` clause a `forms.DirichletBC`,
 collected in a `Terms` value that assembly consumes as is.
 
-A Python error that a statement raises on bad data (an arithmetic, value,
-type or OS error, or runaway recursion) becomes an EvalError naming the line.
+Operators hand fields, forms, `Terms`, numbers and arrays to their own
+arithmetic (Python's operators); `binary_op` keeps only the rules that are the
+language's own: C integer `/` and `%`, `.*`, `./`, the matrix product,
+transposed and bracket vectors (a scalar scales each entry), strings, streams
+and borders.
+
+A `FemError` without a location gets the line of the innermost expression or
+statement that raised it (`_locate`), and a Python error that a statement
+raises on bad data (an arithmetic, value, type or OS error, or runaway
+recursion) becomes an EvalError naming the statement's line.
 """
 
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -34,8 +43,7 @@ from ..fespace import FeFunction, FeSpace
 # The benchmark's tracer (bench/tracing.py) wraps the interpreter's
 # interpolation at this module-level name; keep the alias while it does.
 from ..fespace import interpolate as interpolate_field
-from ..fields import (Binary as FieldBinary, Constant, Field, Unary as FieldUnary,
-                      X as FIELD_X, Y as FIELD_Y)
+from ..fields import Constant, Field, Unary as FieldUnary, X as FIELD_X, Y as FIELD_Y
 from ..io.exporters import export_eps
 from ..linalg import SparseMatrix, factorize, solve_cg
 from ..linalg import det as _det, dot as _dot, outer as _outer, trace as _trace
@@ -50,6 +58,14 @@ class EvalError(FemError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def _locate(exc, line):
+    """Give a FemError that has no location yet the line `line`."""
+    if getattr(exc, "line", None) is None and line:
+        exc.line = line
+        exc.args = (f"line {line}: {exc}",)
+    return exc
 
 
 class BreakSignal(Exception):
@@ -84,13 +100,13 @@ class Env:
     def define(self, name, value):
         self.vars[name] = value
 
-    def lookup(self, name, line=None):
+    def lookup(self, name):
         env = self
         while env is not None:
             if name in env.vars:
                 return env.vars[name]
             env = env.parent
-        raise EvalError(f"undeclared identifier {name!r}", line)
+        raise EvalError(f"undeclared identifier {name!r}")
 
     def owner(self, name):
         env = self
@@ -214,13 +230,27 @@ class Terms:
         self.meshes = list(meshes)
 
     def __add__(self, other):
+        if not isinstance(other, Terms):
+            return NotImplemented
         return Terms(self.bilinear + other.bilinear, self.linear + other.linear,
                      self.dirichlet + other.dirichlet, self.meshes + other.meshes)
 
-    def map(self, fn, what, line):
+    def __sub__(self, other):
+        return self + -other if isinstance(other, Terms) else NotImplemented
+
+    def __neg__(self):
+        return self.map(lambda e: -e, "negate")
+
+    def __mul__(self, c):
+        """A number scales every integrand."""
+        return self.map(lambda e: c * e, "scale") if _is_number(c) else NotImplemented
+
+    __rmul__ = __mul__
+
+    def map(self, fn, what):
         """Apply `fn` to every integrand; on() clauses cannot be `what`."""
         if self.dirichlet:
-            raise EvalError(f"cannot {what} a Dirichlet clause", line)
+            raise EvalError(f"cannot {what} a Dirichlet clause")
 
         def each(terms):
             return [F.FormTerm(t.kind, fn(t.expr), t.labels, t.quad) for t in terms]
@@ -267,9 +297,12 @@ class Builtin:
     nargs: int = 0      # positional arguments the builtin reads at least
 
 
-# field operators as ufuncs; comparisons and logic yield 0/1 indicator fields
-FIELD_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-               "^": np.power}
+# arithmetic through each value's own operators
+PY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv, "%": operator.mod, "^": operator.pow}
+NUM_CMP = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+# comparisons and logic on fields yield 0/1 indicator fields
 FIELD_CMP = {"<": np.less, "<=": np.less_equal, ">": np.greater,
              ">=": np.greater_equal, "==": np.equal, "!=": np.not_equal,
              "&": np.logical_and, "&&": np.logical_and,
@@ -280,15 +313,15 @@ SOLVER_NAMES = {"LU": "LU", "CG": "CG", "sparsesolver": "LU", "UMFPACK": "LU",
                 "GMRES": "LU", "Cholesky": "LU", "Crout": "LU"}
 
 
-def _checked_index(shape, idx, line):
+def _checked_index(shape, idx):
     """Integer indices into the leading axes of shape, each within its axis."""
     try:
         idx = tuple(int(i) for i in idx)
     except (TypeError, ValueError, OverflowError):
-        raise EvalError("an index must be an integer", line) from None
+        raise EvalError("an index must be an integer") from None
     if len(idx) > len(shape) or not all(0 <= i < n for i, n in zip(idx, shape)):
         raise EvalError(f"index {', '.join(map(str, idx))} out of range for size "
-                        f"{'x'.join(map(str, shape))}", line)
+                        f"{'x'.join(map(str, shape))}")
     return idx if len(idx) > 1 else idx[0]
 
 
@@ -306,13 +339,16 @@ def _is_number(v):
     return isinstance(v, (int, float, complex)) and not isinstance(v, bool)
 
 
-def _fieldable(v):
-    return isinstance(v, (Field, FuncValue)) or _is_number(v)
+def _undefined(op, a, b):
+    return EvalError(f"operator {op!r} undefined for {type(a).__name__} and "
+                     f"{type(b).__name__}")
 
 
 def _format_value(v):
     if isinstance(v, str):
         return v
+    if v is ENDL:
+        return "\n"
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -590,21 +626,16 @@ class Interpreter:
             self.exec_stmt(stmt, env)
 
     def exec_stmt(self, stmt, env):
-        t = type(stmt).__name__
-        method = getattr(self, "_st_" + t, None)
-        if method is None:
-            raise EvalError(f"cannot execute {t}", getattr(stmt, "line", None))
+        method = getattr(self, "_st_" + type(stmt).__name__, None)
         try:
+            if method is None:
+                raise EvalError(f"cannot execute {type(stmt).__name__}")
             method(stmt, env)
         except FemError as exc:
-            # the innermost statement names the line; a located error passes
-            if getattr(exc, "line", None) is None and stmt.line:
-                exc.line = stmt.line
-                exc.args = (f"line {stmt.line}: {exc}",)
-            raise
+            raise _locate(exc, stmt.line)
         except (ArithmeticError, ValueError, TypeError, OSError, RecursionError) as exc:
             # bad data in the script (1/0, a negative size, a missing file)
-            raise EvalError(f"{type(exc).__name__}: {exc}", stmt.line) from None
+            raise _locate(EvalError(f"{type(exc).__name__}: {exc}"), stmt.line) from None
 
     def _st_Block(self, stmt, env):
         child = Env(parent=env)
@@ -616,7 +647,7 @@ class Interpreter:
     def _st_ExprStmt(self, stmt, env):
         value = self.eval(stmt.expr, env)
         if isinstance(value, ProblemValue):
-            self.solve_problem(value, stmt.line)
+            self.solve_problem(value)
 
     def _st_LoadStmt(self, stmt, env):
         self._log(1, f"load \"{stmt.module}\": plugins are not supported, ignored")
@@ -640,12 +671,12 @@ class Interpreter:
         sizes = [self.eval(s, env) for s in d.sizes]
         if base in ("ofstream", "ifstream"):
             if len(sizes) != 1:
-                raise EvalError(f"{base} needs a file path", stmt.line)
+                raise EvalError(f"{base} needs a file path")
             out = base == "ofstream"
             try:
                 handle = open(self._resolve(sizes[0]), "w" if out else "r")
             except OSError as exc:
-                raise EvalError(f"cannot open {sizes[0]!r}: {exc}", stmt.line)
+                raise EvalError(f"cannot open {sizes[0]!r}: {exc}")
             return Stream(handle, f"file {sizes[0]!r}", "out" if out else "in", owned=True)
         if base == "mesh":
             if sizes:
@@ -653,7 +684,7 @@ class Interpreter:
             if init is None:
                 return None
             if not isinstance(init, Mesh):
-                raise EvalError("mesh initializer must be a mesh", stmt.line)
+                raise EvalError("mesh initializer must be a mesh")
             return init
         if base == "matrix":
             if init is None:
@@ -662,16 +693,16 @@ class Interpreter:
                 return init
             if isinstance(init, np.ndarray) and init.ndim == 2:
                 return SparseMatrix.from_dense(init)
-            raise EvalError("matrix initializer must be a matrix", stmt.line)
+            raise EvalError("matrix initializer must be a matrix")
         if stmt.dims == 1:
             dtype = {"int": np.int64, "real": float, "complex": complex}[base]
             if sizes:
                 return np.zeros(int(sizes[0]), dtype=dtype)
             if init is None:
-                raise EvalError("array needs a size or an initializer", stmt.line)
+                raise EvalError("array needs a size or an initializer")
             arr = np.asarray(init, dtype=dtype)
             if arr.ndim != 1:
-                raise EvalError("array initializer must be one-dimensional", stmt.line)
+                raise EvalError("array initializer must be one-dimensional")
             return arr.copy()
         if stmt.dims == 2:
             dtype = {"int": np.int64, "real": float, "complex": complex}[base]
@@ -679,19 +710,19 @@ class Interpreter:
                 return np.zeros((int(sizes[0]), int(sizes[1])), dtype=dtype)
             arr = np.asarray(init, dtype=dtype)
             if arr.ndim != 2:
-                raise EvalError("matrix initializer must be two-dimensional", stmt.line)
+                raise EvalError("matrix initializer must be two-dimensional")
             return arr.copy()
         if base == "int":
             if init is None:
                 return 0
             if isinstance(init, complex):
-                raise EvalError("cannot initialize int from complex", stmt.line)
+                raise EvalError("cannot initialize int from complex")
             return int(init)
         if base in ("real",):
             if init is None:
                 return 0.0
             if isinstance(init, complex):
-                raise EvalError("cannot initialize real from complex", stmt.line)
+                raise EvalError("cannot initialize real from complex")
             return float(init)
         if base == "bool":
             return int(bool(init)) if init is not None else 0
@@ -699,12 +730,12 @@ class Interpreter:
             return complex(init) if init is not None else 0j
         if base == "string":
             return _format_value(init) if init is not None else ""
-        raise EvalError(f"cannot declare {base}", stmt.line)
+        raise EvalError(f"cannot declare {base}")
 
     def _st_FespaceDecl(self, stmt, env):
         mesh = self.eval(stmt.mesh, env)
         if not isinstance(mesh, Mesh):
-            raise EvalError("fespace needs a mesh", stmt.line)
+            raise EvalError("fespace needs a mesh")
         elem = self.eval(stmt.elem, env)
         for arg in stmt.named:
             if arg.name == "periodic":
@@ -715,16 +746,16 @@ class Interpreter:
     def _st_FeDecl(self, stmt, env):
         if stmt.subtype == "complex":
             raise UnsupportedError("complex-valued FE functions are not supported")
-        space = env.lookup(stmt.space, stmt.line)
+        space = env.lookup(stmt.space)
         if not isinstance(space, FeSpace):
-            raise EvalError(f"{stmt.space!r} is not a finite element space", stmt.line)
+            raise EvalError(f"{stmt.space!r} is not a finite element space")
         for d in stmt.decls:
             u = FeFunction(space)
             if d.init is not None:
-                self._assign_fe(u, self.eval_field_expr(d.init, env), stmt.line)
+                self._assign_fe(u, self.eval_field_expr(d.init, env))
             env.define(d.name, u)
 
-    def _assign_fe(self, u: FeFunction, value, line=None):
+    def _assign_fe(self, u: FeFunction, value):
         if (isinstance(value, FeFunction) and value.space.mesh is u.space.mesh
                 and value.space.elem == u.space.elem):
             u.dofs[:] = value.dofs
@@ -736,7 +767,7 @@ class Interpreter:
         elif isinstance(value, FuncValue) and value.analytic:
             u.dofs[:] = interpolate_field(u.space, self._as_field(value)).dofs
         else:
-            raise EvalError(f"cannot assign {type(value).__name__} to an FE function", line)
+            raise EvalError(f"cannot assign {type(value).__name__} to an FE function")
 
     def _st_FuncDef(self, stmt, env):
         env.define(stmt.name, FuncValue(stmt.name, stmt.ret_type, stmt.params,
@@ -757,7 +788,7 @@ class Interpreter:
                              stmt.named, stmt.body, env)
         env.define(stmt.name, value)
         if stmt.kind == "solve":
-            self.solve_problem(value, stmt.line)
+            self.solve_problem(value)
 
     def _st_If(self, stmt, env):
         if self._truthy(self.eval(stmt.cond, env)):
@@ -798,11 +829,13 @@ class Interpreter:
     # -- expressions -------------------------------------------------------------
 
     def eval(self, node, env):
-        t = type(node).__name__
-        method = getattr(self, "_ev_" + t, None)
-        if method is None:
-            raise EvalError(f"cannot evaluate {t}", getattr(node, "line", None))
-        return method(node, env)
+        method = getattr(self, "_ev_" + type(node).__name__, None)
+        try:
+            if method is None:
+                raise EvalError(f"cannot evaluate {type(node).__name__}")
+            return method(node, env)
+        except FemError as exc:
+            raise _locate(exc, node.line)
 
     def eval_field_expr(self, node, env):
         """Evaluate with x and y bound to coordinate fields."""
@@ -840,7 +873,7 @@ class Interpreter:
         return node.value
 
     def _ev_Ident(self, node, env):
-        return env.lookup(node.name, node.line)
+        return env.lookup(node.name)
 
     def _ev_ListExpr(self, node, env):
         items = [self.eval(x, env) for x in node.items]
@@ -854,14 +887,14 @@ class Interpreter:
             if any(isinstance(v, complex) for v in items):
                 return np.array(items, dtype=complex)
             return np.array(items, dtype=float)
-        raise EvalError("mixed bracket list", node.line)
+        raise EvalError("mixed bracket list")
 
     def _ev_Range(self, node, env):
         start = self.eval(node.start, env)
         stop = self.eval(node.stop, env)
         step = self.eval(node.step, env) if node.step is not None else 1
         if step == 0:
-            raise EvalError("zero range step", node.line)
+            raise EvalError("zero range step")
         n = int(math.floor((stop - start) / step + 1e-12)) + 1
         if n <= 0:
             return np.zeros(0)
@@ -874,30 +907,26 @@ class Interpreter:
         if node.op == "!":
             return int(not self._truthy(v))
         # negation
-        if isinstance(v, (F.FormExpr, Field)):
-            return -v
-        if isinstance(v, np.ndarray):
+        if isinstance(v, (F.FormExpr, Field, np.ndarray, Terms)):
             return -v
         if isinstance(v, SparseMatrix):
             return v.scale(-1.0)
-        if isinstance(v, Terms):
-            return v.map(lambda e: -e, "negate", node.line)
         if _is_number(v):
             return _simplify(-v)
-        raise EvalError(f"cannot negate {type(v).__name__}", node.line)
+        raise EvalError(f"cannot negate {type(v).__name__}")
 
     def _ev_Binary(self, node, env):
         if node.op in ("&", "&&", "|", "||"):
             left = self.eval(node.left, env)
             if isinstance(left, Field):
-                return self.binary_op(node.op, left, self.eval(node.right, env), node.line)
+                return self.binary_op(node.op, left, self.eval(node.right, env))
             # short-circuit: a false left decides `&`, a true one decides `|`
             is_and = node.op in ("&", "&&")
             if self._truthy(left) != is_and:
                 return int(not is_and)
             right = self.eval(node.right, env)
             if isinstance(right, Field):
-                return self.binary_op(node.op, left, right, node.line)
+                return self.binary_op(node.op, left, right)
             return int(self._truthy(right))
         if node.op == ">>":
             left = self.eval(node.left, env)
@@ -905,10 +934,10 @@ class Interpreter:
                 self.read_stream(left, node.right, env)
                 return left
             right = self.eval(node.right, env)
-            return self.binary_op(node.op, left, right, node.line)
+            return self.binary_op(node.op, left, right)
         left = self.eval(node.left, env)
         right = self.eval(node.right, env)
-        return self.binary_op(node.op, left, right, node.line)
+        return self.binary_op(node.op, left, right)
 
     def _ev_Assign(self, node, env):
         target_is_fe = False
@@ -924,14 +953,14 @@ class Interpreter:
         if node.op != "=":
             op = node.op[0]
             current = self.eval(node.target, env)
-            value = self.binary_op(op, current, value, node.line)
+            value = self.binary_op(op, current, value)
         self.assign(node.target, value, env)
         return value
 
     def _ev_IncDec(self, node, env):
         current = self.eval(node.target, env)
         if not _is_number(current):
-            raise EvalError("++/-- need a numeric variable", node.line)
+            raise EvalError("++/-- need a numeric variable")
         new = current + (1 if node.op == "++" else -1)
         self.assign(node.target, new, env)
         return new if node.prefix else current
@@ -948,7 +977,7 @@ class Interpreter:
             return v.T
         if isinstance(v, list):  # form/field vector
             return Transposed(v)
-        raise EvalError(f"cannot transpose {type(v).__name__}", node.line)
+        raise EvalError(f"cannot transpose {type(v).__name__}")
 
     def _ev_Member(self, node, env):
         base = self.eval(node.base, env)
@@ -977,7 +1006,7 @@ class Interpreter:
                 return _simplify(base.sum())
             if name == "n":
                 return len(base)
-        raise EvalError(f"unknown member {name!r} on {type(base).__name__}", node.line)
+        raise EvalError(f"unknown member {name!r} on {type(base).__name__}")
 
     def _ev_Index(self, node, env):
         base = self.eval(node.base, env)
@@ -985,23 +1014,23 @@ class Interpreter:
         if isinstance(base, FeFunction) and not args:
             return base.dofs
         if isinstance(base, np.ndarray) and len(args) in (1, 2):
-            return _simplify(base[_checked_index(base.shape, args, node.line)])
+            return _simplify(base[_checked_index(base.shape, args)])
         if isinstance(base, Mesh) and len(args) == 1:
-            return TriangleProxy(base, _checked_index((base.nt,), args, node.line))
+            return TriangleProxy(base, _checked_index((base.nt,), args))
         if isinstance(base, TriangleProxy) and len(args) == 1:
-            return base.vertex(_checked_index((3,), args, node.line))
+            return base.vertex(_checked_index((3,), args))
         if isinstance(base, list) and len(args) == 1:
-            return base[_checked_index((len(base),), args, node.line)]
-        raise EvalError(f"cannot index {type(base).__name__}", node.line)
+            return base[_checked_index((len(base),), args)]
+        raise EvalError(f"cannot index {type(base).__name__}")
 
     def _ev_Call(self, node, env):
         callee = self.eval(node.callee, env)
         if isinstance(callee, Builtin):
             if sum(a.name is None for a in node.args) < callee.nargs:
                 raise EvalError(f"{callee.name} needs {callee.nargs} argument"
-                                f"{'s' if callee.nargs > 1 else ''}", node.line)
+                                f"{'s' if callee.nargs > 1 else ''}")
             if callee.lazy:
-                return self._call_builtin(callee, env, node.args, {}, node.line)
+                return self._call_builtin(callee, env, node.args, {})
         if isinstance(callee, Integrator):
             return self._integrate(callee, node, env)
         args = []
@@ -1012,40 +1041,40 @@ class Interpreter:
             else:
                 named[a.name] = self.eval(a.value, env)
         if isinstance(callee, Builtin):
-            return self._call_builtin(callee, env, args, named, node.line)
+            return self._call_builtin(callee, env, args, named)
         if isinstance(callee, FuncValue):
-            return self._call_func(callee, args, node.line)
+            return self._call_func(callee, args)
         if isinstance(callee, FeFunction):
             if len(args) != 2:
-                raise EvalError("FE function evaluation needs (x, y)", node.line)
+                raise EvalError("FE function evaluation needs (x, y)")
             return callee(float(args[0]), float(args[1]))
         if isinstance(callee, FeSpace):
             if len(args) != 2:
-                raise EvalError("space numbering needs (triangle, local)", node.line)
+                raise EvalError("space numbering needs (triangle, local)")
             return callee.dof_of(int(args[0]), int(args[1]))
         if isinstance(callee, BorderValue):
             if len(args) != 1:
-                raise EvalError("border run needs a point count", node.line)
+                raise EvalError("border run needs a point count")
             return BorderSum([(callee, int(args[0]))])
         if isinstance(callee, VarfValue):
-            return self._assemble_varf(callee, args, named, node.line)
+            return self._assemble_varf(callee, args, named)
         if isinstance(callee, np.ndarray) and len(args) in (1, 2):
-            return _simplify(callee[_checked_index(callee.shape, args, node.line)])
-        raise EvalError(f"cannot call {type(callee).__name__}", node.line)
+            return _simplify(callee[_checked_index(callee.shape, args)])
+        raise EvalError(f"cannot call {type(callee).__name__}")
 
-    def _call_builtin(self, callee, env, args, named, line):
+    def _call_builtin(self, callee, env, args, named):
         """Call a builtin; a bad argument type or value raises EvalError."""
         try:
             return callee.fn(self, env, args, named)
         except (TypeError, ValueError, ArithmeticError) as exc:
             if isinstance(exc, FemError):
                 raise
-            raise EvalError(f"{callee.name}: {exc}", line) from None
+            raise EvalError(f"{callee.name}: {exc}") from None
 
-    def _call_func(self, f: FuncValue, args, line):
+    def _call_func(self, f: FuncValue, args):
         if f.analytic:
             if len(args) != 2:
-                raise EvalError(f"analytic function {f.name!r} is evaluated at (x, y)", line)
+                raise EvalError(f"analytic function {f.name!r} is evaluated at (x, y)")
             fenv = Env(parent=f.env)
             fenv.define("x", args[0])
             fenv.define("y", args[1])
@@ -1053,7 +1082,7 @@ class Interpreter:
                 return _simplify(self.eval(f.body, fenv))
             return self.eval(f.body, fenv)
         if len(args) != len(f.params):
-            raise EvalError(f"function {f.name!r} takes {len(f.params)} arguments", line)
+            raise EvalError(f"function {f.name!r} takes {len(f.params)} arguments")
         call_env = Env(parent=f.env)
         for (base, dims, name), v in zip(f.params, args):
             if dims == 0:
@@ -1077,21 +1106,20 @@ class Interpreter:
         if t == "Ident":
             owner = env.owner(target.name)
             if owner is None:
-                raise EvalError(f"undeclared identifier {target.name!r}", target.line)
+                raise EvalError(f"undeclared identifier {target.name!r}")
             current = owner.vars[target.name]
             if isinstance(current, FeFunction):
-                self._assign_fe(current, value, target.line)
+                self._assign_fe(current, value)
                 return
             if isinstance(current, np.ndarray):
                 if isinstance(value, np.ndarray):
                     if current.shape != value.shape:
-                        raise EvalError("array assignment with mismatched sizes",
-                                        target.line)
+                        raise EvalError("array assignment with mismatched sizes")
                     current[:] = value
                 elif _is_number(value):
                     current[:] = value
                 else:
-                    raise EvalError("cannot assign that to an array", target.line)
+                    raise EvalError("cannot assign that to an array")
                 return
             # scalar variables keep their declared numeric type
             if isinstance(current, float) and isinstance(value, int):
@@ -1111,55 +1139,55 @@ class Interpreter:
             if isinstance(base, FeFunction) and not target.args:
                 if isinstance(value, np.ndarray):
                     if len(value) != base.space.ndof:
-                        raise EvalError("DOF vector length mismatch", target.line)
+                        raise EvalError("DOF vector length mismatch")
                     base.dofs[:] = value
                 elif _is_number(value):
                     base.dofs[:] = float(value)
                 else:
-                    raise EvalError("cannot assign that to a DOF vector", target.line)
+                    raise EvalError("cannot assign that to a DOF vector")
                 return
             if isinstance(base, np.ndarray):
                 idx = [self.eval(a, env) for a in target.args]
-                base[_checked_index(base.shape, idx, target.line)] = value
+                base[_checked_index(base.shape, idx)] = value
                 return
-            raise EvalError("invalid indexed assignment", target.line)
+            raise EvalError("invalid indexed assignment")
         if t == "Call":
             base = self.eval(target.callee, env)
             if isinstance(base, np.ndarray):
                 idx = [self.eval(a.value, env) for a in target.args]
-                base[_checked_index(base.shape, idx, target.line)] = value
+                base[_checked_index(base.shape, idx)] = value
                 return
-            raise EvalError("invalid call assignment", target.line)
-        raise EvalError("invalid assignment target", getattr(target, "line", None))
+            raise EvalError("invalid call assignment")
+        raise EvalError("invalid assignment target")
 
     # -- integrals and problems ------------------------------------------------------
 
     def _integrate(self, integ: Integrator, node, env):
         if len(node.args) != 1 or node.args[0].name is not None:
-            raise EvalError("integral takes a single integrand", node.line)
+            raise EvalError("integral takes a single integrand")
         value = self.eval_field_expr(node.args[0].value, env)
         if isinstance(value, F.FormExpr):
             if not value.is_pure():
-                return self._form_term(integ, value, node.line)
+                return self._form_term(integ, value)
             value = value.pure_field()
         field = self._as_field(value)
         if integ.kind == "int2d":
             return F.integrate_2d(integ.mesh, field, integ.quad)
         return F.integrate_1d(integ.mesh, set(integ.labels), field)
 
-    def _form_term(self, integ: Integrator, expr, line):
+    def _form_term(self, integ: Integrator, expr):
         """An integrand with the unknown or the test function, as Terms."""
         bilinear = expr.has_trial()
         if bilinear and not expr.has_test():
-            raise EvalError("integral contains the unknown without a test function", line)
+            raise EvalError("integral contains the unknown without a test function")
         if bilinear and any(uk is None or vk is None for uk, vk in expr.terms):
-            raise EvalError("an integral cannot mix bilinear and linear parts", line)
+            raise EvalError("an integral cannot mix bilinear and linear parts")
         term = [F.FormTerm(integ.kind, expr, frozenset(integ.labels) or None, integ.quad)]
         if bilinear:
             return Terms(bilinear=term, meshes=[integ.mesh])
         return Terms(linear=term, meshes=[integ.mesh])
 
-    def _eval_form(self, body, env, unknown, test, space, line):
+    def _eval_form(self, body, env, unknown, test, space):
         """Evaluate a form body with `unknown` and `test` bound to the trial
         and test placeholders; returns (bilinear, linear, dirichlet)."""
         fenv = Env(parent=env)
@@ -1167,37 +1195,35 @@ class Interpreter:
         fenv.define(test, F.TestFunction())
         terms = self.eval(body, fenv)
         if not isinstance(terms, Terms):
-            raise EvalError("a variational form needs integral or boundary terms", line)
+            raise EvalError("a variational form needs integral or boundary terms")
         for var, _ in terms.dirichlet:
             if var != unknown:
-                raise EvalError(
-                    f"on() constrains {var!r}, expected the unknown {unknown!r}", line)
+                raise EvalError(f"on() constrains {var!r}, expected the unknown {unknown!r}")
         if any(mesh is not space.mesh for mesh in terms.meshes):
-            raise EvalError("an integral runs over a mesh other than the unknown's", line)
+            raise EvalError("an integral runs over a mesh other than the unknown's")
         return terms.bilinear, terms.linear, [bc for _, bc in terms.dirichlet]
 
-    def _assemble_varf(self, varf: VarfValue, args, named, line):
+    def _assemble_varf(self, varf: VarfValue, args, named):
         if len(args) != 2 or not isinstance(args[1], FeSpace) or \
                 not (isinstance(args[0], FeSpace) or _is_number(args[0])):
-            raise EvalError("assemble a varf as name(Vh,Vh) or name(0,Vh)", line)
+            raise EvalError("assemble a varf as name(Vh,Vh) or name(0,Vh)")
         bilinear, linear, dirichlet = self._eval_form(varf.body, varf.env, varf.unknown,
-                                                      varf.test, args[1], line)
+                                                      varf.test, args[1])
         tgv = float(named.get("tgv", F.DEFAULT_TGV))
         if isinstance(args[0], FeSpace):
             form = F.VarForm(bilinear_terms=bilinear, dirichlet=dirichlet)
             return F.assemble_bilinear(form, args[0], args[1], tgv=tgv)
         if not linear and not dirichlet:
-            raise EvalError("varf has no linear part to assemble", line)
+            raise EvalError("varf has no linear part to assemble")
         form = F.VarForm(linear_terms=linear, dirichlet=dirichlet)
         return F.assemble_linear(form, args[1], tgv=tgv)
 
-    def solve_problem(self, prob: ProblemValue, line=None):
+    def solve_problem(self, prob: ProblemValue):
         env = prob.env
-        unknown = env.lookup(prob.unknown, line)
-        test = env.lookup(prob.test, line)
+        unknown = env.lookup(prob.unknown)
+        test = env.lookup(prob.test)
         if not isinstance(unknown, FeFunction) or not isinstance(test, FeFunction):
-            raise EvalError(f"problem {prob.name!r}: unknown and test must be FE functions",
-                            line)
+            raise EvalError(f"problem {prob.name!r}: unknown and test must be FE functions")
         named = {arg.name: self.eval(arg.value, env) for arg in prob.named}
         init = named.get("init", 0)
         solver = SOLVER_NAMES.get(str(named.get("solver", "sparsesolver")), "LU")
@@ -1209,7 +1235,7 @@ class Interpreter:
         reuse = (self._truthy(init) and prob.cache is not None
                  and prob.cache[0] is unknown.space.mesh)
         bilinear, linear, dirichlet = self._eval_form(prob.body, env, prob.unknown,
-                                                      prob.test, unknown.space, line)
+                                                      prob.test, unknown.space)
         rhs_terms = [F.FormTerm(t.kind, -t.expr, t.labels, t.quad) for t in linear]
         b_form = F.VarForm(linear_terms=rhs_terms, dirichlet=dirichlet) \
             if (rhs_terms or dirichlet) else None
@@ -1220,7 +1246,7 @@ class Interpreter:
             A = prob.cache[1]
         else:
             if not bilinear:
-                raise EvalError(f"problem {prob.name!r} has no bilinear part", line)
+                raise EvalError(f"problem {prob.name!r} has no bilinear part")
             a_form = F.VarForm(bilinear_terms=bilinear, dirichlet=dirichlet)
             A = F.assemble_bilinear(a_form, unknown.space, test.space, tgv=tgv)
             prob.cache = (unknown.space.mesh, A)
@@ -1228,25 +1254,24 @@ class Interpreter:
 
     # -- operator dispatch ------------------------------------------------------------
 
-    def binary_op(self, op, a, b, line=None):
-        # form-term algebra
-        if isinstance(a, Terms) or isinstance(b, Terms):
-            return self._terms_op(op, a, b, line)
-        # symbolic form expressions
-        if isinstance(a, F.FormExpr) or isinstance(b, F.FormExpr):
-            return self._form_op(op, a, b, line)
-        # streams
-        if op == "<<" and isinstance(a, Stream):
+    def binary_op(self, op, a, b):
+        if _is_number(a) and _is_number(b):
+            return self._number_op(op, a, b)
+        if isinstance(a, Stream) and op in ("<<", ">>"):
+            if op == ">>":
+                raise EvalError("stream reads assign into a variable; use `is >> name`")
             self._write_stream(a, b)
             return a
-        if op == ">>" and isinstance(a, Stream):
-            raise EvalError("stream reads assign into a variable; use `is >> name`", line)
-        # fields
-        if isinstance(a, Field) or isinstance(b, Field) or \
-           (isinstance(a, FuncValue) and _fieldable(b)) or \
-           (isinstance(b, FuncValue) and _fieldable(a)):
-            return self._field_op(op, a, b, line)
-        # strings
+        if op == "*":
+            # a scalar times a bracket vector (or its transpose) scales each entry
+            vec, c = (a, b) if isinstance(a, (list, Transposed)) else (b, a)
+            items = vec.data if isinstance(vec, Transposed) else vec
+            if isinstance(items, list) and \
+                    (_is_number(c) or isinstance(c, (Field, FuncValue, F.FormExpr))):
+                items = [self.binary_op("*", c, x) for x in items]
+                return Transposed(items) if isinstance(vec, Transposed) else items
+        if isinstance(a, SYMBOLIC) or isinstance(b, SYMBOLIC):
+            return self._symbolic_op(op, a, b)
         if isinstance(a, str) or isinstance(b, str):
             if op == "+":
                 return _format_value(a) + _format_value(b)
@@ -1254,70 +1279,41 @@ class Interpreter:
                 return int(a == b)
             if op == "!=":
                 return int(a != b)
-            raise EvalError(f"operator {op!r} undefined for strings", line)
-        # borders
+            raise EvalError(f"operator {op!r} undefined for strings")
         if isinstance(a, BorderSum) or isinstance(b, BorderSum):
             if op != "+":
-                raise EvalError(f"operator {op!r} undefined for borders", line)
+                raise EvalError(f"operator {op!r} undefined for borders")
             if not (isinstance(a, BorderSum) and isinstance(b, BorderSum)):
-                raise EvalError("borders only combine with borders", line)
+                raise EvalError("borders only combine with borders")
             return BorderSum(a.runs + b.runs)
-        # linear algebra
         if isinstance(a, LINALG_TYPES) or isinstance(b, LINALG_TYPES):
-            return self._linalg_op(op, a, b, line)
-        if _is_number(a) and _is_number(b):
-            return self._number_op(op, a, b, line)
-        raise EvalError(
-            f"operator {op!r} undefined for {type(a).__name__} and {type(b).__name__}",
-            line)
+            return self._linalg_op(op, a, b)
+        raise _undefined(op, a, b)
 
-    def _terms_op(self, op, a, b, line):
-        if op == "*" and (_is_number(a) or _is_number(b)):
-            c, terms = (a, b) if _is_number(a) else (b, a)
-            return terms.map(lambda e: self._as_form(c) * e, "scale", line)
-        if op not in ("+", "-"):
-            raise EvalError(f"operator {op!r} undefined for form terms", line)
-        if not (isinstance(a, Terms) and isinstance(b, Terms)):
-            raise EvalError("form terms only combine with form terms", line)
-        return a + (b.map(lambda e: -e, "negate", line) if op == "-" else b)
-
-    def _as_form(self, v) -> F.FormExpr:
-        return v if isinstance(v, F.FormExpr) else F.as_form(self._as_field(v))
-
-    def _form_op(self, op, a, b, line):
-        fa, fb = self._as_form(a), self._as_form(b)
-        if op == "+":
-            return fa + fb
-        if op == "-":
-            return fa - fb
-        if op == "*":
-            return fa * fb
-        if op == "/":
-            return fa / fb
-        if op == "^":
-            if not isinstance(b, (int, float)):
-                raise EvalError("form exponent must be a number", line)
-            return fa ** b
-        raise EvalError(f"operator {op!r} undefined for form expressions", line)
-
-    def _field_op(self, op, a, b, line):
-        fa = self._as_field(a)
-        fb = self._as_field(b)
-        if op in FIELD_ARITH:
-            return FieldBinary(FIELD_ARITH[op], fa, fb)
+    def _symbolic_op(self, op, a, b):
+        """Fields, forms, form terms and analytic functions, through their own
+        arithmetic.  Any other operand but a real number becomes a field first
+        (a complex one raises UnsupportedError); comparisons and logic give
+        0/1 indicator fields."""
+        if not isinstance(a, ARITHMETIC):
+            a = self._as_field(a)
+        if not isinstance(b, ARITHMETIC):
+            b = self._as_field(b)
         if op in FIELD_CMP:
-            return fa._cmp(FIELD_CMP[op], fb)
-        raise EvalError(f"operator {op!r} undefined for fields", line)
+            return self._as_field(a)._cmp(FIELD_CMP[op], self._as_field(b))
+        if op not in PY_OPS:
+            raise _undefined(op, a, b)
+        return PY_OPS[op](a, b)
 
-    def _linalg_op(self, op, a, b, line):
+    def _linalg_op(self, op, a, b):
         if isinstance(a, SolveProxy):
             if op == "*" and isinstance(b, np.ndarray):
                 return self._solve_matrix(a.matrix, b, getattr(a.matrix, "_solver", "LU"))
-            raise EvalError("A^-1 must multiply a vector", line)
+            raise EvalError("A^-1 must multiply a vector")
         if isinstance(a, SparseMatrix) and op == "^":
             if b == -1:
                 return SolveProxy(a)
-            raise EvalError("matrices support only the power -1", line)
+            raise EvalError("matrices support only the power -1")
         if isinstance(a, SparseMatrix) or isinstance(b, SparseMatrix):
             if op == "*":
                 if isinstance(a, SparseMatrix) and isinstance(b, np.ndarray) and b.ndim == 1:
@@ -1328,65 +1324,38 @@ class Interpreter:
                     return a.scale(b)
             if op == "+" and isinstance(a, SparseMatrix) and isinstance(b, SparseMatrix):
                 return a + b
-            raise EvalError(f"operator {op!r} undefined for sparse matrices", line)
-        num, vec = (a, b) if _is_number(a) else (b, a)
-        items = vec.data if isinstance(vec, Transposed) else vec
-        if op == "*" and _is_number(num) and isinstance(items, list):
-            # a number scales a bracket vector (or its transpose) entry by entry
-            items = [self.binary_op("*", num, x, line) for x in items]
-            return Transposed(items) if isinstance(vec, Transposed) else items
+            raise EvalError(f"operator {op!r} undefined for sparse matrices")
         if isinstance(a, Transposed):
             if op == "*" and isinstance(a.data, list) and isinstance(b, list):
                 if len(a.data) != len(b):
-                    raise EvalError("dot product of vectors of different lengths", line)
+                    raise EvalError("dot product of vectors of different lengths")
                 total = None
                 for x, y in zip(a.data, b):
-                    prod = self.binary_op("*", x, y, line)
-                    total = prod if total is None else self.binary_op("+", total, prod, line)
+                    prod = self.binary_op("*", x, y)
+                    total = prod if total is None else self.binary_op("+", total, prod)
                 return total
             if op == "*" and isinstance(a.data, np.ndarray) and isinstance(b, np.ndarray):
                 return _simplify(_dot(a.data, b)) if b.ndim == 1 else a.data @ b
-            raise EvalError("a transposed vector multiplies a vector of its kind", line)
+            raise EvalError("a transposed vector multiplies a vector of its kind")
         if isinstance(b, Transposed):
             if op == "*" and isinstance(a, np.ndarray) and a.ndim == 1 and \
                     isinstance(b.data, np.ndarray):
                 return _outer(a, b.data)
-            raise EvalError("vector times transposed vector is the only outer form", line)
+            raise EvalError("vector times transposed vector is the only outer form")
         if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-            if a.ndim == 2 and b.ndim == 1 and op == "*":
-                return a @ b
-            if a.ndim == 2 and b.ndim == 2 and op == "*":
+            if op == "*" and a.ndim == 2:
                 return a @ b
             if a.shape != b.shape:
-                raise EvalError("array shapes differ", line)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == ".*":
-                return a * b
-            if op == "./":
-                return a / b
-            if op == "*":
-                raise EvalError("use u'*v for dot products or u.*v elementwise", line)
-            raise EvalError(f"operator {op!r} undefined for arrays", line)
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            arr, num = (a, b) if isinstance(a, np.ndarray) else (b, a)
-            if not _is_number(num):
-                raise EvalError(f"operator {op!r} undefined here", line)
-            if op == "+":
-                return arr + num
-            if op == "-":
-                return a - b if isinstance(a, np.ndarray) else a - arr
-            if op == "*":
-                return arr * num
-            if op == "/":
-                return a / b if isinstance(a, np.ndarray) else np.divide(a, arr)
-            if op == "^":
-                if isinstance(a, np.ndarray):
-                    return a ** num
-            raise EvalError(f"operator {op!r} undefined for array and number", line)
-        raise EvalError(f"operator {op!r} undefined here", line)
+                raise EvalError("array shapes differ")
+            if op in ("*", "/"):
+                raise EvalError("use u'*v for dot products, u.*v and u./v elementwise")
+            op = {".*": "*", "./": "/"}.get(op, op)
+        elif not (isinstance(a, np.ndarray) and _is_number(b) or
+                  _is_number(a) and isinstance(b, np.ndarray)):
+            raise _undefined(op, a, b)
+        if op not in PY_OPS:
+            raise _undefined(op, a, b)
+        return PY_OPS[op](a, b)
 
     def _solve_matrix(self, A: SparseMatrix, b, solver):
         if solver == "CG":
@@ -1396,46 +1365,31 @@ class Interpreter:
             return result.x
         return factorize(A).solve(b)
 
-    def _number_op(self, op, a, b, line):
-        if op == "+":
-            return _simplify(a + b)
-        if op == "-":
-            return _simplify(a - b)
-        if op == "*":
-            return _simplify(a * b)
-        if op == "/":
-            if isinstance(a, int) and isinstance(b, int):
-                if b == 0:
-                    raise EvalError("integer division by zero", line)
-                q = abs(a) // abs(b)
-                return q if (a >= 0) == (b >= 0) else -q
-            return _simplify(a / b)
-        if op == "%":
-            return _simplify(a % b)
-        if op == "^":
-            if isinstance(a, int) and isinstance(b, int) and b >= 0:
-                return a ** b
-            return _simplify(a ** b)
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            table = {"==": a == b, "!=": a != b, "<": a < b,
-                     "<=": a <= b, ">": a > b, ">=": a >= b}
-            return int(table[op])
-        raise EvalError(f"operator {op!r} undefined for numbers", line)
+    def _number_op(self, op, a, b):
+        if op in NUM_CMP:
+            return int(NUM_CMP[op](a, b))
+        if op in ("/", "%") and isinstance(a, int) and isinstance(b, int):
+            # C++: integer division truncates toward zero, and a%b = a - b*(a/b)
+            if b == 0:
+                raise EvalError("integer division by zero")
+            q = abs(a) // abs(b)
+            q = q if (a >= 0) == (b >= 0) else -q
+            return q if op == "/" else a - b * q
+        if op not in PY_OPS:
+            raise _undefined(op, a, b)
+        return _simplify(PY_OPS[op](a, b))
 
     # -- streams -----------------------------------------------------------------
 
     def _write_stream(self, stream, value):
-        if value is ENDL:
-            stream.write("\n", flush=True)
-            return
         if isinstance(value, FeFunction):
             value = value.dofs
-        stream.write(_format_value(_simplify(value)))
+        stream.write(_format_value(_simplify(value)), flush=value is ENDL)
 
     def read_stream(self, stream, target_ast, env):
         current = None
         if type(target_ast).__name__ == "Ident":
-            current = env.lookup(target_ast.name, getattr(target_ast, "line", None))
+            current = env.lookup(target_ast.name)
         else:
             current = self.eval(target_ast, env)
         if isinstance(current, FeFunction):
@@ -1465,3 +1419,5 @@ class Transposed:
 
 
 LINALG_TYPES = (np.ndarray, list, Transposed, SparseMatrix, SolveProxy)
+SYMBOLIC = (Field, F.FormExpr, Terms, FuncValue)
+ARITHMETIC = (Field, F.FormExpr, Terms, int, float)     # operands of Python's operators

@@ -73,6 +73,9 @@ class Field:
     def __pow__(self, other):
         return _binary(np.power, self, other)
 
+    def __rpow__(self, other):
+        return _binary(np.power, other, self)
+
     def __neg__(self):
         return Unary(np.negative, self)
 

@@ -281,32 +281,6 @@ def outer(u, v):
     return np.outer(np.asarray(u), np.asarray(v))
 
 
-def matvec(M, u):
-    M = np.asarray(M)
-    u = np.asarray(u)
-    if M.ndim != 2 or M.shape[1] != len(u):
-        raise InvalidArgumentError(f"matvec shape mismatch: {M.shape} @ {u.shape}")
-    return M @ u
-
-
-def transpose(M):
-    return np.asarray(M).T
-
-
-def elem_mul(u, v):
-    u, v = np.asarray(u), np.asarray(v)
-    if u.shape != v.shape:
-        raise InvalidArgumentError("elementwise product needs equal shapes")
-    return u * v
-
-
-def elem_div(u, v):
-    u, v = np.asarray(u), np.asarray(v)
-    if u.shape != v.shape:
-        raise InvalidArgumentError("elementwise division needs equal shapes")
-    return u / v
-
-
 def trace(M) -> float:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

@@ -88,6 +88,30 @@ def test_string_concatenation():
     assert out.strip() == "u.1003.txt"
 
 
+class _CountingOut(io.StringIO):
+    flushes = 0
+
+    def flush(self):
+        self.flushes += 1
+
+
+def test_endl_in_a_string_is_a_newline():
+    out = _CountingOut()
+    r = run_source('string s="a"+endl+"b"; cout << s << endl;', stdout=out, verbosity=0)
+    assert r.env.lookup("s") == "a\nb"
+    assert out.getvalue() == "a\nb\n"
+    assert out.flushes == 1       # writing endl flushes; writing a string does not
+
+
+def test_analytic_function_called_at_a_point():
+    r, _ = run("func f=x*y;\nreal a=f(0.5,0.25);")
+    assert r.env.lookup("a") == 0.125
+    with pytest.raises(EvalError, match=r"^line 2: analytic function 'f' is evaluated at "
+                                        r"\(x, y\)$") as err:
+        run("func f=x*y;\nreal a=f(1);")
+    assert err.value.line == 2
+
+
 def test_undeclared_identifier_reports_line():
     with pytest.raises(EvalError) as err:
         run("int a=1;\nint b=zz;")
@@ -257,6 +281,28 @@ def test_factorization_reuse_with_init():
     assert base > 0
 
 
+@pytest.mark.parametrize("k, expected", [(1, 1.0), (0, 0.5)])
+def test_problem_init_reuses_the_matrix(k, expected):
+    # FreeFem: init=0 reassembles the matrix; init!=0 keeps the previous one
+    # (and its factorization), so a changed coefficient of the bilinear part
+    # has no effect.  Mass matrix times u = mass matrix times 1: u = 1/c.
+    src = f"""
+    mesh Th=square(4,4);
+    fespace Vh(Th,P1);
+    Vh u,v;
+    real c=1;
+    int k=0;
+    problem p(u,v,init=k) = int2d(Th)(c*u*v) - int2d(Th)(v);
+    p;
+    real first=u[].max;
+    c=2; k={k};
+    p;
+    """
+    r, _ = run(src)
+    assert r.env.lookup("first") == pytest.approx(1.0, rel=1e-12)
+    assert np.allclose(r.env.lookup("u").dofs, expected, rtol=1e-12, atol=0)
+
+
 def test_mixing_linear_and_bilinear_in_one_integral_rejected():
     src = """
     mesh Th=square(2,2);
@@ -341,6 +387,15 @@ def test_kernel_error_gets_the_statement_line():
     assert err.value.line == 3
 
 
+def test_error_names_the_line_of_the_innermost_expression():
+    src = ("mesh Th=square(2,2), Tg=square(3,3);\nfespace Vg(Tg,P1);\nVg g=x;\n"
+           "real a = 1 +\nint2d(Th)(g);")
+    with pytest.raises(InvalidArgumentError, match="^line 5: FE coefficient lives on a "
+                                                   "different mesh$") as err:
+        run(src)
+    assert err.value.line == 5
+
+
 def test_kernel_error_keeps_the_innermost_line():
     src = "mesh Th=square(2,2);\nfunc real f(real t) {\n  return dx(t);\n}\n{\n real a = f(1);\n}"
     with pytest.raises(InvalidArgumentError) as err:
@@ -383,6 +438,27 @@ def test_number_times_bracket_vector_distributes(integrand):
     macro Grad(u)[dx(u),dy(u)]//
     varf a(u,v) = int2d(Th)({integrand}) + on(1,u=0);
     varf b(u,v) = int2d(Th)(c*(dx(u)*dx(v)+dy(u)*dy(v))) + on(1,u=0);
+    matrix A=a(Vh,Vh), B=b(Vh,Vh);
+    """
+    r, _ = run(src)
+    A, B = r.env.lookup("A"), r.env.lookup("B")
+    assert A.nnz == B.nnz
+    assert np.array_equal(A.to_dense(), B.to_dense())
+
+
+@pytest.mark.parametrize("integrand", [
+    "c*Grad(u)'*Grad(v)", "Grad(u)'*c*Grad(v)", "Grad(u)'*(Grad(v)*c)",
+])
+@pytest.mark.parametrize("coef", ["w", "mu"], ids=["fe-function", "analytic-function"])
+def test_scalar_times_bracket_vector_distributes(integrand, coef):
+    src = f"""
+    mesh Th=square(6,6);
+    fespace Vh(Th,P1);
+    Vh w=1+x;
+    func mu=1+x;
+    macro Grad(u)[dx(u),dy(u)]//
+    varf a(u,v) = int2d(Th)({integrand.replace("c", coef)}) + on(1,u=0);
+    varf b(u,v) = int2d(Th)({coef}*(dx(u)*dx(v)+dy(u)*dy(v))) + on(1,u=0);
     matrix A=a(Vh,Vh), B=b(Vh,Vh);
     """
     r, _ = run(src)
@@ -700,7 +776,14 @@ _M, _w = np.array([[1.0, 2], [3, 4]]), np.array([5.0, -6])
     ("matrix c=S+S;", _M + _M),
     ("real[int] c(3); c=b;", _b),
     ("real[int] c(3); c=1;", np.ones(3)),
+    ("real[int] c=a.*b;", _a * _b),
+    ("real[int] c=a./b;", _a / _b),
     ("int c=7%3;", 1),
+    ("int c=-7%3;", -1),
+    ("int c=7%-3;", 1),
+    ("int c=-7/3;", -2),
+    ("complex z=1i; int c=(z==z);", 1),
+    ("complex z=1i; int c=(z!=z);", 0),
     ("real c=7.5%2;", 7.5 % 2),
     ("int c=3^35;", 3 ** 35),
     ("real c=2^(-2);", 0.25),
@@ -718,6 +801,8 @@ def test_array_and_matrix_operators(stmt, expected):
     ("real[int] c(2); c=a;", "array assignment with mismatched sizes"),
     ("int c=1/0;", "integer division by zero"),
     ("real[int] c=a*b;", "use u'\\*v for dot products"),
+    ("real[int] c=a/b;", "use u'\\*v for dot products"),
+    ("real[int] d=[1,2]; real[int] c=a.*d;", "array shapes differ"),
     ("real[int] c=2*a';", "vector times transposed vector is the only outer form"),
 ])
 def test_array_operator_errors(stmt, message):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from femscript.errors import InvalidArgumentError, SingularMatrixError, SolverError, UnsupportedError
-from femscript.linalg import (SparseMatrix, det, dot, elem_div, elem_mul, factorize,
-                              matvec, outer, solve_cg, solve_lu, trace, transpose)
+from femscript.linalg import (SparseMatrix, det, dot, factorize, outer, solve_cg,
+                              solve_lu, trace)
 
 
 def tridiag(n, lo, d, hi):
@@ -135,28 +135,11 @@ def test_trace_outer_dot_property():
         assert abs(trace(outer(u, v)) - dot(u, v)) <= 1e-12
 
 
-def test_elementwise_ops():
-    assert np.allclose(elem_div([1, 2, 3], [2, 3, 4]), [0.5, 2 / 3, 0.75], atol=1e-16)
-    assert np.allclose(elem_mul([1, 2, 3], [2, 3, 4]), [2, 6, 12], atol=0)
-    with pytest.raises(InvalidArgumentError):
-        elem_div([1, 2], [1, 2, 3])
-
-
 def test_det_small_only():
     assert det(np.array([[4.0]])) == 4.0
     assert det(np.array([[1.0, 2.0], [-2.0, 1.0]])) == 5.0
     with pytest.raises(UnsupportedError):
         det(np.eye(3))
-
-
-def test_transpose_involution():
-    M = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(transpose(transpose(M)), M)
-
-
-def test_matvec_shape_check():
-    with pytest.raises(InvalidArgumentError):
-        matvec(np.eye(3), np.ones(4))
 
 
 # -- CSR container ------------------------------------------------------------------
