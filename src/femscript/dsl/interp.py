@@ -339,6 +339,29 @@ def _is_number(v):
     return isinstance(v, (int, float, complex)) and not isinstance(v, bool)
 
 
+_SCALARS = {"int": int, "real": float, "complex": complex}
+
+
+def _scalar(base, name, value):
+    """`value` as the declared int, real or complex scalar `name`."""
+    value = _simplify(value)
+    if not _is_number(value):
+        raise EvalError(f"{base} {name} needs a number, not {_describe(value)}")
+    if isinstance(value, complex) and base != "complex":
+        raise EvalError(f"{base} {name} cannot hold a complex value")
+    return _SCALARS[base](value)
+
+
+def _describe(v):
+    """What a value with no number or text form is, in the script's terms."""
+    if isinstance(v, FuncValue) and not v.analytic or isinstance(v, VarfValue):
+        return f"the {'func' if isinstance(v, FuncValue) else 'varf'} {v.name!r}"
+    if isinstance(v, SYMBOLIC):
+        return ("a function of x, y, which needs a point, as in mu(0.5,0.5), "
+                "or an integral")
+    return f"a {type(v).__name__}"
+
+
 def _undefined(op, a, b):
     return EvalError(f"operator {op!r} undefined for {type(a).__name__} and "
                      f"{type(b).__name__}")
@@ -361,7 +384,7 @@ def _format_value(v):
         if v.ndim == 1:
             return "\n".join(_format_value(_simplify(x)) for x in v) + "\n"
         return "\n".join(" ".join(_format_value(_simplify(x)) for x in row) for row in v) + "\n"
-    return str(v)
+    raise EvalError(f"cannot write {_describe(v)}")
 
 
 # --------------------------------------------------------------------------
@@ -712,22 +735,10 @@ class Interpreter:
             if arr.ndim != 2:
                 raise EvalError("matrix initializer must be two-dimensional")
             return arr.copy()
-        if base == "int":
-            if init is None:
-                return 0
-            if isinstance(init, complex):
-                raise EvalError("cannot initialize int from complex")
-            return int(init)
-        if base in ("real",):
-            if init is None:
-                return 0.0
-            if isinstance(init, complex):
-                raise EvalError("cannot initialize real from complex")
-            return float(init)
+        if base in _SCALARS:
+            return _SCALARS[base]() if init is None else _scalar(base, d.name, init)
         if base == "bool":
             return int(bool(init)) if init is not None else 0
-        if base == "complex":
-            return complex(init) if init is not None else 0j
         if base == "string":
             return _format_value(init) if init is not None else ""
         raise EvalError(f"cannot declare {base}")
@@ -1122,12 +1133,10 @@ class Interpreter:
                     raise EvalError("cannot assign that to an array")
                 return
             # scalar variables keep their declared numeric type
-            if isinstance(current, float) and isinstance(value, int):
-                value = float(value)
-            elif isinstance(current, int) and isinstance(value, float):
-                value = int(value)
-            elif isinstance(current, complex) and _is_number(value):
-                value = complex(value)
+            if isinstance(current, (int, float, complex)):
+                base = next(k for k, t in _SCALARS.items() if isinstance(current, t))
+                owner.vars[target.name] = _scalar(base, target.name, value)
+                return
             if isinstance(current, Mesh) or current is None:
                 if target.name in owner.vars and isinstance(value, Mesh):
                     owner.vars[target.name] = value
@@ -1307,9 +1316,10 @@ class Interpreter:
 
     def _linalg_op(self, op, a, b):
         if isinstance(a, SolveProxy):
-            if op == "*" and isinstance(b, np.ndarray):
+            n = a.matrix.shape[0]
+            if op == "*" and isinstance(b, np.ndarray) and b.shape == (n,):
                 return self._solve_matrix(a.matrix, b, getattr(a.matrix, "_solver", "LU"))
-            raise EvalError("A^-1 must multiply a vector")
+            raise EvalError(f"A^-1 must multiply a vector of length {n}")
         if isinstance(a, SparseMatrix) and op == "^":
             if b == -1:
                 return SolveProxy(a)

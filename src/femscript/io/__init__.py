@@ -1,5 +1,3 @@
-from .exporters import (export_bb, export_dof_txt, export_eps, export_gnu,
-                        export_mathematica_txt, import_dof_txt)
+from .exporters import export_dof_txt, export_eps
 
-__all__ = ["export_gnu", "export_bb", "export_mathematica_txt",
-           "export_dof_txt", "import_dof_txt", "export_eps"]
+__all__ = ["export_dof_txt", "export_eps"]

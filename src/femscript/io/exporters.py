@@ -1,53 +1,13 @@
-"""File exporters for external plotters, plus the plain-text DOF dump.
+"""The plain-text DOF dump and minimal EPS plots.
 
-All writers format reals with the shortest decimal string that round-trips
-to the identical double, so outputs are deterministic byte-for-byte.
+The DOF dump writes each real as the shortest decimal string that
+round-trips to the identical double, so it is deterministic byte-for-byte.
 """
 
 from .._fmt import fmt_real
-from ..errors import InvalidArgumentError, UnsupportedError
-from ..fespace import FeFunction, FeSpace
+from ..errors import InvalidArgumentError
+from ..fespace import FeFunction
 from ..mesh import Mesh
-
-
-def export_gnu(xs, ys, path) -> None:
-    """One `x y` pair per line, for gnuplot."""
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys):
-        raise InvalidArgumentError(
-            f"series lengths differ: {len(xs)} vs {len(ys)}")
-    with open(path, "w") as f:
-        for x, y in zip(xs, ys):
-            f.write(f"{fmt_real(x)} {fmt_real(y)}\n")
-
-
-def _require_p1(space):
-    if space.elem != "P1":
-        raise UnsupportedError("this exporter writes vertex (P1) data only")
-
-
-def export_bb(space: FeSpace, u: FeFunction, path) -> None:
-    """Header `2 1 1 <ndof> 2`, then one DOF value per line."""
-    _require_p1(space)
-    with open(path, "w") as f:
-        f.write(f"2 1 1 {space.ndof} 2\n")
-        for v in u.dofs:
-            f.write(fmt_real(v) + "\n")
-
-
-def export_mathematica_txt(space: FeSpace, u: FeFunction, path) -> None:
-    """Per triangle: `x y value` for the three vertices, the first vertex
-    repeated to close the polygon, then a blank separator line."""
-    _require_p1(space)
-    mesh = space.mesh
-    with open(path, "w") as f:
-        for t in range(mesh.nt):
-            verts = [int(v) for v in mesh.tri[t]]
-            for v in verts + verts[:1]:
-                x, y = mesh.points[v]
-                f.write(f"{fmt_real(x)} {fmt_real(y)} {fmt_real(u.dofs[v])}\n")
-            f.write("\n")
 
 
 def export_dof_txt(u: FeFunction, path) -> None:
@@ -55,20 +15,6 @@ def export_dof_txt(u: FeFunction, path) -> None:
     with open(path, "w") as f:
         for v in u.dofs:
             f.write(fmt_real(v) + "\n")
-
-
-def import_dof_txt(space: FeSpace, path) -> FeFunction:
-    values = []
-    with open(path) as f:
-        for line in f:
-            for tok in line.split():
-                values.append(float(tok))
-    if len(values) != space.ndof:
-        raise InvalidArgumentError(
-            f"file holds {len(values)} values, space has {space.ndof} DOFs")
-    u = FeFunction(space)
-    u.dofs[:] = values
-    return u
 
 
 # --------------------------------------------------------------------------

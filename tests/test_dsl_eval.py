@@ -112,6 +112,27 @@ def test_analytic_function_called_at_a_point():
     assert err.value.line == 2
 
 
+POINT_OR_INTEGRAL = r"a function of x, y, which needs a point, as in mu\(0\.5,0\.5\), or an integral$"
+
+
+@pytest.mark.parametrize("src, message", [
+    ("func mu=1+x;\ncout << mu;", "cannot write " + POINT_OR_INTEGRAL),
+    ("func real f(real t){return t;}\ncout << f;", "cannot write the func 'f'$"),
+    ("mesh Th=square(2,2); fespace Vh(Th,P1); varf a(u,v)=int2d(Th)(u*v);\ncout << a;",
+     "cannot write the varf 'a'$"),
+    ("func mu=1+x;\nreal a=mu+1;", "real a needs a number, not " + POINT_OR_INTEGRAL),
+    ("func mu=1+x;\nint k=mu;", "int k needs a number, not " + POINT_OR_INTEGRAL),
+    ("func mu=1+x; real a;\na=mu;\ncout << a+1;", "real a needs a number, not "
+     + POINT_OR_INTEGRAL),
+    ("func mu=1+x; complex z;\nz=mu;", "complex z needs a number, not " + POINT_OR_INTEGRAL),
+], ids=["write-func", "write-real-func", "write-varf", "init-real", "init-int", "assign-real",
+        "assign-complex"])
+def test_internal_values_do_not_reach_the_script(src, message):
+    with pytest.raises(EvalError, match="^line 2: " + message) as err:
+        run(src)
+    assert err.value.line == 2
+
+
 def test_undeclared_identifier_reports_line():
     with pytest.raises(EvalError) as err:
         run("int a=1;\nint b=zz;")
@@ -804,6 +825,7 @@ def test_array_and_matrix_operators(stmt, expected):
     ("real[int] c=a/b;", "use u'\\*v for dot products"),
     ("real[int] d=[1,2]; real[int] c=a.*d;", "array shapes differ"),
     ("real[int] c=2*a';", "vector times transposed vector is the only outer form"),
+    ("real[int] c=S^-1*a;", "A\\^-1 must multiply a vector of length 2$"),
 ])
 def test_array_operator_errors(stmt, message):
     with pytest.raises(EvalError, match=f"^line 5: {message}"):

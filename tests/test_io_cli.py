@@ -5,127 +5,22 @@ import numpy as np
 import pytest
 
 from femscript.cli import main
-from femscript.errors import InvalidArgumentError, UnsupportedError
 from femscript.fespace import FeSpace, interpolate
-from femscript.io import (export_bb, export_dof_txt, export_eps, export_gnu,
-                          export_mathematica_txt, import_dof_txt)
+from femscript.io import export_dof_txt, export_eps
 from femscript.mesh import build_square, save_msh
 
 
-# -- gnuplot series ---------------------------------------------------------
+# -- DOF text -------------------------------------------------------------------
 
-def test_gnu_exact_bytes(tmp_path):
-    path = tmp_path / "plot.gnu"
-    export_gnu([0, 1], [2, 3], path)
-    assert path.read_bytes() == b"0 2\n1 3\n"
-
-
-def test_gnu_empty(tmp_path):
-    path = tmp_path / "empty.gnu"
-    export_gnu([], [], path)
-    assert path.read_bytes() == b""
-
-
-def test_gnu_roundtrip(tmp_path):
-    xs = np.linspace(0, 1, 33)
-    ys = np.sin(2 * np.pi * xs)
-    path = tmp_path / "sin.gnu"
-    export_gnu(xs, ys, path)
-    back = np.array([[float(v) for v in line.split()]
-                     for line in path.read_text().splitlines()])
-    assert np.abs(back[:, 0] - xs).max() <= 1e-12
-    assert np.abs(back[:, 1] - ys).max() <= 1e-12
-
-
-def test_gnu_length_mismatch(tmp_path):
-    with pytest.raises(InvalidArgumentError):
-        export_gnu([0, 1], [2], tmp_path / "x.gnu")
-
-
-# -- .bb -----------------------------------------------------------------------
-
-def test_bb_header_and_body(tmp_path):
-    mesh = build_square(1, 1)
-    Vh = FeSpace(mesh, "P1")
-    u = Vh.function(1.0)
-    path = tmp_path / "sol.bb"
-    export_bb(Vh, u, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "2 1 1 4 2"
-    assert lines[1:] == ["1"] * 4
-    assert len(lines) - 1 == Vh.ndof
-
-
-def test_bb_requires_p1(tmp_path):
-    mesh = build_square(2, 2)
-    V0 = FeSpace(mesh, "P0")
-    with pytest.raises(UnsupportedError):
-        export_bb(V0, V0.function(1.0), tmp_path / "x.bb")
-
-
-def test_bb_values_roundtrip_against_dof_txt(tmp_path):
+def test_dof_txt_roundtrips_exactly_and_deterministically(tmp_path):
     mesh = build_square(3, 3)
     Vh = FeSpace(mesh, "P1")
-    u = interpolate(Vh, lambda x, y: np.sin(x) + y ** 2)
-    export_bb(Vh, u, tmp_path / "sol.bb")
-    export_dof_txt(u, tmp_path / "sol.txt")
-    w = import_dof_txt(Vh, tmp_path / "sol.txt")
-    assert np.array_equal(w.dofs, u.dofs)
-    bb_vals = [float(v) for v in (tmp_path / "sol.bb").read_text().split()[5:]]
-    assert np.array_equal(np.array(bb_vals), u.dofs)
-
-
-def test_dof_txt_length_check(tmp_path):
-    mesh = build_square(2, 2)
-    Vh = FeSpace(mesh, "P1")
-    (tmp_path / "short.txt").write_text("1\n2\n")
-    with pytest.raises(InvalidArgumentError):
-        import_dof_txt(Vh, tmp_path / "short.txt")
-
-
-# -- mathematica blocks ----------------------------------------------------------
-
-def test_mathematica_block_structure(tmp_path):
-    mesh = build_square(1, 1)
-    Vh = FeSpace(mesh, "P1")
-    u = interpolate(Vh, lambda x, y: x + y)
-    path = tmp_path / "m.txt"
-    export_mathematica_txt(Vh, u, path)
-    blocks = path.read_text().split("\n\n")
-    blocks = [b for b in blocks if b.strip()]
-    assert len(blocks) == 2
-    for block in blocks:
-        lines = block.splitlines()
-        assert len(lines) == 4
-        assert lines[0] == lines[-1]
-
-
-def test_mathematica_shared_vertices_consistent(tmp_path):
-    mesh = build_square(2, 2)
-    Vh = FeSpace(mesh, "P1")
-    u = interpolate(Vh, lambda x, y: 3 * x - y)
-    path = tmp_path / "m.txt"
-    export_mathematica_txt(Vh, u, path)
-    seen = {}
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        x, y, v = (float(t) for t in line.split())
-        key = (x, y)
-        assert seen.setdefault(key, v) == v
-
-
-def test_exports_deterministic(tmp_path):
-    mesh = build_square(3, 3)
-    Vh = FeSpace(mesh, "P1")
-    u = interpolate(Vh, lambda x, y: np.cos(x * y))
-    for name, writer in [("a.bb", lambda p: export_bb(Vh, u, p)),
-                         ("a.txt", lambda p: export_mathematica_txt(Vh, u, p))]:
-        p1 = tmp_path / ("1" + name)
-        p2 = tmp_path / ("2" + name)
-        writer(p1)
-        writer(p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    u = interpolate(Vh, lambda x, y: np.sin(x) + np.cos(x * y) + y ** 2)
+    export_dof_txt(u, tmp_path / "a.txt")
+    export_dof_txt(u, tmp_path / "b.txt")
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    back = [float(v) for v in (tmp_path / "a.txt").read_text().splitlines()]
+    assert np.array_equal(np.array(back), u.dofs)
 
 
 def test_eps_writer(tmp_path):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+from femscript import studies
 from femscript.errors import InvalidArgumentError, SingularMatrixError, SolverError, UnsupportedError
 from femscript.linalg import (SparseMatrix, det, dot, factorize, outer, solve_cg,
                               solve_lu, trace)
+from femscript.studies import ThetaSchemeConfig
 
 
 def tridiag(n, lo, d, hi):
@@ -70,10 +73,81 @@ def test_lu_singular_matrix():
         solve_lu(A, np.ones(2))
 
 
+@pytest.mark.parametrize("rows, cols, vals", [
+    ([0], [0], [1.0]),                          # a diagonal with an entry missing
+    ([0, 0, 1], [0, 1, 1], [1.0, 2.0, 0.0]),    # a zero pivot in SuperLU
+])
+def test_lu_singular_matrix_raises_when_factorized(rows, cols, vals):
+    A = SparseMatrix.from_coo(rows, cols, vals, (2, 2))
+    with pytest.raises(SingularMatrixError):
+        factorize(A)
+
+
+def test_lu_nan_diagonal_raises_at_solve():
+    A = SparseMatrix.from_coo([0, 1], [0, 1], [1.0, np.nan], (2, 2))
+    lu = factorize(A)
+    assert lu.method == "diagonal"
+    with pytest.raises(SingularMatrixError):
+        lu.solve(np.ones(2))
+
+
+@pytest.mark.parametrize("b", [np.ones(3), np.ones((2, 2)), 1.0])
+def test_solves_need_a_vector_of_matching_length(b):
+    A = tridiag(2, -1.0, 2.0, -1.0)
+    with pytest.raises(InvalidArgumentError, match="right-hand side"):
+        solve_lu(A, b)
+    with pytest.raises(InvalidArgumentError, match="right-hand side"):
+        solve_cg(A, b)
+    with pytest.raises(InvalidArgumentError, match="right-hand side"):
+        solve_lu(SparseMatrix.identity(2), b)
+
+
 def test_lu_requires_square():
     A = SparseMatrix.from_coo([0, 1], [0, 1], [1.0, 1.0], (2, 3))
     with pytest.raises(InvalidArgumentError):
         solve_lu(A, np.ones(3))
+
+
+# -- the direct method follows the stored pattern -------------------------------
+
+def factorized_by(monkeypatch, run):
+    """The (matrix, factorization) pairs that a study function builds."""
+    seen = []
+
+    def record(A):
+        seen.append((A, factorize(A)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(studies, "factorize", record)
+    run()
+    assert seen
+    return seen
+
+
+def test_theta0_heat_matrix_is_divided_bit_identically(monkeypatch):
+    [(A, lu)] = factorized_by(
+        monkeypatch, lambda: studies.run_heat_single(ThetaSchemeConfig(theta=0.0, N=16)))
+    b = np.random.default_rng(2).standard_normal(A.shape[0])
+    assert lu.method == "diagonal"
+    assert np.array_equal(lu.solve(b), splu(A._csr.tocsc()).solve(b))
+
+
+def test_square_stiffness_matrices_get_minimum_degree(monkeypatch):
+    seen = factorized_by(monkeypatch, lambda: studies.run_poisson_study(2))
+    assert [lu.method for _, lu in seen] == ["MMD_AT_PLUS_A"] * 2
+
+
+def test_disk_newton_jacobians_get_minimum_degree(disk_meshes, monkeypatch):
+    seen = factorized_by(monkeypatch, lambda: studies.run_fixed_point(
+        "ellnl", 128, mesh=disk_meshes[3], method="newton"))
+    assert {lu.method for _, lu in seen} == {"MMD_AT_PLUS_A"}
+
+
+def test_unsymmetric_pattern_keeps_colamd():
+    A = SparseMatrix.from_coo([0, 1, 1, 2], [0, 0, 1, 2], [2.0, 1.0, 3.0, 4.0], (3, 3))
+    lu = factorize(A)
+    assert lu.method == "COLAMD"
+    assert np.array_equal(lu.solve(np.array([2.0, 4.0, 8.0])), [1.0, 1.0, 2.0])
 
 
 # -- CG ------------------------------------------------------------------------
