@@ -1096,13 +1096,8 @@ class Interpreter:
             raise EvalError(f"function {f.name!r} takes {len(f.params)} arguments")
         call_env = Env(parent=f.env)
         for (base, dims, name), v in zip(f.params, args):
-            if dims == 0:
-                if base == "int":
-                    v = int(v)
-                elif base == "real":
-                    v = float(v)
-                elif base == "complex":
-                    v = complex(v)
+            if dims == 0 and base in _SCALARS:
+                v = _scalar(base, name, v)
             call_env.define(name, v)
         try:
             self.exec_stmt(f.body, call_env)
@@ -1316,10 +1311,9 @@ class Interpreter:
 
     def _linalg_op(self, op, a, b):
         if isinstance(a, SolveProxy):
-            n = a.matrix.shape[0]
-            if op == "*" and isinstance(b, np.ndarray) and b.shape == (n,):
+            if op == "*" and isinstance(b, np.ndarray):
                 return self._solve_matrix(a.matrix, b, getattr(a.matrix, "_solver", "LU"))
-            raise EvalError(f"A^-1 must multiply a vector of length {n}")
+            raise EvalError("A^-1 must multiply a vector")
         if isinstance(a, SparseMatrix) and op == "^":
             if b == -1:
                 return SolveProxy(a)
@@ -1369,7 +1363,7 @@ class Interpreter:
 
     def _solve_matrix(self, A: SparseMatrix, b, solver):
         if solver == "CG":
-            result = solve_cg(A, np.asarray(b, dtype=float))
+            result = solve_cg(A, b)
             if not result.converged:
                 self._log(1, f"CG stopped at residual {result.relative_residual:.2e}")
             return result.x

@@ -10,15 +10,16 @@ pattern alone, and caches the factorization on the matrix for repeated
 solves:
 - every stored entry on the diagonal (the lumped-mass heat matrix at
   theta = 0): x = b / d, bit-identical to SuperLU's solution;
-- a symmetric pattern (stiffness matrices, and the Newton Jacobians, which
-  are symmetric in pattern but not in value): SuperLU with minimum degree on
-  the pattern of A'+A, which on the 5-point square at N = 256 stores 3.5M
-  entries in L+U against 6.3M under COLAMD.  relax=1 and panel_size=1 keep
-  SuperLU from amalgamating supernodes: with its default relaxation the
-  same ordering factors the N = 256 disk Jacobian in 3.4 s instead of
-  0.05 s (COLAMD: 0.11 s), on one core;
-- any other pattern: SuperLU's default COLAMD column ordering.
-SuperLU pivots partially in every case.  The conjugate gradient is written
+- any other pattern: SuperLU with minimum degree on the pattern of A'+A.
+  The matrices built here (stiffness matrices, mass-plus-stiffness steps,
+  and the Newton Jacobians, which are symmetric in pattern but not in
+  value) are all symmetric in pattern, where this ordering fills less than
+  SuperLU's default COLAMD: on the 5-point square at N = 256, L+U stores
+  3.5M entries against 6.3M.  relax=1 and panel_size=1 keep SuperLU from
+  amalgamating supernodes: with its default relaxation the same ordering
+  factors the N = 256 disk Jacobian in 3.4 s instead of 0.05 s (COLAMD:
+  0.11 s), on one core.
+SuperLU pivots partially.  The conjugate gradient is written
 here, Jacobi preconditioned, and serves as the independent cross-check of
 the direct route on symmetric positive definite systems.
 """
@@ -207,7 +208,7 @@ class SparseMatrix:
 
 class LuFactorization:
     """Direct solver of one square matrix by the method its pattern picks
-    (module docstring): `method` is "diagonal", "MMD_AT_PLUS_A" or "COLAMD"."""
+    (module docstring): `method` is "diagonal" or "MMD_AT_PLUS_A"."""
 
     def __init__(self, A: SparseMatrix):
         if A.shape[0] != A.shape[1]:
@@ -222,15 +223,10 @@ class LuFactorization:
             if not np.all(self._diag):          # a zero, stored or missing
                 raise SingularMatrixError("Factor is exactly singular")
             return
-        # the CSC arrays of A are the CSR arrays of its transpose
-        csc = csr.tocsc()
-        if np.array_equal(csc.indptr, csr.indptr) and np.array_equal(csc.indices, csr.indices):
-            self._method, options = "MMD_AT_PLUS_A", dict(
-                permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
-        else:
-            self._method, options = "COLAMD", {}
+        self._method = "MMD_AT_PLUS_A"
         try:
-            self._splu = _spla.splu(csc, **options)
+            self._splu = _spla.splu(csr.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
+                                    panel_size=1)
         except RuntimeError as exc:
             raise SingularMatrixError(str(exc)) from exc
 

@@ -125,8 +125,10 @@ POINT_OR_INTEGRAL = r"a function of x, y, which needs a point, as in mu\(0\.5,0\
     ("func mu=1+x; real a;\na=mu;\ncout << a+1;", "real a needs a number, not "
      + POINT_OR_INTEGRAL),
     ("func mu=1+x; complex z;\nz=mu;", "complex z needs a number, not " + POINT_OR_INTEGRAL),
+    ("func real g(real t){return t;} func mu=1+x;\nreal a=g(mu);",
+     "real t needs a number, not " + POINT_OR_INTEGRAL),
 ], ids=["write-func", "write-real-func", "write-varf", "init-real", "init-int", "assign-real",
-        "assign-complex"])
+        "assign-complex", "call-real"])
 def test_internal_values_do_not_reach_the_script(src, message):
     with pytest.raises(EvalError, match="^line 2: " + message) as err:
         run(src)
@@ -825,8 +827,16 @@ def test_array_and_matrix_operators(stmt, expected):
     ("real[int] c=a/b;", "use u'\\*v for dot products"),
     ("real[int] d=[1,2]; real[int] c=a.*d;", "array shapes differ"),
     ("real[int] c=2*a';", "vector times transposed vector is the only outer form"),
-    ("real[int] c=S^-1*a;", "A\\^-1 must multiply a vector of length 2$"),
+    ("real c=S^-1*2;", "A\\^-1 must multiply a vector$"),
 ])
 def test_array_operator_errors(stmt, message):
     with pytest.raises(EvalError, match=f"^line 5: {message}"):
         run(LINALG_PRELUDE + stmt)
+
+
+def test_inverse_times_a_vector_of_the_wrong_length():
+    # the solver's own right-hand-side check, located at the script's line
+    with pytest.raises(InvalidArgumentError, match=r"^line 5: right-hand side of shape \(3,\) "
+                                                   r"for 2 unknowns") as err:
+        run(LINALG_PRELUDE + "real[int] c=S^-1*a;")
+    assert err.value.line == 5
