@@ -343,13 +343,26 @@ _SCALARS = {"int": int, "real": float, "complex": complex}
 
 
 def _scalar(base, name, value):
-    """`value` as the declared int, real or complex scalar `name`."""
+    """`value` as the declared int, real, complex or bool scalar `name`."""
     value = _simplify(value)
     if not _is_number(value):
         raise EvalError(f"{base} {name} needs a number, not {_describe(value)}")
     if isinstance(value, complex) and base != "complex":
         raise EvalError(f"{base} {name} cannot hold a complex value")
-    return _SCALARS[base](value)
+    return int(bool(value)) if base == "bool" else _SCALARS[base](value)
+
+
+# The script's name of each kind of value that a message may mention.
+_KINDS = ((int, "an int"), (float, "a real"), (complex, "a complex"), (str, "a string"),
+          (Mesh, "a mesh"), (SparseMatrix, "a matrix"), (FeSpace, "an fespace"),
+          (FeFunction, "an FE function"), (np.ndarray, "an array"), (Stream, "a stream"),
+          (BorderSum, "a border"), (ProblemValue, "a problem"))
+
+
+def _kind(v):
+    if v is None:       # a mesh or matrix declared without a value
+        return "an unset mesh or matrix"
+    return next((name for t, name in _KINDS if isinstance(v, t)), f"a {type(v).__name__}")
 
 
 def _describe(v):
@@ -359,12 +372,11 @@ def _describe(v):
     if isinstance(v, SYMBOLIC):
         return ("a function of x, y, which needs a point, as in mu(0.5,0.5), "
                 "or an integral")
-    return f"a {type(v).__name__}"
+    return _kind(v)
 
 
 def _undefined(op, a, b):
-    return EvalError(f"operator {op!r} undefined for {type(a).__name__} and "
-                     f"{type(b).__name__}")
+    return EvalError(f"operator {op!r} undefined for {_kind(a)} and {_kind(b)}")
 
 
 def _format_value(v):
@@ -738,7 +750,7 @@ class Interpreter:
         if base in _SCALARS:
             return _SCALARS[base]() if init is None else _scalar(base, d.name, init)
         if base == "bool":
-            return int(bool(init)) if init is not None else 0
+            return 0 if init is None else _scalar(base, d.name, init)
         if base == "string":
             return _format_value(init) if init is not None else ""
         raise EvalError(f"cannot declare {base}")
@@ -1151,18 +1163,28 @@ class Interpreter:
                     raise EvalError("cannot assign that to a DOF vector")
                 return
             if isinstance(base, np.ndarray):
-                idx = [self.eval(a, env) for a in target.args]
-                base[_checked_index(base.shape, idx)] = value
+                self._assign_element(target.base, base, [self.eval(a, env) for a in target.args],
+                                     value)
                 return
             raise EvalError("invalid indexed assignment")
         if t == "Call":
             base = self.eval(target.callee, env)
             if isinstance(base, np.ndarray):
-                idx = [self.eval(a.value, env) for a in target.args]
-                base[_checked_index(base.shape, idx)] = value
+                self._assign_element(target.callee, base,
+                                     [self.eval(a.value, env) for a in target.args], value)
                 return
             raise EvalError("invalid call assignment")
         raise EvalError("invalid assignment target")
+
+    @staticmethod
+    def _assign_element(node, array, idx, value):
+        """array[idx] = value; an element takes a number of the array's type."""
+        pos = _checked_index(array.shape, idx)
+        if len(idx) == array.ndim or not isinstance(value, np.ndarray):
+            base = {"c": "complex", "f": "real"}.get(array.dtype.kind, "int")
+            where = ",".join(str(int(i)) for i in idx)
+            value = _scalar(base, f"{getattr(node, 'name', 'array')}[{where}]", value)
+        array[pos] = value
 
     # -- integrals and problems ------------------------------------------------------
 

@@ -89,20 +89,21 @@ def _dof_context(space: FeSpace):
     from the highest-index incident triangle, with a one-hot barycentric row;
     that triangle gives the value of a P0 function or of a gradient there.  A
     vertex in no triangle is seen from triangle 0, where only fields that do
-    not read FE values are meaningful.
+    not read FE values are meaningful.  The cache holds the site arrays, not
+    the context: a context refers to its mesh, and a mesh that referred to
+    itself would outlive its last use until the cyclic garbage collector ran.
     """
     mesh = space.mesh
 
     def build():
         if space.elem == "P0":
             b = mesh.barycenters()
-            return CellContext(mesh, np.arange(mesh.nt), b[:, :1], b[:, 1:],
-                               np.full((1, 3), 1.0 / 3.0))
+            return np.arange(mesh.nt), b[:, :1], b[:, 1:], np.full((1, 3), 1.0 / 3.0)
         site = np.zeros(mesh.nv, dtype=np.int64)          # flat index 3*t + k
         np.maximum.at(site, mesh.tri.ravel(), np.arange(3 * mesh.nt))
         p = mesh.points
-        return CellContext(mesh, site // 3, p[:, :1], p[:, 1:], np.eye(3)[site % 3][:, None, :])
-    return mesh._cached(("dof_sites", space.elem), build)
+        return site // 3, p[:, :1], p[:, 1:], np.eye(3)[site % 3][:, None, :]
+    return CellContext(mesh, *mesh._cached(("dof_sites", space.elem), build))
 
 
 def dof_values(space: FeSpace, f, dofs=None) -> np.ndarray:
@@ -136,28 +137,28 @@ def interpolate(space: FeSpace, f) -> FeFunction:
 
 
 class _Locator:
-    """Point location by neighbor walking with a last-hit hint."""
+    """Point location by neighbor walking with a last-hit hint.  Cached on its
+    mesh, it takes the mesh as an argument rather than referring to it."""
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
         self.hint = 0
         self.tol = 1e-12 * max(mesh.diameter(), 1e-300)
 
-    def barycentric(self, t, x, y):
-        gx, gy = self.mesh.basis_gradients()
+    @staticmethod
+    def barycentric(mesh, t, x, y):
+        gx, gy = mesh.basis_gradients()
         lam = np.empty(3)
         # lambda_k is affine with gradient (gx, gy)[t, k] and lambda_k(v_k) = 1
         for k in range(3):
-            vk = self.mesh.points[self.mesh.tri[t, k]]
+            vk = mesh.points[mesh.tri[t, k]]
             lam[k] = 1.0 + gx[t, k] * (x - vk[0]) + gy[t, k] * (y - vk[1])
         return lam
 
-    def locate(self, x, y):
-        mesh = self.mesh
+    def locate(self, mesh, x, y):
         nbr = mesh.neighbors()
         t = self.hint if self.hint < mesh.nt else 0
         for _ in range(mesh.nt + 8):
-            lam = self.barycentric(t, x, y)
+            lam = self.barycentric(mesh, t, x, y)
             worst = int(np.argmin(lam))
             if lam[worst] >= -self.tol:
                 self.hint = t
@@ -166,10 +167,9 @@ class _Locator:
             if nxt < 0:
                 break
             t = nxt
-        return self._brute(x, y)
+        return self._brute(mesh, x, y)
 
-    def _brute(self, x, y):
-        mesh = self.mesh
+    def _brute(self, mesh, x, y):
         gx, gy = mesh.basis_gradients()
         p = mesh.points[mesh.tri]          # (nt, 3, 2)
         lam = 1.0 + gx * (x - p[:, :, 0]) + gy * (y - p[:, :, 1])
@@ -191,7 +191,7 @@ def _locator(mesh: Mesh) -> _Locator:
 def evaluate(u: FeFunction, x: float, y: float) -> float:
     """Value of the FE function at a point of the domain."""
     mesh = u.space.mesh
-    t, lam = _locator(mesh).locate(float(x), float(y))
+    t, lam = _locator(mesh).locate(mesh, float(x), float(y))
     if u.space.elem == "P0":
         return float(u.dofs[t])
     k = int(np.argmax(lam))

@@ -14,11 +14,20 @@ clause's coefficient evaluated at the pinned DOF sites only, through the
 interpolation routine `fespace.dof_values`, so an FE function in it must live
 on the form's mesh and a non-finite value at a pinned vertex is an error.
 
-Assembly accumulates contributions in ascending triangle order and sums
-duplicates with a stable sort, so results are bit-identical across runs.
-Element contributions that are exactly zero (the lumped mass's off-diagonals,
-the stiffness couplings across a right angle) are not stored, so the lumped
-P1 mass is diagonal; an entry whose contributions cancel is still stored.
+Assembly sums each element's quadrature points in order into local
+matrices and adds them into CSR through a sparsity plan cached on the mesh,
+keyed by what fixes the pattern: the trial and test elements and, per
+bilinear term, its kind, labels and number of products.  The plan holds the
+stable sort order of all contributions by (row, col), where each entry's run
+starts, and each entry's row and column (int32 while they fit).  A call
+gathers its contributions in that order, drops the exactly zero ones (the
+lumped mass's off-diagonals, the stiffness couplings across a right angle)
+and sums the rest of each run with one np.add.reduceat: bit for bit the sums
+of sorting the nonzero contributions afresh.  Summing the zeros in would
+not be, since reduceat adds pairwise and a zero regroups its run.  An entry
+with no nonzero contribution is not stored, so the lumped P1 mass is
+diagonal; one whose contributions cancel to zero is.  A linear form sums
+each DOF's contributions in the same order with one np.bincount.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -267,8 +276,12 @@ class VarForm:
 def _cell_context(mesh, rule):
     tri = np.arange(mesh.nt)
     p = mesh.points[mesh.tri]
-    x = np.einsum("qk,nk->nq", rule.lam, p[:, :, 0])
-    y = np.einsum("qk,nk->nq", rule.lam, p[:, :, 1])
+    # summed over the vertices in order, as einsum("qk,nk->nq") sums
+    x = np.zeros((mesh.nt, len(rule.w)))
+    y = np.zeros((mesh.nt, len(rule.w)))
+    for k in range(3):
+        x += p[:, k, 0, None] * rule.lam[:, k]
+        y += p[:, k, 1, None] * rule.lam[:, k]
     return CellContext(mesh, tri, x, y, rule.lam)
 
 
@@ -383,34 +396,53 @@ def dirichlet_dofs(space: FeSpace, labels):
     return mesh._cached(("dirichlet_dofs", labels), build)
 
 
+def _bilinear_plan(mesh, blocks, key, shape):
+    """(order, starts, rows, cols) of the pattern of the (test DOF map, trial
+    DOF map) `blocks`, cached on the mesh under `key` (module docstring)."""
+    def build():
+        m = np.int64(shape[1])
+        flat = np.concatenate([(dv[:, :, None] * m + du[:, None, :]).ravel()
+                               for dv, du in blocks] or [np.zeros(0, dtype=np.int64)])
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+        flat = flat[starts]
+        idx = np.int32 if max(len(order), *shape) <= np.iinfo(np.int32).max else np.int64
+        return (order.astype(idx), starts.astype(idx), (flat // m).astype(idx),
+                (flat % m).astype(idx))
+    return mesh._cached(key, build)
+
+
 def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
                       tgv: float = DEFAULT_TGV) -> SparseMatrix:
     """Assemble the matrix of all bilinear terms, then pin Dirichlet rows."""
     if trial.mesh is not test.mesh:
         raise InvalidArgumentError("trial and test spaces live on different meshes")
     mesh = trial.mesh
-    rows_acc, cols_acc, vals_acc = [], [], []
+    shape = (test.ndof, trial.ndof)
+    blocks, vals_acc = [], []
     for term in form.bilinear_terms:
         ctx, scale, nq = _term_context(mesh, term)
         for (uk, vk), f in term.expr.terms.items():
             C = f.values(ctx) * scale
             Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
             Bv, dof_v = _cell_basis(test, vk, ctx, nq)
-            loc = np.einsum("nq,nqi,nqj->nij", C, Bv, Bu)
-            ni, nj = loc.shape[1], loc.shape[2]
-            rows_acc.append(np.repeat(dof_v, nj, axis=1).ravel())
-            cols_acc.append(np.tile(dof_u, (1, ni)).ravel())
+            # summed in q order, as einsum("nq,nqi,nqj->nij") sums
+            loc = np.zeros((len(C), dof_v.shape[1], dof_u.shape[1]))
+            for q in range(nq):
+                loc += C[:, q, None, None] * Bv[:, q, :, None] * Bu[:, q, None, :]
+            blocks.append((dof_v, dof_u))
             vals_acc.append(loc.ravel())
-    if rows_acc:
-        rows = np.concatenate(rows_acc)
-        cols = np.concatenate(cols_acc)
-        vals = np.concatenate(vals_acc)
-        keep = vals != 0.0      # drops single contributions, never sums
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0)
-    A = SparseMatrix.from_coo(rows, cols, vals, (test.ndof, trial.ndof))
+    key = ("bilinear_plan", trial.elem, test.elem,
+           tuple((t.kind, t.labels, len(t.expr.terms)) for t in form.bilinear_terms))
+    order, starts, rows, cols = _bilinear_plan(mesh, blocks, key, shape)
+    vals = np.concatenate(vals_acc or [np.zeros(0)])[order]
+    # each entry's nonzero contributions alone (see the module docstring)
+    nonzero = vals != 0.0
+    count = np.add.reduceat(nonzero, starts)
+    live = count > 0
+    summed = np.add.reduceat(vals[nonzero], (np.cumsum(count) - count)[live])
+    A = SparseMatrix._from_sorted(rows[live], cols[live], summed, shape)
     pinned = _dirichlet_union(form, trial)
     if len(pinned):
         A = A.with_diagonal(pinned, tgv)
@@ -428,14 +460,20 @@ def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> n
     """Assemble the vector of all linear terms, then pin Dirichlet entries to
     tgv times the boundary value at each pinned DOF."""
     mesh = test.mesh
-    b = np.zeros(test.ndof)
+    dofs_acc, vals_acc = [], []
     for term in form.linear_terms:
         ctx, scale, nq = _term_context(mesh, term)
         for (_, vk), f in term.expr.terms.items():
             C = f.values(ctx) * scale
             Bv, dof_v = _cell_basis(test, vk, ctx, nq)
-            contrib = np.einsum("nq,nqi->ni", C, Bv)
-            np.add.at(b, dof_v.ravel(), contrib.ravel())
+            loc = np.zeros(dof_v.shape)
+            for q in range(nq):
+                loc += C[:, q, None] * Bv[:, q, :]
+            dofs_acc.append(dof_v.ravel())
+            vals_acc.append(loc.ravel())
+    # bincount sums each DOF's contributions in input order, starting from 0.0
+    b = (np.bincount(np.concatenate(dofs_acc), np.concatenate(vals_acc), minlength=test.ndof)
+         if dofs_acc else np.zeros(test.ndof))
     for bc in form.dirichlet:
         dofs = dirichlet_dofs(test, bc.labels)
         b[dofs] = dof_values(test, bc.value, dofs) * tgv

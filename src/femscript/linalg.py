@@ -105,9 +105,14 @@ class SparseMatrix:
         starts = np.flatnonzero(np.diff(key[order], prepend=-1))
         summed = np.add.reduceat(vals[order], starts)
         first = order[starts]
+        return cls._from_sorted(rows[first], cols[first], summed, shape)
+
+    @classmethod
+    def _from_sorted(cls, rows, cols, vals, shape):
+        """Wrap entries sorted by (row, col) without duplicates, unchecked."""
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[first], minlength=shape[0]), out=indptr[1:])
-        return cls._wrap(_csr_matrix(summed, cols[first], indptr, shape))
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls._wrap(_csr_matrix(vals, cols, indptr, shape))
 
     @classmethod
     def from_dense(cls, M):

@@ -127,8 +127,20 @@ POINT_OR_INTEGRAL = r"a function of x, y, which needs a point, as in mu\(0\.5,0\
     ("func mu=1+x; complex z;\nz=mu;", "complex z needs a number, not " + POINT_OR_INTEGRAL),
     ("func real g(real t){return t;} func mu=1+x;\nreal a=g(mu);",
      "real t needs a number, not " + POINT_OR_INTEGRAL),
+    ("real[int] v(3); func mu=1+x;\nv[0]=mu;", r"real v\[0\] needs a number, not "
+     + POINT_OR_INTEGRAL),
+    ("real[int] v(3);\nv[0]=1i;", r"real v\[0\] cannot hold a complex value$"),
+    ("real[int,int] A(2,3); func mu=1+x;\nA(1,2)=mu;", r"real A\[1,2\] needs a number, not "
+     + POINT_OR_INTEGRAL),
+    ("func mu=1+x;\nbool b=mu;\ncout << b;", "bool b needs a number, not " + POINT_OR_INTEGRAL),
+    ("matrix A;\ncout << A;", "cannot write an unset mesh or matrix$"),
+    ("mesh Th=square(2,2);\nreal a=Th+1;", r"operator '\+' undefined for a mesh and an int$"),
+    ("mesh Th=square(2,2); fespace Vh(Th,P1);\nreal a=2*Vh;",
+     r"operator '\*' undefined for an int and an fespace$"),
 ], ids=["write-func", "write-real-func", "write-varf", "init-real", "init-int", "assign-real",
-        "assign-complex", "call-real"])
+        "assign-complex", "call-real", "assign-element", "assign-element-complex",
+        "assign-call-element", "init-bool", "write-unset-matrix", "mesh-plus-int",
+        "int-times-fespace"])
 def test_internal_values_do_not_reach_the_script(src, message):
     with pytest.raises(EvalError, match="^line 2: " + message) as err:
         run(src)

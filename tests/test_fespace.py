@@ -147,3 +147,28 @@ def test_continuity_across_interior_edges(circle50):
             assert abs(local_value(t, mx, my) - local_value(n, mx, my)) <= 1e-12
             checked += 1
     assert checked > 50
+
+
+def test_mesh_caches_do_not_keep_the_mesh_alive():
+    # a cached entry that refers back to its mesh would keep the mesh (and
+    # every array cached on it) until the cyclic garbage collector ran
+    import gc
+    import weakref
+    from femscript.forms import (TestFunction, TrialFunction, VarForm, FormTerm,
+                                 assemble_bilinear, dx, dy)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mesh = build_square(4, 4)
+        for elem in ("P1", "P0"):
+            u = interpolate(create_space(mesh, elem), lambda x, y: x + y)
+            evaluate(u, 0.3, 0.6)
+        U, V = TrialFunction(), TestFunction()
+        Vh = create_space(mesh, "P1")
+        assemble_bilinear(VarForm([FormTerm("int2d", dx(U) * dx(V) + dy(U) * dy(V))]), Vh, Vh)
+        ref = weakref.ref(mesh)
+        del mesh, u, Vh
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -8,8 +8,8 @@ from femscript.fields import Constant, X, as_field
 from femscript.forms import (DirichletBC, FormTerm, TestFunction, TrialFunction,
                              VarForm, as_form, assemble_bilinear, assemble_linear,
                              dirichlet_dofs, dx, dy, integrate_1d, integrate_2d)
-from femscript.linalg import solve_lu
-from femscript.mesh import build_square
+from femscript.linalg import SparseMatrix, solve_lu
+from femscript.mesh import build_from_borders, build_square
 
 U, V = TrialFunction(), TestFunction()
 STIFF = dx(U) * dx(V) + dy(U) * dy(V)
@@ -206,6 +206,94 @@ def test_cancelling_contributions_stay_stored():
     assert D[a, b] == 0.0 and D[b, a] == 0.0 and D[a, a] == 0.0
     assert A.nnz == assemble_bilinear(bilinear(MASS), Vh, Vh).nnz == 14
 
+
+
+def _reference_bilinear(form, trial, test):
+    """Assembly as it was before the cached plan: each term's local matrices
+    by einsum, their COO triples concatenated, exact zeros masked out, and
+    duplicates summed by SparseMatrix.from_coo."""
+    from femscript.forms import _cell_basis, _term_context
+    rows, cols, vals = [], [], []
+    for term in form.bilinear_terms:
+        ctx, scale, nq = _term_context(trial.mesh, term)
+        for (uk, vk), f in term.expr.terms.items():
+            C = f.values(ctx) * scale
+            Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
+            Bv, dof_v = _cell_basis(test, vk, ctx, nq)
+            loc = np.einsum("nq,nqi,nqj->nij", C, Bv, Bu)
+            rows.append(np.repeat(dof_v, loc.shape[2], axis=1).ravel())
+            cols.append(np.tile(dof_u, (1, loc.shape[1])).ravel())
+            vals.append(loc.ravel())
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    keep = vals != 0.0
+    return SparseMatrix.from_coo(rows[keep], cols[keep], vals[keep], (test.ndof, trial.ndof))
+
+
+def _weighted_mass(w):
+    return lambda mesh: bilinear(as_form(U) * as_field(FeSpace(mesh, "P1").function(w)) * V)
+
+
+# Each case assembles its forms in turn on one fresh mesh.
+PLAN_CASES = {
+    "square-stiffness": ("square", "P1", "P1", [lambda m: bilinear(STIFF)]),
+    "disk-stiffness": ("disk", "P1", "P1", [lambda m: bilinear(STIFF)]),
+    "square-P0-trial": ("square", "P0", "P1", [lambda m: bilinear(MASS)]),
+    "disk-P0-test": ("disk", "P1", "P0", [lambda m: bilinear(MASS)]),
+    "int1d-two-labels": ("square", "P1", "P1", [
+        lambda m: bilinear(MASS, kind="int1d", labels=frozenset({1})),
+        lambda m: bilinear(MASS, kind="int1d", labels=frozenset({2}))]),
+    "weighted-mass-zero-then-not": ("square", "P1", "P1",
+                                    [_weighted_mass(0.0), _weighted_mass(1.5)]),
+}
+
+
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_planned_assembly_matches_the_unplanned_recipe_bit_for_bit(case):
+    from femscript.studies import circle_border
+    where, trial_elem, test_elem, forms = PLAN_CASES[case]
+    mesh = build_square(7, 5) if where == "square" else build_from_borders([circle_border(24)])
+    trial, test = FeSpace(mesh, trial_elem), FeSpace(mesh, test_elem)
+    nnz = []
+    for make in forms:
+        form = make(mesh)
+        A, R = assemble_bilinear(form, trial, test)._csr, _reference_bilinear(form, trial, test)._csr
+        assert np.array_equal(A.indptr, R.indptr) and np.array_equal(A.indices, R.indices)
+        assert np.array_equal(A.data.view(np.uint64), R.data.view(np.uint64))
+        nnz.append(A.nnz)
+    plans = [k for k in mesh._cache if k[0] == "bilinear_plan"]
+    if case == "int1d-two-labels":
+        assert len(plans) == 2
+    if case == "weighted-mass-zero-then-not":
+        # one plan, two stored patterns: nothing for w = 0, the mass pattern after
+        assert len(plans) == 1 and nnz[0] == 0 < nnz[1]
+
+
+def test_linear_assembly_matches_scatter_adds_bit_for_bit(circle50):
+    # Value terms only: for a derivative of v (constant in q, a stride-0
+    # table) or a P0 v, einsum sums the quadrature points in an order of its
+    # own, which the q-ordered loop does not follow.
+    from femscript.forms import _cell_basis, _term_context
+    Vh = FeSpace(circle50, "P1")
+    form = VarForm(linear_terms=[FormTerm("int2d", (X * X + 1.0) * V, quad="order5"),
+                                 FormTerm("int1d", X * V, frozenset(circle50.boundary_labels())),
+                                 FormTerm("int2d", -2.0 * V)])
+    ref = np.zeros(Vh.ndof)
+    for term in form.linear_terms:
+        ctx, scale, nq = _term_context(circle50, term)
+        for (_, vk), f in term.expr.terms.items():
+            Bv, dof_v = _cell_basis(Vh, vk, ctx, nq)
+            np.add.at(ref, dof_v.ravel(), np.einsum("nq,nqi->ni", f.values(ctx) * scale, Bv).ravel())
+    assert np.array_equal(assemble_linear(form, Vh).view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("quad", ["default", "lumped", "order5"])
+def test_quadrature_points_match_the_einsum_recipe_bit_for_bit(circle50, quad):
+    from femscript.forms import RULES_2D, _cell_context
+    ctx = _cell_context(circle50, RULES_2D[quad])
+    p = circle50.points[circle50.tri]
+    for axis, got in enumerate((ctx.x, ctx.y)):
+        want = np.einsum("qk,nk->nq", RULES_2D[quad].lam, p[:, :, axis])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 def test_assembly_is_linear_in_the_form(square10):
     Vh = FeSpace(square10, "P1")
