@@ -276,12 +276,8 @@ class VarForm:
 def _cell_context(mesh, rule):
     tri = np.arange(mesh.nt)
     p = mesh.points[mesh.tri]
-    # summed over the vertices in order, as einsum("qk,nk->nq") sums
-    x = np.zeros((mesh.nt, len(rule.w)))
-    y = np.zeros((mesh.nt, len(rule.w)))
-    for k in range(3):
-        x += p[:, k, 0, None] * rule.lam[:, k]
-        y += p[:, k, 1, None] * rule.lam[:, k]
+    x = np.einsum("qk,nk->nq", rule.lam, p[:, :, 0])
+    y = np.einsum("qk,nk->nq", rule.lam, p[:, :, 1])
     return CellContext(mesh, tri, x, y, rule.lam)
 
 
@@ -466,6 +462,8 @@ def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> n
         for (_, vk), f in term.expr.terms.items():
             C = f.values(ctx) * scale
             Bv, dof_v = _cell_basis(test, vk, ctx, nq)
+            # in q order, as for matrices; einsum's own order for a derivative
+            # of v or a P0 v depends on the strides and the SIMD width
             loc = np.zeros(dof_v.shape)
             for q in range(nq):
                 loc += C[:, q, None] * Bv[:, q, :]

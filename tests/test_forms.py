@@ -286,15 +286,6 @@ def test_linear_assembly_matches_scatter_adds_bit_for_bit(circle50):
     assert np.array_equal(assemble_linear(form, Vh).view(np.uint64), ref.view(np.uint64))
 
 
-@pytest.mark.parametrize("quad", ["default", "lumped", "order5"])
-def test_quadrature_points_match_the_einsum_recipe_bit_for_bit(circle50, quad):
-    from femscript.forms import RULES_2D, _cell_context
-    ctx = _cell_context(circle50, RULES_2D[quad])
-    p = circle50.points[circle50.tri]
-    for axis, got in enumerate((ctx.x, ctx.y)):
-        want = np.einsum("qk,nk->nq", RULES_2D[quad].lam, p[:, :, axis])
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
 def test_assembly_is_linear_in_the_form(square10):
     Vh = FeSpace(square10, "P1")
     A1 = assemble_bilinear(bilinear(STIFF), Vh, Vh)
