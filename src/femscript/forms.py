@@ -401,7 +401,7 @@ def _bilinear_plan(mesh, blocks, key, shape):
                                for dv, du in blocks] or [np.zeros(0, dtype=np.int64)])
         order = np.argsort(flat, kind="stable")
         flat = flat[order]
-        starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+        starts = np.flatnonzero(np.r_[len(flat) > 0, flat[1:] != flat[:-1]])
         flat = flat[starts]
         idx = np.int32 if max(len(order), *shape) <= np.iinfo(np.int32).max else np.int64
         return (order.astype(idx), starts.astype(idx), (flat // m).astype(idx),

@@ -256,7 +256,8 @@ def test_planned_assembly_matches_the_unplanned_recipe_bit_for_bit(case):
     nnz = []
     for make in forms:
         form = make(mesh)
-        A, R = assemble_bilinear(form, trial, test)._csr, _reference_bilinear(form, trial, test)._csr
+        A = assemble_bilinear(form, trial, test)._csr
+        R = _reference_bilinear(form, trial, test)._csr
         assert np.array_equal(A.indptr, R.indptr) and np.array_equal(A.indices, R.indices)
         assert np.array_equal(A.data.view(np.uint64), R.data.view(np.uint64))
         nnz.append(A.nnz)
@@ -267,6 +268,16 @@ def test_planned_assembly_matches_the_unplanned_recipe_bit_for_bit(case):
         # one plan, two stored patterns: nothing for w = 0, the mass pattern after
         assert len(plans) == 1 and nnz[0] == 0 < nnz[1]
 
+
+
+def test_form_without_bilinear_terms_assembles_the_pinned_diagonal(square10):
+    Vh = FeSpace(square10, "P1")
+    pinned = dirichlet_dofs(Vh, {1})
+    A = assemble_bilinear(VarForm(dirichlet=[DirichletBC(frozenset({1}), as_field(0.0))]),
+                          Vh, Vh)
+    assert A.nnz == len(pinned)
+    assert np.array_equal(np.flatnonzero(A.diagonal()), pinned)
+    assert np.all(A.diagonal()[pinned] == 1e30)
 
 def test_linear_assembly_matches_scatter_adds_bit_for_bit(circle50):
     # Value terms only: for a derivative of v (constant in q, a stride-0
@@ -282,7 +293,8 @@ def test_linear_assembly_matches_scatter_adds_bit_for_bit(circle50):
         ctx, scale, nq = _term_context(circle50, term)
         for (_, vk), f in term.expr.terms.items():
             Bv, dof_v = _cell_basis(Vh, vk, ctx, nq)
-            np.add.at(ref, dof_v.ravel(), np.einsum("nq,nqi->ni", f.values(ctx) * scale, Bv).ravel())
+            loc = np.einsum("nq,nqi->ni", f.values(ctx) * scale, Bv)
+            np.add.at(ref, dof_v.ravel(), loc.ravel())
     assert np.array_equal(assemble_linear(form, Vh).view(np.uint64), ref.view(np.uint64))
 
 
