@@ -269,7 +269,6 @@ def test_planned_assembly_matches_the_unplanned_recipe_bit_for_bit(case):
         assert len(plans) == 1 and nnz[0] == 0 < nnz[1]
 
 
-
 def test_form_without_bilinear_terms_assembles_the_pinned_diagonal(square10):
     Vh = FeSpace(square10, "P1")
     pinned = dirichlet_dofs(Vh, {1})
@@ -278,6 +277,7 @@ def test_form_without_bilinear_terms_assembles_the_pinned_diagonal(square10):
     assert A.nnz == len(pinned)
     assert np.array_equal(np.flatnonzero(A.diagonal()), pinned)
     assert np.all(A.diagonal()[pinned] == 1e30)
+
 
 def test_linear_assembly_matches_scatter_adds_bit_for_bit(circle50):
     # Value terms only: for a derivative of v (constant in q, a stride-0
