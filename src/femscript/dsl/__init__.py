@@ -1,6 +1,5 @@
 from dataclasses import dataclass
 
-from .astnodes import to_source
 from .interp import EvalError, Env, Interpreter
 from .lexer import LexError, Token, tokenize
 from .parser import ParseError, Parser, expand_macro, parse
@@ -25,5 +24,5 @@ def run_source(source, script_dir=".", stdout=None, stdin=None,
 
 
 __all__ = ["tokenize", "Token", "LexError", "parse", "Parser", "ParseError",
-           "expand_macro", "to_source", "Interpreter", "EvalError", "Env",
+           "expand_macro", "Interpreter", "EvalError", "Env",
            "run_source", "RunResult"]

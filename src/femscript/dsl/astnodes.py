@@ -1,14 +1,10 @@
-"""Syntax tree of the scripting language plus a canonical printer.
+"""Syntax tree of the scripting language.
 
-Nodes compare structurally (positions excluded), and `to_source` emits text
-that re-parses to an equal tree: expressions come out fully parenthesized,
-macro bodies are re-emitted token by token.
+Nodes compare structurally; positions are left out of both equality and repr.
 """
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-from .._fmt import fmt_real
 
 
 def _pos_field():
@@ -269,136 +265,3 @@ class LoadStmt(Node):
     module: str
     line: int = _pos_field()
 
-
-# -- printer ------------------------------------------------------------------
-
-def _tok_text(tok):
-    if tok.kind == "str":
-        body = tok.text.replace("\\", "\\\\").replace('"', '\\"') \
-                       .replace("\n", "\\n").replace("\t", "\\t")
-        return f'"{body}"'
-    if tok.kind == "imag":
-        return tok.text + "i"
-    return tok.text
-
-
-def _num_text(v):
-    if isinstance(v, int):
-        return str(v)
-    return fmt_real(v)
-
-
-def to_source(node, indent=0) -> str:
-    pad = "  " * indent
-    t = type(node).__name__
-    if t == "Program":
-        return "".join(to_source(s, indent) for s in node.body)
-    if t == "Num":
-        return _num_text(node.value)
-    if t == "Imag":
-        return fmt_real(node.value) + "i"
-    if t == "Str":
-        body = node.value.replace("\\", "\\\\").replace('"', '\\"') \
-                         .replace("\n", "\\n").replace("\t", "\\t")
-        return f'"{body}"'
-    if t == "Ident":
-        return node.name
-    if t == "Unary":
-        return f"({node.op}{to_source(node.operand)})"
-    if t == "Binary":
-        return f"({to_source(node.left)}{node.op}{to_source(node.right)})"
-    if t == "Assign":
-        return f"{to_source(node.target)}{node.op}{to_source(node.value)}"
-    if t == "IncDec":
-        if node.prefix:
-            return f"{node.op}{to_source(node.target)}"
-        return f"{to_source(node.target)}{node.op}"
-    if t == "Arg":
-        if node.name:
-            return f"{node.name}={to_source(node.value)}"
-        return to_source(node.value)
-    if t == "Call":
-        args = ",".join(to_source(a) for a in node.args)
-        return f"{to_source(node.callee)}({args})"
-    if t == "Index":
-        args = ",".join(to_source(a) for a in node.args)
-        return f"{to_source(node.base)}[{args}]"
-    if t == "Member":
-        return f"{to_source(node.base)}.{node.name}"
-    if t == "Transpose":
-        return f"{to_source(node.base)}'"
-    if t == "ListExpr":
-        return "[" + ",".join(to_source(x) for x in node.items) + "]"
-    if t == "Range":
-        if node.step is None:
-            return f"({to_source(node.start)}:{to_source(node.stop)})"
-        return f"({to_source(node.start)}:{to_source(node.step)}:{to_source(node.stop)})"
-    if t == "Declarator":
-        out = node.name
-        if node.sizes:
-            out += "(" + ",".join(to_source(s) for s in node.sizes) + ")"
-        if node.init is not None:
-            out += "=" + to_source(node.init)
-        return out
-    if t == "Decl":
-        base = node.base
-        if node.dims == 1:
-            base += "[int]"
-        elif node.dims == 2:
-            base += "[int,int]"
-        if node.subtype:
-            base += f"<{node.subtype}>"
-        return pad + base + " " + ",".join(to_source(d) for d in node.decls) + ";\n"
-    if t == "FespaceDecl":
-        extra = "".join("," + to_source(a) for a in node.named)
-        return pad + (f"fespace {node.name}({to_source(node.mesh)},"
-                      f"{to_source(node.elem)}{extra});\n")
-    if t == "FeDecl":
-        sub = f"<{node.subtype}>" if node.subtype else ""
-        return pad + node.space + sub + " " + ",".join(to_source(d) for d in node.decls) + ";\n"
-    if t == "MacroDef":
-        params = "" if node.params is None else "(" + ",".join(node.params) + ")"
-        body = " ".join(_tok_text(tok) for tok in node.body)
-        return pad + f"macro {node.name}{params} {body}//\n"
-    if t == "BorderDef":
-        body = "".join(to_source(s, indent + 1) for s in node.body)
-        return pad + (f"border {node.name}({node.param}={to_source(node.t0)},"
-                      f"{to_source(node.t1)}){{\n{body}{pad}}};\n")
-    if t == "FuncDef":
-        if node.ret_type is None and node.params is None:
-            return pad + f"func {node.name}={to_source(node.body)};\n"
-        ps = ",".join(f"{b}{'[int]' if d == 1 else ''} {n}" for b, d, n in node.params)
-        body = to_source(node.body, indent)
-        return pad + f"func {node.ret_type} {node.name}({ps}){body.lstrip()}"
-    if t in ("VarfDef", "ProblemDef"):
-        kw = "varf" if t == "VarfDef" else node.kind
-        extra = "".join("," + to_source(a) for a in node.named)
-        return pad + (f"{kw} {node.name}({node.unknown},{node.test}{extra})="
-                      f"{to_source(node.body)};\n")
-    if t == "If":
-        out = pad + f"if ({to_source(node.cond)})\n" + to_source(node.then, indent + 1)
-        if node.orelse is not None:
-            out += pad + "else\n" + to_source(node.orelse, indent + 1)
-        return out
-    if t == "For":
-        init = to_source(node.init, 0).strip().rstrip(";")
-        return pad + (f"for ({init};{to_source(node.cond)};{to_source(node.change)})\n"
-                      + to_source(node.body, indent + 1))
-    if t == "While":
-        return pad + f"while ({to_source(node.cond)})\n" + to_source(node.body, indent + 1)
-    if t == "Break":
-        return pad + "break;\n"
-    if t == "Continue":
-        return pad + "continue;\n"
-    if t == "Return":
-        if node.value is None:
-            return pad + "return;\n"
-        return pad + f"return {to_source(node.value)};\n"
-    if t == "Block":
-        inner = "".join(to_source(s, indent + 1) for s in node.body)
-        return pad + "{\n" + inner + pad + "}\n"
-    if t == "ExprStmt":
-        return pad + to_source(node.expr) + ";\n"
-    if t == "LoadStmt":
-        return pad + f'load "{node.module}";\n'
-    raise TypeError(f"cannot print {t}")

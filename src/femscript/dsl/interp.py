@@ -46,7 +46,7 @@ from ..fespace import interpolate as interpolate_field
 from ..fields import Constant, Field, Unary as FieldUnary, X as FIELD_X, Y as FIELD_Y
 from ..io.exporters import export_eps
 from ..linalg import SparseMatrix, factorize, solve_cg
-from ..linalg import det as _det, dot as _dot, outer as _outer, trace as _trace
+from ..linalg import det as _det, dot as _dot, trace as _trace
 from ..mesh import Border, Mesh, build_from_borders, build_square, load_msh, move_mesh, save_msh
 from . import astnodes as A
 from .parser import Parser
@@ -339,7 +339,16 @@ def _is_number(v):
     return isinstance(v, (int, float, complex)) and not isinstance(v, bool)
 
 
-_SCALARS = {"int": int, "real": float, "complex": complex}
+class _Bool(int):
+    """The value of a `bool` variable: an int, 0 or 1, whose type tells
+    assignments to keep it a bool.  Arithmetic on it gives plain ints."""
+
+    def __new__(cls, value=0):
+        return super().__new__(cls, bool(value))
+
+
+# "bool" first: a _Bool is also an int
+_SCALARS = {"bool": _Bool, "int": int, "real": float, "complex": complex}
 
 
 def _scalar(base, name, value):
@@ -349,7 +358,7 @@ def _scalar(base, name, value):
         raise EvalError(f"{base} {name} needs a number, not {_describe(value)}")
     if isinstance(value, complex) and base != "complex":
         raise EvalError(f"{base} {name} cannot hold a complex value")
-    return int(bool(value)) if base == "bool" else _SCALARS[base](value)
+    return _SCALARS[base](value)
 
 
 # The script's name of each kind of value that a message may mention.
@@ -749,8 +758,6 @@ class Interpreter:
             return arr.copy()
         if base in _SCALARS:
             return _SCALARS[base]() if init is None else _scalar(base, d.name, init)
-        if base == "bool":
-            return 0 if init is None else _scalar(base, d.name, init)
         if base == "string":
             return _format_value(init) if init is not None else ""
         raise EvalError(f"cannot declare {base}")
@@ -1366,7 +1373,7 @@ class Interpreter:
         if isinstance(b, Transposed):
             if op == "*" and isinstance(a, np.ndarray) and a.ndim == 1 and \
                     isinstance(b.data, np.ndarray):
-                return _outer(a, b.data)
+                return np.outer(a, b.data)
             raise EvalError("vector times transposed vector is the only outer form")
         if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
             if op == "*" and a.ndim == 2:

@@ -177,17 +177,51 @@ class Parser:
             return
         raise ParseError(f"expected ';', found {tok.text!r}", tok)
 
-    # -- entry ----------------------------------------------------------------
+    def _comma_list(self, item, close=None):
+        """Comma-separated items parsed by `item`, as a tuple.  With a closing
+        punctuation `close` the list may be empty and `close` is consumed;
+        without one it holds at least one item."""
+        items = []
+        if close is None or not self.at("punct", close):
+            items.append(item())
+            while self.accept("punct", ","):
+                items.append(item())
+        if close is not None:
+            self.expect_punct(close)
+        return tuple(items)
 
-    def parse_program(self):
+    def _named_tail(self):
+        """The `, name=value ...)` that closes a header, as a tuple of Args."""
+        named = []
+        while self.accept("punct", ","):
+            named.append(self.argument())
+        self.expect_punct(")")
+        return tuple(named)
+
+    def _statements(self, in_block):
+        """Statements up to the end of input, or up to and including the `}`
+        of a block.  Empty statements are skipped, and the list that
+        `func f=..., g=...;` gives is flattened."""
         body = []
-        while not self.at("eof"):
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof":
+                if in_block:
+                    raise ParseError("unterminated block", tok)
+                return tuple(body)
+            if in_block and tok.kind == "punct" and tok.text == "}":
+                self.next()
+                return tuple(body)
             stmt = self.statement()
             if isinstance(stmt, list):
                 body.extend(stmt)
             elif stmt is not None:
                 body.append(stmt)
-        return A.Program(tuple(body))
+
+    # -- entry ----------------------------------------------------------------
+
+    def parse_program(self):
+        return A.Program(self._statements(in_block=False))
 
     # -- statements -------------------------------------------------------------
 
@@ -220,14 +254,10 @@ class Parser:
                 return self.for_stmt()
             if kw == "while":
                 return self.while_stmt()
-            if kw == "break":
+            if kw in ("break", "continue"):
                 line = self.next().line
                 self.end_statement()
-                return A.Break(line=line)
-            if kw == "continue":
-                line = self.next().line
-                self.end_statement()
-                return A.Continue(line=line)
+                return (A.Break if kw == "break" else A.Continue)(line=line)
             if kw == "return":
                 line = self.next().line
                 value = None
@@ -252,17 +282,7 @@ class Parser:
 
     def block(self):
         line = self.expect_punct("{").line
-        body = []
-        while not self.at("punct", "}"):
-            if self.at("eof"):
-                raise ParseError("unterminated block", self.peek())
-            stmt = self.statement()
-            if isinstance(stmt, list):
-                body.extend(stmt)
-            elif stmt is not None:
-                body.append(stmt)
-        self.next()
-        return A.Block(tuple(body), line=line)
+        return A.Block(self._statements(in_block=True), line=line)
 
     def _type_suffix(self, base):
         dims = 0
@@ -276,36 +296,31 @@ class Parser:
             else:
                 dims = 1
             self.expect_punct("]")
-        if self.at("op", "<"):
-            self.next()
-            sub = self.next()
-            subtype = sub.text
-            self.expect_op(">")
-        return dims, subtype
+        return dims, self._subtype()
+
+    def _subtype(self):
+        if not self.accept("op", "<"):
+            return None
+        subtype = self.next().text
+        self.expect_op(">")
+        return subtype
 
     def declaration(self):
-        tok = self.next()
-        base = tok.text
-        dims, subtype = self._type_suffix(base)
-        decls = [self.declarator()]
-        while self.accept("punct", ","):
-            decls.append(self.declarator())
+        decl = self.declaration_no_semi()
         self.end_statement()
-        return A.Decl(base, dims, subtype, tuple(decls), line=tok.line)
+        return decl
+
+    def declaration_no_semi(self):
+        tok = self.next()
+        dims, subtype = self._type_suffix(tok.text)
+        return A.Decl(tok.text, dims, subtype, self._comma_list(self.declarator), line=tok.line)
 
     def declarator(self):
         name = self.expect_ident().text
         sizes = ()
         init = None
-        if self.at("punct", "("):
-            self.next()
-            args = []
-            if not self.at("punct", ")"):
-                args.append(self.expression())
-                while self.accept("punct", ","):
-                    args.append(self.expression())
-            self.expect_punct(")")
-            sizes = tuple(args)
+        if self.accept("punct", "("):
+            sizes = self._comma_list(self.expression, ")")
         elif self.accept("op", "="):
             init = self.expression()
         return A.Declarator(name, sizes, init)
@@ -317,27 +332,17 @@ class Parser:
         mesh = self.expression()
         self.expect_punct(",")
         elem = self.expression()
-        named = []
-        while self.accept("punct", ","):
-            named.append(self.argument())
-        self.expect_punct(")")
+        named = self._named_tail()
         self.end_statement()
         self.fespaces.add(name)
-        return A.FespaceDecl(name, mesh, elem, tuple(named), line=line)
+        return A.FespaceDecl(name, mesh, elem, named, line=line)
 
     def fe_decl(self):
         tok = self.next()
-        space = tok.text
-        subtype = None
-        if self.at("op", "<"):
-            self.next()
-            subtype = self.next().text
-            self.expect_op(">")
-        decls = [self.declarator()]
-        while self.accept("punct", ","):
-            decls.append(self.declarator())
+        subtype = self._subtype()
+        decls = self._comma_list(self.declarator)
         self.end_statement()
-        return A.FeDecl(space, subtype, tuple(decls), line=tok.line)
+        return A.FeDecl(tok.text, subtype, decls, line=tok.line)
 
     def macro_def(self):
         line = self.next().line
@@ -350,13 +355,7 @@ class Parser:
             # (e.g. `macro Pi2 (2*pi)//`) already belongs to the body
             if self.at("punct", "(") and self._looks_like_params():
                 self.next()
-                ps = []
-                if not self.at("punct", ")"):
-                    ps.append(self.expect_ident().text)
-                    while self.accept("punct", ","):
-                        ps.append(self.expect_ident().text)
-                self.expect_punct(")")
-                params = tuple(ps)
+                params = self._comma_list(lambda: self.expect_ident().text, ")")
             body = []
             while True:
                 tok = self.ts.next(skip_comments=False)
@@ -414,25 +413,18 @@ class Parser:
             ret = self.next().text
             name = self.expect_ident().text
             self.expect_punct("(")
-            params = []
-            if not self.at("punct", ")"):
-                params.append(self._func_param())
-                while self.accept("punct", ","):
-                    params.append(self._func_param())
-            self.expect_punct(")")
+            params = self._comma_list(self._func_param, ")")
             body = self.block()
             self.accept("punct", ";")
-            return A.FuncDef(name, ret, tuple(params), body, line=line)
-        defs = []
-        while True:
+            return A.FuncDef(name, ret, params, body, line=line)
+
+        def analytic():
             name = self.expect_ident().text
             self.expect_op("=")
-            body = self.expression()
-            defs.append(A.FuncDef(name, None, None, body, line=line))
-            if not self.accept("punct", ","):
-                break
+            return A.FuncDef(name, None, None, self.expression(), line=line)
+        defs = self._comma_list(analytic)
         self.end_statement()
-        return defs[0] if len(defs) == 1 else defs
+        return defs[0] if len(defs) == 1 else list(defs)
 
     def _func_param(self):
         base = self.next()
@@ -448,14 +440,11 @@ class Parser:
         unknown = self.expect_ident().text
         self.expect_punct(",")
         test = self.expect_ident().text
-        named = []
-        while self.accept("punct", ","):
-            named.append(self.argument())
-        self.expect_punct(")")
+        named = self._named_tail()
         self.expect_op("=")
         body = self.expression()
         self.end_statement()
-        return name, unknown, test, tuple(named), body
+        return name, unknown, test, named, body
 
     def varf_def(self):
         line = self.next().line
@@ -508,15 +497,6 @@ class Parser:
         self.expect_punct(")")
         body = self.body_statement()
         return A.For(init, cond, change, body, line=line)
-
-    def declaration_no_semi(self):
-        tok = self.next()
-        base = tok.text
-        dims, subtype = self._type_suffix(base)
-        decls = [self.declarator()]
-        while self.accept("punct", ","):
-            decls.append(self.declarator())
-        return A.Decl(base, dims, subtype, tuple(decls), line=tok.line)
 
     def while_stmt(self):
         line = self.next().line
@@ -616,22 +596,10 @@ class Parser:
             tok = self.peek()
             if tok.kind == "punct" and tok.text == "(":
                 self.next()
-                args = []
-                if not self.at("punct", ")"):
-                    args.append(self.argument())
-                    while self.accept("punct", ","):
-                        args.append(self.argument())
-                self.expect_punct(")")
-                node = A.Call(node, tuple(args), line=tok.line)
+                node = A.Call(node, self._comma_list(self.argument, ")"), line=tok.line)
             elif tok.kind == "punct" and tok.text == "[":
                 self.next()
-                args = []
-                if not self.at("punct", "]"):
-                    args.append(self.expression())
-                    while self.accept("punct", ","):
-                        args.append(self.expression())
-                self.expect_punct("]")
-                node = A.Index(node, tuple(args), line=tok.line)
+                node = A.Index(node, self._comma_list(self.expression, "]"), line=tok.line)
             elif tok.kind == "punct" and tok.text == ".":
                 self.next()
                 name = self.expect_ident().text
@@ -664,13 +632,7 @@ class Parser:
             self.expect_punct(")")
             return expr
         if tok.kind == "punct" and tok.text == "[":
-            items = []
-            if not self.at("punct", "]"):
-                items.append(self.expression())
-                while self.accept("punct", ","):
-                    items.append(self.expression())
-            self.expect_punct("]")
-            return A.ListExpr(tuple(items), line=tok.line)
+            return A.ListExpr(self._comma_list(self.expression, "]"), line=tok.line)
         raise ParseError(f"unexpected token {tok.text!r}", tok)
 
 

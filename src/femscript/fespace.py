@@ -47,10 +47,6 @@ class FeSpace:
         return f"FeSpace({self.elem}, ndof={self.ndof})"
 
 
-def create_space(mesh: Mesh, elem: str) -> FeSpace:
-    return FeSpace(mesh, elem)
-
-
 class FeFunction(Field):
     """DOF-value vector bound to a space; a coefficient field on its mesh,
     callable at points of the domain."""
@@ -182,10 +178,7 @@ class _Locator:
 
 
 def _locator(mesh: Mesh) -> _Locator:
-    loc = mesh._cache.get("locator")
-    if loc is None:
-        loc = mesh._cache["locator"] = _Locator(mesh)
-    return loc
+    return mesh._cached("locator", lambda: _Locator(mesh))
 
 
 def evaluate(u: FeFunction, x: float, y: float) -> float:

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .fespace import FeFunction, FeSpace, dof_values
 from .fields import CellContext, Constant, Field, FeGradField, as_field
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, _sorted_runs
 
 DEFAULT_TGV = 1e30
 
@@ -397,12 +397,9 @@ def _bilinear_plan(mesh, blocks, key, shape):
     DOF map) `blocks`, cached on the mesh under `key` (module docstring)."""
     def build():
         m = np.int64(shape[1])
-        flat = np.concatenate([(dv[:, :, None] * m + du[:, None, :]).ravel()
-                               for dv, du in blocks] or [np.zeros(0, dtype=np.int64)])
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        starts = np.flatnonzero(np.r_[len(flat) > 0, flat[1:] != flat[:-1]])
-        flat = flat[starts]
+        order, starts, flat = _sorted_runs(np.concatenate(
+            [(dv[:, :, None] * m + du[:, None, :]).ravel() for dv, du in blocks]
+            or [np.zeros(0, dtype=np.int64)]))
         idx = np.int32 if max(len(order), *shape) <= np.iinfo(np.int32).max else np.int64
         return (order.astype(idx), starts.astype(idx), (flat // m).astype(idx),
                 (flat % m).astype(idx))

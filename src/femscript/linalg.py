@@ -38,6 +38,17 @@ def _check_range(idx, bound, what):
         raise InvalidArgumentError(f"{what} index out of range")
 
 
+def _sorted_runs(key):
+    """The stable sort order of `key`, the starts of its runs of equal values
+    in that order, and the value of each run.  Ties keep their input order,
+    so summing each run with np.add.reduceat fixes the order in which
+    duplicates add up."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[len(key) > 0, key[1:] != key[:-1]])
+    return order, starts, key[starts]
+
+
 def _rhs(b, n):
     """The right-hand side of an n x n solve as a float vector of length n."""
     b = np.asarray(b, dtype=float)
@@ -90,22 +101,19 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
-        """Sum duplicate (row, col) entries in a fixed order: a stable sort
-        by (row, col) keeps ties in input order, then np.add.reduceat sums
-        each run.  This order is what makes assembly bit-for-bit
-        deterministic; scipy's own COO conversion sums in another."""
+        """Sum duplicate (row, col) entries in a fixed order, that of
+        `_sorted_runs` on the (row, col) key.  This order is what makes
+        assembly bit-for-bit deterministic; scipy's own COO conversion sums
+        in another."""
         shape = (int(shape[0]), int(shape[1]))
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals)
         _check_range(rows, shape[0], "row")
         _check_range(cols, shape[1], "column")
-        key = rows * shape[1] + cols
-        order = np.argsort(key, kind="stable")
-        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        order, starts, keys = _sorted_runs(rows * shape[1] + cols)
         summed = np.add.reduceat(vals[order], starts)
-        first = order[starts]
-        return cls._from_sorted(rows[first], cols[first], summed, shape)
+        return cls._from_sorted(keys // shape[1], keys % shape[1], summed, shape)
 
     @classmethod
     def _from_sorted(cls, rows, cols, vals, shape):
@@ -119,11 +127,6 @@ class SparseMatrix:
         M = np.asarray(M)
         rows, cols = np.nonzero(M)
         return cls.from_coo(rows, cols, M[rows, cols], M.shape)
-
-    @classmethod
-    def identity(cls, n):
-        r = np.arange(n)
-        return cls.from_coo(r, r, np.ones(n), (n, n))
 
     # -- queries ----------------------------------------------------------
 
@@ -253,11 +256,6 @@ def factorize(A: SparseMatrix) -> LuFactorization:
     return A._lu
 
 
-def solve_lu(A: SparseMatrix, b) -> np.ndarray:
-    """Direct solve; the factorization is cached on A for reuse."""
-    return factorize(A).solve(b)
-
-
 # --------------------------------------------------------------------------
 # conjugate gradient
 
@@ -319,10 +317,6 @@ def dot(u, v) -> float:
     if u.shape != v.shape:
         raise InvalidArgumentError("dot needs equal-length vectors")
     return complex(u @ np.conj(v)) if np.iscomplexobj(u) or np.iscomplexobj(v) else float(u @ v)
-
-
-def outer(u, v):
-    return np.outer(np.asarray(u), np.asarray(v))
 
 
 def trace(M) -> float:

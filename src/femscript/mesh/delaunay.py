@@ -133,9 +133,6 @@ class _Triangulation:
                 return
         raise AssertionError("broken adjacency")
 
-    def _local(self, t, v):
-        return self.tris[t].index(v)
-
     # -- super triangle -----------------------------------------------------
 
     def init_super(self, lo, hi):

@@ -822,6 +822,9 @@ _M, _w = np.array([[1.0, 2], [3, 4]]), np.array([5.0, -6])
     ("real c=7.5%2;", 7.5 % 2),
     ("int c=3^35;", 3 ** 35),
     ("real c=2^(-2);", 0.25),
+    ("bool b; b=5; int c=b;", 1),
+    ("bool b=1; b=0.5; int c=b;", 1),
+    ("bool b=1; b=b+1; int c=b;", 1),
 ])
 def test_array_and_matrix_operators(stmt, expected):
     r, _ = run(LINALG_PRELUDE + stmt)

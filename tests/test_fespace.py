@@ -2,75 +2,75 @@ import numpy as np
 import pytest
 
 from femscript.errors import InvalidArgumentError, NumericError, OutOfDomainError
-from femscript.fespace import create_space, evaluate, interpolate
+from femscript.fespace import FeSpace, evaluate, interpolate
 from femscript.mesh import build_square
 
 
 def test_ndof_p1(square10):
-    assert create_space(square10, "P1").ndof == 121
+    assert FeSpace(square10, "P1").ndof == 121
 
 
 def test_ndof_p0(square10):
-    assert create_space(square10, "P0").ndof == 200
+    assert FeSpace(square10, "P0").ndof == 200
 
 
 def test_ndof_circle(circle50):
-    V = create_space(circle50, "P1")
+    V = FeSpace(circle50, "P1")
     assert V.ndof == circle50.nv
 
 
 def test_unsupported_element(square10):
     with pytest.raises(InvalidArgumentError):
-        create_space(square10, "P2")
+        FeSpace(square10, "P2")
 
 
 def test_dof_numbering_contract(square10):
-    V1 = create_space(square10, "P1")
+    V1 = FeSpace(square10, "P1")
     for t in (0, 57, 199):
         for k in range(3):
             assert V1.dof_of(t, k) == square10.tri[t, k]
-    V0 = create_space(square10, "P0")
+    V0 = FeSpace(square10, "P0")
     assert V0.dof_of(7, 0) == 7
     with pytest.raises(InvalidArgumentError):
         V0.dof_of(7, 1)
 
 
 def test_interpolate_constant(square10):
-    V = create_space(square10, "P1")
+    V = FeSpace(square10, "P1")
     u = interpolate(V, lambda x, y: np.ones_like(x))
     assert np.array_equal(u.dofs, np.ones(V.ndof))
 
 
 def test_interpolate_linear_exactness(square10):
-    V = create_space(square10, "P1")
+    V = FeSpace(square10, "P1")
     u = interpolate(V, lambda x, y: x + y)
     for xy in [(0.11, 0.37), (0.5, 0.5), (0.99, 0.01), (1.0, 1.0)]:
         assert abs(u(*xy) - (xy[0] + xy[1])) <= 1e-14
 
 
 def test_interpolate_sine_at_center():
-    V = create_space(build_square(2, 2), "P1")
+    V = FeSpace(build_square(2, 2), "P1")
     u = interpolate(V, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     center = np.where((V.mesh.points == [0.5, 0.5]).all(axis=1))[0][0]
     assert u.dofs[center] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_interpolate_p0_barycenter(square10):
-    V0 = create_space(square10, "P0")
+    V0 = FeSpace(square10, "P0")
     u = interpolate(V0, lambda x, y: x)
     b = square10.barycenters()
     assert np.allclose(u.dofs, b[:, 0], atol=1e-15)
 
 
 def test_interpolate_nonfinite_raises(square10):
-    V = create_space(square10, "P1")
+    V = FeSpace(square10, "P1")
     with np.errstate(divide="ignore"):
         with pytest.raises(NumericError):
             interpolate(V, lambda x, y: 1.0 / (x - 0.5))
 
 
 def test_evaluate_at_vertex(square10):
-    V = create_space(square10, "P1")
+    V = FeSpace(square10, "P1")
     u = interpolate(V, lambda x, y: x * 2 + y)
     k = 37
     x, y = square10.points[k]
@@ -78,20 +78,20 @@ def test_evaluate_at_vertex(square10):
 
 
 def test_evaluate_linear_point(square10):
-    V = create_space(square10, "P1")
+    V = FeSpace(square10, "P1")
     u = interpolate(V, lambda x, y: x + 2 * y)
     assert u(0.3, 0.4) == pytest.approx(1.1, abs=1e-13)
 
 
 def test_evaluate_outside_raises(square10):
-    V = create_space(square10, "P1")
+    V = FeSpace(square10, "P1")
     u = interpolate(V, lambda x, y: x)
     with pytest.raises(OutOfDomainError):
         evaluate(u, 10.0, 10.0)
 
 
 def test_evaluate_p0_is_triangle_value(square10):
-    V0 = create_space(square10, "P0")
+    V0 = FeSpace(square10, "P0")
     u = V0.function(np.arange(V0.ndof, dtype=float))
     b = square10.barycenters()
     for t in (3, 77, 150):
@@ -99,7 +99,7 @@ def test_evaluate_p0_is_triangle_value(square10):
 
 
 def test_interpolation_projection_property(square10):
-    V = create_space(square10, "P1")
+    V = FeSpace(square10, "P1")
     u = interpolate(V, lambda x, y: np.sin(x) * np.cos(2 * y))
     v = interpolate(V, lambda x, y: np.array(
         [evaluate(u, xi, yi) for xi, yi in zip(np.atleast_1d(x), np.atleast_1d(y))]))
@@ -113,7 +113,7 @@ def test_evaluate_respects_holes():
     b = Border(lambda t: (0.3 + 0.3 * math.cos(t), 0.3 * math.sin(t)),
                0.0, 2 * math.pi, -30, 2)
     mesh = build_from_borders([a, b])
-    V = create_space(mesh, "P1")
+    V = FeSpace(mesh, "P1")
     u = interpolate(V, lambda x, y: x + y)
     assert u(-0.6, 0.0) == pytest.approx(-0.6, abs=1e-12)
     with pytest.raises(OutOfDomainError):
@@ -123,7 +123,7 @@ def test_evaluate_respects_holes():
 def test_continuity_across_interior_edges(circle50):
     """Values from both adjacent triangles at interior edge midpoints agree."""
     mesh = circle50
-    V = create_space(mesh, "P1")
+    V = FeSpace(mesh, "P1")
     rng = np.random.default_rng(7)
     u = V.function(rng.standard_normal(V.ndof))
     nbr = mesh.neighbors()
@@ -161,10 +161,10 @@ def test_mesh_caches_do_not_keep_the_mesh_alive():
     try:
         mesh = build_square(4, 4)
         for elem in ("P1", "P0"):
-            u = interpolate(create_space(mesh, elem), lambda x, y: x + y)
+            u = interpolate(FeSpace(mesh, elem), lambda x, y: x + y)
             evaluate(u, 0.3, 0.6)
         U, V = TrialFunction(), TestFunction()
-        Vh = create_space(mesh, "P1")
+        Vh = FeSpace(mesh, "P1")
         assemble_bilinear(VarForm([FormTerm("int2d", dx(U) * dx(V) + dy(U) * dy(V))]), Vh, Vh)
         ref = weakref.ref(mesh)
         del mesh, u, Vh

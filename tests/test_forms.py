@@ -8,7 +8,7 @@ from femscript.fields import Constant, X, as_field
 from femscript.forms import (DirichletBC, FormTerm, TestFunction, TrialFunction,
                              VarForm, as_form, assemble_bilinear, assemble_linear,
                              dirichlet_dofs, dx, dy, integrate_1d, integrate_2d)
-from femscript.linalg import SparseMatrix, solve_lu
+from femscript.linalg import SparseMatrix, factorize
 from femscript.mesh import build_from_borders, build_square
 
 U, V = TrialFunction(), TestFunction()
@@ -347,7 +347,7 @@ def test_penalty_consistency(square10):
                 dirichlet=[DirichletBC(ALL_LABELS, g)])
     A = assemble_bilinear(a, Vh, Vh)
     b = assemble_linear(l, Vh)
-    x = solve_lu(A, b)
+    x = factorize(A).solve(b)
     boundary = square10.vertices_on_labels({1, 2, 3, 4})
     pts = square10.points[boundary]
     expect = 1.0 + pts[:, 0] + 2 * pts[:, 1]
