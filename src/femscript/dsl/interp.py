@@ -20,6 +20,15 @@ language's own: C integer `/` and `%`, `.*`, `./`, the matrix product,
 transposed and bracket vectors (a scalar scales each entry), strings, streams
 and borders.
 
+Every name records its declared type where its statement binds it: a
+declaration, an FE declaration, an fespace, a func, a border, a varf, a
+problem or a stream (the interpreter's own names are builtins, constants,
+coordinates and form placeholders).  One function, `_convert`, keyed on that
+type, converts every write: initializers, `=`, compound assignment, `++`/`--`,
+element writes, stream reads and func parameters.  A variable never changes
+kind; a value its type cannot hold, or a write to a kind that no write
+rebinds (an fespace, a func...), raises an EvalError.
+
 A `FemError` without a location gets the line of the innermost expression or
 statement that raised it (`_locate`), and a Python error that a statement
 raises on bad data (an arithmetic, value, type or OS error, or runaway
@@ -90,15 +99,18 @@ class ExitSignal(Exception):
 # runtime value wrappers
 
 class Env:
-    __slots__ = ("vars", "parent", "files")
+    """A scope: each name's value and its declared type (see `_convert`)."""
+    __slots__ = ("vars", "types", "parent", "files")
 
     def __init__(self, parent=None):
         self.vars = {}
+        self.types = {}
         self.parent = parent
         self.files = []
 
-    def define(self, name, value):
+    def define(self, name, value, vtype):
         self.vars[name] = value
+        self.types[name] = vtype
 
     def lookup(self, name):
         env = self
@@ -349,6 +361,35 @@ class _Bool(int):
 
 # "bool" first: a _Bool is also an int
 _SCALARS = {"bool": _Bool, "int": int, "real": float, "complex": complex}
+# array types by spelling, each with its element type and dimension count
+_DTYPES = {"int": np.int64, "real": np.float64, "complex": np.complex128}
+_ARRAYS = {f"{b}[{','.join(['int'] * n)}]": (b, n) for b in _DTYPES for n in (1, 2)}
+# the other types a write converts to, with the values each one holds
+_HELD = {"string": str, "mesh": Mesh, "matrix": SparseMatrix}
+
+
+def _spelling(base, dims):
+    """A declared type as the script writes it: int, real[int], real[int,int]..."""
+    return f"{base}[{','.join(['int'] * dims)}]" if dims else base
+
+
+def _elem_type(a):
+    """The element type of the array `a`."""
+    return {"c": "complex", "f": "real"}.get(a.dtype.kind, "int")
+
+
+def _number(token):
+    """A stream token as an int, else as a real, else as the text itself."""
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    return token
+
+
+def _a(word):
+    return ("an " if word[0] in "aeiou" else "a ") + word
 
 
 def _scalar(base, name, value):
@@ -361,16 +402,43 @@ def _scalar(base, name, value):
     return _SCALARS[base](value)
 
 
+def _array(vtype, name, value, current):
+    """`value` as the array `name` of type `vtype`: a new array, or written
+    into the array `current`, where a number fills every entry."""
+    elem, dims = _ARRAYS[vtype]
+    if elem != "complex" and np.iscomplexobj(value):
+        raise EvalError(f"{vtype} {name} cannot hold a complex value")
+    fill = current is not None and _is_number(value)
+    if not (fill or isinstance(value, np.ndarray) and value.ndim == dims):
+        raise EvalError(f"{vtype} {name} needs {_a(vtype)}, not {_describe(value)}")
+    if current is None:
+        return np.asarray(value, dtype=_DTYPES[elem])
+    if not fill and value.shape != current.shape:
+        raise EvalError("array assignment with mismatched sizes")
+    current[...] = value
+    return current
+
+
+class Transposed:
+    """v' of a 1-D array or of a bracket list of fields and forms."""
+
+    def __init__(self, data):
+        self.data = data
+
+
 # The script's name of each kind of value that a message may mention.
-_KINDS = ((int, "an int"), (float, "a real"), (complex, "a complex"), (str, "a string"),
-          (Mesh, "a mesh"), (SparseMatrix, "a matrix"), (FeSpace, "an fespace"),
-          (FeFunction, "an FE function"), (np.ndarray, "an array"), (Stream, "a stream"),
-          (BorderSum, "a border"), (ProblemValue, "a problem"))
+_KINDS = ((_Bool, "a bool"), (int, "an int"), (float, "a real"), (complex, "a complex"),
+          (str, "a string"), (Mesh, "a mesh"), (SparseMatrix, "a matrix"),
+          (FeSpace, "an fespace"), (FeFunction, "an FE function"), (Stream, "a stream"),
+          (BorderSum, "a border"), (ProblemValue, "a problem"),
+          (Transposed, "a transposed vector"), (Builtin, "a builtin function"))
 
 
 def _kind(v):
     if v is None:       # a mesh or matrix declared without a value
         return "an unset mesh or matrix"
+    if isinstance(v, np.ndarray):
+        return _a(_spelling(_elem_type(v), v.ndim))
     return next((name for t, name in _KINDS if isinstance(v, t)), f"a {type(v).__name__}")
 
 
@@ -422,7 +490,7 @@ class Interpreter:
         self._t0 = time.perf_counter()
         self._install_builtins()
         if verbosity is not None:
-            self.globals.define("verbosity", int(verbosity))
+            self.globals.define("verbosity", int(verbosity), "int")
 
     # -- public ----------------------------------------------------------
 
@@ -444,62 +512,54 @@ class Interpreter:
 
     def _install_builtins(self):
         g = self.globals
-        g.define("verbosity", 2)
-        g.define("pi", math.pi)
-        g.define("true", 1)
-        g.define("false", 0)
-        g.define("endl", ENDL)
-        g.define("cout", Stream(self.stdout, "cout", "out"))
-        g.define("cerr", Stream(sys.stderr, "cerr", "out"))
-        g.define("cin", Stream(self.stdin, "cin", "in"))
-        for name in ELEMENT_NAMES:
-            g.define(name, name)
-        for name in SOLVER_NAMES:
-            g.define(name, name)
-        g.define("qf1pTlump", "lumped")
-        g.define("qf2pT", "default")
-        g.define("qf5pT", "order5")
+
+        def builtin(name, fn, lazy=False, nargs=0):
+            g.define(name, Builtin(name, fn, lazy, nargs), "builtin")
+
+        g.define("verbosity", 2, "int")
+        constants = [("pi", math.pi), ("true", 1), ("false", 0), ("endl", ENDL),
+                     ("qf1pTlump", "lumped"), ("qf2pT", "default"), ("qf5pT", "order5")]
+        for name, value in constants + [(n, n) for n in (*ELEMENT_NAMES, *SOLVER_NAMES)]:
+            g.define(name, value, "constant")
+        g.define("cout", Stream(self.stdout, "cout", "out"), "stream")
+        g.define("cerr", Stream(sys.stderr, "cerr", "out"), "stream")
+        g.define("cin", Stream(self.stdin, "cin", "in"), "stream")
 
         for name, fn in [("sin", np.sin), ("cos", np.cos), ("tan", np.tan),
                          ("asin", np.arcsin), ("acos", np.arccos), ("atan", np.arctan),
                          ("sinh", np.sinh), ("cosh", np.cosh), ("tanh", np.tanh),
                          ("exp", np.exp), ("log", np.log), ("log10", np.log10),
                          ("sqrt", np.sqrt), ("floor", np.floor), ("ceil", np.ceil)]:
-            g.define(name, Builtin(name, self._make_math(name, fn), nargs=1))
-        g.define("abs", Builtin("abs", self._bi_abs, nargs=1))
-        g.define("pow", Builtin("pow", lambda i, e, a, n: _simplify(a[0] ** a[1]), nargs=2))
-        g.define("atan2", Builtin("atan2", lambda i, e, a, n: math.atan2(a[0], a[1]), nargs=2))
-        g.define("min", Builtin("min", lambda i, e, a, n: _simplify(min(a)), nargs=1))
-        g.define("max", Builtin("max", lambda i, e, a, n: _simplify(max(a)), nargs=1))
-        g.define("imag", Builtin("imag", lambda i, e, a, n: complex(a[0]).imag, nargs=1))
-        g.define("real", Builtin("real", lambda i, e, a, n: complex(a[0]).real, nargs=1))
-        g.define("int", Builtin("int", lambda i, e, a, n: int(a[0]), nargs=1))
-        g.define("complex", Builtin("complex", lambda i, e, a, n: complex(a[0]), nargs=1))
-        g.define("conj", Builtin("conj", lambda i, e, a, n: complex(a[0]).conjugate(), nargs=1))
-        g.define("exit", Builtin("exit", self._bi_exit))
-        g.define("clock", Builtin("clock", lambda i, e, a, n: time.perf_counter() - i._t0))
-        g.define("exec", Builtin("exec", self._bi_exec, nargs=1))
-        g.define("plot", Builtin("plot", self._bi_plot))
-        g.define("set", Builtin("set", self._bi_set, nargs=1))
-        g.define("square", Builtin("square", self._bi_square, lazy=True, nargs=2))
-        g.define("movemesh", Builtin("movemesh", self._bi_movemesh, lazy=True, nargs=2))
-        g.define("buildmesh", Builtin("buildmesh", self._bi_buildmesh, nargs=1))
-        g.define("savemesh", Builtin("savemesh", self._bi_savemesh, nargs=2))
-        g.define("readmesh", Builtin("readmesh", self._bi_readmesh, nargs=1))
-        g.define("adaptmesh", Builtin("adaptmesh", self._bi_unsupported("adaptmesh")))
-        g.define("trunc", Builtin("trunc", self._bi_unsupported("trunc")))
-        g.define("jump", Builtin("jump", self._bi_unsupported("jump")))
-        g.define("mean", Builtin("mean", self._bi_unsupported("mean")))
-        g.define("intalledges", Builtin("intalledges", self._bi_unsupported("intalledges")))
-        g.define("int3d", Builtin("int3d", self._bi_unsupported("int3d")))
-        g.define("dx", Builtin("dx", lambda i, e, a, n: F.dx(a[0]), nargs=1))
-        g.define("dy", Builtin("dy", lambda i, e, a, n: F.dy(a[0]), nargs=1))
-        g.define("dz", Builtin("dz", self._bi_unsupported("dz")))
-        g.define("int2d", Builtin("int2d", self._bi_integrator("int2d"), nargs=1))
-        g.define("int1d", Builtin("int1d", self._bi_integrator("int1d"), nargs=1))
-        g.define("on", Builtin("on", self._bi_on, lazy=True))
-        g.define("trace", Builtin("trace", lambda i, e, a, n: _trace(a[0]), nargs=1))
-        g.define("det", Builtin("det", lambda i, e, a, n: _simplify(_det(a[0])), nargs=1))
+            builtin(name, self._make_math(name, fn), nargs=1)
+        builtin("abs", lambda i, e, a, n: abs(a[0]), nargs=1)
+        builtin("pow", lambda i, e, a, n: _simplify(a[0] ** a[1]), nargs=2)
+        builtin("atan2", lambda i, e, a, n: math.atan2(a[0], a[1]), nargs=2)
+        builtin("min", lambda i, e, a, n: _simplify(min(a)), nargs=1)
+        builtin("max", lambda i, e, a, n: _simplify(max(a)), nargs=1)
+        builtin("imag", lambda i, e, a, n: complex(a[0]).imag, nargs=1)
+        builtin("real", lambda i, e, a, n: complex(a[0]).real, nargs=1)
+        builtin("int", lambda i, e, a, n: int(a[0]), nargs=1)
+        builtin("complex", lambda i, e, a, n: complex(a[0]), nargs=1)
+        builtin("conj", lambda i, e, a, n: complex(a[0]).conjugate(), nargs=1)
+        builtin("exit", self._bi_exit)
+        builtin("clock", lambda i, e, a, n: time.perf_counter() - i._t0)
+        builtin("exec", self._bi_exec, nargs=1)
+        builtin("plot", self._bi_plot)
+        builtin("set", self._bi_set, nargs=1)
+        builtin("square", self._bi_square, lazy=True, nargs=2)
+        builtin("movemesh", self._bi_movemesh, lazy=True, nargs=2)
+        builtin("buildmesh", self._bi_buildmesh, nargs=1)
+        builtin("savemesh", self._bi_savemesh, nargs=2)
+        builtin("readmesh", self._bi_readmesh, nargs=1)
+        for name in ("adaptmesh", "trunc", "jump", "mean", "intalledges", "int3d", "dz"):
+            builtin(name, self._bi_unsupported(name))
+        builtin("dx", lambda i, e, a, n: F.dx(a[0]), nargs=1)
+        builtin("dy", lambda i, e, a, n: F.dy(a[0]), nargs=1)
+        builtin("int2d", self._bi_integrator("int2d"), nargs=1)
+        builtin("int1d", self._bi_integrator("int1d"), nargs=1)
+        builtin("on", self._bi_on, lazy=True)
+        builtin("trace", lambda i, e, a, n: _trace(a[0]), nargs=1)
+        builtin("det", lambda i, e, a, n: _simplify(_det(a[0])), nargs=1)
 
     def _make_math(self, name, fn):
         def call(interp, env, args, named):
@@ -510,14 +570,6 @@ class Interpreter:
                 return FieldUnary(fn, self._as_field(v))
             return _simplify(fn(v))
         return call
-
-    def _bi_abs(self, interp, env, args, named):
-        v = args[0]
-        if isinstance(v, Field):
-            return abs(v)
-        if isinstance(v, np.ndarray):
-            return np.abs(v)
-        return abs(v)
 
     def _bi_exit(self, interp, env, args, named):
         raise ExitSignal(args[0] if args else 0)
@@ -576,10 +628,10 @@ class Interpreter:
     def _make_border(self, bv: BorderValue, count):
         def body(t):
             benv = Env(parent=bv.env)
-            benv.define(bv.param, float(t))
-            benv.define("x", 0.0)
-            benv.define("y", 0.0)
-            benv.define("label", 0)
+            benv.define(bv.param, float(t), "real")
+            benv.define("x", 0.0, "real")
+            benv.define("y", 0.0, "real")
+            benv.define("label", 0, "int")
             self.exec_body(bv.body, benv)
             return benv.vars
 
@@ -656,11 +708,7 @@ class Interpreter:
         return os.path.join(self.script_dir, path)
 
     def _log(self, level, message):
-        try:
-            verbosity = int(self.globals.vars.get("verbosity", 2))
-        except (TypeError, ValueError):
-            verbosity = 2
-        if verbosity >= level:
+        if self.globals.vars["verbosity"] >= level:
             print(message, file=sys.stderr)
 
     # -- statements ------------------------------------------------------------
@@ -700,20 +748,23 @@ class Interpreter:
         pass  # expanded at parse time
 
     def _st_Decl(self, stmt, env):
+        stream = stmt.base in ("ofstream", "ifstream")
+        vtype = "stream" if stream else _spelling(stmt.base, stmt.dims)
         for d in stmt.decls:
-            value = self._make_declared(stmt, d, env)
-            if stmt.base in ("ofstream", "ifstream"):
+            value = self._declared(stmt.base, vtype, d, env)
+            if stream:
                 old = env.vars.get(d.name)
                 if isinstance(old, Stream):
                     old.close()
                 env.files.append(value)
-            env.define(d.name, value)
+            env.define(d.name, value, vtype)
 
-    def _make_declared(self, stmt, d, env):
-        base = stmt.base
+    def _declared(self, base, vtype, d, env):
+        """The value a declarator binds: its initializer converted to `vtype`,
+        or what its sizes build, or the type's default."""
         init = self.eval(d.init, env) if d.init is not None else None
         sizes = [self.eval(s, env) for s in d.sizes]
-        if base in ("ofstream", "ifstream"):
+        if vtype == "stream":
             if len(sizes) != 1:
                 raise EvalError(f"{base} needs a file path")
             out = base == "ofstream"
@@ -722,45 +773,22 @@ class Interpreter:
             except OSError as exc:
                 raise EvalError(f"cannot open {sizes[0]!r}: {exc}")
             return Stream(handle, f"file {sizes[0]!r}", "out" if out else "in", owned=True)
-        if base == "mesh":
-            if sizes:
-                return load_msh(self._resolve(sizes[0]))
-            if init is None:
-                return None
-            if not isinstance(init, Mesh):
-                raise EvalError("mesh initializer must be a mesh")
-            return init
-        if base == "matrix":
-            if init is None:
-                return None
-            if isinstance(init, SparseMatrix):
-                return init
-            if isinstance(init, np.ndarray) and init.ndim == 2:
-                return SparseMatrix.from_dense(init)
-            raise EvalError("matrix initializer must be a matrix")
-        if stmt.dims == 1:
-            dtype = {"int": np.int64, "real": float, "complex": complex}[base]
-            if sizes:
-                return np.zeros(int(sizes[0]), dtype=dtype)
-            if init is None:
-                raise EvalError("array needs a size or an initializer")
-            arr = np.asarray(init, dtype=dtype)
-            if arr.ndim != 1:
-                raise EvalError("array initializer must be one-dimensional")
-            return arr.copy()
-        if stmt.dims == 2:
-            dtype = {"int": np.int64, "real": float, "complex": complex}[base]
-            if sizes:
-                return np.zeros((int(sizes[0]), int(sizes[1])), dtype=dtype)
-            arr = np.asarray(init, dtype=dtype)
-            if arr.ndim != 2:
-                raise EvalError("matrix initializer must be two-dimensional")
-            return arr.copy()
-        if base in _SCALARS:
-            return _SCALARS[base]() if init is None else _scalar(base, d.name, init)
-        if base == "string":
-            return _format_value(init) if init is not None else ""
-        raise EvalError(f"cannot declare {base}")
+        if sizes and vtype == "mesh":
+            return load_msh(self._resolve(sizes[0]))
+        if sizes and vtype in _ARRAYS:
+            elem, dims = _ARRAYS[vtype]
+            if len(sizes) != dims:
+                raise EvalError(f"{vtype} {d.name} needs {dims} size{'s' * (dims > 1)}")
+            return np.zeros(tuple(int(n) for n in sizes), dtype=_DTYPES[elem])
+        if init is not None:
+            value = self._convert(vtype, d.name, init)
+            # a declared array owns its entries
+            return value.copy() if isinstance(value, np.ndarray) and value is init else value
+        if vtype in _ARRAYS:
+            raise EvalError(f"{vtype} {d.name} needs a size or an initializer")
+        if vtype in _SCALARS:
+            return _SCALARS[vtype]()
+        return "" if vtype == "string" else None       # a mesh or matrix starts unset
 
     def _st_FespaceDecl(self, stmt, env):
         mesh = self.eval(stmt.mesh, env)
@@ -770,8 +798,7 @@ class Interpreter:
         for arg in stmt.named:
             if arg.name == "periodic":
                 raise UnsupportedError("periodic finite element spaces are not supported")
-        space = FeSpace(mesh, str(elem))
-        env.define(stmt.name, space)
+        env.define(stmt.name, FeSpace(mesh, str(elem)), "fespace")
 
     def _st_FeDecl(self, stmt, env):
         if stmt.subtype == "complex":
@@ -782,8 +809,8 @@ class Interpreter:
         for d in stmt.decls:
             u = FeFunction(space)
             if d.init is not None:
-                self._assign_fe(u, self.eval_field_expr(d.init, env))
-            env.define(d.name, u)
+                self._convert("fe", d.name, self.eval_field_expr(d.init, env), u)
+            env.define(d.name, u, "fe")
 
     def _assign_fe(self, u: FeFunction, value):
         if (isinstance(value, FeFunction) and value.space.mesh is u.space.mesh
@@ -797,26 +824,26 @@ class Interpreter:
         elif isinstance(value, FuncValue) and value.analytic:
             u.dofs[:] = interpolate_field(u.space, self._as_field(value)).dofs
         else:
-            raise EvalError(f"cannot assign {type(value).__name__} to an FE function")
+            raise EvalError(f"cannot assign {_describe(value)} to an FE function")
 
     def _st_FuncDef(self, stmt, env):
         env.define(stmt.name, FuncValue(stmt.name, stmt.ret_type, stmt.params,
-                                        stmt.body, env))
+                                        stmt.body, env), "func")
 
     def _st_BorderDef(self, stmt, env):
         t0 = float(self.eval(stmt.t0, env))
         t1 = float(self.eval(stmt.t1, env))
         env.define(stmt.name, BorderValue(stmt.name, stmt.param, t0, t1,
-                                          stmt.body, env))
+                                          stmt.body, env), "border")
 
     def _st_VarfDef(self, stmt, env):
         env.define(stmt.name, VarfValue(stmt.name, stmt.unknown, stmt.test,
-                                        stmt.named, stmt.body, env))
+                                        stmt.named, stmt.body, env), "varf")
 
     def _st_ProblemDef(self, stmt, env):
         value = ProblemValue(stmt.kind, stmt.name, stmt.unknown, stmt.test,
                              stmt.named, stmt.body, env)
-        env.define(stmt.name, value)
+        env.define(stmt.name, value, "problem")
         if stmt.kind == "solve":
             self.solve_problem(value)
 
@@ -870,8 +897,8 @@ class Interpreter:
     def eval_field_expr(self, node, env):
         """Evaluate with x and y bound to coordinate fields."""
         fenv = Env(parent=env)
-        fenv.define("x", FIELD_X)
-        fenv.define("y", FIELD_Y)
+        fenv.define("x", FIELD_X, "coordinate")
+        fenv.define("y", FIELD_Y, "coordinate")
         return self.eval(node, fenv)
 
     def _as_field(self, v) -> Field:
@@ -886,7 +913,7 @@ class Interpreter:
             if isinstance(v, complex):
                 raise UnsupportedError("complex values cannot enter integrands")
             return Constant(v)
-        raise EvalError(f"cannot use {type(v).__name__} as a field")
+        raise EvalError(f"cannot use {_describe(v)} as a field")
 
     def _truthy(self, v):
         if isinstance(v, np.ndarray):
@@ -943,7 +970,7 @@ class Interpreter:
             return v.scale(-1.0)
         if _is_number(v):
             return _simplify(-v)
-        raise EvalError(f"cannot negate {type(v).__name__}")
+        raise EvalError(f"cannot negate {_describe(v)}")
 
     def _ev_Binary(self, node, env):
         if node.op in ("&", "&&", "|", "||"):
@@ -970,13 +997,9 @@ class Interpreter:
         return self.binary_op(node.op, left, right)
 
     def _ev_Assign(self, node, env):
-        target_is_fe = False
-        if type(node.target).__name__ == "Ident":
-            owner = env.owner(node.target.name)
-            if owner is not None and isinstance(owner.vars.get(node.target.name),
-                                                FeFunction):
-                target_is_fe = True
-        if target_is_fe:
+        # an FE function's right-hand side is a function of x and y
+        owner = env.owner(node.target.name) if isinstance(node.target, A.Ident) else None
+        if owner is not None and owner.types[node.target.name] == "fe":
             value = self.eval_field_expr(node.value, env)
         else:
             value = self.eval(node.value, env)
@@ -1007,36 +1030,23 @@ class Interpreter:
             return v.T
         if isinstance(v, list):  # form/field vector
             return Transposed(v)
-        raise EvalError(f"cannot transpose {type(v).__name__}")
+        raise EvalError(f"cannot transpose {_describe(v)}")
 
     def _ev_Member(self, node, env):
         base = self.eval(node.base, env)
         name = node.name
-        if isinstance(base, FeSpace):
-            if name == "ndof":
-                return base.ndof
-        if isinstance(base, Mesh):
-            if name == "nt":
-                return base.nt
-            if name == "nv":
-                return base.nv
-            if name == "ne":
-                return base.ne
-            if name == "area":
-                return base.total_area()
-        if isinstance(base, VertexProxy):
-            if name in ("x", "y", "label"):
-                return getattr(base, name)
+        if isinstance(base, FeSpace) and name == "ndof" or \
+                isinstance(base, Mesh) and name in ("nt", "nv", "ne") or \
+                isinstance(base, VertexProxy) and name in ("x", "y", "label"):
+            return getattr(base, name)
+        if isinstance(base, Mesh) and name == "area":
+            return base.total_area()
         if isinstance(base, np.ndarray) and base.ndim == 1:
-            if name == "max":
-                return _simplify(base.max())
-            if name == "min":
-                return _simplify(base.min())
-            if name == "sum":
-                return _simplify(base.sum())
+            if name in ("max", "min", "sum"):
+                return _simplify(getattr(base, name)())
             if name == "n":
                 return len(base)
-        raise EvalError(f"unknown member {name!r} on {type(base).__name__}")
+        raise EvalError(f"unknown member {name!r} on {_describe(base)}")
 
     def _ev_Index(self, node, env):
         base = self.eval(node.base, env)
@@ -1051,7 +1061,7 @@ class Interpreter:
             return base.vertex(_checked_index((3,), args))
         if isinstance(base, list) and len(args) == 1:
             return base[_checked_index((len(base),), args)]
-        raise EvalError(f"cannot index {type(base).__name__}")
+        raise EvalError(f"cannot index {_describe(base)}")
 
     def _ev_Call(self, node, env):
         callee = self.eval(node.callee, env)
@@ -1090,7 +1100,7 @@ class Interpreter:
             return self._assemble_varf(callee, args, named)
         if isinstance(callee, np.ndarray) and len(args) in (1, 2):
             return _simplify(callee[_checked_index(callee.shape, args)])
-        raise EvalError(f"cannot call {type(callee).__name__}")
+        raise EvalError(f"cannot call {_describe(callee)}")
 
     def _call_builtin(self, callee, env, args, named):
         """Call a builtin; a bad argument type or value raises EvalError."""
@@ -1106,8 +1116,8 @@ class Interpreter:
             if len(args) != 2:
                 raise EvalError(f"analytic function {f.name!r} is evaluated at (x, y)")
             fenv = Env(parent=f.env)
-            fenv.define("x", args[0])
-            fenv.define("y", args[1])
+            fenv.define("x", args[0], "coordinate")
+            fenv.define("y", args[1], "coordinate")
             if all(_is_number(a) for a in args):
                 return _simplify(self.eval(f.body, fenv))
             return self.eval(f.body, fenv)
@@ -1115,9 +1125,8 @@ class Interpreter:
             raise EvalError(f"function {f.name!r} takes {len(f.params)} arguments")
         call_env = Env(parent=f.env)
         for (base, dims, name), v in zip(f.params, args):
-            if dims == 0 and base in _SCALARS:
-                v = _scalar(base, name, v)
-            call_env.define(name, v)
+            vtype = _spelling(base, dims)
+            call_env.define(name, self._convert(vtype, name, v), vtype)
         try:
             self.exec_stmt(f.body, call_env)
         except ReturnSignal as sig:
@@ -1126,72 +1135,65 @@ class Interpreter:
 
     # -- assignment ---------------------------------------------------------------
 
-    def assign(self, target, value, env):
-        t = type(target).__name__
-        if t == "Ident":
+    def _convert(self, vtype, name, value, current=None):
+        """`value` as the variable `name` of declared type `vtype`: the one
+        rule of every write.  An FE function, and an array that exists
+        (`current`), take the value in place; any other type returns the value
+        to bind.  The kinds that no write rebinds (an fespace, a func, a
+        stream...) raise."""
+        if vtype in _SCALARS:
+            return _scalar(vtype, name, value)
+        if vtype == "fe":
+            self._assign_fe(current, value)
+            return current
+        if vtype in _ARRAYS:
+            return _array(vtype, name, value, current)
+        if vtype not in _HELD:
+            raise EvalError(f"cannot assign to the {vtype} {name!r}")
+        if vtype == "matrix" and isinstance(value, np.ndarray) and value.ndim == 2:
+            value = SparseMatrix.from_dense(value)
+        if not isinstance(value, _HELD[vtype]):
+            raise EvalError(f"{vtype} {name} needs {_a(vtype)}, not {_describe(value)}")
+        return value
+
+    def _place(self, target, env):
+        """Where a write to `target` goes: (declared type, name for messages,
+        current value, container, key).  The container is None for storage
+        that `_convert` writes in place.  An element or a row takes the
+        element type of its array, which the array's declaration fixed."""
+        if isinstance(target, A.Ident):
             owner = env.owner(target.name)
             if owner is None:
                 raise EvalError(f"undeclared identifier {target.name!r}")
-            current = owner.vars[target.name]
-            if isinstance(current, FeFunction):
-                self._assign_fe(current, value)
-                return
-            if isinstance(current, np.ndarray):
-                if isinstance(value, np.ndarray):
-                    if current.shape != value.shape:
-                        raise EvalError("array assignment with mismatched sizes")
-                    current[:] = value
-                elif _is_number(value):
-                    current[:] = value
-                else:
-                    raise EvalError("cannot assign that to an array")
-                return
-            # scalar variables keep their declared numeric type
-            if isinstance(current, (int, float, complex)):
-                base = next(k for k, t in _SCALARS.items() if isinstance(current, t))
-                owner.vars[target.name] = _scalar(base, target.name, value)
-                return
-            if isinstance(current, Mesh) or current is None:
-                if target.name in owner.vars and isinstance(value, Mesh):
-                    owner.vars[target.name] = value
-                    return
-            owner.vars[target.name] = _simplify(value)
-            return
-        if t == "Index":
-            base = self.eval(target.base, env)
-            if isinstance(base, FeFunction) and not target.args:
-                if isinstance(value, np.ndarray):
-                    if len(value) != base.space.ndof:
-                        raise EvalError("DOF vector length mismatch")
-                    base.dofs[:] = value
-                elif _is_number(value):
-                    base.dofs[:] = float(value)
-                else:
-                    raise EvalError("cannot assign that to a DOF vector")
-                return
-            if isinstance(base, np.ndarray):
-                self._assign_element(target.base, base, [self.eval(a, env) for a in target.args],
-                                     value)
-                return
-            raise EvalError("invalid indexed assignment")
-        if t == "Call":
-            base = self.eval(target.callee, env)
-            if isinstance(base, np.ndarray):
-                self._assign_element(target.callee, base,
-                                     [self.eval(a.value, env) for a in target.args], value)
-                return
-            raise EvalError("invalid call assignment")
-        raise EvalError("invalid assignment target")
+            return (owner.types[target.name], target.name, owner.vars[target.name],
+                    owner.vars, target.name)
+        if isinstance(target, A.Index):
+            node, args = target.base, target.args
+        elif isinstance(target, A.Call):
+            node, args = target.callee, [a.value for a in target.args]
+        else:
+            raise EvalError("invalid assignment target")
+        base = self.eval(node, env)
+        name = getattr(node, "name", "array")
+        if isinstance(base, FeFunction) and isinstance(target, A.Index) and not args:
+            return "real[int]", f"{name}[]", base.dofs, None, None
+        if not isinstance(base, np.ndarray):
+            raise EvalError(f"cannot assign to an element of {_describe(base)}")
+        idx = [self.eval(a, env) for a in args]
+        pos = _checked_index(base.shape, idx)
+        where = f"{name}[{','.join(str(int(i)) for i in idx)}]"
+        if len(idx) < base.ndim:       # a row, written in place
+            return _spelling(_elem_type(base), base.ndim - len(idx)), where, base[pos], None, None
+        return _elem_type(base), where, None, base, pos
 
-    @staticmethod
-    def _assign_element(node, array, idx, value):
-        """array[idx] = value; an element takes a number of the array's type."""
-        pos = _checked_index(array.shape, idx)
-        if len(idx) == array.ndim or not isinstance(value, np.ndarray):
-            base = {"c": "complex", "f": "real"}.get(array.dtype.kind, "int")
-            where = ",".join(str(int(i)) for i in idx)
-            value = _scalar(base, f"{getattr(node, 'name', 'array')}[{where}]", value)
-        array[pos] = value
+    def assign(self, target, value, env):
+        self._store(self._place(target, env), value)
+
+    def _store(self, place, value):
+        vtype, name, current, container, key = place
+        value = self._convert(vtype, name, value, current)
+        if container is not None:
+            container[key] = value
 
     # -- integrals and problems ------------------------------------------------------
 
@@ -1224,8 +1226,8 @@ class Interpreter:
         """Evaluate a form body with `unknown` and `test` bound to the trial
         and test placeholders; returns (bilinear, linear, dirichlet)."""
         fenv = Env(parent=env)
-        fenv.define(unknown, F.TrialFunction())
-        fenv.define(test, F.TestFunction())
+        fenv.define(unknown, F.TrialFunction(), "unknown")
+        fenv.define(test, F.TestFunction(), "test function")
         terms = self.eval(body, fenv)
         if not isinstance(terms, Terms):
             raise EvalError("a variational form needs integral or boundary terms")
@@ -1419,36 +1421,21 @@ class Interpreter:
             value = value.dofs
         stream.write(_format_value(_simplify(value)), flush=value is ENDL)
 
-    def read_stream(self, stream, target_ast, env):
-        current = None
-        if type(target_ast).__name__ == "Ident":
-            current = env.lookup(target_ast.name)
+    def read_stream(self, stream, target, env):
+        """`stream >> target`: as many tokens as the target has entries, each
+        a number (a string target takes its token as is), stored as `=`
+        stores."""
+        vtype, name, current, container, key = self._place(target, env)
+        if vtype == "fe":       # an FE function reads its DOF vector
+            vtype, name, current, container = "real[int]", f"{name}[]", current.dofs, None
+        if vtype in _ARRAYS:
+            value = np.array([float(stream.next_token()) for _ in range(current.size)])
+            value = value.reshape(current.shape)
+        elif vtype == "string":
+            value = stream.next_token()
         else:
-            current = self.eval(target_ast, env)
-        if isinstance(current, FeFunction):
-            vals = [float(stream.next_token()) for _ in range(current.space.ndof)]
-            current.dofs[:] = vals
-            return
-        if isinstance(current, np.ndarray):
-            flat = current.reshape(-1)
-            for k in range(len(flat)):
-                flat[k] = float(stream.next_token())
-            return
-        token = stream.next_token()
-        if isinstance(current, int):
-            value = int(float(token))
-        elif isinstance(current, str):
-            value = token
-        else:
-            value = float(token)
-        self.assign(target_ast, value, env)
-
-
-class Transposed:
-    """v' of a 1-D array or of a bracket list of fields and forms."""
-
-    def __init__(self, data):
-        self.data = data
+            value = _number(stream.next_token())
+        self._store((vtype, name, current, container, key), value)
 
 
 LINALG_TYPES = (np.ndarray, list, Transposed, SparseMatrix, SolveProxy)

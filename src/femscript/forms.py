@@ -281,18 +281,6 @@ def _cell_context(mesh, rule):
     return CellContext(mesh, tri, x, y, rule.lam)
 
 
-def integrate_2d(mesh, g, quad="default") -> float:
-    """Integral of a scalar field over the whole mesh."""
-    rule = _rule(quad)
-    ctx = _cell_context(mesh, rule)
-    if isinstance(g, FormExpr):
-        g = g.pure_field()
-    vals = as_field(g).values(ctx)
-    area = mesh.signed_areas()
-    # pairwise np.sum keeps the roundoff of large meshes near machine epsilon
-    return float(np.sum(area * (vals @ rule.w)))
-
-
 def _edge_context(mesh, sel):
     """Context for edge quadrature points of the selected labeled edges."""
     s, _ = EDGE_RULE
@@ -327,15 +315,33 @@ def _select_edges(mesh, labels):
     return np.where(np.isin(mesh.edge_label, list(labels)))[0]
 
 
-def integrate_1d(mesh, labels, g) -> float:
-    """Integral of a scalar field over the boundary edges with given labels."""
-    sel = _select_edges(mesh, labels)
-    ctx, length = _edge_context(mesh, sel)
+def _quadrature(mesh, kind, labels=None, quad="default"):
+    """(context, measure, w) of an int2d over the mesh or an int1d over the
+    labeled edges: the quadrature points, each triangle's area or edge's
+    length, and the rule's weights, which sum to 1."""
+    if kind == "int2d":
+        rule = _rule(quad)
+        return _cell_context(mesh, rule), mesh.signed_areas(), rule.w
+    ctx, length = _edge_context(mesh, _select_edges(mesh, labels))
+    return ctx, length, EDGE_RULE[1]
+
+
+def _integral(g, ctx, measure, w):
     if isinstance(g, FormExpr):
         g = g.pure_field()
     vals = as_field(g).values(ctx)
-    _, w = EDGE_RULE
-    return float(np.sum(length * (vals @ w)))
+    # pairwise np.sum keeps the roundoff of large meshes near machine epsilon
+    return float(np.sum(measure * (vals @ w)))
+
+
+def integrate_2d(mesh, g, quad="default") -> float:
+    """Integral of a scalar field over the whole mesh."""
+    return _integral(g, *_quadrature(mesh, "int2d", quad=quad))
+
+
+def integrate_1d(mesh, labels, g) -> float:
+    """Integral of a scalar field over the boundary edges with given labels."""
+    return _integral(g, *_quadrature(mesh, "int1d", labels))
 
 
 # --------------------------------------------------------------------------
@@ -343,13 +349,8 @@ def integrate_1d(mesh, labels, g) -> float:
 
 def _term_context(mesh, term):
     """Cell context, quadrature scale (n, nq) and nq for one form term."""
-    if term.kind == "int2d":
-        rule = _rule(term.quad)
-        scale = mesh.signed_areas()[:, None] * rule.w[None, :]
-        return _cell_context(mesh, rule), scale, len(rule.w)
-    ctx, length = _edge_context(mesh, _select_edges(mesh, term.labels))
-    _, w = EDGE_RULE
-    return ctx, length[:, None] * w[None, :], len(w)
+    ctx, measure, w = _quadrature(mesh, term.kind, term.labels, term.quad)
+    return ctx, measure[:, None] * w[None, :], len(w)
 
 
 def _cell_basis(space, kind, ctx, nq):

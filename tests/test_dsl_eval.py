@@ -1,12 +1,14 @@
 import io
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from femscript.dsl import EvalError, run_source
+from femscript.dsl.interp import _Bool
 from femscript.errors import FoldOverError, InvalidArgumentError, UnsupportedError
-from femscript.linalg import dot
+from femscript.linalg import SparseMatrix, dot
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.edp"))
 
@@ -137,14 +139,118 @@ POINT_OR_INTEGRAL = r"a function of x, y, which needs a point, as in mu\(0\.5,0\
     ("mesh Th=square(2,2);\nreal a=Th+1;", r"operator '\+' undefined for a mesh and an int$"),
     ("mesh Th=square(2,2); fespace Vh(Th,P1);\nreal a=2*Vh;",
      r"operator '\*' undefined for an int and an fespace$"),
+    ("real a=1;\na(2);", "cannot call a real$"),
+    ("real a=1;\nreal b=a[0];", "cannot index a real$"),
+    ('string s="a";\nstring t=-s;', "cannot negate a string$"),
+    ('string s="a";\ncout << s\';', "cannot transpose a string$"),
+    ("mesh Th=square(2,2);\nreal a=Th.foo;", "unknown member 'foo' on a mesh$"),
+    ('mesh Th=square(2,2); fespace Vh(Th,P1); Vh u;\nu="a";',
+     "cannot assign a string to an FE function$"),
+    ("mesh Th=square(2,2);\nreal a=int2d(Th)(Th);", "cannot use a mesh as a field$"),
 ], ids=["write-func", "write-real-func", "write-varf", "init-real", "init-int", "assign-real",
         "assign-complex", "call-real", "assign-element", "assign-element-complex",
         "assign-call-element", "init-bool", "write-unset-matrix", "mesh-plus-int",
-        "int-times-fespace"])
+        "int-times-fespace", "call-a-real", "index-a-real", "negate-string",
+        "transpose-string", "member-of-mesh", "string-to-fe", "mesh-as-field"])
 def test_internal_values_do_not_reach_the_script(src, message):
     with pytest.raises(EvalError, match="^line 2: " + message) as err:
         run(src)
     assert err.value.line == 2
+
+
+# -- one store rule: a variable's declared type converts every write ------------
+
+# Each path writes the value V into x, declared by `decl` (or of type T), on
+# line 2.  The increment path makes its last write by `++`; the element path
+# writes an element of a T[int] (its messages name a[0]); the parameter path
+# binds f's parameter x and copies it out to y.
+STORE_PATHS = {
+    "declaration": "\n{T} x = {V};",
+    "assign": "{decl}\nx = {V};",
+    "compound": "{decl}\nx += {V};",
+    "increment": "{decl}\nx += {V}; x--; x++;",
+    "element": "{T}[int] a(1);\na[0] = {V}; {T} x = a[0];",
+    "stream": "{decl}\ncin >> x;",
+    "parameter": "{decl_y}\nfunc int f({T} x) {{ y = x; return 0; }} f({V});",
+}
+SCALAR_TYPES = ("int", "real", "complex", "bool")
+
+
+def _store_paths(T, token):
+    """The paths a type has.  `+` joins text and `++` needs a number, so only
+    numbers and arrays have the compound path and only numbers `++`; bool
+    has no arrays; a func or an fespace is bound by its definition alone."""
+    paths = ["assign"] if T in ("func", "fespace") else ["declaration", "assign", "parameter"]
+    if T in SCALAR_TYPES or "[" in T:
+        paths.append("compound")
+    if T in SCALAR_TYPES:
+        paths.append("increment")
+    if T in SCALAR_TYPES and T != "bool":
+        paths.append("element")
+    if token is not None:
+        paths.append("stream")
+    return paths
+
+
+def _held(v):
+    """What a variable holds, comparable across paths."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.tolist()
+    if hasattr(v, "to_dense"):
+        return "matrix", v.to_dense().tolist()
+    return type(v).__name__, v
+
+
+def fails(message):
+    return "error", 2, f"line 2: {message}"
+
+
+STORE_ROWS = [
+    # T, a declaration of x without a value, V, V as an input token, what x holds
+    ("int", "int x;", "2.7", "2.7", 2),
+    ("int", "int x;", "-2.5", "-2.5", -2),
+    ("int", "int x;", '"ab"', "ab", fails("int x needs a number, not a string")),
+    ("real", "real x;", "3", "3", 3.0),
+    ("real", "real x;", "1i", None, fails("real x cannot hold a complex value")),
+    ("complex", "complex x;", "2", "2", 2 + 0j),
+    ("bool", "bool x;", "2.5", "2.5", _Bool(1)),
+    ("string", "string x;", '"ab"', "ab", "ab"),
+    ("string", "string x;", "5", None, fails("string x needs a string, not an int")),
+    ("real[int]", "real[int] x(2);", "[1,2]", "1 2", np.array([1.0, 2.0])),
+    ("int[int]", "int[int] x(2);", "[1.5,-2]", "1.5 -2", np.array([1, -2])),
+    ("real[int]", "real[int] x(2);", "[1i,2]", None,
+     fails("real[int] x cannot hold a complex value")),
+    ("real[int]", "real[int] x(2);", "1i", None, fails("real[int] x cannot hold a complex value")),
+    ("mesh", "mesh x;", "5", "5", fails("mesh x needs a mesh, not an int")),
+    ("mesh", "mesh x;", "2.5", "2.5", fails("mesh x needs a mesh, not a real")),
+    ("matrix", "matrix x;", "[[2,0],[0,4]]", None,
+     SparseMatrix.from_dense(np.array([[2.0, 0], [0, 4]]))),
+    ("matrix", "matrix x;", '"ab"', "ab", fails("matrix x needs a matrix, not a string")),
+    ("func", "func x=1+y;", "3", "3", fails("cannot assign to the func 'x'")),
+    ("fespace", "mesh Th=square(2,2); fespace x(Th,P1);", "3", "3",
+     fails("cannot assign to the fespace 'x'")),
+]
+
+
+@pytest.mark.parametrize("T, decl, value, token, expected", STORE_ROWS,
+                         ids=[f"{r[0]}={r[2]}" for r in STORE_ROWS])
+def test_every_write_converts_by_the_declared_type(T, decl, value, token, expected):
+    held = {}
+    for path in _store_paths(T, token):
+        src = STORE_PATHS[path].format(T=T, V=value, decl=decl,
+                                       decl_y=re.sub(r"\bx\b", "y", decl))
+        try:
+            r, _ = run(src, stdin=token or "")
+            held[path] = _held(r.env.lookup("y" if path == "parameter" else "x"))
+        except EvalError as err:
+            held[path] = "error", err.line, str(err).replace("a[0]", "x")
+    expected = expected if isinstance(expected, tuple) else _held(expected)
+    assert held == dict.fromkeys(held, expected)
+
+
+def test_matrix_assigned_a_dense_array_solves():
+    r, out = run("matrix A;\nA=[[2,0],[0,4]]; real[int] b=[1,4]; cout << A^-1*b;")
+    assert out == "0.5\n1\n"
 
 
 def test_undeclared_identifier_reports_line():
