@@ -411,6 +411,9 @@ def _array(vtype, name, value, current):
     fill = current is not None and _is_number(value)
     if not (fill or isinstance(value, np.ndarray) and value.ndim == dims):
         raise EvalError(f"{vtype} {name} needs {_a(vtype)}, not {_describe(value)}")
+    if elem == "int" and np.asarray(value).dtype.kind == "f" and not np.all(
+            (value >= -2.0 ** 63) & (value < 2.0 ** 63)):
+        raise EvalError(f"{vtype} {name} cannot hold a non-finite or out-of-range value")
     if current is None:
         return np.asarray(value, dtype=_DTYPES[elem])
     if not fill and value.shape != current.shape:
@@ -816,7 +819,7 @@ class Interpreter:
         if (isinstance(value, FeFunction) and value.space.mesh is u.space.mesh
                 and value.space.elem == u.space.elem):
             u.dofs[:] = value.dofs
-        elif _is_number(value):
+        elif _is_number(value) and not isinstance(value, complex):
             u.dofs[:] = float(value)
         elif isinstance(value, Field):
             # another mesh raises InvalidArgumentError, as it does for g+0
@@ -1007,15 +1010,13 @@ class Interpreter:
             op = node.op[0]
             current = self.eval(node.target, env)
             value = self.binary_op(op, current, value)
-        self.assign(node.target, value, env)
-        return value
+        return self.assign(node.target, value, env)
 
     def _ev_IncDec(self, node, env):
         current = self.eval(node.target, env)
         if not _is_number(current):
             raise EvalError("++/-- need a numeric variable")
-        new = current + (1 if node.op == "++" else -1)
-        self.assign(node.target, new, env)
+        new = self.assign(node.target, current + (1 if node.op == "++" else -1), env)
         return new if node.prefix else current
 
     def _ev_Transpose(self, node, env):
@@ -1187,13 +1188,15 @@ class Interpreter:
         return _elem_type(base), where, None, base, pos
 
     def assign(self, target, value, env):
-        self._store(self._place(target, env), value)
+        """Write `value` to `target`; returns the value stored."""
+        return self._store(self._place(target, env), value)
 
     def _store(self, place, value):
         vtype, name, current, container, key = place
         value = self._convert(vtype, name, value, current)
         if container is not None:
             container[key] = value
+        return value
 
     # -- integrals and problems ------------------------------------------------------
 

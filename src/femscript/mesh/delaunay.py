@@ -12,10 +12,12 @@ Predicates use an epsilon relative to the domain diameter; cocircular or
 collinear ties count as "not inside", which keeps insertion terminating on
 symmetric inputs (all samples of one circle are cocircular).
 
-The meshes are reproducible bit for bit, and three orders in `smooth` fix
-their last bits, so a faster version must keep all three:
+The meshes are reproducible bit for bit, and four orders in `smooth` fix
+their last bits, so a faster version must keep all four:
 - a vertex moves to the mean of its ring, summed in the iteration order of
   the ring's set, which follows the order of insertion (triangles by index);
+- that sum adds left to right from 0.0, not by `sum`, which Python 3.12 and
+  later compensate, so the meshes would depend on the Python version;
 - vertices move Gauss-Seidel style in sorted order, each one seeing the
   neighbours that already moved;
 - `_relegalize` flips in triangle-index sweep order; a worklist would change
@@ -47,11 +49,15 @@ DEFAULT_SMOOTHING_PASSES = 3
 QUALITY_BOUND = 1.0
 # refinement stops with a GeometryError beyond this many points
 MAX_POINTS = 2_000_000
+# the next and the previous local index in a triangle
+NXT = (1, 2, 0)
+PRV = (2, 0, 1)
 
 
 def _orient(pa, pb, pc):
     """Twice the signed area of (pa, pb, pc). Like `_incircle`, it takes
-    (x, y) pairs or numpy arrays of x and y rows, with the same arithmetic."""
+    (x, y) pairs or numpy arrays of x and y rows, with the same arithmetic.
+    The hot loops of `_Triangulation` inline both, term for term."""
     return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
 
 
@@ -66,6 +72,10 @@ def _incircle(pa, pb, pc, pd):
     return (adx * (bdy * cd - bd * cdy)
             - ady * (bdx * cd - bd * cdx)
             + ad * (bdx * cdy - bdy * cdx))
+
+
+def _broken():
+    raise AssertionError("broken adjacency")
 
 
 @dataclass(frozen=True)
@@ -107,31 +117,10 @@ class _Triangulation:
         self.tol_pt2 = (EPS_REL * scale) ** 2
         self._hint = 0
 
-    # -- predicates -------------------------------------------------------
-
-    _orient = staticmethod(_orient)
-
-    def _corners(self, t):
-        i, j, k = self.tris[t]
-        return self.pts[i], self.pts[j], self.pts[k]
-
     # -- topology helpers --------------------------------------------------
 
     def _edge_key(self, a, b):
         return (a, b) if a < b else (b, a)
-
-    def is_constrained(self, a, b):
-        return self._edge_key(a, b) in self.constrained
-
-    def _set_nbr(self, t, old, new):
-        if t == -1:
-            return
-        n = self.nbr[t]
-        for k in range(3):
-            if n[k] == old:
-                n[k] = new
-                return
-        raise AssertionError("broken adjacency")
 
     # -- super triangle -----------------------------------------------------
 
@@ -151,43 +140,45 @@ class _Triangulation:
         """Walk to the triangle containing p.
 
         Returns (t, kind, k): kind "in", or "edge" with local edge k,
-        or "vertex" with local vertex k.
+        or "vertex" with local vertex k.  Each step crosses the edge of the
+        first smallest orient, the tie rule of `min(range(3), key=...)`.
         """
+        tris, nbr, pts = self.tris, self.nbr, self.pts
         t = self._hint if hint is None else hint
-        if t >= len(self.tris) or self.tris[t] is None:
-            t = next(i for i, tr in enumerate(self.tris) if tr is not None)
-        seen = 0
-        limit = 4 * len(self.tris) + 16
-        while True:
-            seen += 1
-            if seen > limit:
-                return self._locate_brute(p)
-            o = self._edge_orients(t, p)
-            worst = min(range(3), key=o.__getitem__)
-            if o[worst] < -self.tol_orient:
-                nxt = self.nbr[t][worst]
-                if nxt == -1:
-                    return self._locate_brute(p)
-                t = nxt
-                continue
-            return self._classify(t, p, o)
+        if t >= len(tris) or tris[t] is None:
+            t = next(i for i, tr in enumerate(tris) if tr is not None)
+        px, py = p
+        neg_tol = -self.tol_orient
+        for _ in range(4 * len(tris) + 16):
+            i, j, k = tris[t]
+            pa, pb, pc = pts[i], pts[j], pts[k]
+            o0 = (pb[0] - pa[0]) * (py - pa[1]) - (pb[1] - pa[1]) * (px - pa[0])
+            o1 = (pc[0] - pb[0]) * (py - pb[1]) - (pc[1] - pb[1]) * (px - pb[0])
+            o2 = (pa[0] - pc[0]) * (py - pc[1]) - (pa[1] - pc[1]) * (px - pc[0])
+            if o1 < o0:
+                worst, low = (2, o2) if o2 < o1 else (1, o1)
+            else:
+                worst, low = (2, o2) if o2 < o0 else (0, o0)
+            if not low < neg_tol:
+                return self._classify(t, p, (o0, o1, o2))
+            t = nbr[t][worst]
+            if t == -1:
+                break
+        return self._locate_brute(p)
 
     def _locate_brute(self, p):
         for t, vs in enumerate(self.tris):
             if vs is not None:
-                o = self._edge_orients(t, p)
+                pa, pb, pc = (self.pts[v] for v in vs)
+                o = _orient(pa, pb, p), _orient(pb, pc, p), _orient(pc, pa, p)
                 if min(o) >= -self.tol_orient:
                     return self._classify(t, p, o)
         raise GeometryError(f"point {p} outside the triangulation")
 
-    def _edge_orients(self, t, p):
-        pa, pb, pc = self._corners(t)
-        return _orient(pa, pb, p), _orient(pb, pc, p), _orient(pc, pa, p)
-
     def _classify(self, t, p, o):
         """`locate`'s answer for p in triangle t, whose edge orients are o."""
         self._hint = t
-        for k, q in enumerate(self._corners(t)):
+        for k, q in enumerate(self.pts[v] for v in self.tris[t]):
             if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= self.tol_pt2:
                 return t, "vertex", k
         for k in range(3):
@@ -196,6 +187,8 @@ class _Triangulation:
         return t, "in", -1
 
     # -- insertion -----------------------------------------------------------
+    # After a split or a flip, the neighbour m's entry that named `old` names
+    # `new`: m[0 if m[0] == old else 1 if ... else _broken()] = new.
 
     def insert(self, p, changed=None):
         """Insert p, returning its vertex index (existing index if welded)."""
@@ -211,75 +204,72 @@ class _Triangulation:
         self.pts.append([float(p[0]), float(p[1])])
         if kind == "in":
             self._split_interior(t, pi, changed)
+        elif self._edge_key(self.tris[t][k], self.tris[t][NXT[k]]) in self.constrained:
+            self.pts.pop()
+            return -1
         else:
-            a, b = self.tris[t][k], self.tris[t][(k + 1) % 3]
-            if self.is_constrained(a, b):
-                self.pts.pop()
-                return -1
             self._split_edge(t, k, pi, changed)
         return pi
 
     def _split_interior(self, t, pi, changed):
-        a, b, c = self.tris[t]
-        nab, nbc, nca = self.nbr[t]
-        kept = self.kept[t]
-        t2 = len(self.tris)
+        tris, nbr = self.tris, self.nbr
+        a, b, c = tris[t]
+        nab, nbc, nca = nbr[t]
+        t2 = len(tris)
         t3 = t2 + 1
-        self.tris[t] = [a, b, pi]
-        self.nbr[t] = [nab, t2, t3]
-        self.tris.append([b, c, pi])
-        self.nbr.append([nbc, t3, t])
-        self.kept.append(kept)
-        self.tris.append([c, a, pi])
-        self.nbr.append([nca, t, t2])
-        self.kept.append(kept)
-        self._set_nbr(nbc, t, t2)
-        self._set_nbr(nca, t, t3)
+        tris[t] = [a, b, pi]
+        nbr[t] = [nab, t2, t3]
+        tris += ([b, c, pi], [c, a, pi])
+        nbr += ([nbc, t3, t], [nca, t, t2])
+        self.kept += (self.kept[t],) * 2
+        if nbc != -1:
+            m = nbr[nbc]
+            m[0 if m[0] == t else 1 if m[1] == t else 2 if m[2] == t else _broken()] = t2
+        if nca != -1:
+            m = nbr[nca]
+            m[0 if m[0] == t else 1 if m[1] == t else 2 if m[2] == t else _broken()] = t3
         if changed is not None:
             changed.extend((t, t2, t3))
         for tt in (t, t2, t3):
             self._legalize(tt, 0, changed)
 
     def _split_edge(self, t, k, pi, changed):
-        a, b = self.tris[t][k], self.tris[t][(k + 1) % 3]
-        c = self.tris[t][(k + 2) % 3]
-        n = self.nbr[t][k]
-        n_ap = self.nbr[t][(k + 2) % 3]   # across (c, a)
-        n_bc = self.nbr[t][(k + 1) % 3]   # across (b, c)
-        kept = self.kept[t]
-        t2 = len(self.tris)
+        tris, nbr, kept = self.tris, self.nbr, self.kept
+        a, b, c = tris[t][k], tris[t][NXT[k]], tris[t][PRV[k]]
+        n, n_bc, n_ap = nbr[t][k], nbr[t][NXT[k]], nbr[t][PRV[k]]  # across ab, bc, ca
+        t2 = len(tris)
         # upper side: t -> (a, pi, c), t2 -> (pi, b, c)
-        self.tris[t] = [a, pi, c]
-        self.tris.append([pi, b, c])
-        self.kept.append(kept)
-        self.nbr.append([-1, n_bc, t])
-        self._set_nbr(n_bc, t, t2)
+        tris[t] = [a, pi, c]
+        tris.append([pi, b, c])
+        kept.append(kept[t])
+        nbr.append([-1, n_bc, t])
+        if n_bc != -1:
+            m = nbr[n_bc]
+            m[0 if m[0] == t else 1 if m[1] == t else 2 if m[2] == t else _broken()] = t2
         if n == -1:
-            self.nbr[t] = [-1, t2, n_ap]
+            nbr[t] = [-1, t2, n_ap]
             if changed is not None:
                 changed.extend((t, t2))
             self._legalize(t, 2, changed)
             self._legalize(t2, 1, changed)
             return
-        kn = None
-        for kk in range(3):
-            if self.tris[n][kk] == b and self.tris[n][(kk + 1) % 3] == a:
-                kn = kk
-                break
-        d = self.tris[n][(kn + 2) % 3]
-        n_da = self.nbr[n][(kn + 1) % 3]  # across (a, d)
-        n_bd = self.nbr[n][(kn + 2) % 3]  # across (d, b)
-        keptn = self.kept[n]
-        t4 = len(self.tris)
+        vn = tris[n]
+        kn = (0 if vn[0] == b and vn[1] == a else 1 if vn[1] == b and vn[2] == a
+              else 2 if vn[2] == b and vn[0] == a else _broken())
+        d = vn[PRV[kn]]
+        n_da, n_bd = nbr[n][NXT[kn]], nbr[n][PRV[kn]]  # across (a, d) and (d, b)
+        t4 = len(tris)
         # lower side: n -> (b, pi, d), t4 -> (pi, a, d)
-        self.tris[n] = [b, pi, d]
-        self.tris.append([pi, a, d])
-        self.kept.append(keptn)
-        self.nbr.append([t, n_da, n])
-        self._set_nbr(n_da, n, t4)
-        self.nbr[t] = [t4, t2, n_ap]
-        self.nbr[n] = [t2, t4, n_bd]
-        self.nbr[t2][0] = n
+        tris[n] = [b, pi, d]
+        tris.append([pi, a, d])
+        kept.append(kept[n])
+        nbr.append([t, n_da, n])
+        if n_da != -1:
+            m = nbr[n_da]
+            m[0 if m[0] == n else 1 if m[1] == n else 2 if m[2] == n else _broken()] = t4
+        nbr[t] = [t4, t2, n_ap]
+        nbr[n] = [t2, t4, n_bd]
+        nbr[t2][0] = n
         if changed is not None:
             changed.extend((t, t2, n, t4))
         self._legalize(t, 2, changed)
@@ -288,33 +278,53 @@ class _Triangulation:
         self._legalize(t4, 1, changed)
 
     def _legalize(self, t0, k0, changed):
+        """Flip edge k0 of t0, and then the edges a flip exposes, while the
+        opposite vertex lies inside the circumcircle (`_incircle` > tol_in)."""
+        tris, nbr, pts = self.tris, self.nbr, self.pts
+        constrained, tol_in = self.constrained, self.tol_in
         stack = [(t0, k0)]
         while stack:
             t, k = stack.pop()
-            if self.tris[t] is None:
+            vt = tris[t]
+            if vt is None:
                 continue
-            a, b = self.tris[t][k], self.tris[t][(k + 1) % 3]
-            n = self.nbr[t][k]
-            if n == -1 or self.is_constrained(a, b):
+            a, b = vt[k], vt[NXT[k]]
+            n = nbr[t][k]
+            if n == -1 or ((a, b) if a < b else (b, a)) in constrained:
                 continue
-            vn = self.tris[n]
-            kn = vn.index(b) if b in vn else -1
-            if kn < 0 or vn[(kn + 1) % 3] != a:
+            x, y, z = tris[n]       # d: the vertex of n opposite its edge (b, a)
+            if x == b and y == a:
+                kn, d = 0, z
+            elif y == b and z == a:
+                kn, d = 1, x
+            elif z == b and x == a:
+                kn, d = 2, y
+            else:
                 continue
-            d = vn[(kn + 2) % 3]
-            if _incircle(*self._corners(t), self.pts[d]) <= self.tol_in:
+            pa, pb, pc, pd = pts[vt[0]], pts[vt[1]], pts[vt[2]], pts[d]
+            adx, ady = pa[0] - pd[0], pa[1] - pd[1]
+            bdx, bdy = pb[0] - pd[0], pb[1] - pd[1]
+            cdx, cdy = pc[0] - pd[0], pc[1] - pd[1]
+            ad = adx * adx + ady * ady
+            bd = bdx * bdx + bdy * bdy
+            cd = cdx * cdx + cdy * cdy
+            if (adx * (bdy * cd - bd * cdy)
+                    - ady * (bdx * cd - bd * cdx)
+                    + ad * (bdx * cdy - bdy * cdx)) <= tol_in:
                 continue
-            c = self.tris[t][(k + 2) % 3]
-            n_bc = self.nbr[t][(k + 1) % 3]
-            n_ca = self.nbr[t][(k + 2) % 3]
-            n_ad = self.nbr[n][(kn + 1) % 3]
-            n_db = self.nbr[n][(kn + 2) % 3]
-            self.tris[t] = [a, d, c]
-            self.nbr[t] = [n_ad, n, n_ca]
-            self.tris[n] = [d, b, c]
-            self.nbr[n] = [n_db, n_bc, t]
-            self._set_nbr(n_ad, n, t)
-            self._set_nbr(n_bc, t, n)
+            c = vt[PRV[k]]
+            n_bc, n_ca = nbr[t][NXT[k]], nbr[t][PRV[k]]
+            n_ad, n_db = nbr[n][NXT[kn]], nbr[n][PRV[kn]]
+            tris[t] = [a, d, c]
+            nbr[t] = [n_ad, n, n_ca]
+            tris[n] = [d, b, c]
+            nbr[n] = [n_db, n_bc, t]
+            if n_ad != -1:
+                m = nbr[n_ad]
+                m[0 if m[0] == n else 1 if m[1] == n else 2 if m[2] == n else _broken()] = t
+            if n_bc != -1:
+                m = nbr[n_bc]
+                m[0 if m[0] == t else 1 if m[1] == t else 2 if m[2] == t else _broken()] = n
             if changed is not None:
                 changed.extend((t, n))
             stack.extend(((t, 0), (n, 0)))
@@ -342,8 +352,8 @@ class _Triangulation:
             u, w = vs[(k + 1) % 3], vs[(k + 2) % 3]
             if u == b or w == b:
                 return  # edge already present
-            o1 = self._orient(pa, pb, self.pts[u])
-            o2 = self._orient(pa, pb, self.pts[w])
+            o1 = _orient(pa, pb, self.pts[u])
+            o2 = _orient(pa, pb, self.pts[w])
             if abs(o1) <= self.tol_orient or abs(o2) <= self.tol_orient:
                 continue
             if o1 < 0 < o2:
@@ -364,8 +374,8 @@ class _Triangulation:
             exit_k = None
             for kk in range(3):
                 u, w = vs[kk], vs[(kk + 1) % 3]
-                ou = self._orient(pa, pb, self.pts[u])
-                ow = self._orient(pa, pb, self.pts[w])
+                ou = _orient(pa, pb, self.pts[u])
+                ow = _orient(pa, pb, self.pts[w])
                 if ou < -self.tol_orient and ow > self.tol_orient:
                     if self.nbr[t][kk] in dead:
                         continue
@@ -374,7 +384,7 @@ class _Triangulation:
             if exit_k is None:
                 raise GeometryError("segment recovery lost its way (degenerate boundary)")
             u, w = vs[exit_k], vs[(exit_k + 1) % 3]
-            if self.is_constrained(u, w):
+            if self._edge_key(u, w) in self.constrained:
                 raise GeometryError("boundary segments cross each other")
             if not lower or lower[-1] != u:
                 lower.append(u)
@@ -446,7 +456,7 @@ class _Triangulation:
         triangle keeps positive area; constrained and super vertices stay.
         Rings are rebuilt only where triangles flipped (module docstring).
         """
-        pts, tris = self.pts, self.tris
+        pts, tris, tol = self.pts, self.tris, self.tol_orient
         fixed = {v for key in self.constrained for v in key}
         incident, ring = {}, {}
         changed = [t for t, vs in enumerate(tris) if vs is not None]
@@ -464,13 +474,17 @@ class _Triangulation:
             for a in sorted(a for a, ts in incident.items()
                             if ts and a >= self.n_super and a not in fixed):
                 nbrs = ring[a]
-                cx = sum([pts[v][0] for v in nbrs]) / len(nbrs)
-                cy = sum([pts[v][1] for v in nbrs]) / len(nbrs)
+                cx = cy = 0.0
+                for v in nbrs:
+                    cx += pts[v][0]
+                    cy += pts[v][1]
                 old = pts[a]
-                pts[a] = [cx, cy]
+                pts[a] = [cx / len(nbrs), cy / len(nbrs)]
                 for t in incident[a]:
                     i, j, k = tris[t]
-                    if self._orient(pts[i], pts[j], pts[k]) <= self.tol_orient:
+                    pa, pb, pc = pts[i], pts[j], pts[k]
+                    if ((pb[0] - pa[0]) * (pc[1] - pa[1])
+                            - (pb[1] - pa[1]) * (pc[0] - pa[0])) <= tol:
                         pts[a] = old
                         break
             changed = self._relegalize()
@@ -530,27 +544,6 @@ class _Triangulation:
             det = _incircle(*corners, pts[np.where(use, d, 0)].T)
             out.update((int(t), k) for t in np.flatnonzero(use & ~(det <= self.tol_in)))
         return out
-
-    # -- geometry ---------------------------------------------------------
-
-    def circumcenter(self, t):
-        a, b, c = self._corners(t)
-        d = 2.0 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-        if abs(d) < self.tol_orient:
-            return None
-        a2 = a[0] * a[0] + a[1] * a[1]
-        b2 = b[0] * b[0] + b[1] * b[1]
-        c2 = c[0] * c[0] + c[1] * c[1]
-        ux = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
-        uy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
-        return (ux, uy)
-
-    def edge_range(self, t):
-        a, b, c = self._corners(t)
-        e = ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2,
-             (b[0] - c[0]) ** 2 + (b[1] - c[1]) ** 2,
-             (c[0] - a[0]) ** 2 + (c[1] - a[1]) ** 2)
-        return math.sqrt(min(e)), math.sqrt(max(e))
 
 
 def _weld_key(x, y, tol):
@@ -681,7 +674,7 @@ def build_from_borders(borders, size_factor=None,
     seg_a = np.array([points[a] for a, _, _ in segs])
     seg_b = np.array([points[b] for _, b, _ in segs])
     live = [t for t, vs in enumerate(tr.tris) if vs is not None]
-    corners = [tr._corners(t) for t in live]
+    corners = [[tr.pts[v] for v in tr.tris[t]] for t in live]
     bx = np.array([(a[0] + b[0] + c[0]) / 3 for a, b, c in corners])
     by = np.array([(a[1] + b[1] + c[1]) / 3 for a, b, c in corners])
     wind = _winding_numbers(bx, by, seg_a, seg_b)
@@ -705,33 +698,37 @@ def build_from_borders(borders, size_factor=None,
     s_uniform = float(spacing.mean())
 
     def target_at(x, y):
-        if uniform:
-            return s_uniform
         d2 = (bpts[:, 0] - x) ** 2 + (bpts[:, 1] - y) ** 2
         return float(spacing[int(np.argmin(d2))])
 
     queue = deque(t for t, vs in enumerate(tr.tris) if vs is not None and tr.kept[t])
     blocked = set()
     good = set()    # points stay put while refining: a good (ordered) triple stays good
+    pts, tris, kept, tol = tr.pts, tr.tris, tr.kept, tr.tol_orient
     while queue:
         t = queue.popleft()
-        if t in blocked or tr.tris[t] is None or not tr.kept[t]:
+        vs = tris[t]
+        if t in blocked or vs is None or not kept[t] or tuple(vs) in good:
             continue
-        vs = tr.tris[t]
-        if tuple(vs) in good:
-            continue
-        cx = (tr.pts[vs[0]][0] + tr.pts[vs[1]][0] + tr.pts[vs[2]][0]) / 3
-        cy = (tr.pts[vs[0]][1] + tr.pts[vs[1]][1] + tr.pts[vs[2]][1]) / 3
-        cc = tr.circumcenter(t)
-        if cc is None:
+        a, b, c = pts[vs[0]], pts[vs[1]], pts[vs[2]]
+        d = 2.0 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+        if abs(d) < tol:
             blocked.add(t)
             continue
-        shortest, longest = tr.edge_range(t)
-        radius = math.dist(cc, tr.pts[vs[0]])
-        oversized = longest > size_factor * target_at(cx, cy)
-        # radius/shortest-edge bound 1 enforces angles of 30 degrees and up
-        skinny = radius > QUALITY_BOUND * shortest
-        if not (oversized or skinny):
+        a2 = a[0] * a[0] + a[1] * a[1]
+        b2 = b[0] * b[0] + b[1] * b[1]
+        c2 = c[0] * c[0] + c[1] * c[1]
+        cc = ((a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d,
+              (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d)
+        e = ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2,
+             (b[0] - c[0]) ** 2 + (b[1] - c[1]) ** 2,
+             (c[0] - a[0]) ** 2 + (c[1] - a[1]) ** 2)
+        target = s_uniform if uniform else target_at((a[0] + b[0] + c[0]) / 3,
+                                                      (a[1] + b[1] + c[1]) / 3)
+        # the circumradius over the shortest edge, bounded by 1, enforces
+        # angles of 30 degrees and up
+        if not (math.sqrt(max(e)) > size_factor * target
+                or math.dist(cc, a) > QUALITY_BOUND * math.sqrt(min(e))):
             good.add(tuple(vs))
             continue
         where = tr.locate(cc, hint=t)

@@ -146,12 +146,15 @@ POINT_OR_INTEGRAL = r"a function of x, y, which needs a point, as in mu\(0\.5,0\
     ("mesh Th=square(2,2);\nreal a=Th.foo;", "unknown member 'foo' on a mesh$"),
     ('mesh Th=square(2,2); fespace Vh(Th,P1); Vh u;\nu="a";',
      "cannot assign a string to an FE function$"),
+    ("mesh Th=square(2,2); fespace Vh(Th,P1); Vh u;\nu=1i;",
+     "cannot assign a complex to an FE function$"),
     ("mesh Th=square(2,2);\nreal a=int2d(Th)(Th);", "cannot use a mesh as a field$"),
 ], ids=["write-func", "write-real-func", "write-varf", "init-real", "init-int", "assign-real",
         "assign-complex", "call-real", "assign-element", "assign-element-complex",
         "assign-call-element", "init-bool", "write-unset-matrix", "mesh-plus-int",
         "int-times-fespace", "call-a-real", "index-a-real", "negate-string",
-        "transpose-string", "member-of-mesh", "string-to-fe", "mesh-as-field"])
+        "transpose-string", "member-of-mesh", "string-to-fe", "complex-to-fe",
+        "mesh-as-field"])
 def test_internal_values_do_not_reach_the_script(src, message):
     with pytest.raises(EvalError, match="^line 2: " + message) as err:
         run(src)
@@ -218,6 +221,8 @@ STORE_ROWS = [
     ("string", "string x;", "5", None, fails("string x needs a string, not an int")),
     ("real[int]", "real[int] x(2);", "[1,2]", "1 2", np.array([1.0, 2.0])),
     ("int[int]", "int[int] x(2);", "[1.5,-2]", "1.5 -2", np.array([1, -2])),
+    ("int[int]", "int[int] x(2);", "[1e300,1]", None,
+     fails("int[int] x cannot hold a non-finite or out-of-range value")),
     ("real[int]", "real[int] x(2);", "[1i,2]", None,
      fails("real[int] x cannot hold a complex value")),
     ("real[int]", "real[int] x(2);", "1i", None, fails("real[int] x cannot hold a complex value")),
@@ -931,6 +936,10 @@ _M, _w = np.array([[1.0, 2], [3, 4]]), np.array([5.0, -6])
     ("bool b; b=5; int c=b;", 1),
     ("bool b=1; b=0.5; int c=b;", 1),
     ("bool b=1; b=b+1; int c=b;", 1),
+    # an assignment's value is the value it stored
+    ("int i; real c=(i=2.5);", 2.0),
+    ("int i=1; real c=(i+=0.5);", 1.0),
+    ("bool b; int c=(b=5);", 1),
 ])
 def test_array_and_matrix_operators(stmt, expected):
     r, _ = run(LINALG_PRELUDE + stmt)
@@ -943,6 +952,7 @@ def test_array_and_matrix_operators(stmt, expected):
 
 @pytest.mark.parametrize("stmt, message", [
     ("real[int] c(2); c=a;", "array assignment with mismatched sizes"),
+    ("int[int] c(2); c=1e308*10;", r"int\[int\] c cannot hold a non-finite or out-of-range value"),
     ("int c=1/0;", "integer division by zero"),
     ("real[int] c=a*b;", "use u'\\*v for dot products"),
     ("real[int] c=a/b;", "use u'\\*v for dot products"),

@@ -11,7 +11,9 @@ from femscript.errors import (FoldOverError, GeometryError, InvalidArgumentError
                               MeshFileError)
 from femscript.mesh import (Border, Mesh, build_from_borders, build_square,
                             load_msh, move_mesh, save_msh)
-from femscript.studies import circle_border
+from femscript.mesh import delaunay
+from femscript.mesh.delaunay import _incircle, _orient, _Triangulation
+from femscript.studies import circle_border, disk_mesh
 
 from conftest import conformity_report, delaunay_violations
 
@@ -285,7 +287,6 @@ def test_border_count_must_be_positive():
 def test_segment_recovery_forces_missing_edge():
     """When the Delaunay diagonal disagrees with a boundary segment, the
     cavity retriangulation recovers it."""
-    from femscript.mesh.delaunay import _Triangulation
     tr = _Triangulation(scale=20.0)
     tr.init_super((0.0, -1.0), (20.0, 1.0))
     a, b, c, d = (tr.insert(p) for p in
@@ -298,7 +299,7 @@ def test_segment_recovery_forces_missing_edge():
     for vs in tr.tris:
         if vs is not None:
             pa, pb, pc = (tr.pts[v] for v in vs)
-            assert tr._orient(pa, pb, pc) > 0
+            assert _orient(pa, pb, pc) > 0
 
 
 def _l_shape_borders(spacing=0.5):
@@ -484,6 +485,14 @@ def test_golden_corpus_buildmesh(tmp_path):
     assert {k: _mesh_digest(result.env.lookup(k)) for k in GOLDEN_CORPUS} == GOLDEN_CORPUS
 
 
+def test_golden_disks_do_not_depend_on_the_float_sum(monkeypatch):
+    """Python 3.12 and later add floats with compensated summation in `sum`.
+    The smoothing means add left to right from 0.0, so a compensated `sum` in
+    the mesher's namespace leaves every disk unchanged."""
+    monkeypatch.setattr(delaunay, "sum", math.fsum, raising=False)
+    assert {N: _mesh_digest(disk_mesh(N)) for N in GOLDEN_DISKS} == GOLDEN_DISKS
+
+
 def _relegalize_reference(tr, max_sweeps=20):
     """Full sweeps: every edge of every kept triangle, in triangle-index order."""
     for _ in range(max_sweeps):
@@ -502,7 +511,6 @@ def test_relegalize_matches_full_sweeps(seed):
     """The candidate-driven Delaunay repair flips exactly what full sweeps flip,
     here after jittering the vertices of a random Delaunay triangulation."""
     import copy
-    from femscript.mesh.delaunay import _Triangulation
     rng = np.random.default_rng(seed)
     tr = _Triangulation(scale=1.0)
     tr.init_super((0.0, 0.0), (1.0, 1.0))
@@ -512,8 +520,8 @@ def test_relegalize_matches_full_sweeps(seed):
     for a in range(tr.n_super, len(tr.pts)):
         old = tr.pts[a]
         tr.pts[a] = [float(v) for v in old + rng.normal(0.0, 0.02, 2)]
-        if any(a in vs and tr._orient(*tr._corners(t)) <= tr.tol_orient
-               for t, vs in enumerate(tr.tris)):
+        if any(a in vs and _orient(*(tr.pts[v] for v in vs)) <= tr.tol_orient
+               for vs in tr.tris):
             tr.pts[a] = old
     reference = copy.deepcopy(tr)
     _relegalize_reference(reference)
@@ -522,3 +530,86 @@ def test_relegalize_matches_full_sweeps(seed):
     assert tr.tris == reference.tris and tr.nbr == reference.nbr
     assert {t for t, (a, b) in enumerate(zip(before, tr.tris)) if a != b} <= flipped
     assert len(flipped) > 50
+
+
+def _tie_inputs(kind):
+    """Points with ties: a lattice of exact binary fractions (every cell
+    cocircular, rows collinear), points on one circle, and points on three
+    lines."""
+    if kind == "lattice":
+        return [(i / 8, j / 8) for j in range(9) for i in range(9)]
+    if kind == "circle":
+        return [(0.5 + 0.4 * math.cos(a), 0.5 + 0.4 * math.sin(a))
+                for a in (2 * math.pi * i / 24 for i in range(24))]
+    return ([(i / 10, 0.0) for i in range(11)] + [(i / 10, 0.5) for i in range(1, 10)]
+            + [(i / 10, i / 10) for i in range(2, 11, 2)])
+
+
+def _locate_reference(tr, p, t):
+    """The walk with `min(range(3), key=...)` choosing the edge to cross."""
+    for _ in range(4 * len(tr.tris) + 16):
+        pa, pb, pc = (tr.pts[v] for v in tr.tris[t])
+        o = _orient(pa, pb, p), _orient(pb, pc, p), _orient(pc, pa, p)
+        worst = min(range(3), key=o.__getitem__)
+        if o[worst] >= -tr.tol_orient:
+            return tr._classify(t, p, o), sorted(o)[0] == sorted(o)[1]
+        t = tr.nbr[t][worst]
+        if t == -1:
+            break
+    return tr._locate_brute(p), False
+
+
+def _legalize_sweep(tr):
+    """`_legalize` on every edge, checking that it flips exactly where the
+    opposite vertex is inside by more than tol_in; returns the determinants."""
+    dets = []
+    for t in range(len(tr.tris)):
+        for k in range(3):
+            vs, n = tr.tris[t], tr.nbr[t][k]
+            if vs is None or n == -1:
+                continue
+            a, b = vs[k], vs[(k + 1) % 3]
+            d = next(v for v in tr.tris[n] if v not in (a, b))
+            det = _incircle(*(tr.pts[v] for v in vs), tr.pts[d])
+            flips = []
+            tr._legalize(t, k, flips)
+            assert bool(flips) == (det > tr.tol_in and tr._edge_key(a, b) not in tr.constrained)
+            dets.append(det)
+    return dets
+
+
+@pytest.mark.parametrize("kind", ["lattice", "circle", "collinear"])
+def test_inlined_predicates_keep_their_ties(kind):
+    """On cocircular and collinear input, `_legalize` flips an edge exactly
+    where `_incircle` exceeds tol_in, and `locate` crosses the first smallest
+    orient, as `min(range(3), key=...)` picks it."""
+    pts = _tie_inputs(kind)
+    tr = _Triangulation(scale=1.0)
+    tr.init_super((0.0, 0.0), (1.0, 1.0))
+    for p in pts:
+        tr.insert(p)
+    live = [t for t, vs in enumerate(tr.tris) if vs is not None]
+    # vertices and edge midpoints lie in several triangles: the walk decides
+    queries = pts + [((tr.pts[a][0] + tr.pts[b][0]) / 2, (tr.pts[a][1] + tr.pts[b][1]) / 2)
+                     for a, b in sorted(tr.live_edges())] + [(-0.25, -0.25), (0.5, -0.1)]
+    ties = 0
+    for p in queries:
+        for hint in live[::3]:
+            expected, tied = _locate_reference(tr, p, hint)
+            assert tr.locate(p, hint=hint) == expected
+            ties += tied
+    assert ties > 0
+
+    # cocircular neighbours: ties that must not flip
+    assert any(abs(det) <= tr.tol_in for det in _legalize_sweep(tr))
+    # moved vertices and some constrained edges: flips, and edges that must not
+    rng = np.random.default_rng(5)
+    for a in range(tr.n_super, len(tr.pts), 3):
+        old = tr.pts[a]
+        tr.pts[a] = [old[0] + 0.03 * rng.standard_normal(), old[1] + 0.03 * rng.standard_normal()]
+        if any(a in vs and _orient(*(tr.pts[v] for v in vs)) <= tr.tol_orient
+               for vs in tr.tris if vs is not None):
+            tr.pts[a] = old
+    tr.constrained = {tr._edge_key(a, b) for a, b in sorted(tr.live_edges())[::5]}
+    dets = _legalize_sweep(tr) + _legalize_sweep(tr)
+    assert any(det > tr.tol_in for det in dets)
