@@ -12,7 +12,9 @@ function are forms, so one evaluator serves plain arithmetic, analytic
 functions, and form assembly alike.  The term algebra of
 `varf`/`problem`/`solve` bodies yields the kernel's own types: an integral
 becomes a `forms.FormTerm` and an `on()` clause a `forms.DirichletBC`,
-collected in a `Terms` value that assembly consumes as is.
+collected in a `Terms` value that assembly consumes as is.  A varf or problem
+evaluates its body once and reuses the terms while every name the body read is
+unchanged (`Interpreter._eval_form`).
 
 Operators hand fields, forms, `Terms`, numbers and arrays to their own
 arithmetic (Python's operators); `binary_op` keeps only the rules that are the
@@ -172,6 +174,7 @@ class VarfValue:
     named: tuple
     body: object
     env: Env
+    memo: object = None    # see Interpreter._eval_form
 
 
 class ProblemValue:
@@ -184,6 +187,7 @@ class ProblemValue:
         self.body = body
         self.env = env
         self.cache = None      # (mesh, matrix); the matrix caches its LU
+        self.memo = None       # see Interpreter._eval_form
 
 
 class Stream:
@@ -321,6 +325,13 @@ FIELD_CMP = {"<": np.less, "<=": np.less_equal, ">": np.greater,
              "|": np.logical_or, "||": np.logical_or}
 
 ELEMENT_NAMES = ("P0", "P1", "P2", "P3", "P4", "P1dc", "P2dc", "P1b", "RT0")
+MATH = [("sin", np.sin), ("cos", np.cos), ("tan", np.tan), ("asin", np.arcsin),
+        ("acos", np.arccos), ("atan", np.arctan), ("sinh", np.sinh), ("cosh", np.cosh),
+        ("tanh", np.tanh), ("exp", np.exp), ("log", np.log), ("log10", np.log10),
+        ("sqrt", np.sqrt), ("floor", np.floor), ("ceil", np.ceil)]
+# builtins whose value depends on their arguments alone (`Interpreter._eval_form`)
+PURE_BUILTINS = {name for name, _ in MATH} | {
+    "abs", "pow", "atan2", "min", "max", "dx", "dy", "int2d", "int1d", "on"}
 SOLVER_NAMES = {"LU": "LU", "CG": "CG", "sparsesolver": "LU", "UMFPACK": "LU",
                 "GMRES": "LU", "Cholesky": "LU", "Crout": "LU"}
 
@@ -399,7 +410,16 @@ def _scalar(base, name, value):
         raise EvalError(f"{base} {name} needs a number, not {_describe(value)}")
     if isinstance(value, complex) and base != "complex":
         raise EvalError(f"{base} {name} cannot hold a complex value")
+    if base == "int" and not -2 ** 63 <= value < 2 ** 63:     # a C++ long
+        raise EvalError(f"{base} {name} cannot hold a non-finite or out-of-range value")
     return _SCALARS[base](value)
+
+
+def _same(a, b):
+    """Whether a memo's read `a` re-reads as `b`: numbers and strings by value."""
+    if isinstance(a, (int, float, complex, str)):
+        return type(a) is type(b) and a == b
+    return a is b
 
 
 def _array(vtype, name, value, current):
@@ -491,6 +511,7 @@ class Interpreter:
         self.plot_files = plot_files
         self.globals = Env()
         self._t0 = time.perf_counter()
+        self._reads, self._pure = None, True    # a form's recorded reads (_eval_form)
         self._install_builtins()
         if verbosity is not None:
             self.globals.define("verbosity", int(verbosity), "int")
@@ -528,11 +549,7 @@ class Interpreter:
         g.define("cerr", Stream(sys.stderr, "cerr", "out"), "stream")
         g.define("cin", Stream(self.stdin, "cin", "in"), "stream")
 
-        for name, fn in [("sin", np.sin), ("cos", np.cos), ("tan", np.tan),
-                         ("asin", np.arcsin), ("acos", np.arccos), ("atan", np.arctan),
-                         ("sinh", np.sinh), ("cosh", np.cosh), ("tanh", np.tanh),
-                         ("exp", np.exp), ("log", np.log), ("log10", np.log10),
-                         ("sqrt", np.sqrt), ("floor", np.floor), ("ceil", np.ceil)]:
+        for name, fn in MATH:
             builtin(name, self._make_math(name, fn), nargs=1)
         builtin("abs", lambda i, e, a, n: abs(a[0]), nargs=1)
         builtin("pow", lambda i, e, a, n: _simplify(a[0] ** a[1]), nargs=2)
@@ -933,7 +950,12 @@ class Interpreter:
         return node.value
 
     def _ev_Ident(self, node, env):
-        return env.lookup(node.name)
+        value = env.lookup(node.name)
+        if self._reads is not None:
+            self._reads.append((env, node.name, value))
+            if isinstance(value, np.ndarray):   # read by its entries, written in place
+                self._pure = False
+        return value
 
     def _ev_ListExpr(self, node, env):
         items = [self.eval(x, env) for x in node.items]
@@ -1034,6 +1056,7 @@ class Interpreter:
         raise EvalError(f"cannot transpose {_describe(v)}")
 
     def _ev_Member(self, node, env):
+        self._pure = False
         base = self.eval(node.base, env)
         name = node.name
         if isinstance(base, FeSpace) and name == "ndof" or \
@@ -1050,6 +1073,7 @@ class Interpreter:
         raise EvalError(f"unknown member {name!r} on {_describe(base)}")
 
     def _ev_Index(self, node, env):
+        self._pure = False
         base = self.eval(node.base, env)
         args = [self.eval(a, env) for a in node.args]
         if isinstance(base, FeFunction) and not args:
@@ -1066,6 +1090,10 @@ class Interpreter:
 
     def _ev_Call(self, node, env):
         callee = self.eval(node.callee, env)
+        if not (isinstance(callee, Builtin) and callee.name in PURE_BUILTINS
+                or isinstance(callee, Integrator)
+                or isinstance(callee, FuncValue) and callee.analytic):
+            self._pure = False
         if isinstance(callee, Builtin):
             if sum(a.name is None for a in node.args) < callee.nargs:
                 raise EvalError(f"{callee.name} needs {callee.nargs} argument"
@@ -1192,6 +1220,7 @@ class Interpreter:
         return self._store(self._place(target, env), value)
 
     def _store(self, place, value):
+        self._pure = False
         vtype, name, current, container, key = place
         value = self._convert(vtype, name, value, current)
         if container is not None:
@@ -1208,6 +1237,7 @@ class Interpreter:
             if not value.is_pure():
                 return self._form_term(integ, value)
             value = value.pure_field()
+        self._pure = False
         field = self._as_field(value)
         if integ.kind == "int2d":
             return F.integrate_2d(integ.mesh, field, integ.quad)
@@ -1225,28 +1255,48 @@ class Interpreter:
             return Terms(bilinear=term, meshes=[integ.mesh])
         return Terms(linear=term, meshes=[integ.mesh])
 
-    def _eval_form(self, body, env, unknown, test, space):
-        """Evaluate a form body with `unknown` and `test` bound to the trial
-        and test placeholders; returns (bilinear, linear, dirichlet)."""
-        fenv = Env(parent=env)
-        fenv.define(unknown, F.TrialFunction(), "unknown")
-        fenv.define(test, F.TestFunction(), "test function")
-        terms = self.eval(body, fenv)
-        if not isinstance(terms, Terms):
-            raise EvalError("a variational form needs integral or boundary terms")
-        for var, _ in terms.dirichlet:
-            if var != unknown:
-                raise EvalError(f"on() constrains {var!r}, expected the unknown {unknown!r}")
-        if any(mesh is not space.mesh for mesh in terms.meshes):
-            raise EvalError("an integral runs over a mesh other than the unknown's")
-        return terms.bilinear, terms.linear, [bc for _, bc in terms.dirichlet]
+    def _eval_form(self, form, space):
+        """(bilinear, linear, dirichlet) of the varf or problem `form` over
+        `space`; a problem's linear terms are negated, as its right-hand side.
+        Memoized on `form`: the evaluation records each name it reads (scope,
+        name, value), and a call over the same space reuses the result while
+        every name re-reads the same value (`_same`).  FE functions enter the
+        terms by reference.  Copying a value out of something mutable (an
+        index, a member, an array, a point value, an integral, a call outside
+        PURE_BUILTINS and analytic funcs) or an effect clears `_pure`."""
+        outer, self._pure = self._reads, False     # an enclosing form cannot replay this
+        memo = form.memo
+        if memo is not None and memo[0] is space and all(
+                _same(env.lookup(name), value) for env, name, value in memo[1]):
+            return memo[2]
+        self._reads, self._pure = [], True
+        try:
+            fenv = Env(parent=form.env)
+            fenv.define(form.unknown, F.TrialFunction(), "unknown")
+            fenv.define(form.test, F.TestFunction(), "test function")
+            terms = self.eval(form.body, fenv)
+            if not isinstance(terms, Terms):
+                raise EvalError("a variational form needs integral or boundary terms")
+            for var, _ in terms.dirichlet:
+                if var != form.unknown:
+                    raise EvalError(f"on() constrains {var!r}, expected the unknown "
+                                    f"{form.unknown!r}")
+            if any(mesh is not space.mesh for mesh in terms.meshes):
+                raise EvalError("an integral runs over a mesh other than the unknown's")
+            linear = terms.linear
+            if isinstance(form, ProblemValue):
+                linear = [F.FormTerm(t.kind, -t.expr, t.labels, t.quad) for t in linear]
+            result = terms.bilinear, linear, [bc for _, bc in terms.dirichlet]
+            form.memo = (space, self._reads, result) if self._pure else None
+            return result
+        finally:
+            self._reads, self._pure = outer, False
 
     def _assemble_varf(self, varf: VarfValue, args, named):
         if len(args) != 2 or not isinstance(args[1], FeSpace) or \
                 not (isinstance(args[0], FeSpace) or _is_number(args[0])):
             raise EvalError("assemble a varf as name(Vh,Vh) or name(0,Vh)")
-        bilinear, linear, dirichlet = self._eval_form(varf.body, varf.env, varf.unknown,
-                                                      varf.test, args[1])
+        bilinear, linear, dirichlet = self._eval_form(varf, args[1])
         tgv = float(named.get("tgv", F.DEFAULT_TGV))
         if isinstance(args[0], FeSpace):
             form = F.VarForm(bilinear_terms=bilinear, dirichlet=dirichlet)
@@ -1272,9 +1322,7 @@ class Interpreter:
 
         reuse = (self._truthy(init) and prob.cache is not None
                  and prob.cache[0] is unknown.space.mesh)
-        bilinear, linear, dirichlet = self._eval_form(prob.body, env, prob.unknown,
-                                                      prob.test, unknown.space)
-        rhs_terms = [F.FormTerm(t.kind, -t.expr, t.labels, t.quad) for t in linear]
+        bilinear, rhs_terms, dirichlet = self._eval_form(prob, unknown.space)
         b_form = F.VarForm(linear_terms=rhs_terms, dirichlet=dirichlet) \
             if (rhs_terms or dirichlet) else None
         b = F.assemble_linear(b_form, test.space, tgv=tgv) if b_form is not None \
@@ -1296,6 +1344,7 @@ class Interpreter:
         if _is_number(a) and _is_number(b):
             return self._number_op(op, a, b)
         if isinstance(a, Stream) and op in ("<<", ">>"):
+            self._pure = False
             if op == ">>":
                 raise EvalError("stream reads assign into a variable; use `is >> name`")
             self._write_stream(a, b)

@@ -1,3 +1,4 @@
+import collections
 import io
 import re
 from pathlib import Path
@@ -5,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from femscript.dsl import EvalError, run_source
+from femscript.dsl import EvalError, Interpreter, parse, run_source
+from femscript.dsl import astnodes as A
 from femscript.dsl.interp import _Bool
 from femscript.errors import FoldOverError, InvalidArgumentError, UnsupportedError
 from femscript.linalg import SparseMatrix, dot
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.edp"))
+HEAT_LISTING = Path(__file__).resolve().parents[1] / "bench" / "listings" / "heat_euler.edp"
 
 
 def run(src, stdin="", **kw):
@@ -213,6 +216,10 @@ STORE_ROWS = [
     ("int", "int x;", "2.7", "2.7", 2),
     ("int", "int x;", "-2.5", "-2.5", -2),
     ("int", "int x;", '"ab"', "ab", fails("int x needs a number, not a string")),
+    ("int", "int x;", "1e300", "1e300",
+     fails("int x cannot hold a non-finite or out-of-range value")),
+    ("int", "int x;", "1e308*10", "inf",
+     fails("int x cannot hold a non-finite or out-of-range value")),
     ("real", "real x;", "3", "3", 3.0),
     ("real", "real x;", "1i", None, fails("real x cannot hold a complex value")),
     ("complex", "complex x;", "2", "2", 2 + 0j),
@@ -413,18 +420,19 @@ def test_factorization_reuse_with_init():
     fespace Vh(Th,P1);
     Vh uh,vh,f;
     macro Grad(u)[dx(u),dy(u)]//
-    real total=0;
+    real[int] top(3);
     for (int k=0; k<3; k++) {
         f = 1.0+k;
         solve poisson(uh,vh,init=k,solver=LU) =
             int2d(Th)( Grad(uh)'*Grad(vh) ) - int2d(Th)(f*vh) + on(1,2,3,4,uh=0);
-        total += uh[].max;
+        top[k] = uh[].max;
     }
     """
     r, _ = run(src)
     # linear in f: maxima scale as 1, 2, 3
-    base = r.env.lookup("total") / 6.0
-    assert base > 0
+    top = r.env.lookup("top")
+    assert top[0] > 0
+    assert top[1:] / top[0] == pytest.approx([2.0, 3.0], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("k, expected", [(1, 1.0), (0, 0.5)])
@@ -447,6 +455,107 @@ def test_problem_init_reuses_the_matrix(k, expected):
     r, _ = run(src)
     assert r.env.lookup("first") == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(r.env.lookup("u").dofs, expected, rtol=1e-12, atol=0)
+
+
+# -- a problem or varf re-evaluates its form only when a name it read changed ---
+
+def _form_evaluations(src):
+    """Run `src`; the interpreter, and how often each problem or varf body was
+    evaluated."""
+    program = parse(src)
+    bodies = {id(s.body): s.name for s in program.body
+              if isinstance(s, (A.ProblemDef, A.VarfDef))}
+    counts = collections.Counter()
+
+    class Counting(Interpreter):
+        def eval(self, node, env):
+            if id(node) in bodies:
+                counts[bodies[id(node)]] += 1
+            return super().eval(node, env)
+
+    interp = Counting(stdout=io.StringIO(), verbosity=0)
+    interp.run(program)
+    return interp, counts
+
+
+MEMO_SETUP = """
+mesh Th=square(4,4);
+fespace Vh(Th,P1);
+Vh u, v, g=1+x;
+real a=1, ub=0;
+real[int] c=[1, 2];
+func f=a*x;
+func real s(real t) {{ return a*t; }}
+problem p(u,v) = int2d(Th)(u*v + dx(u)*dx(v) + dy(u)*dy(v)) - int2d(Th)(({coef})*v)
+    + on(1,u={ub});
+"""
+
+# what the form reads, its boundary value, and the change between two solves;
+# each copies a value into the terms, so reusing them unchecked solves stale
+MEMO_CASES = {
+    "real": ("a", "0", "a=2;"),
+    "func-reads-a-global": ("f", "0", "a=2;"),
+    "redefined-func": ("f", "0", "func f=2+y;"),
+    "non-analytic-func": ("s(1)", "0", "a=2;"),
+    "point-value": ("g(0.5,0.5)", "0", "g=2+x;"),
+    "dofs-member": ("g[].max", "0", "g[]=5;"),
+    "array-element": ("c[0]", "0", "c[0]=3;"),
+    "array-product": ("c'*c", "0", "c[1]=3;"),
+    "integral": ("int2d(Th)(g)", "0", "g=2*x;"),
+    "on-value": ("1", "ub", "ub=1;"),
+}
+
+
+@pytest.mark.parametrize("coef, ub, change", MEMO_CASES.values(), ids=MEMO_CASES)
+def test_a_problem_sees_every_change_to_what_its_form_read(coef, ub, change):
+    setup = MEMO_SETUP.format(coef=coef, ub=ub)
+    twice, _ = run(setup + "p;\n" + change + "\np;")
+    fresh, _ = run(setup + change + "\np;")
+    first, _ = run(setup + "p;")
+    u = twice.env.lookup("u").dofs
+    assert not np.array_equal(u, first.env.lookup("u").dofs)     # the change matters
+    assert np.array_equal(u, fresh.env.lookup("u").dofs)
+
+
+@pytest.mark.parametrize("change", ["g=2+x*y;", "g[]=3;", "Vh w=3-y; g=w;"])
+def test_fe_functions_enter_the_form_by_reference(change):
+    # a write to g's DOFs needs no guard: the memoized terms read them live
+    setup = MEMO_SETUP.format(coef="g + dx(g)", ub="g")
+    interp, counts = _form_evaluations(setup + "p;\n" + change + "\np;")
+    fresh, _ = run(setup + change + "\np;")
+    assert counts == {"p": 1}
+    assert np.array_equal(interp.env.lookup("u").dofs, fresh.env.lookup("u").dofs)
+
+
+def test_the_heat_listing_evaluates_its_form_once():
+    src = "real dt=0.01;\nreal amp=1;\nint nsteps=5;\n" + HEAT_LISTING.read_text()
+    interp, counts = _form_evaluations(src)
+    assert counts == {"heat": 1}
+    # the same steps with a new problem each step, which builds its form afresh
+    fresh, _ = run(src.replace("heat;", "problem heat2(u,v,solver=LU) = int2d(Th)( u*v/dt "
+                               "+ Grad(u)'*Grad(v) ) - int2d(Th)( uold*v/dt + f*v ) "
+                               "+ on(1,2,3,4,u=0); heat2;"))
+    assert np.array_equal(interp.env.lookup("u").dofs, fresh.env.lookup("u").dofs)
+
+
+def test_a_varf_reevaluates_when_a_coefficient_or_the_space_changes():
+    src = """
+    mesh Th=square(4,4);
+    fespace Vh(Th,P1);
+    fespace Wh(Th,P1);
+    real k=1;
+    varf a(u,v) = int2d(Th)(k*u*v);
+    matrix A1=a(Vh,Vh);
+    k=2;
+    matrix A2=a(Vh,Vh);
+    matrix A3=a(Vh,Vh);
+    matrix A4=a(Wh,Wh);
+    """
+    interp, counts = _form_evaluations(src)
+    assert counts == {"a": 3}
+    A1, A2, A3, A4 = (interp.env.lookup(f"A{i}").to_dense() for i in range(1, 5))
+    assert np.array_equal(A2, 2 * A1)
+    assert np.array_equal(A3, A2) and np.array_equal(A4, A2)
 
 
 def test_mixing_linear_and_bilinear_in_one_integral_rejected():
