@@ -512,6 +512,7 @@ class Interpreter:
         self.globals = Env()
         self._t0 = time.perf_counter()
         self._reads, self._pure = None, True    # a form's recorded reads (_eval_form)
+        self._solved = {}       # id(solve statement) -> (statement, cache)
         self._install_builtins()
         if verbosity is not None:
             self.globals.define("verbosity", int(verbosity), "int")
@@ -865,7 +866,11 @@ class Interpreter:
                              stmt.named, stmt.body, env)
         env.define(stmt.name, value, "problem")
         if stmt.kind == "solve":
+            # run again (in a loop), the statement is one problem: init=k keeps
+            # its matrix; the entry holds the node, so no other takes its id
+            value.cache = self._solved.get(id(stmt), (stmt, None))[1]
             self.solve_problem(value)
+            self._solved[id(stmt)] = (stmt, value.cache)
 
     def _st_If(self, stmt, env):
         if self._truthy(self.eval(stmt.cond, env)):
@@ -1323,9 +1328,8 @@ class Interpreter:
         reuse = (self._truthy(init) and prob.cache is not None
                  and prob.cache[0] is unknown.space.mesh)
         bilinear, rhs_terms, dirichlet = self._eval_form(prob, unknown.space)
-        b_form = F.VarForm(linear_terms=rhs_terms, dirichlet=dirichlet) \
-            if (rhs_terms or dirichlet) else None
-        b = F.assemble_linear(b_form, test.space, tgv=tgv) if b_form is not None \
+        b = F.assemble_linear(F.VarForm(linear_terms=rhs_terms, dirichlet=dirichlet),
+                              test.space, tgv=tgv) if (rhs_terms or dirichlet) \
             else np.zeros(test.space.ndof)
 
         if reuse:

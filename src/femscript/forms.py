@@ -14,20 +14,19 @@ clause's coefficient evaluated at the pinned DOF sites only, through the
 interpolation routine `fespace.dof_values`, so an FE function in it must live
 on the form's mesh and a non-finite value at a pinned vertex is an error.
 
-Assembly sums each element's quadrature points in order into local
-matrices and adds them into CSR through a sparsity plan cached on the mesh,
-keyed by what fixes the pattern: the trial and test elements and, per
-bilinear term, its kind, labels and number of products.  The plan holds the
-stable sort order of all contributions by (row, col), where each entry's run
-starts, and each entry's row and column (int32 while they fit).  A call
-gathers its contributions in that order, drops the exactly zero ones (the
-lumped mass's off-diagonals, the stiffness couplings across a right angle)
-and sums the rest of each run with one np.add.reduceat: bit for bit the sums
-of sorting the nonzero contributions afresh.  Summing the zeros in would
-not be, since reduceat adds pairwise and a zero regroups its run.  An entry
-with no nonzero contribution is not stored, so the lumped P1 mass is
-diagonal; one whose contributions cancel to zero is.  A linear form sums
-each DOF's contributions in the same order with one np.bincount.
+Assembly gives each term one array of element matrices, which each of its
+products adds into in dict order, summed over the quadrature points in q
+order; a product whose two bases are the same at every point (P1
+derivatives, P0) sums its coefficient over q first and adds once.  The plan
+cached on the mesh, keyed by the trial and test elements and each term's
+kind and labels, holds each contribution's slot (its entry's place in (row,
+col) order, from the stable sort of linalg._sorted_runs) and each entry's
+row and column.  One np.bincount sums each slot's contributions in input
+order from 0.0, the same bit for bit at every call.  An entry is stored
+when a contribution to it is nonzero, as a second bincount counts, so the
+lumped P1 mass is diagonal and an entry whose contributions cancel is
+stored.  A linear form's element vectors, one per product, are summed into
+each DOF the same way.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -354,24 +353,31 @@ def _term_context(mesh, term):
 
 
 def _cell_basis(space, kind, ctx, nq):
-    """Basis table of shape (n, nq, nloc) and the DOF map (n, nloc)."""
-    mesh = ctx.mesh
+    """Basis table and DOF map (n, nloc).  The table is (n, nq, nloc) for a
+    P1 value, (n, 1, nloc) for a basis the same at every point (dx, dy, P0)."""
     n = len(ctx.tri)
     if space.elem == "P0":
-        dofs = ctx.tri[:, None]
-        if kind == "val":
-            return np.ones((n, nq, 1)), dofs
-        return np.zeros((n, nq, 1)), dofs
-    dofs = mesh.tri[ctx.tri]
+        return np.full((n, 1, 1), 1.0 if kind == "val" else 0.0), ctx.tri[:, None]
+    dofs = ctx.mesh.tri[ctx.tri]
     if kind == "val":
-        if ctx.lam.ndim == 2:
-            B = np.broadcast_to(ctx.lam[None, :, :], (n, nq, 3))
-        else:
-            B = ctx.lam
-        return B, dofs
-    gx, gy = mesh.basis_gradients()
-    g = gx if kind == "dx" else gy
-    return np.broadcast_to(g[ctx.tri][:, None, :], (n, nq, 3)), dofs
+        return np.broadcast_to(ctx.lam, (n, nq, 3)), dofs
+    gx, gy = ctx.mesh.basis_gradients()
+    return (gx if kind == "dx" else gy)[ctx.tri][:, None, :], dofs
+
+
+def _element_sums(loc, C, *bases):
+    """`loc` (0.0 or element arrays) plus each element's sum, in q order, of
+    the scaled coefficient C (n, nq) times the basis tables `bases`, their DOF
+    axes placed for broadcasting (module docstring)."""
+    C = C.reshape(C.shape + (1,) * (bases[0].ndim - 2))
+    if all(B.shape[1] == 1 for B in bases):
+        C = sum(C[:, q:q + 1] for q in range(C.shape[1]))   # arrays: in q order
+    for q in range(C.shape[1]):
+        p = C[:, q]
+        for B in bases:
+            p = p * B[:, q if B.shape[1] > 1 else 0]
+        loc += p
+    return loc
 
 
 def dirichlet_dofs(space: FeSpace, labels):
@@ -394,16 +400,17 @@ def dirichlet_dofs(space: FeSpace, labels):
 
 
 def _bilinear_plan(mesh, blocks, key, shape):
-    """(order, starts, rows, cols) of the pattern of the (test DOF map, trial
-    DOF map) `blocks`, cached on the mesh under `key` (module docstring)."""
+    """(slot, rows, cols) of the (test DOF map, trial DOF map) `blocks`,
+    cached on the mesh under `key` (module docstring)."""
     def build():
         m = np.int64(shape[1])
         order, starts, flat = _sorted_runs(np.concatenate(
             [(dv[:, :, None] * m + du[:, None, :]).ravel() for dv, du in blocks]
             or [np.zeros(0, dtype=np.int64)]))
-        idx = np.int32 if max(len(order), *shape) <= np.iinfo(np.int32).max else np.int64
-        return (order.astype(idx), starts.astype(idx), (flat // m).astype(idx),
-                (flat % m).astype(idx))
+        slot = np.empty(len(order), dtype=np.intp)
+        slot[order] = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(order)]))
+        idx = np.int32 if max(len(flat), *shape) <= np.iinfo(np.int32).max else np.int64
+        return slot, (flat // m).astype(idx), (flat % m).astype(idx)
     return mesh._cached(key, build)
 
 
@@ -417,26 +424,20 @@ def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
     blocks, vals_acc = [], []
     for term in form.bilinear_terms:
         ctx, scale, nq = _term_context(mesh, term)
+        loc = 0.0
         for (uk, vk), f in term.expr.terms.items():
-            C = f.values(ctx) * scale
             Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
             Bv, dof_v = _cell_basis(test, vk, ctx, nq)
-            # summed in q order, as einsum("nq,nqi,nqj->nij") sums
-            loc = np.zeros((len(C), dof_v.shape[1], dof_u.shape[1]))
-            for q in range(nq):
-                loc += C[:, q, None, None] * Bv[:, q, :, None] * Bu[:, q, None, :]
-            blocks.append((dof_v, dof_u))
-            vals_acc.append(loc.ravel())
+            loc = _element_sums(loc, f.values(ctx) * scale, Bv[:, :, :, None], Bu[:, :, None, :])
+        blocks.append((dof_v, dof_u))
+        vals_acc.append(loc.ravel())
     key = ("bilinear_plan", trial.elem, test.elem,
-           tuple((t.kind, t.labels, len(t.expr.terms)) for t in form.bilinear_terms))
-    order, starts, rows, cols = _bilinear_plan(mesh, blocks, key, shape)
-    vals = np.concatenate(vals_acc or [np.zeros(0)])[order]
-    # each entry's nonzero contributions alone (see the module docstring)
-    nonzero = vals != 0.0
-    count = np.add.reduceat(nonzero, starts)
-    live = count > 0
-    summed = np.add.reduceat(vals[nonzero], (np.cumsum(count) - count)[live])
-    A = SparseMatrix._from_sorted(rows[live], cols[live], summed, shape)
+           tuple((t.kind, t.labels) for t in form.bilinear_terms))
+    slot, rows, cols = _bilinear_plan(mesh, blocks, key, shape)
+    vals = np.concatenate(vals_acc or [np.zeros(0)])
+    sums = np.bincount(slot, vals, minlength=len(rows)).astype(float, copy=False)  # int if empty
+    live = np.bincount(slot, vals != 0.0, minlength=len(rows)) > 0
+    A = SparseMatrix._from_sorted(rows[live], cols[live], sums[live], shape)
     pinned = _dirichlet_union(form, trial)
     if len(pinned):
         A = A.with_diagonal(pinned, tgv)
@@ -458,13 +459,8 @@ def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> n
     for term in form.linear_terms:
         ctx, scale, nq = _term_context(mesh, term)
         for (_, vk), f in term.expr.terms.items():
-            C = f.values(ctx) * scale
             Bv, dof_v = _cell_basis(test, vk, ctx, nq)
-            # in q order, as for matrices; einsum's own order for a derivative
-            # of v or a P0 v depends on the strides and the SIMD width
-            loc = np.zeros(dof_v.shape)
-            for q in range(nq):
-                loc += C[:, q, None] * Bv[:, q, :]
+            loc = _element_sums(0.0, f.values(ctx) * scale, Bv)
             dofs_acc.append(dof_v.ravel())
             vals_acc.append(loc.ravel())
     # bincount sums each DOF's contributions in input order, starting from 0.0

@@ -40,9 +40,9 @@ def _check_range(idx, bound, what):
 
 def _sorted_runs(key):
     """The stable sort order of `key`, the starts of its runs of equal values
-    in that order, and the value of each run.  Ties keep their input order,
-    so summing each run with np.add.reduceat fixes the order in which
-    duplicates add up."""
+    in that order, and each run's value.  Ties keep their input order, so the
+    sums of SparseMatrix.from_coo (np.add.reduceat over each run) and of
+    forms._bilinear_plan's slots (np.bincount) add duplicates in a fixed order."""
     order = np.argsort(key, kind="stable")
     key = key[order]
     starts = np.flatnonzero(np.r_[len(key) > 0, key[1:] != key[:-1]])

@@ -414,8 +414,17 @@ def test_solve_with_cg_matches_lu():
     assert np.linalg.norm(u_cg - u_lu) <= 1e-8 * np.linalg.norm(u_lu)
 
 
-def test_factorization_reuse_with_init():
-    src = """
+def test_factorization_reuse_with_init(monkeypatch):
+    # a solve statement run again in a loop is one problem: init=k keeps the
+    # matrix and its factorization from the first pass, init=0 rebuilds both
+    import femscript.dsl.interp as interp
+    factorize, lus = interp.factorize, []
+
+    def recording(A):
+        lus.append(factorize(A))
+        return lus[-1]
+    monkeypatch.setattr(interp, "factorize", recording)
+    template = """
     mesh Th=square(6,6);
     fespace Vh(Th,P1);
     Vh uh,vh,f;
@@ -423,16 +432,20 @@ def test_factorization_reuse_with_init():
     real[int] top(3);
     for (int k=0; k<3; k++) {
         f = 1.0+k;
-        solve poisson(uh,vh,init=k,solver=LU) =
+        solve poisson(uh,vh,init=INIT,solver=LU) =
             int2d(Th)( Grad(uh)'*Grad(vh) ) - int2d(Th)(f*vh) + on(1,2,3,4,uh=0);
         top[k] = uh[].max;
     }
     """
-    r, _ = run(src)
-    # linear in f: maxima scale as 1, 2, 3
-    top = r.env.lookup("top")
-    assert top[0] > 0
-    assert top[1:] / top[0] == pytest.approx([2.0, 3.0], rel=1e-12, abs=0)
+    for init, factorizations in (("k", 1), ("0", 3)):
+        lus.clear()
+        r, _ = run(template.replace("INIT", init))
+        # one call per solve; a matrix keeps its factorization once made
+        assert len(lus) == 3 and len({id(lu) for lu in lus}) == factorizations
+        # linear in f: maxima scale as 1, 2, 3
+        top = r.env.lookup("top")
+        assert top[0] > 0
+        assert top[1:] / top[0] == pytest.approx([2.0, 3.0], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("k, expected", [(1, 1.0), (0, 0.5)])

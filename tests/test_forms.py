@@ -209,24 +209,35 @@ def test_cancelling_contributions_stay_stored():
 
 
 def _reference_bilinear(form, trial, test):
-    """Assembly as it was before the cached plan: each term's local matrices
-    by einsum, their COO triples concatenated, exact zeros masked out, and
-    duplicates summed by SparseMatrix.from_coo."""
+    """Element-first assembly written out: per term, one element matrix that
+    each product adds into, point by point in q order (C summed over q first,
+    in q order, when neither basis varies over q); then the element matrices
+    scattered in order from 0.0, keeping the entries that received a nonzero
+    contribution."""
     from femscript.forms import _cell_basis, _term_context
-    rows, cols, vals = [], [], []
+    shape = (test.ndof, trial.ndof)
+    dense, hits = np.zeros(shape), np.zeros(shape, dtype=int)
     for term in form.bilinear_terms:
         ctx, scale, nq = _term_context(trial.mesh, term)
+        loc = 0.0
         for (uk, vk), f in term.expr.terms.items():
             C = f.values(ctx) * scale
             Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
             Bv, dof_v = _cell_basis(test, vk, ctx, nq)
-            loc = np.einsum("nq,nqi,nqj->nij", C, Bv, Bu)
-            rows.append(np.repeat(dof_v, loc.shape[2], axis=1).ravel())
-            cols.append(np.tile(dof_u, (1, loc.shape[1])).ravel())
-            vals.append(loc.ravel())
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    keep = vals != 0.0
-    return SparseMatrix.from_coo(rows[keep], cols[keep], vals[keep], (test.ndof, trial.ndof))
+            if Bu.shape[1] == Bv.shape[1] == 1:
+                c = np.zeros(len(C))
+                for q in range(nq):
+                    c = c + C[:, q]
+                C = c[:, None]
+            for q in range(C.shape[1]):
+                qu, qv = min(q, Bu.shape[1] - 1), min(q, Bv.shape[1] - 1)
+                loc = loc + C[:, q, None, None] * Bv[:, qv, :, None] * Bu[:, qu, None, :]
+        rows = np.broadcast_to(dof_v[:, :, None], loc.shape).ravel()
+        cols = np.broadcast_to(dof_u[:, None, :], loc.shape).ravel()
+        np.add.at(dense, (rows, cols), loc.ravel())
+        np.add.at(hits, (rows, cols), loc.ravel() != 0.0)
+    rows, cols = np.nonzero(hits)
+    return SparseMatrix.from_coo(rows, cols, dense[rows, cols], shape)
 
 
 def _weighted_mass(w):
@@ -244,6 +255,8 @@ PLAN_CASES = {
         lambda m: bilinear(MASS, kind="int1d", labels=frozenset({2}))]),
     "weighted-mass-zero-then-not": ("square", "P1", "P1",
                                     [_weighted_mass(0.0), _weighted_mass(1.5)]),
+    "stiffness-then-dxdx": ("square", "P1", "P1", [lambda m: bilinear(STIFF),
+                                                   lambda m: bilinear(dx(U) * dx(V))]),
 }
 
 
@@ -264,6 +277,9 @@ def test_planned_assembly_matches_the_unplanned_recipe_bit_for_bit(case):
     plans = [k for k in mesh._cache if k[0] == "bilinear_plan"]
     if case == "int1d-two-labels":
         assert len(plans) == 2
+    if case == "stiffness-then-dxdx":
+        # one plan serves both: the key holds no product count
+        assert len(plans) == 1 and nnz[0] > nnz[1] > 0
     if case == "weighted-mass-zero-then-not":
         # one plan, two stored patterns: nothing for w = 0, the mass pattern after
         assert len(plans) == 1 and nnz[0] == 0 < nnz[1]
@@ -277,6 +293,44 @@ def test_form_without_bilinear_terms_assembles_the_pinned_diagonal(square10):
     assert A.nnz == len(pinned)
     assert np.array_equal(np.flatnonzero(A.diagonal()), pinned)
     assert np.all(A.diagonal()[pinned] == 1e30)
+
+
+def test_q_contracted_stiffness_matches_the_q_loop(circle50):
+    # Summing C over q before the product (a P1 derivative is the same at
+    # every point) only regroups roundoff against the per-point products of
+    # the former recipe: one COO block per product, summed by from_coo.
+    from femscript.forms import _cell_basis, _term_context
+    Vh = FeSpace(circle50, "P1")
+    form = bilinear(dx(U) * dx(V) + as_form(as_field(lambda x, y: 1.0 + x * x)) * dy(U) * dy(V))
+    rows, cols, vals = [], [], []
+    ctx, scale, nq = _term_context(circle50, form.bilinear_terms[0])
+    for (uk, vk), f in form.bilinear_terms[0].expr.terms.items():
+        C = f.values(ctx) * scale
+        Bu, dof_u = _cell_basis(Vh, uk, ctx, nq)
+        Bv, dof_v = _cell_basis(Vh, vk, ctx, nq)
+        loc = np.zeros((len(C), 3, 3))
+        for q in range(nq):
+            loc += C[:, q, None, None] * Bv[:, 0, :, None] * Bu[:, 0, None, :]
+        rows.append(np.repeat(dof_v, 3, axis=1).ravel())
+        cols.append(np.tile(dof_u, (1, 3)).ravel())
+        vals.append(loc.ravel())
+    vals = np.concatenate(vals)
+    keep = vals != 0.0
+    R = SparseMatrix.from_coo(np.concatenate(rows)[keep], np.concatenate(cols)[keep],
+                              vals[keep], (Vh.ndof, Vh.ndof))._csr
+    A = assemble_bilinear(form, Vh, Vh)._csr
+    assert np.array_equal(A.indptr, R.indptr) and np.array_equal(A.indices, R.indices)
+    assert np.abs(A.data - R.data).max() <= 1e-13 * np.abs(R.data).max()
+
+
+def test_dirichlet_only_form_is_a_float_pinned_diagonal(circle50):
+    Vh = FeSpace(circle50, "P1")
+    labels = frozenset(circle50.boundary_labels())
+    A = assemble_bilinear(VarForm(dirichlet=[DirichletBC(labels, as_field(1.0))]), Vh, Vh)
+    expect = np.zeros(Vh.ndof)
+    expect[dirichlet_dofs(Vh, labels)] = 1e30
+    assert A._csr.dtype == np.float64
+    assert np.array_equal(A.to_dense(), np.diag(expect))
 
 
 def test_linear_assembly_matches_scatter_adds_bit_for_bit(circle50):
