@@ -67,8 +67,7 @@ class FeFunction(Field):
         if self.space.mesh is not ctx.mesh:
             raise InvalidArgumentError("FE coefficient lives on a different mesh")
         if self.space.elem == "P0":
-            vals = self.dofs[ctx.tri]                   # (n,)
-            return np.broadcast_to(vals[:, None], ctx.x.shape)
+            return np.broadcast_to(self.dofs[ctx.tri][:, None], ctx.shape)
         nodal = self.dofs[ctx.mesh.tri[ctx.tri]]        # (n, 3)
         if ctx.lam.ndim == 2:
             return nodal @ ctx.lam.T                    # (n, nq)
@@ -94,11 +93,11 @@ def _dof_context(space: FeSpace):
     def build():
         if space.elem == "P0":
             b = mesh.barycenters()
-            return np.arange(mesh.nt), b[:, :1], b[:, 1:], np.full((1, 3), 1.0 / 3.0)
+            return np.arange(mesh.nt), np.full((1, 3), 1.0 / 3.0), (b[:, :1], b[:, 1:])
         site = np.zeros(mesh.nv, dtype=np.int64)          # flat index 3*t + k
         np.maximum.at(site, mesh.tri.ravel(), np.arange(3 * mesh.nt))
         p = mesh.points
-        return site // 3, p[:, :1], p[:, 1:], np.eye(3)[site % 3][:, None, :]
+        return site // 3, np.eye(3)[site % 3][:, None, :], (p[:, :1], p[:, 1:])
     return CellContext(mesh, *mesh._cached(("dof_sites", space.elem), build))
 
 
@@ -114,7 +113,7 @@ def dof_values(space: FeSpace, f, dofs=None) -> np.ndarray:
     ctx = _dof_context(space)
     if dofs is not None:
         lam = ctx.lam if ctx.lam.ndim == 2 else ctx.lam[dofs]
-        ctx = CellContext(ctx.mesh, ctx.tri[dofs], ctx.x[dofs], ctx.y[dofs], lam)
+        ctx = CellContext(ctx.mesh, ctx.tri[dofs], lam, (ctx.x[dofs], ctx.y[dofs]))
     field = as_field(f)
     try:
         vals = field.values(ctx)

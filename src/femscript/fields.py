@@ -18,16 +18,29 @@ from .errors import InvalidArgumentError, NumericError
 
 
 class CellContext:
-    """Evaluation sites: triangles `tri`, coordinates (x, y) of shape
-    (n, nq), and barycentric coordinates `lam` of shape (nq, 3) shared by
-    all triangles, or (n, nq, 3) when they differ per entity (edges)."""
+    """Evaluation sites: triangles `tri`, barycentric coordinates `lam` of
+    shape (nq, 3) shared by all triangles, or (n, nq, 3) when they differ per
+    entity (edges), and coordinates `x`, `y` of shape `shape` = (n, nq).
 
-    def __init__(self, mesh, tri, x, y, lam):
+    Edge and DOF-site contexts are given their coordinates.  The whole-mesh
+    context of an int2d term copies nothing: its `tri` is `slice(None)`, so
+    indexing a per-triangle table with it gives a view, and its x and y are
+    computed together when first read, which most integrands never do."""
+
+    def __init__(self, mesh, tri, lam, xy=None):
         self.mesh = mesh
         self.tri = tri
-        self.x = x
-        self.y = y
         self.lam = lam
+        self._xy = xy
+        self.shape = xy[0].shape if xy else (mesh.nt, len(lam))
+
+    x = property(lambda self: (self._xy or self._coordinates())[0])
+    y = property(lambda self: (self._xy or self._coordinates())[1])
+
+    def _coordinates(self):
+        p = self.mesh.points[self.mesh.tri]
+        self._xy = tuple(np.einsum("qk,nk->nq", self.lam, p[:, :, i]) for i in (0, 1))
+        return self._xy
 
 
 class Field:
@@ -36,8 +49,10 @@ class Field:
 
     def values(self, ctx) -> np.ndarray:
         """`eval_cells` as floats of the sites' shape; raises NumericError at
-        the first site where a value is not finite."""
-        vals = np.broadcast_to(np.asarray(self.eval_cells(ctx), dtype=float), ctx.x.shape)
+        the first site where a value is not finite, computed in IEEE arithmetic
+        without numpy's warnings."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = np.broadcast_to(np.asarray(self.eval_cells(ctx), dtype=float), ctx.shape)
         if not np.all(np.isfinite(vals)):
             k = int(np.argmin(np.isfinite(vals).ravel()))
             raise NumericError(f"coefficient is not finite at "
@@ -124,7 +139,7 @@ class FunctionField(Field):
 
     def eval_cells(self, ctx):
         vals = np.asarray(self.fn(ctx.x.ravel(), ctx.y.ravel()), dtype=float)
-        return vals.reshape(ctx.x.shape) if vals.ndim else vals
+        return vals.reshape(ctx.shape) if vals.ndim else vals
 
 
 class FeGradField(Field):
@@ -139,12 +154,10 @@ class FeGradField(Field):
         if u.space.mesh is not ctx.mesh:
             raise InvalidArgumentError("FE coefficient lives on a different mesh")
         if u.space.elem == "P0":
-            return np.zeros(ctx.x.shape)
-        gx, gy = ctx.mesh.basis_gradients()
-        g = gx if self.axis == 0 else gy
-        nodal = u.dofs[ctx.mesh.tri[ctx.tri]]
-        vals = np.einsum("nk,nk->n", nodal, g[ctx.tri])
-        return np.broadcast_to(vals[:, None], ctx.x.shape)
+            return np.zeros(ctx.shape)
+        g = ctx.mesh.basis_gradients()[self.axis][ctx.tri]
+        vals = np.einsum("nk,nk->n", u.dofs[ctx.mesh.tri[ctx.tri]], g)
+        return np.broadcast_to(vals[:, None], ctx.shape)
 
 
 class Binary(Field):

@@ -14,6 +14,10 @@ clause's coefficient evaluated at the pinned DOF sites only, through the
 interpolation routine `fespace.dof_values`, so an FE function in it must live
 on the form's mesh and a non-finite value at a pinned vertex is an error.
 
+An int2d term's quadrature points are a whole-mesh `CellContext`: its DOF
+maps, gradient tables and P0 values are views of the mesh's and the space's
+tables, and the points' x and y are computed only if a coefficient reads them.
+
 Assembly gives each term one array of element matrices, which each of its
 products adds into in dict order, summed over the quadrature points in q
 order; a product whose two bases are the same at every point (P1
@@ -272,14 +276,6 @@ class VarForm:
 # --------------------------------------------------------------------------
 # numeric integration
 
-def _cell_context(mesh, rule):
-    tri = np.arange(mesh.nt)
-    p = mesh.points[mesh.tri]
-    x = np.einsum("qk,nk->nq", rule.lam, p[:, :, 0])
-    y = np.einsum("qk,nk->nq", rule.lam, p[:, :, 1])
-    return CellContext(mesh, tri, x, y, rule.lam)
-
-
 def _edge_context(mesh, sel):
     """Context for edge quadrature points of the selected labeled edges."""
     s, _ = EDGE_RULE
@@ -298,7 +294,7 @@ def _edge_context(mesh, sel):
     for k in range(3):
         lam[:, :, k] = np.where((tv[:, k] == a)[:, None], (1 - s)[None, :],
                                 np.where((tv[:, k] == b)[:, None], s[None, :], 0.0))
-    ctx = CellContext(mesh, tri, x, y, lam)
+    ctx = CellContext(mesh, tri, lam, (x, y))
     length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
     return ctx, length
 
@@ -320,7 +316,7 @@ def _quadrature(mesh, kind, labels=None, quad="default"):
     length, and the rule's weights, which sum to 1."""
     if kind == "int2d":
         rule = _rule(quad)
-        return _cell_context(mesh, rule), mesh.signed_areas(), rule.w
+        return CellContext(mesh, slice(None), rule.lam), mesh.signed_areas(), rule.w
     ctx, length = _edge_context(mesh, _select_edges(mesh, labels))
     return ctx, length, EDGE_RULE[1]
 
@@ -355,9 +351,10 @@ def _term_context(mesh, term):
 def _cell_basis(space, kind, ctx, nq):
     """Basis table and DOF map (n, nloc).  The table is (n, nq, nloc) for a
     P1 value, (n, 1, nloc) for a basis the same at every point (dx, dy, P0)."""
-    n = len(ctx.tri)
+    n = ctx.shape[0]
     if space.elem == "P0":
-        return np.full((n, 1, 1), 1.0 if kind == "val" else 0.0), ctx.tri[:, None]
+        dofs = np.arange(ctx.mesh.nt)[ctx.tri][:, None]
+        return np.full((n, 1, 1), 1.0 if kind == "val" else 0.0), dofs
     dofs = ctx.mesh.tri[ctx.tri]
     if kind == "val":
         return np.broadcast_to(ctx.lam, (n, nq, 3)), dofs

@@ -9,7 +9,8 @@ import pytest
 from femscript.dsl import EvalError, Interpreter, parse, run_source
 from femscript.dsl import astnodes as A
 from femscript.dsl.interp import _Bool
-from femscript.errors import FoldOverError, InvalidArgumentError, UnsupportedError
+from femscript.errors import (FoldOverError, InvalidArgumentError, NumericError,
+                              UnsupportedError)
 from femscript.linalg import SparseMatrix, dot
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.edp"))
@@ -610,6 +611,21 @@ def test_logic_with_a_number_first_gives_the_same_indicator():
     r, _ = run(src)
     a, b, c, d = (r.env.lookup(k) for k in "abcd")
     assert a == b == c == d < 1.0
+
+
+@pytest.mark.parametrize("stmt", [
+    "real a=int2d(Th)(1/(x-0.5));",
+    "real a=int1d(Th,4)(1/x);",
+    "Vh h=sqrt(x-0.5);",
+    "Vh h=1/g;",
+    "solve p(u,v)=int2d(Th)(u*v/(x-0.5))+int2d(Th)(v);",
+], ids=["int2d", "int1d", "interpolation", "fe-quotient", "solve"])
+def test_non_finite_coefficient_gives_the_line_and_no_warning(stmt):
+    # tier-1 turns a RuntimeWarning into an error, so numpy must stay silent
+    src = f"mesh Th=square(4,4); fespace Vh(Th,P1); Vh u,v,g=x-0.5;\n{stmt}"
+    with pytest.raises(NumericError, match=r"^line 2: coefficient is not finite at \(") as err:
+        run(src)
+    assert err.value.line == 2
 
 
 @pytest.mark.parametrize("call", ["abs()", "pow(2)", "atan2(1)", "min()", "int()",

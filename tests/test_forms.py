@@ -4,7 +4,7 @@ import pytest
 import quad_oracle as oracle
 from femscript.errors import InvalidArgumentError, NumericError
 from femscript.fespace import FeSpace
-from femscript.fields import Constant, X, as_field
+from femscript.fields import CellContext, Constant, X, as_field
 from femscript.forms import (DirichletBC, FormTerm, TestFunction, TrialFunction,
                              VarForm, as_form, assemble_bilinear, assemble_linear,
                              dirichlet_dofs, dx, dy, integrate_1d, integrate_2d)
@@ -208,22 +208,50 @@ def test_cancelling_contributions_stay_stored():
 
 
 
+def _reference_context(mesh, term):
+    """The term's quadrature points as an eager context, with explicit
+    triangle indices and coordinates, and its scale (n, nq)."""
+    from femscript.forms import EDGE_RULE, RULES_2D, _edge_context, _select_edges
+    if term.kind == "int1d":
+        ctx, length = _edge_context(mesh, _select_edges(mesh, term.labels))
+        return ctx, length[:, None] * EDGE_RULE[1][None, :]
+    rule = RULES_2D[term.quad]
+    p = mesh.points[mesh.tri]
+    xy = (np.einsum("qk,nk->nq", rule.lam, p[:, :, 0]),
+          np.einsum("qk,nk->nq", rule.lam, p[:, :, 1]))
+    ctx = CellContext(mesh, np.arange(mesh.nt), rule.lam, xy)
+    return ctx, mesh.signed_areas()[:, None] * rule.w[None, :]
+
+
+def _reference_basis(space, kind, ctx):
+    """Basis table (n, nq or 1, nloc) and DOF map of `space` at the sites of
+    `ctx`, from the mesh's tables and the sites' barycentric coordinates."""
+    n, nq = ctx.shape
+    if space.elem == "P0":
+        return np.full((n, 1, 1), 1.0 if kind == "val" else 0.0), ctx.tri[:, None]
+    dofs = space.mesh.tri[ctx.tri]
+    if kind == "val":
+        return np.broadcast_to(ctx.lam, (n, nq, 3)), dofs
+    gx, gy = space.mesh.basis_gradients()
+    return (gx if kind == "dx" else gy)[ctx.tri][:, None, :], dofs
+
+
 def _reference_bilinear(form, trial, test):
     """Element-first assembly written out: per term, one element matrix that
     each product adds into, point by point in q order (C summed over q first,
     in q order, when neither basis varies over q); then the element matrices
     scattered in order from 0.0, keeping the entries that received a nonzero
     contribution."""
-    from femscript.forms import _cell_basis, _term_context
     shape = (test.ndof, trial.ndof)
     dense, hits = np.zeros(shape), np.zeros(shape, dtype=int)
     for term in form.bilinear_terms:
-        ctx, scale, nq = _term_context(trial.mesh, term)
+        ctx, scale = _reference_context(trial.mesh, term)
+        nq = ctx.shape[1]
         loc = 0.0
         for (uk, vk), f in term.expr.terms.items():
             C = f.values(ctx) * scale
-            Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
-            Bv, dof_v = _cell_basis(test, vk, ctx, nq)
+            Bu, dof_u = _reference_basis(trial, uk, ctx)
+            Bv, dof_v = _reference_basis(test, vk, ctx)
             if Bu.shape[1] == Bv.shape[1] == 1:
                 c = np.zeros(len(C))
                 for q in range(nq):
@@ -350,6 +378,51 @@ def test_linear_assembly_matches_scatter_adds_bit_for_bit(circle50):
             loc = np.einsum("nq,nqi->ni", f.values(ctx) * scale, Bv)
             np.add.at(ref, dof_v.ravel(), loc.ravel())
     assert np.array_equal(assemble_linear(form, Vh).view(np.uint64), ref.view(np.uint64))
+
+
+def test_int2d_coordinates_are_computed_only_when_a_coefficient_reads_them(monkeypatch):
+    from femscript.fespace import interpolate
+    mesh = build_square(8, 8)
+    Vh = FeSpace(mesh, "P1")
+    uh = interpolate(Vh, lambda x, y: x * y)
+    uex = interpolate(Vh, lambda x, y: x * y + 0.01 * x)
+    fh = interpolate(Vh, lambda x, y: 1.0 + x)
+
+    def computed(ctx):
+        raise RuntimeError("coordinates computed")
+    monkeypatch.setattr(CellContext, "_coordinates", computed)
+    assemble_bilinear(bilinear(STIFF), Vh, Vh)
+    assemble_bilinear(bilinear(as_form(U) * fh * V), Vh, Vh)
+    assemble_linear(VarForm(linear_terms=[FormTerm("int2d", fh * V)]), Vh)
+    assert integrate_2d(mesh, (uh - uex) ** 2) > 0.0
+    with pytest.raises(RuntimeError, match="coordinates computed"):
+        integrate_2d(mesh, X)
+
+
+def test_int2d_basis_tables_are_views_of_the_mesh_tables(square10):
+    from femscript.forms import _cell_basis, _term_context
+    Vh = FeSpace(square10, "P1")
+    ctx, _, nq = _term_context(square10, bilinear(STIFF).bilinear_terms[0])
+    for kind, table in zip(("dx", "dy"), square10.basis_gradients()):
+        B, dofs = _cell_basis(Vh, kind, ctx, nq)
+        assert np.shares_memory(B, table) and np.shares_memory(dofs, square10.tri)
+    B, dofs = _cell_basis(Vh, "val", ctx, nq)
+    assert np.shares_memory(dofs, square10.tri)
+
+
+def test_nan_fe_coefficient_names_its_first_quadrature_point(square10):
+    from femscript.forms import RULES_2D
+    Vh = FeSpace(square10, "P1")
+    w = Vh.function(np.ones(Vh.ndof))
+    k = int(np.argmin(np.hypot(*(square10.points - 0.5).T)))
+    w.dofs[k] = np.nan
+    # NaN times a zero barycentric weight is NaN: every point of the first
+    # triangle around vertex k is non-finite, its first point first
+    t = int(np.flatnonzero((square10.tri == k).any(axis=1))[0])
+    x, y = RULES_2D["default"].lam[0] @ square10.points[square10.tri[t]]
+    with pytest.raises(NumericError, match=rf"^coefficient is not finite at "
+                                           rf"\({x:g}, {y:g}\)$"):
+        assemble_bilinear(bilinear(as_form(U) * w * V), Vh, Vh)
 
 
 def test_assembly_is_linear_in_the_form(square10):
