@@ -621,7 +621,7 @@ def test_logic_with_a_number_first_gives_the_same_indicator():
     "solve p(u,v)=int2d(Th)(u*v/(x-0.5))+int2d(Th)(v);",
 ], ids=["int2d", "int1d", "interpolation", "fe-quotient", "solve"])
 def test_non_finite_coefficient_gives_the_line_and_no_warning(stmt):
-    # tier-1 turns a RuntimeWarning into an error, so numpy must stay silent
+    # the suite turns a RuntimeWarning into an error, so numpy must stay silent
     src = f"mesh Th=square(4,4); fespace Vh(Th,P1); Vh u,v,g=x-0.5;\n{stmt}"
     with pytest.raises(NumericError, match=r"^line 2: coefficient is not finite at \(") as err:
         run(src)
