@@ -54,7 +54,7 @@ from ..fespace import FeFunction, FeSpace
 # The benchmark's tracer (bench/tracing.py) wraps the interpreter's
 # interpolation at this module-level name; keep the alias while it does.
 from ..fespace import interpolate as interpolate_field
-from ..fields import Constant, Field, Unary as FieldUnary, X as FIELD_X, Y as FIELD_Y
+from ..fields import Constant, Field, Op as FieldOp, X as FIELD_X, Y as FIELD_Y
 from ..io.exporters import export_eps
 from ..linalg import SparseMatrix, factorize, solve_cg
 from ..linalg import det as _det, dot as _dot, trace as _trace
@@ -69,6 +69,15 @@ class EvalError(FemError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def _in_words(exc):
+    """The message of `exc`, an arithmetic error's in the script's words; numpy's
+    floating-point errors read "<what> encountered in <ufunc>"."""
+    what = str(exc).partition(" encountered in ")[0]
+    words = {"ZeroDivisionError": "division by zero", "OverflowError": "overflow",
+             "divide by zero": "division by zero", "invalid value": "undefined result"}
+    return words.get(type(exc).__name__, words.get(what, what))
 
 
 def _locate(exc, line):
@@ -522,7 +531,8 @@ class Interpreter:
     def run(self, source) -> int:
         program = Parser(source).parse_program() if isinstance(source, str) else source
         try:
-            self.exec_body(program.body, self.globals)
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                self.exec_body(program.body, self.globals)
         except ExitSignal as sig:
             return sig.code
         finally:
@@ -588,7 +598,7 @@ class Interpreter:
                 raise EvalError(f"{name} takes one argument")
             v = args[0]
             if isinstance(v, (Field, FuncValue)):
-                return FieldUnary(fn, self._as_field(v))
+                return FieldOp(fn, self._as_field(v))
             return _simplify(fn(v))
         return call
 
@@ -748,7 +758,9 @@ class Interpreter:
             raise _locate(exc, stmt.line)
         except (ArithmeticError, ValueError, TypeError, OSError, RecursionError) as exc:
             # bad data in the script (1/0, a negative size, a missing file)
-            raise _locate(EvalError(f"{type(exc).__name__}: {exc}"), stmt.line) from None
+            what = _in_words(exc) if isinstance(exc, ArithmeticError) else \
+                f"{type(exc).__name__}: {exc}"
+            raise _locate(EvalError(what), stmt.line) from None
 
     def _st_Block(self, stmt, env):
         child = Env(parent=env)
@@ -837,9 +849,7 @@ class Interpreter:
         if (isinstance(value, FeFunction) and value.space.mesh is u.space.mesh
                 and value.space.elem == u.space.elem):
             u.dofs[:] = value.dofs
-        elif _is_number(value) and not isinstance(value, complex):
-            u.dofs[:] = float(value)
-        elif isinstance(value, Field):
+        elif isinstance(value, Field) or _is_number(value) and not isinstance(value, complex):
             # another mesh raises InvalidArgumentError, as it does for g+0
             u.dofs[:] = interpolate_field(u.space, value).dofs
         elif isinstance(value, FuncValue) and value.analytic:
@@ -957,7 +967,7 @@ class Interpreter:
     def _ev_Ident(self, node, env):
         value = env.lookup(node.name)
         if self._reads is not None:
-            self._reads.append((env, node.name, value))
+            self._reads[env, node.name] = value
             if isinstance(value, np.ndarray):   # read by its entries, written in place
                 self._pure = False
         return value
@@ -1143,7 +1153,7 @@ class Interpreter:
         except (TypeError, ValueError, ArithmeticError) as exc:
             if isinstance(exc, FemError):
                 raise
-            raise EvalError(f"{callee.name}: {exc}") from None
+            raise EvalError(f"{callee.name}: {_in_words(exc)}") from None
 
     def _call_func(self, f: FuncValue, args):
         if f.analytic:
@@ -1263,18 +1273,19 @@ class Interpreter:
     def _eval_form(self, form, space):
         """(bilinear, linear, dirichlet) of the varf or problem `form` over
         `space`; a problem's linear terms are negated, as its right-hand side.
-        Memoized on `form`: the evaluation records each name it reads (scope,
-        name, value), and a call over the same space reuses the result while
-        every name re-reads the same value (`_same`).  FE functions enter the
+        Memoized on `form`: the evaluation records each (scope, name) it reads
+        once, with its value, and a call over the same space reuses the result
+        while each re-reads the same value (`_same`).  FE functions enter the
         terms by reference.  Copying a value out of something mutable (an
         index, a member, an array, a point value, an integral, a call outside
-        PURE_BUILTINS and analytic funcs) or an effect clears `_pure`."""
+        PURE_BUILTINS and analytic funcs) or an effect clears `_pure`; a write
+        is one, so two reads of a name in a memoized evaluation agree."""
         outer, self._pure = self._reads, False     # an enclosing form cannot replay this
         memo = form.memo
         if memo is not None and memo[0] is space and all(
-                _same(env.lookup(name), value) for env, name, value in memo[1]):
+                _same(env.lookup(name), value) for (env, name), value in memo[1].items()):
             return memo[2]
-        self._reads, self._pure = [], True
+        self._reads, self._pure = {}, True
         try:
             fenv = Env(parent=form.env)
             fenv.define(form.unknown, F.TrialFunction(), "unknown")

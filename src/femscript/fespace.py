@@ -14,7 +14,7 @@ interpolates barycentrically.
 import numpy as np
 
 from .errors import InvalidArgumentError, OutOfDomainError
-from .fields import CellContext, Field, FunctionField, as_field
+from .fields import CellContext, Constant, Field, FunctionField, as_field
 from .mesh import Mesh
 
 _ELEMS = ("P0", "P1")
@@ -108,13 +108,16 @@ def dof_values(space: FeSpace, f, dofs=None) -> np.ndarray:
     `f` is a number, a Field, an FE function on the same mesh, or a callable
     f(x, y) vectorized over flat coordinate arrays; a callable that fails on
     arrays is called once per site with floats.  Raises NumericError if a
-    value is not finite (`Field.values`).
+    value is not finite (`Field.values`); a finite `Constant` is answered with
+    the same bits without building the sites.
     """
+    field = as_field(f)
+    if isinstance(field, Constant) and np.isfinite(field.value):
+        return np.full(space.ndof if dofs is None else len(dofs), field.value)
     ctx = _dof_context(space)
     if dofs is not None:
         lam = ctx.lam if ctx.lam.ndim == 2 else ctx.lam[dofs]
         ctx = CellContext(ctx.mesh, ctx.tri[dofs], lam, (ctx.x[dofs], ctx.y[dofs]))
-    field = as_field(f)
     try:
         vals = field.values(ctx)
     except (TypeError, ValueError):

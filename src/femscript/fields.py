@@ -10,7 +10,16 @@ on fields builds expression trees, so integrands like `(uh - uex)**2` or
 `4*sin(x**2 + y**2 - 1)*x**2` evaluate vectorized during assembly.  An
 operand that is not a coefficient (a form, say) is left to its own
 arithmetic, so `uh * v` is a form.
+
+An `Op` whose leaves are all `Constant`s and `Coordinate`s is invariant: its
+values depend on the sites alone (an FE function changes in place, a
+`FunctionField` may read outside state).  The outermost invariant `Op` of a
+tree keeps its read-only values over the last whole-mesh int2d context, keyed
+by that mesh (weakly) and the rule's `lam` (by identity); edge and DOF sites,
+and the leaves X and Y, shared by all, keep nothing.
 """
+
+import weakref
 
 import numpy as np
 
@@ -47,12 +56,16 @@ class Field:
     def eval_cells(self, ctx):
         raise NotImplementedError
 
+    def _cells(self, ctx):
+        """`eval_cells`, or an invariant `Op`'s kept values (module docstring)."""
+        return self.eval_cells(ctx)
+
     def values(self, ctx) -> np.ndarray:
         """`eval_cells` as floats of the sites' shape; raises NumericError at
         the first site where a value is not finite, computed in IEEE arithmetic
         without numpy's warnings."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = np.broadcast_to(np.asarray(self.eval_cells(ctx), dtype=float), ctx.shape)
+            vals = np.broadcast_to(np.asarray(self._cells(ctx), dtype=float), ctx.shape)
         if not np.all(np.isfinite(vals)):
             k = int(np.argmin(np.isfinite(vals).ravel()))
             raise NumericError(f"coefficient is not finite at "
@@ -92,10 +105,10 @@ class Field:
         return _binary(np.power, other, self)
 
     def __neg__(self):
-        return Unary(np.negative, self)
+        return Op(np.negative, self)
 
     def __abs__(self):
-        return Unary(np.abs, self)
+        return Op(np.abs, self)
 
     # comparisons produce 0/1 indicator fields (used by cutoff coefficients)
 
@@ -160,23 +173,30 @@ class FeGradField(Field):
         return np.broadcast_to(vals[:, None], ctx.shape)
 
 
-class Binary(Field):
-    def __init__(self, op, a, b):
+class Op(Field):
+    """`op` applied to the values of the operand fields."""
+
+    _kept = None    # (weak mesh, lam, values), module docstring
+
+    def __init__(self, op, *operands):
         self.op = op
-        self.a = a
-        self.b = b
+        self.operands = operands
+        self.invariant = all(isinstance(f, (Constant, Coordinate)) or
+                             isinstance(f, Op) and f.invariant for f in operands)
 
     def eval_cells(self, ctx):
-        return self.op(self.a.eval_cells(ctx), self.b.eval_cells(ctx))
+        if self.invariant:      # the operands of an invariant node keep nothing
+            return self.op(*(f.eval_cells(ctx) for f in self.operands))
+        return self.op(*(f._cells(ctx) for f in self.operands))
 
-
-class Unary(Field):
-    def __init__(self, op, a):
-        self.op = op
-        self.a = a
-
-    def eval_cells(self, ctx):
-        return self.op(self.a.eval_cells(ctx))
+    def _cells(self, ctx):
+        if not (self.invariant and isinstance(ctx.tri, slice)):    # not whole-mesh int2d
+            return self.eval_cells(ctx)
+        if self._kept is None or self._kept[0]() is not ctx.mesh or self._kept[1] is not ctx.lam:
+            vals = np.asarray(self.eval_cells(ctx))
+            vals.setflags(write=False)
+            self._kept = (weakref.ref(ctx.mesh), ctx.lam, vals)
+        return self._kept[2]
 
 
 X = Coordinate(0)
@@ -197,6 +217,6 @@ def _binary(op, a, b):
     """`op(a, b)` as a field, or NotImplemented when an operand is not a
     coefficient, so that the other operand's arithmetic (a form's) decides."""
     try:
-        return Binary(op, as_field(a), as_field(b))
+        return Op(op, as_field(a), as_field(b))
     except InvalidArgumentError:
         return NotImplemented

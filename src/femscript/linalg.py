@@ -167,6 +167,12 @@ class SparseMatrix:
             raise InvalidArgumentError("can only add sparse matrices of equal shape")
         # Not scipy's +, which drops entries that sum to exactly zero.
         a, b = self._csr, other._csr
+        if not a.nnz or not b.nnz:
+            c = b if not a.nnz else a
+            data = c.data.astype(np.result_type(a.data, b.data), copy=False)
+            return SparseMatrix._wrap(_csr_matrix(data, c.indices, c.indptr, c.shape))
+        if np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices):
+            return SparseMatrix._wrap(_csr_matrix(a.data + b.data, a.indices, a.indptr, a.shape))
         r1 = np.repeat(np.arange(self.shape[0]), np.diff(a.indptr))
         r2 = np.repeat(np.arange(other.shape[0]), np.diff(b.indptr))
         return SparseMatrix.from_coo(

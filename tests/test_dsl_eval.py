@@ -552,6 +552,113 @@ def test_the_heat_listing_evaluates_its_form_once():
     assert np.array_equal(interp.env.lookup("u").dofs, fresh.env.lookup("u").dofs)
 
 
+def _heat(nsteps, loop_body="uold=u; heat; k++;", amp="1"):
+    listing = HEAT_LISTING.read_text()
+    head, _, _ = listing.partition("while (k < nsteps)")
+    return (f"real dt=0.01;\nreal amp={amp};\nint nsteps={nsteps};\n{head}"
+            f"while (k < nsteps) {{ {loop_body} }}\n")
+
+
+def test_reassigning_a_kept_coefficient_mid_loop_is_seen():
+    # f=amp*sin(pi*x)*sin(pi*y) is kept between solves while amp is unchanged
+    changed, _ = run(_heat(4, "if (k == 2) amp = 3; uold=u; heat; k++;"))
+    steady, _ = run(_heat(4))
+    # the same steps with a form built afresh at each step
+    fresh, _ = run(_heat(4, "if (k == 2) amp = 3; uold=u; problem heat2(u,v,solver=LU) = "
+                            "int2d(Th)( u*v/dt + Grad(u)'*Grad(v) ) - int2d(Th)( uold*v/dt"
+                            " + f*v ) + on(1,2,3,4,u=0); heat2; k++;"))
+    u = changed.env.lookup("u").dofs
+    assert not np.array_equal(u, steady.env.lookup("u").dofs)
+    assert np.array_equal(u, fresh.env.lookup("u").dofs)
+
+
+TIME_SOURCE = """
+mesh Th=square(6,6);
+fespace Vh(Th,P1);
+Vh u, v, uold;
+real t=0, dt=0.1;
+real[int] one=[1];
+func f=sin(t)*x*(1-x);
+problem heat(u,v,init=t>0) = int2d(Th)(u*v/dt + dx(u)*dx(v) + dy(u)*dy(v))
+    - int2d(Th)(uold*v/dt + {source}*v) + on(1,2,3,4,u=0);
+"""
+TIME_STEP = "t=t+dt; uold=u; heat;\n"
+
+
+def test_a_time_dependent_source_is_rebuilt_and_the_old_tree_freed():
+    import gc
+    import weakref
+    # reading an array element makes the form impure: it is evaluated every step
+    impure, _ = run(TIME_SOURCE.format(source="f*one[0]") + 4 * TIME_STEP)
+    interp = Interpreter(stdout=io.StringIO(), verbosity=0)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        interp.run(TIME_SOURCE.format(source="f") + TIME_STEP)
+        for _ in range(3):
+            (term,) = interp.env.lookup("heat").memo[2][1]
+            tree = weakref.ref(term.expr.terms[None, "val"])
+            del term
+            interp.run(TIME_STEP)
+            assert tree() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert np.array_equal(interp.env.lookup("u").dofs, impure.env.lookup("u").dofs)
+
+
+@pytest.mark.parametrize("change", ["g[]=3;", "g=2+x*y;", "Vh w=3-y; g=w;"])
+def test_an_fe_coefficient_beside_a_kept_subtree_is_read_again(change):
+    setup = MEMO_SETUP.format(coef="g*sin(pi*x)*y + x*x", ub="0")
+    interp, counts = _form_evaluations(setup + "p;\n" + change + "\np;")
+    fresh, _ = run(setup + change + "\np;")
+    assert counts == {"p": 1}
+    assert np.array_equal(interp.env.lookup("u").dofs, fresh.env.lookup("u").dofs)
+
+
+def test_a_heat_loop_recomputes_only_what_can_change(monkeypatch):
+    # counted, not timed: the coordinates of the kept source, the DOF sites of
+    # the constant Dirichlet clause, the lookups of the memo check
+    from femscript import fespace
+    from femscript.dsl import interp as interp_module
+    from femscript.fields import CellContext
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+    monkeypatch.setattr(CellContext, "_coordinates",
+                        counting("coordinates", CellContext._coordinates))
+    monkeypatch.setattr(fespace, "_dof_context", counting("dof sites", fespace._dof_context))
+    checks, active = [], [False]      # the lookups of each form evaluation
+    lookup = interp_module.Env.lookup
+
+    def recording_lookup(env, name):
+        if active[0]:
+            checks[-1].append((id(env), name))
+        return lookup(env, name)
+    monkeypatch.setattr(interp_module.Env, "lookup", recording_lookup)
+
+    class Checking(Interpreter):
+        def _eval_form(self, form, space):
+            checks.append([])
+            active[0] = True
+            try:
+                return super()._eval_form(form, space)
+            finally:
+                active[0] = False
+
+    interp = Checking(stdout=io.StringIO(), verbosity=0)
+    interp.run(_heat(5))
+    assert counts["coordinates"] == 1       # not once per step
+    assert counts["dof sites"] == 1         # the initial u=sin(pi*x)*sin(pi*y) only
+    assert len(checks) == 5
+    for names in checks[1:]:                # the four memo hits
+        assert names and len(names) == len(set(names))
+
+
 def test_a_varf_reevaluates_when_a_coefficient_or_the_space_changes():
     src = """
     mesh Th=square(4,4);
@@ -625,6 +732,32 @@ def test_non_finite_coefficient_gives_the_line_and_no_warning(stmt):
     src = f"mesh Th=square(4,4); fespace Vh(Th,P1); Vh u,v,g=x-0.5;\n{stmt}"
     with pytest.raises(NumericError, match=r"^line 2: coefficient is not finite at \(") as err:
         run(src)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("stmt", [
+    "solve p(u,v)=int2d(Th)(u*v)+on(1,u=1e308*10.);",
+    "Vh h=-1e308*10.;",
+], ids=["dirichlet", "fe-assignment"])
+def test_a_non_finite_constant_still_gives_the_line(stmt):
+    # a Python float product overflows to inf without an error
+    src = f"mesh Th=square(4,4); fespace Vh(Th,P1); Vh u,v;\n{stmt}"
+    with pytest.raises(NumericError, match=r"^line 2: coefficient is not finite at \(") as err:
+        run(src)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("stmt, message", [
+    ("real a=exp(1000.);", "exp: overflow"),
+    ("real[int] a(2); real[int] b=1./a;", "division by zero"),
+    ("real a=log(-1.);", "log: undefined result"),
+    ("real a=sqrt(-1.);", "sqrt: undefined result"),
+    ("real z=0.; real w=1./z;", "division by zero"),
+], ids=["exp-overflow", "array-division", "log-negative", "sqrt-negative", "real-division"])
+def test_script_arithmetic_failures_give_the_line_and_no_warning(stmt, message):
+    # the suite turns a RuntimeWarning into an error, so numpy must stay silent
+    with pytest.raises(EvalError, match=rf"^line 2: {message}$") as err:
+        run(f"real b=1;\n{stmt}")
     assert err.value.line == 2
 
 

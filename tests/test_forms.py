@@ -581,6 +581,116 @@ def test_dirichlet_dofs_cached_read_only_and_missing_label_raises_each_call():
             dirichlet_dofs(Vh, {1, 7})
 
 
+def _interpolated_sites(space, f, dofs=None):
+    # the DOF-site path that every non-constant coefficient takes
+    from femscript.fespace import _dof_context
+    ctx = _dof_context(space)
+    if dofs is not None:
+        lam = ctx.lam if ctx.lam.ndim == 2 else ctx.lam[dofs]
+        ctx = CellContext(ctx.mesh, ctx.tri[dofs], lam, (ctx.x[dofs], ctx.y[dofs]))
+    return as_field(f).values(ctx)[:, 0].copy()
+
+
+@pytest.mark.parametrize("elem", ["P1", "P0"])
+@pytest.mark.parametrize("c", [0.0, -0.0, 2.5, -3e300, 5e-324])
+def test_a_constant_is_interpolated_with_the_bits_of_the_site_path(square10, elem, c):
+    from femscript.fespace import dof_values
+    Vh = FeSpace(square10, elem)
+    dofs = np.array([7, 0, 3, 3, Vh.ndof - 1])
+    for sel in (None, dofs):
+        got = dof_values(Vh, Constant(c), sel)
+        ref = _interpolated_sites(Vh, Constant(c), sel)
+        assert got.dtype == ref.dtype and np.array_equal(got.view(np.uint64),
+                                                         ref.view(np.uint64))
+    assert np.array_equal(dof_values(Vh, c).view(np.uint64),
+                          _interpolated_sites(Vh, c).view(np.uint64))
+
+
+@pytest.mark.parametrize("c", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_dirichlet_constant_names_a_pinned_vertex(square10, c):
+    Vh = FeSpace(square10, "P1")
+    form = VarForm(dirichlet=[DirichletBC(frozenset({2}), Constant(c))])
+    with pytest.raises(NumericError, match=r"^coefficient is not finite at \(1, "):
+        assemble_linear(form, Vh)
+
+
+# -- an invariant subtree keeps its values over whole-mesh quadrature points ---
+
+def _invariant_tree():
+    from femscript.fields import Op, Y
+    return 3.0 * Op(np.sin, X * X + Y) * Op(np.cos, np.pi * Y)
+
+
+def _int2d_context(mesh):
+    from femscript.forms import RULES_2D
+    return CellContext(mesh, slice(None), RULES_2D["default"].lam)
+
+
+def test_an_invariant_tree_keeps_read_only_values_computed_once(monkeypatch):
+    mesh = build_square(6, 6)
+    f = _invariant_tree()
+    first = f.values(_int2d_context(mesh))
+
+    def computed(ctx):
+        raise RuntimeError("coordinates computed")
+    monkeypatch.setattr(CellContext, "_coordinates", computed)
+    again = f._cells(_int2d_context(mesh))
+    assert not again.flags.writeable
+    assert np.array_equal(again, first)
+    with pytest.raises(ValueError):
+        again[0, 0] = 0.0
+
+
+def test_an_invariant_tree_on_two_meshes_in_turn_gives_each_its_values():
+    from femscript.studies import circle_border
+    meshes = [build_square(6, 6), build_from_borders([circle_border(20)])]
+    f = _invariant_tree()
+    for mesh in meshes + meshes:
+        ref = _invariant_tree().values(_int2d_context(mesh))
+        got = f.values(_int2d_context(mesh))
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_only_the_outermost_invariant_node_keeps_and_only_over_int2d(square10):
+    from femscript.fespace import interpolate
+    Vh = FeSpace(square10, "P1")
+    g = interpolate(Vh, lambda x, y: x - y)
+    inner = _invariant_tree()
+    f = g * inner + 1.0          # the FE function keeps the root from being invariant
+    assert inner.invariant and not f.invariant
+    f.values(_int2d_context(square10))
+    assert f._kept is None and inner._kept is not None
+    assert all(op._kept is None for op in inner.operands)
+    edge = _invariant_tree()
+    integrate_1d(square10, {1, 2}, edge)        # edge contexts keep nothing
+    interpolate(Vh, edge)                       # nor do DOF sites
+    assert edge._kept is None
+    # an FE function written in place is read again, the kept part reused
+    g.dofs[:] = np.cos(square10.points[:, 0])
+    got = f.values(_int2d_context(square10))
+    ref = (g * _invariant_tree() + 1.0).values(_int2d_context(square10))
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_a_mesh_is_freed_while_a_field_evaluated_on_it_lives():
+    import gc
+    import weakref
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mesh = build_square(4, 4)
+        f = _invariant_tree()
+        assert np.isfinite(integrate_2d(mesh, f))
+        ref = weakref.ref(mesh)
+        del mesh
+        assert ref() is None
+        assert f._kept[0]() is None
+        assert np.isfinite(integrate_2d(build_square(3, 3), f))
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # -- one type per concept: an FE function is a field, U and V are forms ---------
 
 def _assembled(expr, Vh):

@@ -285,3 +285,41 @@ def test_matrix_add_and_scale():
     assert Zsum.nnz == 2 and not Zsum.to_dense().any()
     assert (S + B.scale(-1.0)).nnz == S.nnz
     assert A.scale(0.0).nnz == A.nnz
+
+
+def _coo_sum(A, B):
+    # the general path of `+`: both operands' entries through from_coo
+    rows = [np.repeat(np.arange(M.shape[0]), np.diff(M._csr.indptr)) for M in (A, B)]
+    return SparseMatrix.from_coo(np.concatenate(rows),
+                                 np.concatenate([A._csr.indices, B._csr.indices]),
+                                 np.concatenate([A._csr.data, B._csr.data]), A.shape)
+
+
+def _same_bits(S, R):
+    return (np.array_equal(S._csr.indptr, R._csr.indptr)
+            and np.array_equal(S._csr.indices, R._csr.indices)
+            and np.array_equal(S._csr.data.view(np.uint64), R._csr.data.view(np.uint64)))
+
+
+def test_same_pattern_and_empty_sums_match_the_coo_path_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        n, m = rng.integers(1, 9, 2)
+        mask = rng.random((n, m)) < 0.5
+        rows, cols = np.nonzero(mask)
+        a = rng.standard_normal(len(rows)) * 10.0 ** rng.integers(-12, 12, len(rows))
+        b = rng.standard_normal(len(rows)) * 10.0 ** rng.integers(-12, 12, len(rows))
+        kind = rng.integers(0, 3, len(rows))
+        a[kind == 0] = 0.0                  # stored zeros
+        b[kind == 1] = -a[kind == 1]        # entries that cancel to exactly zero
+        b[rng.random(len(rows)) < 0.1] = -0.0
+        A = SparseMatrix.from_coo(rows, cols, a, (n, m))
+        B = SparseMatrix.from_coo(rows, cols, b, (n, m))
+        empty = SparseMatrix.from_coo([], [], [], (n, m))
+        for S, T in ((A, B), (B, A), (A, empty), (empty, B), (empty, empty)):
+            assert _same_bits(S + T, _coo_sum(S, T))
+        assert (A + B).nnz == len(rows)
+        # the shortcut shares the operand's pattern instead of sorting a copy
+        assert not len(rows) or (np.shares_memory((A + B)._csr.indices, A._csr.indices)
+                                 and np.shares_memory((empty + B)._csr.indices,
+                                                      B._csr.indices))
