@@ -37,6 +37,7 @@ raises on bad data (an arithmetic, value, type or OS error, or runaway
 recursion) becomes an EvalError naming the statement's line.
 """
 
+import cmath
 import math
 import operator
 import os
@@ -317,7 +318,7 @@ class VertexProxy:
 @dataclass
 class Builtin:
     name: str
-    fn: object
+    fn: object          # a plain function of (interp, env, args, named)
     lazy: bool = False
     nargs: int = 0      # positional arguments the builtin reads at least
 
@@ -572,23 +573,23 @@ class Interpreter:
         builtin("int", lambda i, e, a, n: int(a[0]), nargs=1)
         builtin("complex", lambda i, e, a, n: complex(a[0]), nargs=1)
         builtin("conj", lambda i, e, a, n: complex(a[0]).conjugate(), nargs=1)
-        builtin("exit", self._bi_exit)
+        builtin("exit", Interpreter._bi_exit)
         builtin("clock", lambda i, e, a, n: time.perf_counter() - i._t0)
-        builtin("exec", self._bi_exec, nargs=1)
-        builtin("plot", self._bi_plot)
-        builtin("set", self._bi_set, nargs=1)
-        builtin("square", self._bi_square, lazy=True, nargs=2)
-        builtin("movemesh", self._bi_movemesh, lazy=True, nargs=2)
-        builtin("buildmesh", self._bi_buildmesh, nargs=1)
-        builtin("savemesh", self._bi_savemesh, nargs=2)
-        builtin("readmesh", self._bi_readmesh, nargs=1)
+        builtin("exec", Interpreter._bi_exec, nargs=1)
+        builtin("plot", Interpreter._bi_plot)
+        builtin("set", Interpreter._bi_set, nargs=1)
+        builtin("square", Interpreter._bi_square, lazy=True, nargs=2)
+        builtin("movemesh", Interpreter._bi_movemesh, lazy=True, nargs=2)
+        builtin("buildmesh", Interpreter._bi_buildmesh, nargs=1)
+        builtin("savemesh", Interpreter._bi_savemesh, nargs=2)
+        builtin("readmesh", Interpreter._bi_readmesh, nargs=1)
         for name in ("adaptmesh", "trunc", "jump", "mean", "intalledges", "int3d", "dz"):
             builtin(name, self._bi_unsupported(name))
         builtin("dx", lambda i, e, a, n: F.dx(a[0]), nargs=1)
         builtin("dy", lambda i, e, a, n: F.dy(a[0]), nargs=1)
         builtin("int2d", self._bi_integrator("int2d"), nargs=1)
         builtin("int1d", self._bi_integrator("int1d"), nargs=1)
-        builtin("on", self._bi_on, lazy=True)
+        builtin("on", Interpreter._bi_on, lazy=True)
         builtin("trace", lambda i, e, a, n: _trace(a[0]), nargs=1)
         builtin("det", lambda i, e, a, n: _simplify(_det(a[0])), nargs=1)
 
@@ -598,21 +599,21 @@ class Interpreter:
                 raise EvalError(f"{name} takes one argument")
             v = args[0]
             if isinstance(v, (Field, FuncValue)):
-                return FieldOp(fn, self._as_field(v))
+                return FieldOp(fn, interp._as_field(v))
             return _simplify(fn(v))
         return call
 
-    def _bi_exit(self, interp, env, args, named):
+    def _bi_exit(self, env, args, named):
         raise ExitSignal(args[0] if args else 0)
 
-    def _bi_exec(self, interp, env, args, named):
+    def _bi_exec(self, env, args, named):
         cmd = str(args[0])
         if not self.allow_exec:
             self._log(1, f"exec suppressed (enable with --allow-exec): {cmd!r}")
             return 0
         return subprocess.run(cmd, shell=True, cwd=self.script_dir).returncode
 
-    def _bi_set(self, interp, env, args, named):
+    def _bi_set(self, env, args, named):
         A = args[0]
         if not isinstance(A, SparseMatrix):
             raise EvalError("set() expects a matrix")
@@ -634,7 +635,7 @@ class Interpreter:
         qx, qy = (interpolate_field(space, self._as_field(p)).dofs for p in pair)
         return move_mesh(mesh, lambda x, y: (qx, qy))
 
-    def _bi_square(self, interp, env, args, named):
+    def _bi_square(self, env, args, named):
         m = int(self.eval(args[0].value, env))
         n = int(self.eval(args[1].value, env))
         mesh = build_square(m, n)
@@ -642,13 +643,13 @@ class Interpreter:
             mesh = self._moved(mesh, args[2].value, env)
         return mesh
 
-    def _bi_movemesh(self, interp, env, args, named):
+    def _bi_movemesh(self, env, args, named):
         mesh = self.eval(args[0].value, env)
         if not isinstance(mesh, Mesh):
             raise EvalError("movemesh expects a mesh first")
         return self._moved(mesh, args[1].value, env)
 
-    def _bi_buildmesh(self, interp, env, args, named):
+    def _bi_buildmesh(self, env, args, named):
         for key in named:
             self._log(1, f"buildmesh: ignoring named parameter {key!r}")
         v = args[0]
@@ -672,14 +673,14 @@ class Interpreter:
 
         return Border(param, bv.t0, bv.t1, count, int(body(bv.t0)["label"]))
 
-    def _bi_savemesh(self, interp, env, args, named):
+    def _bi_savemesh(self, env, args, named):
         mesh, path = args[0], args[1]
         if not isinstance(mesh, Mesh):
             raise EvalError("savemesh expects a mesh")
         save_msh(mesh, self._resolve(path))
         return 0
 
-    def _bi_readmesh(self, interp, env, args, named):
+    def _bi_readmesh(self, env, args, named):
         return load_msh(self._resolve(args[0]))
 
     def _bi_unsupported(self, name):
@@ -695,7 +696,7 @@ class Interpreter:
             return Integrator(kind, args[0], labels, str(named.get("qft", "default")))
         return call
 
-    def _bi_on(self, interp, env, args, named_asts):
+    def _bi_on(self, env, args, named_asts):
         labels = []
         var = None
         value_ast = None
@@ -716,7 +717,7 @@ class Interpreter:
         value = self._as_field(self.eval_field_expr(value_ast, env))
         return Terms(dirichlet=[(var, F.DirichletBC(frozenset(labels), value))])
 
-    def _bi_plot(self, interp, env, args, named):
+    def _bi_plot(self, env, args, named):
         ps = named.get("ps")
         if ps and self.plot_files:
             target = None
@@ -1479,7 +1480,12 @@ class Interpreter:
             return q if op == "/" else a - b * q
         if op not in PY_OPS:
             raise _undefined(op, a, b)
-        return _simplify(PY_OPS[op](a, b))
+        value = PY_OPS[op](a, b)
+        # Python's float arithmetic overflows to inf without an error
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value) \
+                and cmath.isfinite(a) and cmath.isfinite(b):
+            raise EvalError("overflow")
+        return _simplify(value)
 
     # -- streams -----------------------------------------------------------------
 

@@ -1,12 +1,16 @@
-"""Tokenizer for the scripting language.
+"""Tokenizer for the scripting language: one compiled pattern with one
+alternative per token kind, tried in order at each position.
 
 `//` line comments normally vanish, but macro bodies are terminated by one,
-so the scanner can keep them as tokens (kind "comment") for the parser; the
-public `tokenize` strips them by default.  A numeric literal immediately
-followed by `i` is an imaginary literal.  Maximal munch on numbers makes
-`1./2` the real 0.5 while `u./v` stays an elementwise division.
+so `tokenize(..., keep_comments=True)` keeps them as tokens (kind "comment")
+for the parser's macro pass.  A numeric literal immediately followed by a
+lone `i` is an imaginary literal.  Maximal munch on numbers makes `1./2` the
+real 0.5 while `u./v` stays an elementwise division.  Digits are decimal
+digits (`\\d`), so `2²` stops at the `²`, which no token may start.
 """
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..errors import FemError
@@ -21,7 +25,7 @@ class LexError(FemError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str          # kw id int real imag str op punct comment eof
+    kind: str          # kw id int real imag str op punct comment macro eof
     text: str
     value: object = None
     line: int = field(default=0, compare=False)
@@ -44,151 +48,60 @@ OPERATORS = [
     "&&", "||", ".*", "./",
     "'", "^", "+", "-", "*", "/", "<", ">", "=", "&", "|", "!", ":", "%",
 ]
-PUNCT = "()[]{},;."
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "0": "\0"}
 
-
-def _is_id_start(c):
-    return c.isalpha() or c == "_"
-
-
-def _is_id(c):
-    return c.isalnum() or c == "_"
-
-
-class _Scanner:
-    def __init__(self, src):
-        self.src = src
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def peek(self, k=0):
-        p = self.pos + k
-        return self.src[p] if p < len(self.src) else ""
-
-    def advance(self):
-        c = self.src[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
-
-    def error(self, msg):
-        raise LexError(msg, self.line, self.col)
+# `\w` is `str.isalnum()` or `_`; an identifier starts with a letter or `_`,
+# which `[^\W\d]` admits along with other non-decimal numerals, refused below
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in [
+    ("space", r"[ \t\r\n]+"),
+    ("comment", r"//[^\n]*"),
+    ("block", r"/\*.*?\*/"),
+    ("open_block", r"/\*"),
+    ("str", r'"(?:[^"\\]|\\.)*"'),
+    ("open_str", r'"'),
+    ("number", r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?(?:i(?!\w))?"),
+    ("id", r"[^\W\d]\w*"),
+    ("op", "|".join(map(re.escape, OPERATORS))),
+    ("punct", r"[()\[\]{},;.]"),
+    ("other", r"."),
+]), re.DOTALL)
 
 
 def tokenize(source, keep_comments=False):
-    """Token list for the source text; comments stripped unless kept."""
-    s = _Scanner(source)
+    """Token list for the source text, ending with an "eof" token; comments
+    stripped unless kept."""
+    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
+
+    def where(pos):
+        line = bisect_right(line_starts, pos)
+        return line, pos - line_starts[line - 1] + 1
+
     out = []
-    while True:
-        while s.peek() and s.peek() in " \t\r\n":
-            s.advance()
-        if not s.peek():
-            break
-        line, col = s.line, s.col
-        c = s.peek()
-
-        if c == "/" and s.peek(1) == "/":
-            s.advance()
-            s.advance()
-            text = []
-            while s.peek() and s.peek() != "\n":
-                text.append(s.advance())
-            if keep_comments:
-                out.append(Token("comment", "".join(text), line=line, col=col))
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "space" or kind == "block" or kind == "comment" and not keep_comments:
             continue
-        if c == "/" and s.peek(1) == "*":
-            s.advance()
-            s.advance()
-            while True:
-                if not s.peek():
-                    raise LexError("unterminated block comment", line, col)
-                if s.peek() == "*" and s.peek(1) == "/":
-                    s.advance()
-                    s.advance()
-                    break
-                s.advance()
-            continue
-
-        if c == '"':
-            s.advance()
-            buf = []
-            while True:
-                if not s.peek():
-                    raise LexError("unterminated string", line, col)
-                ch = s.advance()
-                if ch == '"':
-                    break
-                if ch == "\\":
-                    esc = s.advance() if s.peek() else ""
-                    buf.append(_ESCAPES.get(esc, esc))
-                else:
-                    buf.append(ch)
-            text = "".join(buf)
-            out.append(Token("str", text, value=text, line=line, col=col))
-            continue
-
-        if c.isdigit() or (c == "." and s.peek(1).isdigit()):
-            out.append(_number(s, line, col))
-            continue
-
-        if _is_id_start(c):
-            buf = []
-            while s.peek() and _is_id(s.peek()):
-                buf.append(s.advance())
-            name = "".join(buf)
-            kind = "kw" if name in KEYWORDS else "id"
-            out.append(Token(kind, name, line=line, col=col))
-            continue
-
-        matched = None
-        for op in OPERATORS:
-            if source.startswith(op, s.pos):
-                matched = op
-                break
-        if matched:
-            for _ in matched:
-                s.advance()
-            out.append(Token("op", matched, line=line, col=col))
-            continue
-        if c in PUNCT:
-            s.advance()
-            out.append(Token("punct", c, line=line, col=col))
-            continue
-        s.error(f"unexpected character {c!r}")
-    out.append(Token("eof", "", line=s.line, col=s.col))
+        line, col = where(m.start())
+        value = None
+        if kind == "number":
+            if text[-1] == "i":
+                kind, text, value = "imag", text[:-1], float(text[:-1])
+            elif any(c in text for c in ".eE"):
+                kind, value = "real", float(text)
+            else:
+                kind, value = "int", int(text)
+        elif kind == "str":
+            text = value = re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]),
+                                  text[1:-1], flags=re.DOTALL)
+        elif kind == "comment":
+            text = text[2:]
+        elif kind == "id" and (text[0].isalpha() or text[0] == "_"):
+            kind = "kw" if text in KEYWORDS else "id"
+        elif kind not in ("op", "punct"):
+            message = {"open_block": "unterminated block comment",
+                       "open_str": "unterminated string"}.get(kind)
+            raise LexError(message or f"unexpected character {text[0]!r}", line, col)
+        out.append(Token(kind, text, value, line, col))
+    out.append(Token("eof", "", None, *where(len(source))))
     return out
-
-
-def _number(s, line, col):
-    buf = []
-    is_real = False
-    while s.peek().isdigit():
-        buf.append(s.advance())
-    if s.peek() == ".":
-        # a dot after digits always joins the number: 1./2 is real division
-        is_real = True
-        buf.append(s.advance())
-        while s.peek().isdigit():
-            buf.append(s.advance())
-    if s.peek() in ("e", "E") and (s.peek(1).isdigit()
-                                   or (s.peek(1) in "+-" and s.peek(2).isdigit())):
-        is_real = True
-        buf.append(s.advance())
-        if s.peek() in "+-":
-            buf.append(s.advance())
-        while s.peek().isdigit():
-            buf.append(s.advance())
-    text = "".join(buf)
-    if s.peek() == "i" and not _is_id(s.peek(1)):
-        s.advance()
-        return Token("imag", text, value=float(text), line=line, col=col)
-    if is_real:
-        return Token("real", text, value=float(text), line=line, col=col)
-    return Token("int", text, value=int(text), line=line, col=col)

@@ -1,12 +1,16 @@
-"""Recursive-descent parser.
+"""Recursive-descent parser, in two passes over the lexer's token list.
 
-Macros are textual: the token stream expands them on the fly (substituting
-argument token lists for parameter names), so everything downstream of a
-`macro` definition parses as if the user had written the substituted text.
+The macro pass (`expand_macros`) drops comments, turns each `macro name(params)
+body //` definition into one token of kind "macro" that carries its
+`MacroDef`, and replaces each use of a macro with its body, argument tokens
+substituted for parameter names.  Expansion is textual and follows the C
+preprocessor's rules: arguments expand before substitution, and a macro
+does not expand inside its own expansion, so a recursive macro leaves its
+name as a plain identifier instead of expanding forever.  A function-like
+macro name that no `(` follows is left as it is.  The parser then reads the
+expanded list as if the user had written the substituted text.
 Statements end with `;`, tolerated as missing directly before a `}`.
 """
-
-from collections import deque
 
 from ..errors import FemError
 from . import astnodes as A
@@ -27,90 +31,117 @@ TYPE_BASES = {"int", "real", "complex", "string", "bool", "mesh", "matrix",
 ASSIGN_OPS = {"=", "+=", "-=", "*=", "/="}
 
 
-class TokenStream:
-    def __init__(self, tokens, macros):
-        self.buf = deque(tokens)
-        self.macros = macros
-        self.expand = True
+def _punct(tok, text):
+    return tok.kind == "punct" and tok.text == text
 
-    def _front(self, skip_comments=True):
-        while True:
-            if not self.buf:
-                raise ParseError("unexpected end of input")
-            tok = self.buf[0]
-            if skip_comments and tok.kind == "comment":
-                self.buf.popleft()
+
+def expand_macros(tokens, macros):
+    """The token list the parser reads, from `tokenize(..., keep_comments=True)`;
+    `macros` collects the definitions by name, in source order."""
+    todo = [(tok, frozenset()) for tok in reversed(_definitions(tokens))]
+    return [tok for tok, _ in _expand(todo, macros)]
+
+
+def _definitions(tokens):
+    """`tokens` without comments, each definition made one "macro" token."""
+    out, i = [], 0
+    while i < len(tokens):
+        tok = tokens[i]
+        i += 1
+        if tok.kind == "kw" and tok.text == "macro":
+            name = tokens[i]
+            if name.kind != "id":
+                raise ParseError(f"expected identifier, found {name.text!r}", name)
+            params, i = _params(tokens, i + 1)
+            end = i
+            while tokens[end].kind != "comment":
+                if tokens[end].kind == "eof":
+                    raise ParseError("macro body must end with //", tokens[end])
+                end += 1
+            node = A.MacroDef(name.text, params, tuple(tokens[i:end]), line=tok.line)
+            out.append(Token("macro", name.text, node, tok.line, tok.col))
+            i = end + 1
+        elif tok.kind != "comment":
+            out.append(tok)
+    return out
+
+
+def _params(tokens, i):
+    """The parameter names of a definition whose body would start at
+    tokens[i], and where the body starts.  A leading parenthesized group is
+    a parameter list only when it holds nothing but comma-separated
+    identifiers; anything else (e.g. `macro Pi2 (2*pi)//`) already belongs
+    to the body."""
+    if not _punct(tokens[i], "("):
+        return None, i
+    if _punct(tokens[i + 1], ")"):
+        return (), i + 2
+    names, j = [], i + 1
+    while tokens[j].kind == "id":
+        names.append(tokens[j].text)
+        if _punct(tokens[j + 1], ")"):
+            return tuple(names), j + 2
+        if not _punct(tokens[j + 1], ","):
+            break
+        j += 2
+    return None, i
+
+
+def _expand(todo, macros):
+    """Expand `todo`, a stack of (token, hide set) pairs whose next token is
+    last, into a list of pairs.  A token is never expanded by a macro in its
+    hide set, and every token of an expansion of M hides M, so each step of
+    a chain of expansions hides one more macro and the chain ends."""
+    out = []
+    while todo:
+        tok, hide = todo.pop()
+        if tok.kind == "macro":
+            macros[tok.text] = tok.value
+        macro = macros.get(tok.text) if tok.kind == "id" and tok.text not in hide else None
+        args = _arguments(tok, macro, todo) if macro else None
+        if args is None:
+            out.append((tok, hide))
+            continue
+        hide = hide | {tok.text}
+        args = [[(t, h | hide) for t, h in _expand(arg[::-1], macros)] for arg in args]
+        # the body's own tokens come back bare, the arguments' as pairs
+        todo.extend((x, hide) if isinstance(x, Token) else x
+                    for x in reversed(expand_macro(macro, args)))
+    return out
+
+
+def _arguments(name, macro, todo):
+    """The argument lists, each a list of pairs, of the use of `macro` at the
+    token `name`, taken off `todo`; None, with nothing taken, when `macro`
+    has parameters and no `(` follows."""
+    if macro.params is None:
+        return []
+    if not (todo and _punct(todo[-1][0], "(")):
+        return None if macro.params else []
+    todo.pop()
+    if not macro.params:        # defined with empty parentheses
+        closing = todo.pop()[0] if todo else name
+        if not _punct(closing, ")"):
+            raise ParseError("macro call takes no arguments", closing)
+        return []
+    args, depth = [[]], 1
+    while True:
+        if not todo:
+            raise ParseError("unterminated macro argument list", name)
+        pair = todo.pop()
+        tok = pair[0]
+        if tok.kind == "punct":
+            depth += (tok.text in "([{") - (tok.text in ")]}")
+            if depth == 0:
+                break
+            if depth == 1 and tok.text == ",":
+                args.append([])
                 continue
-            if self.expand and tok.kind == "id" and tok.text in self.macros:
-                self._expand()
-                continue
-            return tok
-
-    def peek(self, skip_comments=True):
-        return self._front(skip_comments)
-
-    def peek2(self):
-        """Raw second lookahead (comments skipped, no expansion)."""
-        self._front()
-        for tok in list(self.buf)[1:]:
-            if tok.kind != "comment":
-                return tok
-        return Token("eof", "")
-
-    def next(self, skip_comments=True):
-        tok = self._front(skip_comments)
-        self.buf.popleft()
-        return tok
-
-    def push(self, tokens):
-        self.buf.extendleft(reversed(list(tokens)))
-
-    def _expand(self):
-        name_tok = self.buf.popleft()
-        macro = self.macros[name_tok.text]
-        args = []
-        if macro.params:
-            tok = self._raw_next()
-            if not (tok.kind == "punct" and tok.text == "("):
-                raise ParseError(f"macro {macro.name} expects arguments", tok)
-            depth = 1
-            current = []
-            while True:
-                tok = self._raw_next()
-                if tok.kind == "eof":
-                    raise ParseError("unterminated macro argument list", tok)
-                if tok.kind == "punct" and tok.text in "([{":
-                    depth += 1
-                elif tok.kind == "punct" and tok.text in ")]}":
-                    depth -= 1
-                    if depth == 0:
-                        args.append(current)
-                        break
-                if tok.kind == "punct" and tok.text == "," and depth == 1:
-                    args.append(current)
-                    current = []
-                    continue
-                current.append(tok)
-            if len(args) != len(macro.params):
-                raise ParseError(
-                    f"macro {macro.name} takes {len(macro.params)} arguments, "
-                    f"got {len(args)}", name_tok)
-        elif macro.params is not None:
-            # defined with empty parentheses; tolerate an empty call
-            nxt = self.buf[0] if self.buf else None
-            if nxt is not None and nxt.kind == "punct" and nxt.text == "(":
-                self._raw_next()
-                closing = self._raw_next()
-                if not (closing.kind == "punct" and closing.text == ")"):
-                    raise ParseError("macro call takes no arguments", closing)
-        self.push(expand_macro(macro, args))
-
-    def _raw_next(self):
-        while self.buf and self.buf[0].kind == "comment":
-            self.buf.popleft()
-        if not self.buf:
-            raise ParseError("unexpected end of input")
-        return self.buf.popleft()
+        args[-1].append(pair)
+    if len(args) != len(macro.params):
+        raise ParseError(f"macro {macro.name} takes {len(macro.params)} arguments, "
+                         f"got {len(args)}", name)
+    return args
 
 
 def expand_macro(macro, args):
@@ -130,16 +161,22 @@ def expand_macro(macro, args):
 class Parser:
     def __init__(self, source):
         self.macros = {}
-        self.ts = TokenStream(tokenize(source, keep_comments=True), self.macros)
+        self.tokens = expand_macros(tokenize(source, keep_comments=True), self.macros)
+        self.pos = 0
         self.fespaces = set()
 
     # -- helpers -----------------------------------------------------------
 
     def peek(self):
-        return self.ts.peek()
+        return self.tokens[self.pos]
+
+    def peek2(self):
+        return self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
 
     def next(self):
-        return self.ts.next()
+        tok = self.tokens[self.pos]
+        self.pos += tok.kind != "eof"       # the final eof is never passed
+        return tok
 
     def expect(self, kind, text=None):
         tok = self.next()
@@ -227,6 +264,8 @@ class Parser:
 
     def statement(self):
         tok = self.peek()
+        if tok.kind == "macro":
+            return self.next().value
         if tok.kind == "punct" and tok.text == ";":
             self.next()
             return None
@@ -238,8 +277,6 @@ class Parser:
                 return self.declaration()
             if kw == "fespace":
                 return self.fespace_decl()
-            if kw == "macro":
-                return self.macro_def()
             if kw == "border":
                 return self.border_def()
             if kw == "func":
@@ -272,7 +309,7 @@ class Parser:
                 return A.LoadStmt(mod.value, line=line)
             raise ParseError(f"unexpected keyword {kw!r}", tok)
         if tok.kind == "id" and tok.text in self.fespaces:
-            nxt = self.ts.peek2()
+            nxt = self.peek2()
             if nxt.kind == "id" or (nxt.kind == "op" and nxt.text == "<"):
                 return self.fe_decl()
         expr = self.expression()
@@ -343,54 +380,6 @@ class Parser:
         decls = self._comma_list(self.declarator)
         self.end_statement()
         return A.FeDecl(tok.text, subtype, decls, line=tok.line)
-
-    def macro_def(self):
-        line = self.next().line
-        self.ts.expand = False
-        try:
-            name = self.expect_ident().text
-            params = None
-            # a leading parenthesized group is a parameter list only when it
-            # holds nothing but comma-separated identifiers; anything else
-            # (e.g. `macro Pi2 (2*pi)//`) already belongs to the body
-            if self.at("punct", "(") and self._looks_like_params():
-                self.next()
-                params = self._comma_list(lambda: self.expect_ident().text, ")")
-            body = []
-            while True:
-                tok = self.ts.next(skip_comments=False)
-                if tok.kind == "comment":
-                    break
-                if tok.kind == "eof":
-                    raise ParseError("macro body must end with //", tok)
-                body.append(tok)
-        finally:
-            self.ts.expand = True
-        node = A.MacroDef(name, params, tuple(body), line=line)
-        self.macros[name] = node
-        return node
-
-    def _looks_like_params(self):
-        state = "open"
-        for tok in self.ts.buf:
-            if tok.kind == "comment":
-                return False
-            if state == "open":
-                state = "want_id"           # the '(' itself
-            elif state == "want_id":
-                if tok.kind == "punct" and tok.text == ")":
-                    return True             # empty parameter list
-                if tok.kind != "id":
-                    return False
-                state = "sep"
-            elif state == "sep":
-                if tok.kind == "punct" and tok.text == ")":
-                    return True
-                if tok.kind == "punct" and tok.text == ",":
-                    state = "want_id"
-                else:
-                    return False
-        return False
 
     def border_def(self):
         line = self.next().line
@@ -482,7 +471,7 @@ class Parser:
         tok = self.peek()
         if tok.kind == "kw" and tok.text in TYPE_BASES:
             init = self.declaration_no_semi()
-        elif tok.kind == "id" and tok.text in self.fespaces and self.ts.peek2().kind == "id":
+        elif tok.kind == "id" and tok.text in self.fespaces and self.peek2().kind == "id":
             raise ParseError("declare FE functions outside for-loop heads", tok)
         else:
             init = A.ExprStmt(self.expression(), line=tok.line)
@@ -511,7 +500,7 @@ class Parser:
     def argument(self):
         tok = self.peek()
         if tok.kind == "id":
-            nxt = self.ts.peek2()
+            nxt = self.peek2()
             if nxt.kind == "op" and nxt.text == "=":
                 self.next()
                 self.next()
@@ -615,7 +604,7 @@ class Parser:
 
     def primary(self):
         if self.peek().kind == "kw" and self.peek().text in ("real", "int", "complex") \
-                and self.ts.peek2().text == "(":
+                and self.peek2().text == "(":
             tok = self.next()  # conversion / part extraction call
             return A.Ident(tok.text, line=tok.line)
         tok = self.next()
@@ -637,9 +626,5 @@ class Parser:
 
 
 def parse(source) -> A.Program:
-    """Parse source text (or a token list) into a Program."""
-    if isinstance(source, str):
-        return Parser(source).parse_program()
-    p = Parser("")
-    p.ts = TokenStream(list(source) + [Token("eof", "")], p.macros)
-    return p.parse_program()
+    """Parse source text into a Program."""
+    return Parser(source).parse_program()

@@ -219,8 +219,9 @@ STORE_ROWS = [
     ("int", "int x;", '"ab"', "ab", fails("int x needs a number, not a string")),
     ("int", "int x;", "1e300", "1e300",
      fails("int x cannot hold a non-finite or out-of-range value")),
-    ("int", "int x;", "1e308*10", "inf",
+    ("int", "int x;", "1e309", "inf",
      fails("int x cannot hold a non-finite or out-of-range value")),
+    ("real", "real x;", "1e308*10", None, fails("overflow")),
     ("real", "real x;", "3", "3", 3.0),
     ("real", "real x;", "1i", None, fails("real x cannot hold a complex value")),
     ("complex", "complex x;", "2", "2", 2 + 0j),
@@ -607,6 +608,22 @@ def test_a_time_dependent_source_is_rebuilt_and_the_old_tree_freed():
     assert np.array_equal(interp.env.lookup("u").dofs, impure.env.lookup("u").dofs)
 
 
+def test_a_script_mesh_dies_with_its_result():
+    # builtins are plain functions, so an interpreter is no reference cycle
+    import gc
+    import weakref
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        r, _ = run("mesh Th=square(4,4);")
+        mesh = weakref.ref(r.env.lookup("Th"))
+        del r
+        assert mesh() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("change", ["g[]=3;", "g=2+x*y;", "Vh w=3-y; g=w;"])
 def test_an_fe_coefficient_beside_a_kept_subtree_is_read_again(change):
     setup = MEMO_SETUP.format(coef="g*sin(pi*x)*y + x*x", ub="0")
@@ -736,11 +753,11 @@ def test_non_finite_coefficient_gives_the_line_and_no_warning(stmt):
 
 
 @pytest.mark.parametrize("stmt", [
-    "solve p(u,v)=int2d(Th)(u*v)+on(1,u=1e308*10.);",
-    "Vh h=-1e308*10.;",
+    "solve p(u,v)=int2d(Th)(u*v)+on(1,u=1e309);",
+    "Vh h=-1e309;",
 ], ids=["dirichlet", "fe-assignment"])
 def test_a_non_finite_constant_still_gives_the_line(stmt):
-    # a Python float product overflows to inf without an error
+    # a literal beyond the largest float reads as inf
     src = f"mesh Th=square(4,4); fespace Vh(Th,P1); Vh u,v;\n{stmt}"
     with pytest.raises(NumericError, match=r"^line 2: coefficient is not finite at \(") as err:
         run(src)
@@ -753,7 +770,12 @@ def test_a_non_finite_constant_still_gives_the_line(stmt):
     ("real a=log(-1.);", "log: undefined result"),
     ("real a=sqrt(-1.);", "sqrt: undefined result"),
     ("real z=0.; real w=1./z;", "division by zero"),
-], ids=["exp-overflow", "array-division", "log-negative", "sqrt-negative", "real-division"])
+    ("real a=1e308*10.;", "overflow"),
+    ("complex a=1e308*10i;", "overflow"),
+    ("mesh Th=square(2,2); fespace Vh(Th,P1); Vh u,v;"
+     " solve p(u,v)=int2d(Th)(u*v)+on(1,u=1e308*10.);", "overflow"),
+], ids=["exp-overflow", "array-division", "log-negative", "sqrt-negative", "real-division",
+        "real-overflow", "complex-overflow", "dirichlet-overflow"])
 def test_script_arithmetic_failures_give_the_line_and_no_warning(stmt, message):
     # the suite turns a RuntimeWarning into an error, so numpy must stay silent
     with pytest.raises(EvalError, match=rf"^line 2: {message}$") as err:
@@ -1223,7 +1245,8 @@ def test_array_and_matrix_operators(stmt, expected):
 
 @pytest.mark.parametrize("stmt, message", [
     ("real[int] c(2); c=a;", "array assignment with mismatched sizes"),
-    ("int[int] c(2); c=1e308*10;", r"int\[int\] c cannot hold a non-finite or out-of-range value"),
+    ("int[int] c(2); c=1e309;", r"int\[int\] c cannot hold a non-finite or out-of-range value"),
+    ("int[int] c(2); c=1e308*10;", "overflow"),
     ("int c=1/0;", "integer division by zero"),
     ("real[int] c=a*b;", "use u'\\*v for dot products"),
     ("real[int] c=a/b;", "use u'\\*v for dot products"),

@@ -1,11 +1,16 @@
 import hashlib
+import io
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from femscript.dsl import ParseError, Parser, parse, tokenize
+from femscript.dsl import LexError, ParseError, Parser, parse, run_source, tokenize
 from femscript.dsl import astnodes as A
 from femscript.dsl.parser import expand_macro
+from femscript.errors import FemError
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.edp"))
 
@@ -182,3 +187,79 @@ def test_fe_declaration_needs_known_space():
     # `Vh uh;` with no fespace named Vh parses as an expression and fails later
     with pytest.raises(ParseError):
         parse("Vh uh;")
+
+
+@contextmanager
+def time_bound(seconds):
+    """Raise TimeoutError in the block once it has run `seconds` seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+RECURSIVE_MACROS = {
+    "direct": "macro A A//\nreal a=A;",
+    "mutual": "macro A B//\nmacro B A//\nreal a=A;",
+    "with-parameters": "macro A(u) A(u)//\nreal a=A(1);",
+    "through-an-argument": "macro F(x) x(x)//\nreal a=F(F);",
+}
+
+
+@pytest.mark.parametrize("src", RECURSIVE_MACROS.values(), ids=RECURSIVE_MACROS.keys())
+def test_a_recursive_macro_ends_in_a_located_error(src):
+    with time_bound(5), pytest.raises(FemError) as err:
+        run_source(src, stdout=io.StringIO(), verbosity=0)
+    assert 1 <= err.value.line <= src.count("\n") + 1
+
+
+def test_a_macro_does_not_expand_inside_its_own_expansion():
+    with time_bound(5):
+        assert parse("macro A B//\nmacro B A//\nreal a=A;").body[2] == parse("real a=A;").body[0]
+        assert parse("macro F(x) x(x)//\nF(F);").body[1] == parse("F(F);").body[0]
+
+
+def test_nested_uses_of_a_macro_expand():
+    # arguments expand before substitution, so the inner F is not hidden
+    src = "macro F(x) x//\nreal a=F(F(2));"
+    assert parse(src).body[1] == parse("real a=2;").body[0]
+    assert run_source(src, stdout=io.StringIO(), verbosity=0).env.lookup("a") == 2
+
+
+@pytest.mark.parametrize("src", ["real a=2²;", "real a=²;"])
+def test_a_non_decimal_digit_is_a_located_error(src):
+    with pytest.raises(LexError, match=r"^lex error at 1:\d+: unexpected character '²'$") as err:
+        parse(src)
+    assert err.value.line == 1
+
+
+SCRIPT_PIECES = [
+    *"0123456789", "²", ".", "e", "i", '"', "\\", "//", "/*", "*/", "\n", " ", ";", ",",
+    "(", ")", "[", "]", "{", "}", "=", "+", "*", "'", "real a=", "x", "A", "B", "F", "G",
+    "macro A B//\n", "macro B(x) A(x)+x//\n", "macro F(x) x(x)//\n", "macro G() F(A)//\n",
+    "macro A(u,v) G()*B(u)//\n", "macro B A(x//\n", "A(", "B(", "F(", "G()",
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(SCRIPT_PIECES), max_size=30).map("".join))
+def test_any_script_text_parses_or_raises_a_fem_error(src):
+    with time_bound(5):
+        try:
+            parse(src)
+        except FemError:
+            pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(), st.booleans())
+def test_tokenize_raises_only_lex_errors(src, keep_comments):
+    try:
+        tokenize(src, keep_comments=keep_comments)
+    except LexError:
+        pass
