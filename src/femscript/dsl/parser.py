@@ -7,8 +7,10 @@ substituted for parameter names.  Expansion is textual and follows the C
 preprocessor's rules: arguments expand before substitution, and a macro
 does not expand inside its own expansion, so a recursive macro leaves its
 name as a plain identifier instead of expanding forever.  A function-like
-macro name that no `(` follows is left as it is.  The parser then reads the
-expanded list as if the user had written the substituted text.
+macro name that no `(` follows is left as it is.  A body token takes the
+place of its use, as C's `__LINE__` does, so an error in it names the use.
+The parser then reads the expanded list as if the user had written the
+substituted text.
 Statements end with `;`, tolerated as missing directly before a `}`.
 """
 
@@ -30,6 +32,10 @@ TYPE_BASES = {"int", "real", "complex", "string", "bool", "mesh", "matrix",
 
 ASSIGN_OPS = {"=", "+=", "-=", "*=", "/="}
 
+# a limit on input, far beyond real scripts: a macro that doubles its
+# argument substitutes more tokens than this when nested 16 deep
+MAX_EXPANDED_TOKENS = 250_000
+
 
 def _punct(tok, text):
     return tok.kind == "punct" and tok.text == text
@@ -39,7 +45,7 @@ def expand_macros(tokens, macros):
     """The token list the parser reads, from `tokenize(..., keep_comments=True)`;
     `macros` collects the definitions by name, in source order."""
     todo = [(tok, frozenset()) for tok in reversed(_definitions(tokens))]
-    return [tok for tok, _ in _expand(todo, macros)]
+    return [tok for tok, _ in _expand(todo, macros, [MAX_EXPANDED_TOKENS])]
 
 
 def _definitions(tokens):
@@ -87,11 +93,12 @@ def _params(tokens, i):
     return None, i
 
 
-def _expand(todo, macros):
+def _expand(todo, macros, budget, use=None):
     """Expand `todo`, a stack of (token, hide set) pairs whose next token is
     last, into a list of pairs.  A token is never expanded by a macro in its
     hide set, and every token of an expansion of M hides M, so each step of
-    a chain of expansions hides one more macro and the chain ends."""
+    a chain of expansions hides one more macro and the chain ends.  Past
+    `budget[0]` substituted tokens, the outermost `use` takes the error."""
     out = []
     while todo:
         tok, hide = todo.pop()
@@ -102,11 +109,17 @@ def _expand(todo, macros):
         if args is None:
             out.append((tok, hide))
             continue
+        outer = use or tok
         hide = hide | {tok.text}
-        args = [[(t, h | hide) for t, h in _expand(arg[::-1], macros)] for arg in args]
+        args = [[(t, h | hide) for t, h in _expand(arg[::-1], macros, budget, outer)]
+                for arg in args]
+        body = expand_macro(macro, args)
+        budget[0] -= len(body)
+        if budget[0] < 0:
+            raise ParseError(f"macro expansion exceeds {MAX_EXPANDED_TOKENS} tokens", outer)
         # the body's own tokens come back bare, the arguments' as pairs
-        todo.extend((x, hide) if isinstance(x, Token) else x
-                    for x in reversed(expand_macro(macro, args)))
+        todo.extend((Token(x.kind, x.text, x.value, tok.line, tok.col), hide)
+                    if isinstance(x, Token) else x for x in reversed(body))
     return out
 
 

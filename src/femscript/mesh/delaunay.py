@@ -12,23 +12,21 @@ Predicates use an epsilon relative to the domain diameter; cocircular or
 collinear ties count as "not inside", which keeps insertion terminating on
 symmetric inputs (all samples of one circle are cocircular).
 
-The meshes are reproducible bit for bit, and four orders in `smooth` fix
-their last bits, so a faster version must keep all four:
-- a vertex moves to the mean of its ring, summed in the iteration order of
-  the ring's set, which follows the order of insertion (triangles by index);
-- that sum adds left to right from 0.0, not by `sum`, which Python 3.12 and
-  later compensate, so the meshes would depend on the Python version;
-- vertices move Gauss-Seidel style in sorted order, each one seeing the
-  neighbours that already moved;
-- `_relegalize` flips in triangle-index sweep order; a worklist would change
-  which of two cocircular diagonals survives.
+The meshes are reproducible bit for bit, and three rules fix their last
+bits, so a faster version must keep all three:
+- insertion order: the welded boundary samples in traversal order, then
+  circumcenters in the refinement queue's first-in first-out order, which
+  takes the triangles each insertion changed in the order they changed;
+- `locate`'s tie rule: each step crosses the edge of the first smallest
+  orient, and a point within tolerance of a vertex or edge lands on it;
+- `_legalize`'s flip rule: an edge flips only when the in-circle determinant
+  exceeds `tol_in`, and the edges a flip exposes are taken last in first
+  out, an order that decides which of two cocircular diagonals survives.
 """
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -40,12 +38,11 @@ EPS_REL = 1e-12
 # Interior refinement: split while the longest edge exceeds size_factor
 # times the local boundary spacing, or while the circumradius exceeds
 # QUALITY_BOUND times the shortest edge (a 30-degree minimum-angle bound).
-# The defaults, together with the smoothing passes, are calibrated against
-# the published cubic nonlinear table only (its rows land within +-15%).
-# They do not reproduce FreeFem++'s disk meshes: the big-Dirichlet rows move
-# by more than 20% with size_factor and smoothing.
+# The defaults are calibrated against the published cubic nonlinear table
+# only: of size_factor 0.9..1.6 by 0.1, 1.1 alone puts its rows within
+# +-15%. They do not reproduce FreeFem++'s disk meshes: the big-Dirichlet
+# rows move by more than 20% with size_factor.
 DEFAULT_SIZE_FACTOR = 1.1
-DEFAULT_SMOOTHING_PASSES = 3
 QUALITY_BOUND = 1.0
 # refinement stops with a GeometryError beyond this many points
 MAX_POINTS = 2_000_000
@@ -190,9 +187,9 @@ class _Triangulation:
     # After a split or a flip, the neighbour m's entry that named `old` names
     # `new`: m[0 if m[0] == old else 1 if ... else _broken()] = new.
 
-    def insert(self, p, changed=None):
+    def insert(self, p):
         """Insert p, returning its vertex index (existing index if welded)."""
-        return self._insert_at(p, self.locate(p), changed)
+        return self._insert_at(p, self.locate(p), [])
 
     def _insert_at(self, p, where, changed):
         """Insert p where `locate` found it: (t, kind, k).  Returns -1 if p
@@ -228,8 +225,7 @@ class _Triangulation:
         if nca != -1:
             m = nbr[nca]
             m[0 if m[0] == t else 1 if m[1] == t else 2 if m[2] == t else _broken()] = t3
-        if changed is not None:
-            changed.extend((t, t2, t3))
+        changed.extend((t, t2, t3))
         for tt in (t, t2, t3):
             self._legalize(tt, 0, changed)
 
@@ -248,8 +244,7 @@ class _Triangulation:
             m[0 if m[0] == t else 1 if m[1] == t else 2 if m[2] == t else _broken()] = t2
         if n == -1:
             nbr[t] = [-1, t2, n_ap]
-            if changed is not None:
-                changed.extend((t, t2))
+            changed.extend((t, t2))
             self._legalize(t, 2, changed)
             self._legalize(t2, 1, changed)
             return
@@ -270,8 +265,7 @@ class _Triangulation:
         nbr[t] = [t4, t2, n_ap]
         nbr[n] = [t2, t4, n_bd]
         nbr[t2][0] = n
-        if changed is not None:
-            changed.extend((t, t2, n, t4))
+        changed.extend((t, t2, n, t4))
         self._legalize(t, 2, changed)
         self._legalize(t2, 1, changed)
         self._legalize(n, 2, changed)
@@ -325,20 +319,14 @@ class _Triangulation:
             if n_bc != -1:
                 m = nbr[n_bc]
                 m[0 if m[0] == t else 1 if m[1] == t else 2 if m[2] == t else _broken()] = n
-            if changed is not None:
-                changed.extend((t, n))
+            changed.extend((t, n))
             stack.extend(((t, 0), (n, 0)))
 
     # -- constrained edge recovery -------------------------------------------
 
     def live_edges(self):
-        out = set()
-        for vs in self.tris:
-            if vs is None:
-                continue
-            for k in range(3):
-                out.add(self._edge_key(vs[k], vs[(k + 1) % 3]))
-        return out
+        return {self._edge_key(vs[k], vs[NXT[k]])
+                for vs in self.tris if vs is not None for k in range(3)}
 
     def recover_segment(self, a, b):
         """Force edge (a, b) into the triangulation by cavity retriangulation."""
@@ -447,104 +435,6 @@ class _Triangulation:
                 else:
                     owner[key] = (t, k)
 
-    # -- smoothing ----------------------------------------------------------
-
-    def smooth(self, passes=3):
-        """Laplacian smoothing of interior vertices, then Delaunay repair.
-
-        A vertex moves to its one-ring centroid only if every incident
-        triangle keeps positive area; constrained and super vertices stay.
-        Rings are rebuilt only where triangles flipped (module docstring).
-        """
-        pts, tris, tol = self.pts, self.tris, self.tol_orient
-        fixed = {v for key in self.constrained for v in key}
-        incident, ring = {}, {}
-        changed = [t for t, vs in enumerate(tris) if vs is not None]
-        for _ in range(passes):
-            # a vertex whose incident triangles changed is in a changed one now
-            now = {v: [] for t in changed for v in tris[t]}
-            for t in changed:
-                for v in tris[t] if self.kept[t] else ():
-                    now[v].append(t)
-            for a, ts in now.items():
-                ts += [t for t in incident.get(a, ()) if a in tris[t] and t not in ts]
-                ts.sort()
-                incident[a] = ts
-                ring[a] = self._ring(a, ts)
-            for a in sorted(a for a, ts in incident.items()
-                            if ts and a >= self.n_super and a not in fixed):
-                nbrs = ring[a]
-                cx = cy = 0.0
-                for v in nbrs:
-                    cx += pts[v][0]
-                    cy += pts[v][1]
-                old = pts[a]
-                pts[a] = [cx / len(nbrs), cy / len(nbrs)]
-                for t in incident[a]:
-                    i, j, k = tris[t]
-                    pa, pb, pc = pts[i], pts[j], pts[k]
-                    if ((pb[0] - pa[0]) * (pc[1] - pa[1])
-                            - (pb[1] - pa[1]) * (pc[0] - pa[0])) <= tol:
-                        pts[a] = old
-                        break
-            changed = self._relegalize()
-
-    def _ring(self, a, ts):
-        """a's neighbours in the set order a sweep over ts in index order gives."""
-        ring = set()
-        for t in ts:
-            i, j, k = self.tris[t]
-            ring.update((j, k) if a == i else (k, i) if a == j else (i, j))
-        return tuple(ring)
-
-    def _relegalize(self, max_sweeps=20):
-        """Sweep the kept triangles' edges in index order with `_legalize` until
-        a sweep flips nothing; return the flipped triangles. Only candidates
-        and edges of or facing a flipped triangle are visited: any other edge
-        is in the state `_flip_candidates` saw, so `_legalize` would not flip it.
-        """
-        cand = self._flip_candidates()
-        flipped = set()
-        for _ in range(max_sweeps):
-            flips = []
-            queued = {t for t, _ in cand} | {m for f in flipped for m in (f, *self.nbr[f])}
-            pending = sorted(queued - {-1})
-            while pending:
-                t = heapq.heappop(pending)
-                if not self.kept[t]:
-                    continue
-                for k in range(3):
-                    if (t, k) in cand or t in flipped or self.nbr[t][k] in flipped:
-                        n_flips = len(flips)
-                        self._legalize(t, k, flips)
-                        flipped.update(flips[n_flips:])
-                        for f in flips[n_flips:]:
-                            for m in (f, *self.nbr[f]):
-                                if m > t and m not in queued:
-                                    queued.add(m)
-                                    heapq.heappush(pending, m)
-            if not flips:
-                break
-        return flipped
-
-    def _flip_candidates(self):
-        """Edges (t, k) of kept triangles that `_legalize` would flip now: the
-        same `_incircle` test on numpy rows, hence the same bits."""
-        pts = np.array(self.pts)
-        tri = np.fromiter(chain.from_iterable(vs or (0, 0, 0) for vs in self.tris),
-                          np.int64).reshape(-1, 3)
-        nbr = np.fromiter(chain.from_iterable(ns or (-1, -1, -1) for ns in self.nbr),
-                          np.int64).reshape(-1, 3)
-        corners = [pts[tri[:, j]].T for j in range(3)]
-        out = set()
-        for k in range(3):
-            n = nbr[:, k]
-            d = tri[n].sum(axis=1) - tri[:, k] - tri[:, (k + 1) % 3]  # opposite vertex
-            use = np.array(self.kept) & (n >= 0) & (d >= 0) & (d < len(pts))
-            det = _incircle(*corners, pts[np.where(use, d, 0)].T)
-            out.update((int(t), k) for t in np.flatnonzero(use & ~(det <= self.tol_in)))
-        return out
-
 
 def _weld_key(x, y, tol):
     return (round(x / tol), round(y / tol))
@@ -609,8 +499,7 @@ def _winding_numbers(px, py, seg_a, seg_b):
     return wind.sum(axis=1)
 
 
-def build_from_borders(borders, size_factor=None,
-                       smoothing=DEFAULT_SMOOTHING_PASSES) -> Mesh:
+def build_from_borders(borders, size_factor=None) -> Mesh:
     """Mesh the region enclosed by the sampled border loops."""
     if size_factor is None:
         size_factor = DEFAULT_SIZE_FACTOR
@@ -703,7 +592,7 @@ def build_from_borders(borders, size_factor=None,
 
     queue = deque(t for t, vs in enumerate(tr.tris) if vs is not None and tr.kept[t])
     blocked = set()
-    good = set()    # points stay put while refining: a good (ordered) triple stays good
+    good = set()    # points never move: a good (ordered) triple stays good
     pts, tris, kept, tol = tr.pts, tr.tris, tr.kept, tr.tol_orient
     while queue:
         t = queue.popleft()
@@ -747,9 +636,6 @@ def build_from_borders(borders, size_factor=None,
         if tr.tris[t] is not None:
             queue.append(t)
 
-    del good        # a few MiB at N=256, freed before smoothing allocates its rings
-    if smoothing:
-        tr.smooth(passes=smoothing)
     return _extract_mesh(tr, segs, vert_of, seg_labels, borders)
 
 

@@ -159,12 +159,12 @@ def test_nonlinear_dbc_table(disk_meshes):
 
     The rate at N=128 is left to `test_nonlinear_dbc_table_freefem_meshes`.
     On this package's disks it is still pre-asymptotic and moves with the
-    mesher: the DBC=50 rate at N=128 is 1.827 on the default disks (1.864
-    published) and spans 1.59-2.00 over 32 mesher settings
+    mesher: the DBC=50 rate at N=128 is 1.855 on the default disks (1.864
+    published) and spans 1.59-2.00 over 8 mesher settings
     (`tools/dbc_mesh_study.py sweep`). The published DBC=0 rate at N=128,
     1.815, is outside the window itself. The per-row comparison is in the
-    same FreeFem++-mesh test; on these disks the rows are 14-63% above the
-    published DBC=0 column and 26-32% below the DBC=50 column.
+    same FreeFem++-mesh test; on these disks the rows are 19-53% above the
+    published DBC=0 column and 10-25% below the DBC=50 column.
     """
     with criterion("nonlinear elliptic: big-Dirichlet table"):
         failures = []
@@ -188,8 +188,8 @@ def test_nonlinear_dbc0_cubic_ratio_lattice():
     published one to +-10%; it is 1.020, 1.067, 1.063, 1.047.
 
     The ratio is a property of the mesh, not of the problems alone: on the
-    default disks of `build_from_borders` it is 1.62, 1.64, 1.45, 1.35, and
-    on size_factor=1.4 disks 1.06, 1.08, 1.03, 1.03
+    default disks of `build_from_borders` it is 1.44, 1.61, 1.42, 1.33, and
+    on size_factor=1.4 disks 1.10, 1.10, 1.03, 1.04
     (`tools/dbc_mesh_study.py relation`). So the gap between the two problems
     on the default disks does not point to a difference between the two
     formulations. Formulation changes do show here: taking the right-hand
@@ -234,7 +234,7 @@ def test_nonlinear_dbc_table_freefem_meshes():
         }
 
     writes them. Meshes from this package's own mesher do not qualify: on
-    them the rows move by more than 20% with size_factor and smoothing
+    them the rows move by more than 20% with size_factor
     (`tools/dbc_mesh_study.py sweep`).
     """
     with criterion("nonlinear elliptic: big-Dirichlet table on FreeFem++ meshes"):

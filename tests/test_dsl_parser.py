@@ -231,6 +231,28 @@ def test_nested_uses_of_a_macro_expand():
     assert run_source(src, stdout=io.StringIO(), verbosity=0).env.lookup("a") == 2
 
 
+MACRO_BORNE_ERRORS = {
+    "direct": "macro A A//\nreal a=A;",
+    "with-parameters": "macro G(u) u+zz//\n\nreal a=G(1);",
+    "through-another-macro": "macro H() qq//\nmacro K H()//\nreal b=1;\nreal a=K;",
+}
+
+
+@pytest.mark.parametrize("src", MACRO_BORNE_ERRORS.values(), ids=MACRO_BORNE_ERRORS.keys())
+def test_an_error_in_a_macro_body_names_the_line_of_the_use(src):
+    with pytest.raises(FemError, match=r"^line \d+: undeclared identifier") as err:
+        run_source(src, stdout=io.StringIO(), verbosity=0)
+    assert err.value.line == src.count("\n") + 1
+
+
+def test_macro_expansion_past_its_bound_ends_at_the_outermost_use():
+    # each level doubles the tokens: 20 levels would expand to about 2^21 of them
+    src = "macro F(x) x+x//\nreal b=1;\nreal a=" + "F(" * 20 + "1" + ")" * 20 + ";"
+    with time_bound(5), pytest.raises(ParseError, match=r"^parse error at 3:8: macro "
+                                                        r"expansion exceeds 250000 tokens$"):
+        parse(src)
+
+
 @pytest.mark.parametrize("src", ["real a=2²;", "real a=²;"])
 def test_a_non_decimal_digit_is_a_located_error(src):
     with pytest.raises(LexError, match=r"^lex error at 1:\d+: unexpected character '²'$") as err:

@@ -11,7 +11,6 @@ from femscript.errors import (FoldOverError, GeometryError, InvalidArgumentError
                               MeshFileError)
 from femscript.mesh import (Border, Mesh, build_from_borders, build_square,
                             load_msh, move_mesh, save_msh)
-from femscript.mesh import delaunay
 from femscript.mesh.delaunay import _incircle, _orient, _Triangulation
 from femscript.studies import circle_border, disk_mesh
 
@@ -428,24 +427,23 @@ def _mesh_digest(mesh):
 
 
 GOLDEN_DISKS = {
-    16: "6a3bc8c1e5c3a9e69d9b4e27bdb2d4a0ff7944e6688f73fd60cad18156178fa7",
-    32: "3ead04316fd73728ab7d0e7734377cb88eaeb136b1fa1dd07536907f210d2add",
-    64: "628705735d4404c6f13db7a143f826437203a1a3a9249b341cc8e761525810b1",
-    128: "d65409e765f0786d1eaf42c5d48796c5de914aa66e76d6f9a1f7187fff9eb578",
-    256: "fbb37a0c18a6ad1eea2985ab1f8294f8c55ac6a9fc5e698358eaab21192a05a3",
+    16: "aa6ed62c8fa3a5a2dc60e7f49dafd7815c8678bee41a3fbfe13054cc3da49467",
+    32: "bbd65c0c21c238931624123b169dff7f24a89dd72c2cb777ba204f4a3e9a979d",
+    64: "9ff7e706ece50ec5189772c01b9a6c73faa2c90271043776040075896dbbbe63",
+    128: "c23125b44455b6d6fed12dbb9aec63284b56efc24a3ea00ddd5321a56ee53992",
+    256: "625f01c32271ff0ad1c2b56f466a8f58933b45130a454c1d758e620262ffa7a4",
 }
 
 GOLDEN_BORDER_SETS = {
-    "size_factor_1.4": "04cb8ec514394989637523154cb15b149ecb158cde4262be14f363012be04989",
-    "smoothing_0": "9ff7e706ece50ec5189772c01b9a6c73faa2c90271043776040075896dbbbe63",
-    "hole": "ec0097a4429739c09c0515105b7623dcb9d4ebe33b7b4e7afdb6c5efb089e789",
-    "interface": "2061d8812e10014a0217ddceb5603359995ceb560c504392346a6c7ba3d6d541",
-    "l_shape": "6fe52a107188d40d468065ebc71a1665bf4be05c38a3593e59c8aca9916fa5f1",
+    "size_factor_1.4": "4cc72dbba8d888f8cf7209d94d7918087072600391133e62f5010f86290758ff",
+    "hole": "f7c0a0b8d239320b3958551e5f3ee32f0fdbbeee7d78ac085774476dc1f0d310",
+    "interface": "1288c844a98846c03e2013afc12ba36169c85b238c25e40cb797a59c5712233f",
+    "l_shape": "412791b26229bf823ef5671755daad10f97d9fa95cb75fa96721d0013b97be8f",
 }
 
 GOLDEN_CORPUS = {
-    "Th": "23d0a689295a4abdc2efae2576cdb2c6ec545050c9f320f0282d97ac5451f013",
-    "MeshName": "69bb7bda5e2b5846b0f6f14f337433d3ebcac3dffa46d31c1c4e60a5c7d17cf4",
+    "Th": "d753d504275d4d5f38b62732757d5b104880718bcaa014a77db244818e16f801",
+    "MeshName": "cf60fee703927792b6b74864a820efddbbb3144ab8b22841a21264bde449cf63",
     "Thwithouthole": GOLDEN_BORDER_SETS["interface"],
     "Thwithhole": GOLDEN_BORDER_SETS["hole"],
 }
@@ -467,7 +465,6 @@ def test_golden_border_set_meshes():
     """As `test_golden_disk_meshes`, for other settings and border sets."""
     meshes = {
         "size_factor_1.4": build_from_borders([circle_border(64)], size_factor=1.4),
-        "smoothing_0": build_from_borders([circle_border(64)], smoothing=0),
         "hole": build_from_borders(_hole_borders(-30)),
         "interface": build_from_borders(_hole_borders(+30)),
         "l_shape": build_from_borders(_l_shape_borders()),
@@ -485,51 +482,28 @@ def test_golden_corpus_buildmesh(tmp_path):
     assert {k: _mesh_digest(result.env.lookup(k)) for k in GOLDEN_CORPUS} == GOLDEN_CORPUS
 
 
-def test_golden_disks_do_not_depend_on_the_float_sum(monkeypatch):
-    """Python 3.12 and later add floats with compensated summation in `sum`.
-    The smoothing means add left to right from 0.0, so a compensated `sum` in
-    the mesher's namespace leaves every disk unchanged."""
-    monkeypatch.setattr(delaunay, "sum", math.fsum, raising=False)
-    assert {N: _mesh_digest(disk_mesh(N)) for N in GOLDEN_DISKS} == GOLDEN_DISKS
+def _smallest_angles(mesh):
+    """Each triangle's smallest angle, in degrees."""
+    p = mesh.points[mesh.tri]
+    angles = []
+    for k in range(3):
+        u, v = p[:, (k + 1) % 3] - p[:, k], p[:, (k + 2) % 3] - p[:, k]
+        cross = np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+        angles.append(np.degrees(np.arctan2(cross, (u * v).sum(axis=1))))
+    return np.min(angles, axis=0)
 
 
-def _relegalize_reference(tr, max_sweeps=20):
-    """Full sweeps: every edge of every kept triangle, in triangle-index order."""
-    for _ in range(max_sweeps):
-        flips = []
-        for t, vs in enumerate(tr.tris):
-            if vs is None or not tr.kept[t]:
-                continue
-            for k in range(3):
-                tr._legalize(t, k, flips)
-        if not flips:
-            return
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_relegalize_matches_full_sweeps(seed):
-    """The candidate-driven Delaunay repair flips exactly what full sweeps flip,
-    here after jittering the vertices of a random Delaunay triangulation."""
-    import copy
-    rng = np.random.default_rng(seed)
-    tr = _Triangulation(scale=1.0)
-    tr.init_super((0.0, 0.0), (1.0, 1.0))
-    for p in rng.random((300, 2)):
-        tr.insert(tuple(p))
-    tr.kept = [vs is not None and min(vs) >= tr.n_super for vs in tr.tris]
-    for a in range(tr.n_super, len(tr.pts)):
-        old = tr.pts[a]
-        tr.pts[a] = [float(v) for v in old + rng.normal(0.0, 0.02, 2)]
-        if any(a in vs and _orient(*(tr.pts[v] for v in vs)) <= tr.tol_orient
-               for vs in tr.tris):
-            tr.pts[a] = old
-    reference = copy.deepcopy(tr)
-    _relegalize_reference(reference)
-    before = copy.deepcopy(tr.tris)
-    flipped = tr._relegalize()
-    assert tr.tris == reference.tris and tr.nbr == reference.nbr
-    assert {t for t, (a, b) in enumerate(zip(before, tr.tris)) if a != b} <= flipped
-    assert len(flipped) > 50
+def test_refined_meshes_keep_angles_of_20_degrees(disk_meshes):
+    """Delaunay refinement with the circumradius-to-shortest-edge bound
+    QUALITY_BOUND = 1 leaves no angle below 20 degrees, the bound up to which
+    Ruppert refinement is proven to terminate, on the default disks and on
+    a hole, an interface and a reflex corner."""
+    meshes = {f"disk N={m.ne}": m for m in disk_meshes}
+    meshes.update(hole=build_from_borders(_hole_borders(-30)),
+                  interface=build_from_borders(_hole_borders(+30)),
+                  l_shape=build_from_borders(_l_shape_borders()))
+    smallest = {k: float(_smallest_angles(m).min()) for k, m in meshes.items()}
+    assert min(smallest.values()) >= 20.0, smallest
 
 
 def _tie_inputs(kind):

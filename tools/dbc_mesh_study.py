@@ -5,11 +5,11 @@ Prints the figures that README.md quotes for the big-Dirichlet table:
   rows      DBC=0 and DBC=50 errors against the published rows, on the
             default disks (N = 16..256) and on size_factor=1.4 disks
             (N = 16..128), with the observed rates.
-  sweep     32 mesher settings (size_factor 0.9..1.6 by 0.1, smoothing 0..3):
-            the range of error/published over N <= 128 for the cubic, DBC=0
-            and DBC=50 tables, whether each per-row gate holds (+-15% cubic,
-            +-20% big-Dirichlet), the DBC=50 rate at N=128, and the range of
-            the same-mesh error ratio DBC=0/cubic.
+  sweep     8 mesher settings (size_factor 0.9..1.6 by 0.1): the range of
+            error/published over N <= 128 for the cubic, DBC=0 and DBC=50
+            tables, whether each per-row gate holds (+-15% cubic, +-20%
+            big-Dirichlet), the DBC=50 rate at N=128, and the range of the
+            same-mesh error ratio DBC=0/cubic.
   relation  on the default, size_factor=1.4 and lattice disks (N = 16..128):
             the same-mesh error ratios DBC=0/cubic and DBC=50/DBC=0 against
             the published ones, and each table's error/published.
@@ -18,10 +18,9 @@ Run from the repository root, one or more sections (all by default):
 
     PYTHONPATH=src python tools/dbc_mesh_study.py [rows] [sweep] [relation]
 
-One core takes about 10 s for rows, 40 s for sweep, 3 s for relation.
+One core takes about 3 s for rows, 4 s for sweep, 2 s for relation.
 """
 
-import itertools
 import sys
 from pathlib import Path
 
@@ -65,10 +64,10 @@ def sweep():
     tol = {"cubic": 0.15, "DBC=0": 0.20, "DBC=50": 0.20}
     span = {name: [np.inf, -np.inf] for name in PROBLEMS}
     rate50 = [np.inf, -np.inf]
-    settings = list(itertools.product([0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6], [0, 1, 2, 3]))
+    settings = [0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6]
     all_three = 0
-    for sf, sm in settings:
-        meshes = disks(4, size_factor=sf, smoothing=sm)
+    for sf in settings:
+        meshes = disks(4, size_factor=sf)
         line, passed, err = [], [], {}
         for name, (_, _, table) in PROBLEMS.items():
             result = study(name, meshes)
@@ -85,7 +84,7 @@ def sweep():
         all_three += all(passed)
         q = [d / c for d, c in zip(err["DBC=0"], err["cubic"])]
         line.append(f"DBC=0/cubic {min(q):.3f}-{max(q):.3f}")
-        print(f"size_factor={sf} smoothing={sm}: " + " | ".join(line), flush=True)
+        print(f"size_factor={sf}: " + " | ".join(line), flush=True)
     print(f"{len(settings)} settings; error/published ranges: "
           + ", ".join(f"{name} {lo:.2f}-{hi:.2f}" for name, (lo, hi) in span.items())
           + f"; DBC=50 rate at N=128 {rate50[0]:.2f}-{rate50[1]:.2f}; "
