@@ -8,7 +8,7 @@ preprocessor's rules: arguments expand before substitution, and a macro
 does not expand inside its own expansion, so a recursive macro leaves its
 name as a plain identifier instead of expanding forever.  A function-like
 macro name that no `(` follows is left as it is.  A body token takes the
-place of its use, as C's `__LINE__` does, so an error in it names the use.
+position of its use, as C's `__LINE__` does, so an error in it names the use.
 The parser then reads the expanded list as if the user had written the
 substituted text.
 Statements end with `;`, tolerated as missing directly before a `}`.

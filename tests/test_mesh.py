@@ -495,9 +495,9 @@ def _smallest_angles(mesh):
 
 def test_refined_meshes_keep_angles_of_20_degrees(disk_meshes):
     """Delaunay refinement with the circumradius-to-shortest-edge bound
-    QUALITY_BOUND = 1 leaves no angle below 20 degrees, the bound up to which
-    Ruppert refinement is proven to terminate, on the default disks and on
-    a hole, an interface and a reflex corner."""
+    QUALITY_BOUND = 1 leaves no angle below 20 degrees, just under the 20.7
+    degrees up to which Ruppert refinement is proven to terminate, on the
+    default disks and on a hole, an interface and a reflex corner."""
     meshes = {f"disk N={m.ne}": m for m in disk_meshes}
     meshes.update(hole=build_from_borders(_hole_borders(-30)),
                   interface=build_from_borders(_hole_borders(+30)),
