@@ -50,7 +50,7 @@ import numpy as np
 
 from .. import forms as F
 from .._fmt import fmt_real
-from ..errors import FemError, UnsupportedError
+from ..errors import FemError, SolverError, UnsupportedError
 from ..fespace import FeFunction, FeSpace
 # The benchmark's tracer (bench/tracing.py) wraps the interpreter's
 # interpolation at this module-level name; keep the alias while it does.
@@ -1464,7 +1464,9 @@ class Interpreter:
         if solver == "CG":
             result = solve_cg(A, b)
             if not result.converged:
-                self._log(1, f"CG stopped at residual {result.relative_residual:.2e}")
+                raise SolverError(f"CG did not converge: relative residual "
+                                  f"{result.relative_residual:.2e} after "
+                                  f"{result.iterations} iterations")
             return result.x
         return factorize(A).solve(b)
 

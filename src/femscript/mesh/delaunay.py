@@ -2,15 +2,17 @@
 
 Pipeline: sample every border at |count| intervals, weld coincident
 endpoints, run an incremental Delaunay triangulation of the samples inside
-a super-triangle, recover any missing boundary segments as constrained
-edges, classify triangles by winding number (region left of each oriented
-border is kept, so a clockwise loop carves a hole), then refine the kept
-region by inserting circumcenters of triangles whose longest edge exceeds
-the local boundary spacing scaled by `size_factor`.
+a super-triangle, recover any missing boundary segment as a constrained
+edge by flipping the edges that cross it, classify triangles by winding
+number (region left of each oriented border is kept, so a clockwise loop
+carves a hole), then refine the kept region by inserting circumcenters of
+triangles whose longest edge exceeds the local boundary spacing scaled by
+`size_factor`.
 
-Predicates use an epsilon relative to the domain diameter; cocircular or
-collinear ties count as "not inside", which keeps insertion terminating on
-symmetric inputs (all samples of one circle are cocircular).
+Orientation and point predicates use an epsilon relative to the domain
+diameter, the in-circle test one relative to the triangle it tests;
+cocircular or collinear ties count as "not inside", which keeps insertion
+terminating on symmetric inputs (all samples of one circle are cocircular).
 
 The meshes are reproducible bit for bit, and three rules fix their last
 bits, so a faster version must keep all three:
@@ -19,9 +21,12 @@ bits, so a faster version must keep all three:
   takes the triangles each insertion changed in the order they changed;
 - `locate`'s tie rule: each step crosses the edge of the first smallest
   orient, and a point within tolerance of a vertex or edge lands on it;
-- `_legalize`'s flip rule: an edge flips only when the in-circle determinant
-  exceeds `tol_in`, and the edges a flip exposes are taken last in first
-  out, an order that decides which of two cocircular diagonals survives.
+- the flip rule: `_flip` keeps the two triangles' indices and corner order
+  ((a, b, c) and (b, a, d) become (a, d, c) and (d, b, c)), and `_legalize`
+  calls it only when the in-circle determinant exceeds EPS_REL times the
+  square of the largest squared distance from the opposite vertex to the
+  triangle's corners, taking the edges a flip exposes last in first out, an
+  order that decides which of two cocircular diagonals survives.
 """
 
 import math
@@ -37,7 +42,11 @@ EPS_REL = 1e-12
 
 # Interior refinement: split while the longest edge exceeds size_factor
 # times the local boundary spacing, or while the circumradius exceeds
-# QUALITY_BOUND times the shortest edge (a 30-degree minimum-angle bound).
+# QUALITY_BOUND times the shortest edge. That bound aims at 30-degree
+# angles but does not guarantee them: a triangle whose circumcenter is
+# blocked (outside the kept region, on a vertex or on a constrained edge)
+# stays as it is, and boundary segments are never split, so angles down to
+# 23 degrees remain next to the boundary of the test border sets.
 # The defaults are calibrated against the published cubic nonlinear table
 # only: of size_factor 0.9..1.6 by 0.1, 1.1 alone puts its rows within
 # +-15%. They do not reproduce FreeFem++'s disk meshes: the big-Dirichlet
@@ -105,12 +114,11 @@ class _Triangulation:
 
     def __init__(self, scale):
         self.pts = []            # [x, y]
-        self.tris = []           # [a, b, c] CCW or None when deleted
+        self.tris = []           # [a, b, c] CCW
         self.nbr = []            # [n0, n1, n2], edge k = (v[k], v[k+1])
         self.kept = []           # classification flag per triangle
         self.constrained = set()  # {(min,max)}
         self.tol_orient = EPS_REL * scale * scale
-        self.tol_in = EPS_REL * scale ** 4
         self.tol_pt2 = (EPS_REL * scale) ** 2
         self._hint = 0
 
@@ -142,8 +150,6 @@ class _Triangulation:
         """
         tris, nbr, pts = self.tris, self.nbr, self.pts
         t = self._hint if hint is None else hint
-        if t >= len(tris) or tris[t] is None:
-            t = next(i for i, tr in enumerate(tris) if tr is not None)
         px, py = p
         neg_tol = -self.tol_orient
         for _ in range(4 * len(tris) + 16):
@@ -165,11 +171,10 @@ class _Triangulation:
 
     def _locate_brute(self, p):
         for t, vs in enumerate(self.tris):
-            if vs is not None:
-                pa, pb, pc = (self.pts[v] for v in vs)
-                o = _orient(pa, pb, p), _orient(pb, pc, p), _orient(pc, pa, p)
-                if min(o) >= -self.tol_orient:
-                    return self._classify(t, p, o)
+            pa, pb, pc = (self.pts[v] for v in vs)
+            o = _orient(pa, pb, p), _orient(pb, pc, p), _orient(pc, pa, p)
+            if min(o) >= -self.tol_orient:
+                return self._classify(t, p, o)
         raise GeometryError(f"point {p} outside the triangulation")
 
     def _classify(self, t, p, o):
@@ -273,15 +278,15 @@ class _Triangulation:
 
     def _legalize(self, t0, k0, changed):
         """Flip edge k0 of t0, and then the edges a flip exposes, while the
-        opposite vertex lies inside the circumcircle (`_incircle` > tol_in)."""
+        opposite vertex lies inside the circumcircle: `_incircle` exceeds
+        EPS_REL times the square of the largest squared distance from it to
+        the triangle's corners."""
         tris, nbr, pts = self.tris, self.nbr, self.pts
-        constrained, tol_in = self.constrained, self.tol_in
+        constrained = self.constrained
         stack = [(t0, k0)]
         while stack:
             t, k = stack.pop()
             vt = tris[t]
-            if vt is None:
-                continue
             a, b = vt[k], vt[NXT[k]]
             n = nbr[t][k]
             if n == -1 or ((a, b) if a < b else (b, a)) in constrained:
@@ -302,138 +307,111 @@ class _Triangulation:
             ad = adx * adx + ady * ady
             bd = bdx * bdx + bdy * bdy
             cd = cdx * cdx + cdy * cdy
-            if (adx * (bdy * cd - bd * cdy)
-                    - ady * (bdx * cd - bd * cdx)
-                    + ad * (bdx * cdy - bdy * cdx)) <= tol_in:
+            det = (adx * (bdy * cd - bd * cdy)
+                   - ady * (bdx * cd - bd * cdx)
+                   + ad * (bdx * cdy - bdy * cdx))
+            if det <= 0.0 or det <= EPS_REL * max(ad, bd, cd) ** 2:
                 continue
-            c = vt[PRV[k]]
-            n_bc, n_ca = nbr[t][NXT[k]], nbr[t][PRV[k]]
-            n_ad, n_db = nbr[n][NXT[kn]], nbr[n][PRV[kn]]
-            tris[t] = [a, d, c]
-            nbr[t] = [n_ad, n, n_ca]
-            tris[n] = [d, b, c]
-            nbr[n] = [n_db, n_bc, t]
-            if n_ad != -1:
-                m = nbr[n_ad]
-                m[0 if m[0] == n else 1 if m[1] == n else 2 if m[2] == n else _broken()] = t
-            if n_bc != -1:
-                m = nbr[n_bc]
-                m[0 if m[0] == t else 1 if m[1] == t else 2 if m[2] == t else _broken()] = n
+            self._flip(t, k, n, kn)
             changed.extend((t, n))
             stack.extend(((t, 0), (n, 0)))
+
+    def _flip(self, t, k, n, kn):
+        """Flip the edge (a, b), edge k of t = (a, b, c) and edge kn of
+        n = (b, a, d): t becomes (a, d, c) and n becomes (d, b, c), so the
+        new diagonal (d, c) is edge 1 of t and edge 2 of n."""
+        tris, nbr = self.tris, self.nbr
+        vt = tris[t]
+        a, b, c, d = vt[k], vt[NXT[k]], vt[PRV[k]], tris[n][PRV[kn]]
+        n_bc, n_ca = nbr[t][NXT[k]], nbr[t][PRV[k]]
+        n_ad, n_db = nbr[n][NXT[kn]], nbr[n][PRV[kn]]
+        tris[t] = [a, d, c]
+        nbr[t] = [n_ad, n, n_ca]
+        tris[n] = [d, b, c]
+        nbr[n] = [n_db, n_bc, t]
+        if n_ad != -1:
+            m = nbr[n_ad]
+            m[0 if m[0] == n else 1 if m[1] == n else 2 if m[2] == n else _broken()] = t
+        if n_bc != -1:
+            m = nbr[n_bc]
+            m[0 if m[0] == t else 1 if m[1] == t else 2 if m[2] == t else _broken()] = n
 
     # -- constrained edge recovery -------------------------------------------
 
     def live_edges(self):
-        return {self._edge_key(vs[k], vs[NXT[k]])
-                for vs in self.tris if vs is not None for k in range(3)}
+        return {self._edge_key(vs[k], vs[NXT[k]]) for vs in self.tris for k in range(3)}
 
     def recover_segment(self, a, b):
-        """Force edge (a, b) into the triangulation by cavity retriangulation."""
-        pa, pb = self.pts[a], self.pts[b]
+        """Force edge (a, b) into the triangulation by flipping the edges
+        that cross it (Sloan, Computers & Structures 47, 1993)."""
+        tris, nbr, pts, tol = self.tris, self.nbr, self.pts, self.tol_orient
+        pa, pb = pts[a], pts[b]
+
+        def side(v):    # -1 or 1: v lies right or left of a->b; 0: on its line
+            o = _orient(pa, pb, pts[v])
+            return (o > tol) - (o < -tol)
+
         # find the triangle at a whose opposite edge the segment crosses
-        start = None
-        for t, vs in enumerate(self.tris):
-            if vs is None or a not in vs:
-                continue
-            k = vs.index(a)
-            u, w = vs[(k + 1) % 3], vs[(k + 2) % 3]
-            if u == b or w == b:
-                return  # edge already present
-            o1 = _orient(pa, pb, self.pts[u])
-            o2 = _orient(pa, pb, self.pts[w])
-            if abs(o1) <= self.tol_orient or abs(o2) <= self.tol_orient:
-                continue
-            if o1 < 0 < o2:
-                start = t
-                break
-        if start is None:
+        for t, vs in enumerate(tris):
+            if a in vs:
+                k = NXT[vs.index(a)]
+                u, w = vs[k], vs[NXT[k]]
+                if u == b or w == b:
+                    return  # edge already present
+                if side(u) == -1 and side(w) == 1:
+                    break
+        else:
             raise GeometryError(
                 "cannot recover boundary segment (a sampled point lies on it?)")
-        upper = []    # vertices left of a->b, in crossing order
-        lower = []    # vertices right of a->b
-        dead = []
-        t = start
+        # walk to b; every edge crossed runs from the right of a->b to its left
+        cavity, crossing = [t], deque()
         while True:
-            vs = self.tris[t]
-            dead.append(t)
-            if b in vs:
-                break
-            exit_k = None
-            for kk in range(3):
-                u, w = vs[kk], vs[(kk + 1) % 3]
-                ou = _orient(pa, pb, self.pts[u])
-                ow = _orient(pa, pb, self.pts[w])
-                if ou < -self.tol_orient and ow > self.tol_orient:
-                    if self.nbr[t][kk] in dead:
-                        continue
-                    exit_k = kk
-                    break
-            if exit_k is None:
-                raise GeometryError("segment recovery lost its way (degenerate boundary)")
-            u, w = vs[exit_k], vs[(exit_k + 1) % 3]
+            u, w = tris[t][k], tris[t][NXT[k]]
             if self._edge_key(u, w) in self.constrained:
                 raise GeometryError("boundary segments cross each other")
-            if not lower or lower[-1] != u:
-                lower.append(u)
-            if not upper or upper[-1] != w:
-                upper.append(w)
-            t = self.nbr[t][exit_k]
+            crossing.append((u, w))
+            t = nbr[t][k]
             if t == -1:
                 raise GeometryError("segment recovery walked out of the triangulation")
-        kept = self.kept[dead[0]]
-        for t in dead:
-            self.tris[t] = None
-            self.nbr[t] = None
-            self.kept[t] = False
-        new = []
-        self._fill_cavity(upper, a, b, new)
-        self._fill_cavity(list(reversed(lower)), b, a, new)
-        for t in new:
-            self.kept[t] = kept
-        self._rebuild_adjacency()
-
-    def _fill_cavity(self, chain, a, b, new):
-        """Triangulate the cavity left of a->b whose far side is `chain`.
-
-        Classic recursive retriangulation: pick the chain vertex c whose
-        circumcircle with (a, b) is empty of the other chain vertices, emit
-        CCW triangle (a, b, c), recurse on the sub-chains.
-        """
-        if not chain:
-            return
-        ci = 0
-        if len(chain) > 1:
-            pa, pb = self.pts[a], self.pts[b]
-            for j in range(1, len(chain)):
-                if _incircle(pa, pb, self.pts[chain[ci]], self.pts[chain[j]]) > self.tol_in:
-                    ci = j
-        c = chain[ci]
-        t = len(self.tris)
-        self.tris.append([a, b, c])
-        self.nbr.append([-1, -1, -1])
-        self.kept.append(False)
-        new.append(t)
-        self._fill_cavity(chain[:ci], a, c, new)
-        self._fill_cavity(chain[ci + 1:], c, b, new)
-
-    def _rebuild_adjacency(self):
-        owner = {}
-        for t, vs in enumerate(self.tris):
-            if vs is None:
+            cavity.append(t)
+            vs = tris[t]
+            kn = vs.index(w)
+            d = vs[PRV[kn]]
+            if d == b:
+                break
+            if side(d) == 0:
+                raise GeometryError("segment recovery lost its way (degenerate boundary)")
+            k = PRV[kn] if side(d) == -1 else NXT[kn]
+        # flips never leave the cavity's triangles; a crossing edge whose
+        # quadrilateral is not strictly convex waits for the others
+        stalled = 0
+        while crossing:
+            u, w = crossing.popleft()
+            t, k = next((t, k) for t in cavity for k in range(3)
+                        if tris[t][k] == u and tris[t][NXT[k]] == w)
+            n = nbr[t][k]
+            kn = tris[n].index(w)
+            c, d = tris[t][PRV[k]], tris[n][PRV[kn]]
+            pc, pd = pts[c], pts[d]
+            if not (_orient(pc, pd, pts[u]) < -tol and _orient(pc, pd, pts[w]) > tol):
+                crossing.append((u, w))
+                stalled += 1
+                if stalled >= len(crossing):
+                    raise GeometryError("segment recovery lost its way (degenerate boundary)")
                 continue
-            self.nbr[t] = [-1, -1, -1]
-        for t, vs in enumerate(self.tris):
-            if vs is None:
-                continue
-            for k in range(3):
-                key = self._edge_key(vs[k], vs[(k + 1) % 3])
-                if key in owner:
-                    t2, k2 = owner.pop(key)
-                    self.nbr[t][k] = t2
-                    self.nbr[t2][k2] = t
-                else:
-                    owner[key] = (t, k)
+            stalled = 0
+            self._flip(t, k, n, kn)
+            if side(c) * side(d) < 0:
+                crossing.append((d, c))
+        # `_legalize` follows a flip only through the two edges opposite the
+        # third vertex (the new point, on insertion), so sweep the cavity,
+        # then the triangles each sweep flipped, until a sweep flips none
+        changed = cavity
+        while changed:
+            touched, changed = changed, []
+            for t in touched:
+                for k in range(3):
+                    self._legalize(t, k, changed)
 
 
 def _weld_key(x, y, tol):
@@ -547,28 +525,20 @@ def build_from_borders(borders, size_factor=None) -> Mesh:
             raise GeometryError("failed to insert boundary sample")
         vert_of[i] = vi
 
-    seg_labels = {}
-    for a, b, lab in segs:
-        key = tr._edge_key(vert_of[a], vert_of[b])
-        seg_labels.setdefault(key, lab)
-    tr.constrained = set(seg_labels.keys())
-    present = tr.live_edges()
+    tr.constrained = {tr._edge_key(vert_of[a], vert_of[b]) for a, b, _ in segs}
+    present = tr.live_edges()   # flips never remove a constrained edge
     for a, b, _ in segs:
         va, vb = vert_of[a], vert_of[b]
         if tr._edge_key(va, vb) not in present:
             tr.recover_segment(va, vb)
-            present = tr.live_edges()
 
     # classification by winding of barycenters over the directed loops
     seg_a = np.array([points[a] for a, _, _ in segs])
     seg_b = np.array([points[b] for _, b, _ in segs])
-    live = [t for t, vs in enumerate(tr.tris) if vs is not None]
-    corners = [[tr.pts[v] for v in tr.tris[t]] for t in live]
+    corners = [[tr.pts[v] for v in vs] for vs in tr.tris]
     bx = np.array([(a[0] + b[0] + c[0]) / 3 for a, b, c in corners])
     by = np.array([(a[1] + b[1] + c[1]) / 3 for a, b, c in corners])
-    wind = _winding_numbers(bx, by, seg_a, seg_b)
-    for t, w in zip(live, wind):
-        tr.kept[t] = w > 0
+    tr.kept = [w > 0 for w in _winding_numbers(bx, by, seg_a, seg_b)]
     if not any(tr.kept):
         raise GeometryError("no interior region (are the loops clockwise?)")
 
@@ -590,14 +560,14 @@ def build_from_borders(borders, size_factor=None) -> Mesh:
         d2 = (bpts[:, 0] - x) ** 2 + (bpts[:, 1] - y) ** 2
         return float(spacing[int(np.argmin(d2))])
 
-    queue = deque(t for t, vs in enumerate(tr.tris) if vs is not None and tr.kept[t])
+    queue = deque(t for t, k in enumerate(tr.kept) if k)
     blocked = set()
     good = set()    # points never move: a good (ordered) triple stays good
     pts, tris, kept, tol = tr.pts, tr.tris, tr.kept, tr.tol_orient
     while queue:
         t = queue.popleft()
         vs = tris[t]
-        if t in blocked or vs is None or not kept[t] or tuple(vs) in good:
+        if t in blocked or not kept[t] or tuple(vs) in good:
             continue
         a, b, c = pts[vs[0]], pts[vs[1]], pts[vs[2]]
         d = 2.0 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
@@ -614,8 +584,7 @@ def build_from_borders(borders, size_factor=None) -> Mesh:
              (c[0] - a[0]) ** 2 + (c[1] - a[1]) ** 2)
         target = s_uniform if uniform else target_at((a[0] + b[0] + c[0]) / 3,
                                                       (a[1] + b[1] + c[1]) / 3)
-        # the circumradius over the shortest edge, bounded by 1, enforces
-        # angles of 30 degrees and up
+        # the circumradius over the shortest edge, bounded by QUALITY_BOUND
         if not (math.sqrt(max(e)) > size_factor * target
                 or math.dist(cc, a) > QUALITY_BOUND * math.sqrt(min(e))):
             good.add(tuple(vs))
@@ -633,14 +602,13 @@ def build_from_borders(borders, size_factor=None) -> Mesh:
             blocked.add(t)
             continue
         queue.extend(changed)
-        if tr.tris[t] is not None:
-            queue.append(t)
+        queue.append(t)
 
-    return _extract_mesh(tr, segs, vert_of, seg_labels, borders)
+    return _extract_mesh(tr, segs, vert_of)
 
 
-def _extract_mesh(tr, segs, vert_of, seg_labels, borders):
-    kept = [vs for vs, k in zip(tr.tris, tr.kept) if vs is not None and k]
+def _extract_mesh(tr, segs, vert_of):
+    kept = [vs for vs, k in zip(tr.tris, tr.kept) if k]
     if not kept:
         raise GeometryError("empty mesh")
     used, tris = np.unique(np.array(kept, dtype=np.int64).ravel(), return_inverse=True)

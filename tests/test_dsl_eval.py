@@ -10,7 +10,7 @@ from femscript.dsl import EvalError, Interpreter, parse, run_source
 from femscript.dsl import astnodes as A
 from femscript.dsl.interp import _Bool
 from femscript.errors import (FoldOverError, InvalidArgumentError, NumericError,
-                              UnsupportedError)
+                              SolverError, UnsupportedError)
 from femscript.linalg import SparseMatrix, dot
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.edp"))
@@ -414,6 +414,15 @@ def test_solve_with_cg_matches_lu():
     r, _ = run(base.replace("solver=LU", "solver=CG"))
     u_cg = r.env.lookup("uh").dofs
     assert np.linalg.norm(u_cg - u_lu) <= 1e-8 * np.linalg.norm(u_lu)
+
+
+def test_unconverged_cg_is_an_error():
+    # CG on a nonsymmetric matrix stops at its iteration limit far from x
+    src = ("matrix A=[[1,3,0],[-3,1,3],[0,-3,1]];\nset(A,solver=CG);\n"
+           "real[int] b=[1,1,1];\nreal[int] x=A^-1*b;")
+    with pytest.raises(SolverError, match=r"^line 4: CG did not converge: relative "
+                                         r"residual 8\.72e\+01 after 30 iterations$"):
+        run(src)
 
 
 def test_factorization_reuse_with_init(monkeypatch):

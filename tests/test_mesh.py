@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from femscript.errors import (FoldOverError, GeometryError, InvalidArgumentError
                               MeshFileError)
 from femscript.mesh import (Border, Mesh, build_from_borders, build_square,
                             load_msh, move_mesh, save_msh)
-from femscript.mesh.delaunay import _incircle, _orient, _Triangulation
+from femscript.mesh.delaunay import EPS_REL, _incircle, _orient, _Triangulation
 from femscript.studies import circle_border, disk_mesh
 
 from conftest import conformity_report, delaunay_violations
@@ -208,6 +209,12 @@ def test_delaunay_property_small_meshes(circle50):
     assert delaunay_violations(sq) == 0
 
 
+def test_largest_default_disk_is_delaunay(disk_meshes):
+    """The in-circle tolerance scales with each triangle, so the near-
+    cocircular pairs of the N=256 disk's small triangles flip too."""
+    assert delaunay_violations(disk_meshes[4]) == 0
+
+
 def test_move_mesh_identity(square10):
     m = move_mesh(square10, lambda x, y: (x, y))
     assert np.array_equal(m.points, square10.points)
@@ -284,8 +291,8 @@ def test_border_count_must_be_positive():
 
 
 def test_segment_recovery_forces_missing_edge():
-    """When the Delaunay diagonal disagrees with a boundary segment, the
-    cavity retriangulation recovers it."""
+    """When the Delaunay diagonal disagrees with a boundary segment, a flip
+    recovers it."""
     tr = _Triangulation(scale=20.0)
     tr.init_super((0.0, -1.0), (20.0, 1.0))
     a, b, c, d = (tr.insert(p) for p in
@@ -301,16 +308,46 @@ def test_segment_recovery_forces_missing_edge():
             assert _orient(pa, pb, pc) > 0
 
 
-def _l_shape_borders(spacing=0.5):
-    corners = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)]
+def test_segment_recovery_flips_every_crossing_edge():
+    """A segment across a strip of random points crosses 30 or more edges,
+    whose quadrilaterals are often not convex: flipping recovers it, every
+    triangle stays counterclockwise with symmetric neighbours, and no edge
+    but the segment is left for `_legalize` to flip."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        tr = _Triangulation(scale=1.0)
+        tr.init_super((0.0, -0.5), (1.0, 0.5))
+        a, b = tr.insert((0.0, 0.0)), tr.insert((1.0, 0.0))
+        for p in zip(rng.uniform(0.02, 0.98, 40), rng.uniform(-0.05, 0.05, 40)):
+            tr.insert(p)
+        sides = [np.sign(_orient(tr.pts[a], tr.pts[b], p)) for p in tr.pts]
+        assert sum(sides[u] * sides[w] < 0 for u, w in tr.live_edges()) >= 30
+        tr.constrained.add(tr._edge_key(a, b))
+        tr.recover_segment(a, b)
+        assert tr._edge_key(a, b) in tr.live_edges()
+        assert all(_orient(*(tr.pts[v] for v in vs)) > 0 for vs in tr.tris)
+        assert all(n == -1 or t in tr.nbr[n] for t, ns in enumerate(tr.nbr) for n in ns)
+        tris = [list(vs) for vs in tr.tris]
+        _legalize_sweep(tr)
+        assert tr.tris == tris
+
+
+def _polygon_borders(corners, counts):
+    """One straight border per side, labeled 1, 2, ... in order."""
     borders = []
-    for k in range(6):
+    for k, n in enumerate(counts):
         a = np.array(corners[k], dtype=float)
-        b = np.array(corners[(k + 1) % 6], dtype=float)
-        n = max(1, int(round(np.hypot(*(b - a)) / spacing)))
+        b = np.array(corners[(k + 1) % len(corners)], dtype=float)
         borders.append(Border(lambda t, a=a, b=b: tuple(a + t * (b - a)),
                               0.0, 1.0, n, k + 1))
     return borders
+
+
+def _l_shape_borders(spacing=0.5):
+    corners = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)]
+    counts = [max(1, int(round(np.hypot(*np.subtract(corners[(k + 1) % 6], corners[k]))
+                                / spacing))) for k in range(6)]
+    return _polygon_borders(corners, counts)
 
 
 def test_l_shape_reflex_corner():
@@ -325,6 +362,32 @@ def test_l_shape_reflex_corner():
     # no triangle escapes into the notch
     bc = m.barycenters()
     assert not ((bc[:, 0] > 1) & (bc[:, 1] > 1)).any()
+
+
+def test_coarse_l_shapes_recover_their_segments(monkeypatch):
+    """Coarse L-shapes whose Delaunay triangulation misses boundary segments
+    mesh conformingly, every segment and label kept, through
+    `recover_segment`."""
+    recover, calls = _Triangulation.recover_segment, []
+    monkeypatch.setattr(_Triangulation, "recover_segment",
+                        lambda tr, a, b: calls.append((a, b)) or recover(tr, a, b))
+    rng = random.Random(1)
+    recovered = 0
+    for _ in range(200):
+        w = rng.uniform(0.25, 1.0)
+        corners = [(0, 0), (4, 0), (4, w), (w, w), (w, 4), (0, 4)]
+        counts = [rng.randint(1, 3) for _ in corners]
+        calls.clear()
+        m = build_from_borders(_polygon_borders(corners, counts))
+        recovered += bool(calls)
+        nonmanifold, unlabeled_hull, labeled_counts = conformity_report(m)
+        assert not nonmanifold and not unlabeled_hull
+        assert all(c == 1 for c in labeled_counts.values())
+        assert abs(m.total_area() - (16 - (4 - w) ** 2)) <= 1e-9
+        assert (m.signed_areas() > 0).all()
+        assert m.ne == sum(counts)
+        assert sorted(set(m.edge_label.tolist())) == [1, 2, 3, 4, 5, 6]
+    assert recovered >= 50, recovered
 
 
 # -- adjacency and the structured square against loop references ----------------
@@ -431,7 +494,7 @@ GOLDEN_DISKS = {
     32: "bbd65c0c21c238931624123b169dff7f24a89dd72c2cb777ba204f4a3e9a979d",
     64: "9ff7e706ece50ec5189772c01b9a6c73faa2c90271043776040075896dbbbe63",
     128: "c23125b44455b6d6fed12dbb9aec63284b56efc24a3ea00ddd5321a56ee53992",
-    256: "625f01c32271ff0ad1c2b56f466a8f58933b45130a454c1d758e620262ffa7a4",
+    256: "e0c7194a5c5925cc4ad0d9543f77fd890ec83a1ff2ee93f4099ec3d7e87046af",
 }
 
 GOLDEN_BORDER_SETS = {
@@ -535,28 +598,32 @@ def _locate_reference(tr, p, t):
 
 def _legalize_sweep(tr):
     """`_legalize` on every edge, checking that it flips exactly where the
-    opposite vertex is inside by more than tol_in; returns the determinants."""
+    in-circle determinant exceeds EPS_REL times the square of the largest
+    squared distance from the opposite vertex to the triangle's corners;
+    returns each edge's determinant and that threshold."""
     dets = []
     for t in range(len(tr.tris)):
         for k in range(3):
             vs, n = tr.tris[t], tr.nbr[t][k]
-            if vs is None or n == -1:
+            if n == -1:
                 continue
             a, b = vs[k], vs[(k + 1) % 3]
-            d = next(v for v in tr.tris[n] if v not in (a, b))
-            det = _incircle(*(tr.pts[v] for v in vs), tr.pts[d])
+            pd = tr.pts[next(v for v in tr.tris[n] if v not in (a, b))]
+            det = _incircle(*(tr.pts[v] for v in vs), pd)
+            tol = EPS_REL * max(math.dist(tr.pts[v], pd) ** 2 for v in vs) ** 2
             flips = []
             tr._legalize(t, k, flips)
-            assert bool(flips) == (det > tr.tol_in and tr._edge_key(a, b) not in tr.constrained)
-            dets.append(det)
+            assert bool(flips) == (det > tol and tr._edge_key(a, b) not in tr.constrained)
+            dets.append((det, tol))
     return dets
 
 
 @pytest.mark.parametrize("kind", ["lattice", "circle", "collinear"])
 def test_inlined_predicates_keep_their_ties(kind):
     """On cocircular and collinear input, `_legalize` flips an edge exactly
-    where `_incircle` exceeds tol_in, and `locate` crosses the first smallest
-    orient, as `min(range(3), key=...)` picks it."""
+    where `_incircle` exceeds its threshold relative to the triangle's size,
+    and `locate` crosses the first smallest orient, as `min(range(3),
+    key=...)` picks it."""
     pts = _tie_inputs(kind)
     tr = _Triangulation(scale=1.0)
     tr.init_super((0.0, 0.0), (1.0, 1.0))
@@ -575,15 +642,19 @@ def test_inlined_predicates_keep_their_ties(kind):
     assert ties > 0
 
     # cocircular neighbours: ties that must not flip
-    assert any(abs(det) <= tr.tol_in for det in _legalize_sweep(tr))
-    # moved vertices and some constrained edges: flips, and edges that must not
+    assert any(abs(det) <= tol for det, tol in _legalize_sweep(tr))
+    # nudged vertices: determinants far below EPS_REL * scale**4 still flip
     rng = np.random.default_rng(5)
+    for a in range(tr.n_super, len(tr.pts), 3):
+        tr.pts[a] = [x + 1e-11 * rng.standard_normal() for x in tr.pts[a]]
+    assert any(tol < det <= EPS_REL for det, tol in _legalize_sweep(tr))
+    # moved vertices and some constrained edges: flips, and edges that must not
     for a in range(tr.n_super, len(tr.pts), 3):
         old = tr.pts[a]
         tr.pts[a] = [old[0] + 0.03 * rng.standard_normal(), old[1] + 0.03 * rng.standard_normal()]
         if any(a in vs and _orient(*(tr.pts[v] for v in vs)) <= tr.tol_orient
-               for vs in tr.tris if vs is not None):
+               for vs in tr.tris):
             tr.pts[a] = old
     tr.constrained = {tr._edge_key(a, b) for a, b in sorted(tr.live_edges())[::5]}
     dets = _legalize_sweep(tr) + _legalize_sweep(tr)
-    assert any(det > tr.tol_in for det in dets)
+    assert any(det > tol for det, tol in dets)
