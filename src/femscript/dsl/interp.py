@@ -5,16 +5,15 @@ dense matrices), kernel objects (Mesh, FeSpace, FeFunction, SparseMatrix,
 Field, FormExpr), and one small type per language concept that has no kernel
 counterpart: `Stream` (cout, cin, cerr and files), `Transposed` (v' of an
 array or of a bracket list), `BorderValue` and `BorderSum` (buildmesh's
-argument; `C(n)` is a sum of one run), plus functions, varfs and problems.
-Variational integrands evaluate in a "field" environment where x and y are
-coordinate fields; an FE function is a field and the unknown and test
-function are forms, so one evaluator serves plain arithmetic, analytic
-functions, and form assembly alike.  The term algebra of
-`varf`/`problem`/`solve` bodies yields the kernel's own types: an integral
-becomes a `forms.FormTerm` and an `on()` clause a `forms.DirichletBC`,
-collected in a `Terms` value that assembly consumes as is.  A varf or problem
-evaluates its body once and reuses the terms while every name the body read is
-unchanged (`Interpreter._eval_form`).
+argument; `C(n)` is a sum of one run), plus functions and `FormValue` (a varf,
+problem or solve).  Variational integrands evaluate in a "field" environment
+where x and y are coordinate fields; an FE function is a field and the unknown
+and test function are forms, so one evaluator serves plain arithmetic,
+analytic functions, and form assembly alike.  A form body's term algebra
+collects an integral as a `forms.FormTerm` and an `on()` clause as a
+`forms.DirichletBC` in a `Terms` value, which `Interpreter._eval_form` turns
+into one `forms.VarForm`; both assembly routines take that as is.  The VarForm
+is kept while every name the body read is unchanged.
 
 Operators hand fields, forms, `Terms`, numbers and arrays to their own
 arithmetic (Python's operators); `binary_op` keeps only the rules that are the
@@ -177,7 +176,8 @@ class BorderSum:
 
 
 @dataclass
-class VarfValue:
+class FormValue:
+    kind: str              # varf | problem | solve
     name: str
     unknown: str
     test: str
@@ -185,19 +185,7 @@ class VarfValue:
     body: object
     env: Env
     memo: object = None    # see Interpreter._eval_form
-
-
-class ProblemValue:
-    def __init__(self, kind, name, unknown, test, named, body, env):
-        self.kind = kind
-        self.name = name
-        self.unknown = unknown
-        self.test = test
-        self.named = named
-        self.body = body
-        self.env = env
-        self.cache = None      # (mesh, matrix); the matrix caches its LU
-        self.memo = None       # see Interpreter._eval_form
+    cache: object = None   # a problem's (mesh, matrix); the matrix caches its LU
 
 
 class Stream:
@@ -463,13 +451,19 @@ class Transposed:
 _KINDS = ((_Bool, "a bool"), (int, "an int"), (float, "a real"), (complex, "a complex"),
           (str, "a string"), (Mesh, "a mesh"), (SparseMatrix, "a matrix"),
           (FeSpace, "an fespace"), (FeFunction, "an FE function"), (Stream, "a stream"),
-          (BorderSum, "a border"), (ProblemValue, "a problem"),
-          (Transposed, "a transposed vector"), (Builtin, "a builtin function"))
+          (BorderSum, "a border"), (BorderValue, "a border"), (Integrator, "an integral"),
+          (TriangleProxy, "a triangle"), (VertexProxy, "a vertex"),
+          (list, "a bracket vector"), (Transposed, "a transposed vector"),
+          (SolveProxy, "an inverse matrix"), (Builtin, "a builtin function"))
 
 
 def _kind(v):
     if v is None:       # a mesh or matrix declared without a value
         return "an unset mesh or matrix"
+    if v is ENDL:
+        return "endl"
+    if isinstance(v, FormValue):
+        return "a varf" if v.kind == "varf" else "a problem"
     if isinstance(v, np.ndarray):
         return _a(_spelling(_elem_type(v), v.ndim))
     return next((name for t, name in _KINDS if isinstance(v, t)), f"a {type(v).__name__}")
@@ -477,7 +471,8 @@ def _kind(v):
 
 def _describe(v):
     """What a value with no number or text form is, in the script's terms."""
-    if isinstance(v, FuncValue) and not v.analytic or isinstance(v, VarfValue):
+    if isinstance(v, FuncValue) and not v.analytic or \
+            isinstance(v, FormValue) and v.kind == "varf":
         return f"the {'func' if isinstance(v, FuncValue) else 'varf'} {v.name!r}"
     if isinstance(v, SYMBOLIC):
         return ("a function of x, y, which needs a point, as in mu(0.5,0.5), "
@@ -772,7 +767,7 @@ class Interpreter:
 
     def _st_ExprStmt(self, stmt, env):
         value = self.eval(stmt.expr, env)
-        if isinstance(value, ProblemValue):
+        if isinstance(value, FormValue) and value.kind != "varf":
             self.solve_problem(value)
 
     def _st_LoadStmt(self, stmt, env):
@@ -869,12 +864,12 @@ class Interpreter:
                                           stmt.body, env), "border")
 
     def _st_VarfDef(self, stmt, env):
-        env.define(stmt.name, VarfValue(stmt.name, stmt.unknown, stmt.test,
+        env.define(stmt.name, FormValue("varf", stmt.name, stmt.unknown, stmt.test,
                                         stmt.named, stmt.body, env), "varf")
 
     def _st_ProblemDef(self, stmt, env):
-        value = ProblemValue(stmt.kind, stmt.name, stmt.unknown, stmt.test,
-                             stmt.named, stmt.body, env)
+        value = FormValue(stmt.kind, stmt.name, stmt.unknown, stmt.test,
+                          stmt.named, stmt.body, env)
         env.define(stmt.name, value, "problem")
         if stmt.kind == "solve":
             # run again (in a loop), the statement is one problem: init=k keeps
@@ -1136,12 +1131,12 @@ class Interpreter:
         if isinstance(callee, FeSpace):
             if len(args) != 2:
                 raise EvalError("space numbering needs (triangle, local)")
-            return callee.dof_of(int(args[0]), int(args[1]))
+            return callee.dof_of(*_checked_index((callee.mesh.nt, callee.nlocal), args))
         if isinstance(callee, BorderValue):
             if len(args) != 1:
                 raise EvalError("border run needs a point count")
             return BorderSum([(callee, int(args[0]))])
-        if isinstance(callee, VarfValue):
+        if isinstance(callee, FormValue) and callee.kind == "varf":
             return self._assemble_varf(callee, args, named)
         if isinstance(callee, np.ndarray) and len(args) in (1, 2):
             return _simplify(callee[_checked_index(callee.shape, args)])
@@ -1271,9 +1266,9 @@ class Interpreter:
             return Terms(bilinear=term, meshes=[integ.mesh])
         return Terms(linear=term, meshes=[integ.mesh])
 
-    def _eval_form(self, form, space):
-        """(bilinear, linear, dirichlet) of the varf or problem `form` over
-        `space`; a problem's linear terms are negated, as its right-hand side.
+    def _eval_form(self, form: FormValue, space):
+        """The `F.VarForm` of the varf or problem `form` over `space`; a
+        problem's linear terms are negated, as its right-hand side.
         Memoized on `form`: the evaluation records each (scope, name) it reads
         once, with its value, and a call over the same space reuses the result
         while each re-reads the same value (`_same`).  FE functions enter the
@@ -1300,30 +1295,28 @@ class Interpreter:
                                     f"{form.unknown!r}")
             if any(mesh is not space.mesh for mesh in terms.meshes):
                 raise EvalError("an integral runs over a mesh other than the unknown's")
-            linear = terms.linear
-            if isinstance(form, ProblemValue):
-                linear = [F.FormTerm(t.kind, -t.expr, t.labels, t.quad) for t in linear]
-            result = terms.bilinear, linear, [bc for _, bc in terms.dirichlet]
+            linear = terms.linear if form.kind == "varf" else \
+                [F.FormTerm(t.kind, -t.expr, t.labels, t.quad) for t in terms.linear]
+            result = F.VarForm(terms.bilinear, linear, [bc for _, bc in terms.dirichlet])
             form.memo = (space, self._reads, result) if self._pure else None
             return result
         finally:
             self._reads, self._pure = outer, False
 
-    def _assemble_varf(self, varf: VarfValue, args, named):
+    def _assemble_varf(self, varf: FormValue, args, named):
         if len(args) != 2 or not isinstance(args[1], FeSpace) or \
                 not (isinstance(args[0], FeSpace) or _is_number(args[0])):
             raise EvalError("assemble a varf as name(Vh,Vh) or name(0,Vh)")
-        bilinear, linear, dirichlet = self._eval_form(varf, args[1])
+        form = self._eval_form(varf, args[1])
         tgv = float(named.get("tgv", F.DEFAULT_TGV))
-        if isinstance(args[0], FeSpace):
-            form = F.VarForm(bilinear_terms=bilinear, dirichlet=dirichlet)
+        matrix = isinstance(args[0], FeSpace)
+        if not (form.bilinear_terms if matrix else form.linear_terms) and not form.dirichlet:
+            raise EvalError(f"varf has no {'bilinear' if matrix else 'linear'} part to assemble")
+        if matrix:
             return F.assemble_bilinear(form, args[0], args[1], tgv=tgv)
-        if not linear and not dirichlet:
-            raise EvalError("varf has no linear part to assemble")
-        form = F.VarForm(linear_terms=linear, dirichlet=dirichlet)
         return F.assemble_linear(form, args[1], tgv=tgv)
 
-    def solve_problem(self, prob: ProblemValue):
+    def solve_problem(self, prob: FormValue):
         env = prob.env
         unknown = env.lookup(prob.unknown)
         test = env.lookup(prob.test)
@@ -1336,23 +1329,15 @@ class Interpreter:
             if key not in ("init", "solver", "tgv", "eps", "cmm"):
                 self._log(1, f"{prob.kind} {prob.name}: ignoring named parameter {key!r}")
         tgv = float(named.get("tgv", F.DEFAULT_TGV))
-
-        reuse = (self._truthy(init) and prob.cache is not None
-                 and prob.cache[0] is unknown.space.mesh)
-        bilinear, rhs_terms, dirichlet = self._eval_form(prob, unknown.space)
-        b = F.assemble_linear(F.VarForm(linear_terms=rhs_terms, dirichlet=dirichlet),
-                              test.space, tgv=tgv) if (rhs_terms or dirichlet) \
-            else np.zeros(test.space.ndof)
-
-        if reuse:
-            A = prob.cache[1]
-        else:
-            if not bilinear:
-                raise EvalError(f"problem {prob.name!r} has no bilinear part")
-            a_form = F.VarForm(bilinear_terms=bilinear, dirichlet=dirichlet)
-            A = F.assemble_bilinear(a_form, unknown.space, test.space, tgv=tgv)
-            prob.cache = (unknown.space.mesh, A)
-        unknown.dofs[:] = self._solve_matrix(A, b, solver)
+        mesh = unknown.space.mesh
+        reuse = self._truthy(init) and prob.cache is not None and prob.cache[0] is mesh
+        form = self._eval_form(prob, unknown.space)
+        if not form.bilinear_terms:
+            raise EvalError(f"problem {prob.name!r} has no bilinear part")
+        b = F.assemble_linear(form, test.space, tgv=tgv)
+        if not reuse:
+            prob.cache = mesh, F.assemble_bilinear(form, unknown.space, test.space, tgv=tgv)
+        unknown.dofs[:] = self._solve_matrix(prob.cache[1], b, solver)
 
     # -- operator dispatch ------------------------------------------------------------
 

@@ -29,13 +29,13 @@ class FeSpace:
         self.mesh = mesh
         self.elem = elem
         self.ndof = mesh.nv if elem == "P1" else mesh.nt
+        self.nlocal = 3 if elem == "P1" else 1      # DOFs per triangle
 
     def dof_of(self, t: int, local: int) -> int:
-        if self.elem == "P1":
-            return int(self.mesh.tri[t, local])
-        if local != 0:
-            raise InvalidArgumentError("P0 has a single local DOF per triangle")
-        return t
+        if not (0 <= t < self.mesh.nt and 0 <= local < self.nlocal):
+            raise InvalidArgumentError(f"DOF index {t}, {local} out of range for size "
+                                       f"{self.mesh.nt}x{self.nlocal}")
+        return int(self.mesh.tri[t, local]) if self.elem == "P1" else t
 
     def function(self, values=None) -> "FeFunction":
         u = FeFunction(self)

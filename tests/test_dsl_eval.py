@@ -153,12 +153,29 @@ POINT_OR_INTEGRAL = r"a function of x, y, which needs a point, as in mu\(0\.5,0\
     ("mesh Th=square(2,2); fespace Vh(Th,P1); Vh u;\nu=1i;",
      "cannot assign a complex to an FE function$"),
     ("mesh Th=square(2,2);\nreal a=int2d(Th)(Th);", "cannot use a mesh as a field$"),
+    ("mesh Th=square(2,2);\nreal b=int2d(Th)+1;",
+     r"operator '\+' undefined for an integral and an int$"),
+    ("mesh Th=square(2,2);\nreal b=Th[0]+1;",
+     r"operator '\+' undefined for a triangle and an int$"),
+    ("mesh Th=square(2,2);\nreal b=Th[0][1]+1;",
+     r"operator '\+' undefined for a vertex and an int$"),
+    ("real b;\nb=endl+1;", r"operator '\+' undefined for endl and an int$"),
+    ("mesh Th=square(2,2); fespace Vh(Th,P1); Vh u;\nreal b=[dx(u),dy(u)]+1;",
+     r"operator '\+' undefined for a bracket vector and an int$"),
+    ("mesh Th=square(2,2); fespace Vh(Th,P1); varf a(u,v)=int2d(Th)(u*v);\nreal b=a+1;",
+     r"operator '\+' undefined for a varf and an int$"),
+    ("border C(t=0,1){x=t;y=t;}\nreal b=C+1;",
+     r"operator '\+' undefined for a border and an int$"),
+    ("mesh Th=square(2,2);\ncout << Th[0];", "cannot write a triangle$"),
+    ("matrix A=[[2,0],[0,2]];\ncout << A^-1;", "cannot write an inverse matrix$"),
 ], ids=["write-func", "write-real-func", "write-varf", "init-real", "init-int", "assign-real",
         "assign-complex", "call-real", "assign-element", "assign-element-complex",
         "assign-call-element", "init-bool", "write-unset-matrix", "mesh-plus-int",
         "int-times-fespace", "call-a-real", "index-a-real", "negate-string",
         "transpose-string", "member-of-mesh", "string-to-fe", "complex-to-fe",
-        "mesh-as-field"])
+        "mesh-as-field", "integral-plus-int", "triangle-plus-int", "vertex-plus-int",
+        "endl-plus-int", "bracket-plus-int", "varf-plus-int", "border-plus-int",
+        "write-triangle", "write-inverse"])
 def test_internal_values_do_not_reach_the_script(src, message):
     with pytest.raises(EvalError, match="^line 2: " + message) as err:
         run(src)
@@ -606,7 +623,7 @@ def test_a_time_dependent_source_is_rebuilt_and_the_old_tree_freed():
     try:
         interp.run(TIME_SOURCE.format(source="f") + TIME_STEP)
         for _ in range(3):
-            (term,) = interp.env.lookup("heat").memo[2][1]
+            (term,) = interp.env.lookup("heat").memo[2].linear_terms
             tree = weakref.ref(term.expr.terms[None, "val"])
             del term
             interp.run(TIME_STEP)
@@ -808,6 +825,11 @@ def test_builtin_missing_argument_gives_the_line(call):
     ("real a = A[1, 7];", "index 1, 7 out of range for size 2x2"),
     ("real a = Th[8][0].x;", "index 8 out of range for size 8"),
     ("real a = Th[0][3].x;", "index 3 out of range for size 3"),
+    ("fespace Vh(Th,P1); int k = Vh(0,3);", "index 0, 3 out of range for size 8x3"),
+    ("fespace Vh(Th,P1); int k = Vh(100,0);", "index 100, 0 out of range for size 8x3"),
+    ("fespace Vh(Th,P1); int k = Vh(-1,0);", "index -1, 0 out of range for size 8x3"),
+    ("fespace Vh(Th,P0); int k = Vh(-1,0);", "index -1, 0 out of range for size 8x1"),
+    ("fespace Vh(Th,P0); int k = Vh(1,1);", "index 1, 1 out of range for size 8x1"),
 ])
 def test_index_out_of_range_gives_the_line(stmt, message):
     src = f"real[int] v(2);\nreal[int,int] A(2,2);\nmesh Th=square(2,2);\n{stmt}"

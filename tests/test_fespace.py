@@ -35,6 +35,13 @@ def test_dof_numbering_contract(square10):
         V0.dof_of(7, 1)
 
 
+@pytest.mark.parametrize("elem, t, k", [("P1", 0, 3), ("P1", 200, 0), ("P1", -1, 0),
+                                        ("P1", 0, -1), ("P0", 200, 0), ("P0", -1, 0)])
+def test_dof_of_rejects_an_index_out_of_range(square10, elem, t, k):
+    with pytest.raises(InvalidArgumentError, match="out of range"):
+        FeSpace(square10, elem).dof_of(t, k)
+
+
 def test_interpolate_constant(square10):
     V = FeSpace(square10, "P1")
     u = interpolate(V, lambda x, y: np.ones_like(x))

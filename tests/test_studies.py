@@ -177,6 +177,43 @@ def test_step_count_is_ceil(theta):
     assert res.t_final >= cfg.T
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_folded_theta_scheme_matches_the_per_step_right_hand_side(theta):
+    """run_heat_single folds the explicit part into one matrix and the source
+    into one load vector; a step built term by term from the assembled
+    matrices gives the same iterates."""
+    cfg = ThetaSchemeConfig(theta=theta, N=8, T=0.02)
+    dt, mu = cfg.dt, cfg.mu
+    mesh = build_square(8, 8)
+    Vh = FeSpace(mesh, "P1")
+    u, v = TrialFunction(), TestFunction()
+    M = assemble_bilinear(
+        VarForm(bilinear_terms=[FormTerm("int2d", u * v, quad="lumped")]), Vh, Vh)
+    S = assemble_bilinear(
+        VarForm(bilinear_terms=[FormTerm("int2d", dx(u) * dx(v) + dy(u) * dy(v))]), Vh, Vh)
+    Md = M.diagonal()
+    pinned = dirichlet_dofs(Vh, {1, 2, 3, 4})
+    A = M.scale(1 / dt) + S.scale(theta * mu) if theta > 0 else M.scale(1 / dt)
+    lu = factorize(A.with_diagonal(pinned, 1e30))
+    x, y = mesh.points.T
+
+    def f(t):
+        return (np.sin(np.pi * x) * np.sin(np.pi * y) * np.exp(np.sin(t))
+                * (np.cos(t) + 2 * mu * np.pi ** 2))
+
+    un = interpolate(Vh, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)).dofs
+    t = 0.0
+    for _ in range(math.ceil(cfg.T / dt)):
+        src = theta * f(t + dt) + (1 - theta) * f(t)
+        b = Md * un / dt - (1 - theta) * mu * (S @ un) + Md * src
+        b[pinned] = 0.0
+        un = lu.solve(b)
+        t += dt
+    res = run_heat_single(cfg)
+    assert np.abs(res.u.dofs - un).max() <= 1e-12 * np.abs(un).max()
+    assert res.n_steps == math.ceil(cfg.T / dt) and res.t_final == t
+
+
 def test_heat_implicit_stable_with_large_mu():
     res = run_heat_single(ThetaSchemeConfig(theta=1.0, mu=50.0, N=16))
     assert np.abs(res.u.dofs).max() <= math.e * 1.0 + 10.0

@@ -13,6 +13,10 @@ compare   for each workload in both files: whether the pickled outputs are
           joined by "/") with the largest relative deviation over its float
           and array leaves (|a - b| / |b| for a number, max|a - b| / max|b|
           for an array), so that iteration counts do not mask table rows.
+          The last line names the largest deviation, its workload and key,
+          and whether it is within the unchanged-rows bound (1e-8 relative,
+          ROADMAP's standing note).  Exits 1 when a workload is missing from
+          either file or the bound is exceeded.
 
 To check a change against its parent, dump both checkouts with this script,
 one with --root pointing at a copy of the parent, and compare the files.
@@ -35,6 +39,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
+# A change not meant to alter the discrete solution moves no output by more.
+UNCHANGED_BOUND = 1e-8
 
 
 def load_workloads(root):
@@ -101,18 +107,28 @@ def key_deviations(a, b, path=""):
 
 
 def compare(path_a, path_b):
+    """Print the comparison and its verdict; return the exit status."""
     with open(path_a, "rb") as f:
         a = pickle.load(f)
     with open(path_b, "rb") as f:
         b = pickle.load(f)
-    for name in b:
-        if name not in a:
-            print(f"{name}: missing from {path_a}")
+    missing, devs = False, []
+    for name in list(b) + [n for n in a if n not in b]:
+        if name not in a or name not in b:
+            print(f"{name}: missing from {path_a if name not in a else path_b}")
+            missing = True
             continue
         same = pickle.dumps(a[name]) == pickle.dumps(b[name])
         print(f"{name}: bytes {'equal' if same else 'differ'}")
         for key, dev in key_deviations(a[name], b[name]):
             print(f"  {key or '(outputs)'}: max relative deviation {dev:.3g}")
+            devs.append((math.inf if math.isnan(dev) else dev, f"{name}/{key}".rstrip("/")))
+    dev, where = max(devs, key=lambda d: d[0], default=(0.0, "no workload"))
+    within = dev <= UNCHANGED_BOUND
+    print(f"largest deviation {dev:.3g} at {where}: "
+          f"{'within' if within else 'exceeds'} the unchanged-rows bound of "
+          f"{UNCHANGED_BOUND:g} relative" + ("; a workload is missing" if missing else ""))
+    return 0 if within and not missing else 1
 
 
 def main(argv=None):
@@ -129,7 +145,7 @@ def main(argv=None):
     if args.cmd == "dump":
         dump(args.root.resolve(), args.out, args.workloads)
     else:
-        compare(args.a, args.b)
+        sys.exit(compare(args.a, args.b))
 
 
 if __name__ == "__main__":
