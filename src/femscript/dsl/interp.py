@@ -64,11 +64,7 @@ from .parser import Parser
 
 
 class EvalError(FemError):
-    def __init__(self, message, line=None):
-        if line:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    line = None         # set by `_locate`
 
 
 def _in_words(exc):
@@ -235,7 +231,8 @@ class Integrator:
 class Terms:
     """The integrals and on() clauses of a variational form: bilinear and
     linear `F.FormTerm`s, each in source order, `(unknown name,
-    F.DirichletBC)` pairs, and the mesh of each integral."""
+    F.DirichletBC)` pairs, and the mesh of each integral.  `_symbolic_op`
+    lets them only add, subtract and scale by a real number."""
 
     def __init__(self, bilinear=(), linear=(), dirichlet=(), meshes=()):
         self.bilinear = list(bilinear)
@@ -244,20 +241,18 @@ class Terms:
         self.meshes = list(meshes)
 
     def __add__(self, other):
-        if not isinstance(other, Terms):
-            return NotImplemented
         return Terms(self.bilinear + other.bilinear, self.linear + other.linear,
                      self.dirichlet + other.dirichlet, self.meshes + other.meshes)
 
     def __sub__(self, other):
-        return self + -other if isinstance(other, Terms) else NotImplemented
+        return self + -other
 
     def __neg__(self):
         return self.map(lambda e: -e, "negate")
 
     def __mul__(self, c):
         """A number scales every integrand."""
-        return self.map(lambda e: c * e, "scale") if _is_number(c) else NotImplemented
+        return self.map(lambda e: c * e, "scale")
 
     __rmul__ = __mul__
 
@@ -454,7 +449,9 @@ _KINDS = ((_Bool, "a bool"), (int, "an int"), (float, "a real"), (complex, "a co
           (BorderSum, "a border"), (BorderValue, "a border"), (Integrator, "an integral"),
           (TriangleProxy, "a triangle"), (VertexProxy, "a vertex"),
           (list, "a bracket vector"), (Transposed, "a transposed vector"),
-          (SolveProxy, "an inverse matrix"), (Builtin, "a builtin function"))
+          (SolveProxy, "an inverse matrix"), (Builtin, "a builtin function"),
+          (Terms, "an integral term"), (F.FormExpr, "a form expression"),
+          (Field, "a function of x, y"), (FuncValue, "a func"))
 
 
 def _kind(v):
@@ -474,7 +471,7 @@ def _describe(v):
     if isinstance(v, FuncValue) and not v.analytic or \
             isinstance(v, FormValue) and v.kind == "varf":
         return f"the {'func' if isinstance(v, FuncValue) else 'varf'} {v.name!r}"
-    if isinstance(v, SYMBOLIC):
+    if isinstance(v, (Field, F.FormExpr, FuncValue)):
         return ("a function of x, y, which needs a point, as in mu(0.5,0.5), "
                 "or an integral")
     return _kind(v)
@@ -1127,7 +1124,7 @@ class Interpreter:
         if isinstance(callee, FeFunction):
             if len(args) != 2:
                 raise EvalError("FE function evaluation needs (x, y)")
-            return callee(float(args[0]), float(args[1]))
+            return callee(_scalar("real", "x", args[0]), _scalar("real", "y", args[1]))
         if isinstance(callee, FeSpace):
             if len(args) != 2:
                 raise EvalError("space numbering needs (triangle, local)")
@@ -1383,6 +1380,10 @@ class Interpreter:
         arithmetic.  Any other operand but a real number becomes a field first
         (a complex one raises UnsupportedError); comparisons and logic give
         0/1 indicator fields."""
+        if (isinstance(a, Terms) or isinstance(b, Terms)) and not (
+                op in ("+", "-") and isinstance(a, Terms) and isinstance(b, Terms)
+                or op == "*" and (_is_number(a) or _is_number(b))):
+            raise _undefined(op, a, b)
         if not isinstance(a, ARITHMETIC):
             a = self._as_field(a)
         if not isinstance(b, ARITHMETIC):

@@ -2,7 +2,7 @@
 
 A mesh is immutable once built: vertex coordinates, triangle connectivity
 and labeled boundary edges live in read-only numpy arrays, and derived
-geometry (areas, basis gradients, adjacency) is cached lazily.
+geometry (areas, basis gradients, edge-to-triangle lookup) is cached lazily.
 """
 
 import numpy as np
@@ -116,25 +116,6 @@ class Mesh:
         keys = (np.minimum(a, b) * self.nv + np.maximum(a, b)).ravel()
         order = np.argsort(keys, kind="stable")
         return keys[order], order
-
-    def neighbors(self):
-        """Triangle adjacency: neighbors()[t, k] faces edge (v[k], v[k+1]), -1 on the hull.
-
-        Copies of one edge pair up two by two in (t, k) order, so a
-        non-conforming edge shared by more than two triangles gets the same
-        partners as a scan that pairs each copy with the previous unpaired one.
-        """
-        def build():
-            keys, order = self._edge_table()
-            n = len(keys)
-            start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-            rank = np.arange(n) - np.repeat(start, np.diff(np.r_[start, n]))
-            first = np.flatnonzero((rank % 2 == 0)[:-1] & (keys[1:] == keys[:-1]))
-            nbr = np.full(3 * self.nt, -1, dtype=np.int64)
-            nbr[order[first]] = order[first + 1] // 3
-            nbr[order[first + 1]] = order[first] // 3
-            return nbr.reshape(self.nt, 3)
-        return self._cached("neighbors", build)
 
     def edge_triangle(self):
         """For each labeled edge, the lowest-index incident triangle (-1 if

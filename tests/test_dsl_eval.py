@@ -118,6 +118,8 @@ def test_analytic_function_called_at_a_point():
     assert err.value.line == 2
 
 
+VARF = "mesh Th=square(2,2); fespace Vh(Th,P1);\nvarf a(u,v)="
+MATRIX = " matrix A=a(Vh,Vh);"
 POINT_OR_INTEGRAL = r"a function of x, y, which needs a point, as in mu\(0\.5,0\.5\), or an integral$"
 
 
@@ -168,6 +170,17 @@ POINT_OR_INTEGRAL = r"a function of x, y, which needs a point, as in mu\(0\.5,0\
      r"operator '\+' undefined for a border and an int$"),
     ("mesh Th=square(2,2);\ncout << Th[0];", "cannot write a triangle$"),
     ("matrix A=[[2,0],[0,2]];\ncout << A^-1;", "cannot write an inverse matrix$"),
+    (VARF + "int2d(Th)(u*v)*int2d(Th)(u*v);" + MATRIX,
+     r"operator '\*' undefined for an integral term and an integral term$"),
+    (VARF + "int2d(Th)(u*v)/int2d(Th)(u*v);" + MATRIX,
+     r"operator '/' undefined for an integral term and an integral term$"),
+    (VARF + "int2d(Th)(u*v)^2;" + MATRIX, r"operator '\^' undefined for an integral term and an int$"),
+    (VARF + "int2d(Th)(u*v)+1;" + MATRIX, r"operator '\+' undefined for an integral term and an int$"),
+    (VARF + "int2d(Th)(u*v)+u;" + MATRIX,
+     r"operator '\+' undefined for an integral term and a form expression$"),
+    (VARF + "u+int2d(Th)(u*v);" + MATRIX,
+     r"operator '\+' undefined for a form expression and an integral term$"),
+    (VARF + "int2d(Th)(u*v)<1;" + MATRIX, r"operator '<' undefined for an integral term and an int$"),
 ], ids=["write-func", "write-real-func", "write-varf", "init-real", "init-int", "assign-real",
         "assign-complex", "call-real", "assign-element", "assign-element-complex",
         "assign-call-element", "init-bool", "write-unset-matrix", "mesh-plus-int",
@@ -175,11 +188,25 @@ POINT_OR_INTEGRAL = r"a function of x, y, which needs a point, as in mu\(0\.5,0\
         "transpose-string", "member-of-mesh", "string-to-fe", "complex-to-fe",
         "mesh-as-field", "integral-plus-int", "triangle-plus-int", "vertex-plus-int",
         "endl-plus-int", "bracket-plus-int", "varf-plus-int", "border-plus-int",
-        "write-triangle", "write-inverse"])
+        "write-triangle", "write-inverse", "term-times-term", "term-over-term", "term-power",
+        "term-plus-int", "term-plus-unknown", "unknown-plus-term", "term-less-than"])
 def test_internal_values_do_not_reach_the_script(src, message):
     with pytest.raises(EvalError, match="^line 2: " + message) as err:
         run(src)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    ('"a",0', "real x needs a number, not a string"),
+    ("1i,0", "real x cannot hold a complex value"),
+    ("a,0", r"real x needs a number, not a real\[int\]"),
+    ("0,a", r"real y needs a number, not a real\[int\]"),
+    ("Th,0", "real x needs a number, not a mesh"),
+], ids=["string", "complex", "array-x", "array-y", "mesh"])
+def test_fe_point_evaluation_takes_real_coordinates(args, message):
+    src = f"mesh Th=square(2,2); fespace Vh(Th,P1); Vh u=x; real[int] a(2);\ncout << u({args});"
+    with pytest.raises(EvalError, match=f"^line 2: {message}$"):
+        run(src)
 
 
 # -- one store rule: a variable's declared type converts every write ------------

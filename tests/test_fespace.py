@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from femscript.errors import InvalidArgumentError, NumericError, OutOfDomainError
 from femscript.fespace import FeSpace, evaluate, interpolate
-from femscript.mesh import build_square
+from femscript.mesh import Border, build_from_borders, build_square
 
 
 def test_ndof_p1(square10):
@@ -113,18 +115,32 @@ def test_interpolation_projection_property(square10):
     assert np.array_equal(u.dofs, v.dofs)
 
 
+def _holed_disk():
+    outer = Border(lambda t: (math.cos(t), math.sin(t)), 0.0, 2 * math.pi, 50, 1)
+    hole = Border(lambda t: (0.3 + 0.3 * math.cos(t), 0.3 * math.sin(t)),
+                  0.0, 2 * math.pi, -30, 2)
+    return build_from_borders([outer, hole])
+
+
 def test_evaluate_respects_holes():
-    import math
-    from femscript.mesh import Border, build_from_borders
-    a = Border(lambda t: (math.cos(t), math.sin(t)), 0.0, 2 * math.pi, 50, 1)
-    b = Border(lambda t: (0.3 + 0.3 * math.cos(t), 0.3 * math.sin(t)),
-               0.0, 2 * math.pi, -30, 2)
-    mesh = build_from_borders([a, b])
+    mesh = _holed_disk()
     V = FeSpace(mesh, "P1")
     u = interpolate(V, lambda x, y: x + y)
     assert u(-0.6, 0.0) == pytest.approx(-0.6, abs=1e-12)
-    with pytest.raises(OutOfDomainError):
-        evaluate(u, 0.3, 0.0)  # center of the carved hole
+    # the center of the carved hole, two more points in it, and two outside the disk
+    for x, y in [(0.3, 0.0), (0.3, 0.25), (0.1, 0.0), (1.01, 0.0), (-0.8, 0.8)]:
+        with pytest.raises(OutOfDomainError, match="outside the mesh"):
+            evaluate(u, x, y)
+
+
+def _interior_edges(mesh):
+    """Each edge two triangles share, as (a, b, lower triangle, higher triangle)."""
+    owner = {}
+    for t in range(mesh.nt):
+        for k in range(3):
+            a, b = int(mesh.tri[t, k]), int(mesh.tri[t, (k + 1) % 3])
+            owner.setdefault((min(a, b), max(a, b)), []).append(t)
+    return [(a, b, *ts) for (a, b), ts in owner.items() if len(ts) == 2]
 
 
 def test_continuity_across_interior_edges(circle50):
@@ -133,7 +149,6 @@ def test_continuity_across_interior_edges(circle50):
     V = FeSpace(mesh, "P1")
     rng = np.random.default_rng(7)
     u = V.function(rng.standard_normal(V.ndof))
-    nbr = mesh.neighbors()
     gx, gy = mesh.basis_gradients()
 
     def local_value(t, x, y):
@@ -144,16 +159,94 @@ def test_continuity_across_interior_edges(circle50):
         return float(lam @ u.dofs[mesh.tri[t]])
 
     checked = 0
-    for t in range(mesh.nt):
-        for k in range(3):
-            n = nbr[t, k]
-            if n <= t:
-                continue
-            a, b = mesh.tri[t, k], mesh.tri[t, (k + 1) % 3]
-            mx, my = mesh.points[[a, b]].mean(axis=0)
-            assert abs(local_value(t, mx, my) - local_value(n, mx, my)) <= 1e-12
-            checked += 1
+    for a, b, t, n in _interior_edges(mesh):
+        mx, my = mesh.points[[a, b]].mean(axis=0)
+        assert abs(local_value(t, mx, my) - local_value(n, mx, my)) <= 1e-12
+        checked += 1
     assert checked > 50
+
+
+# -- point location against a brute-force scan ---------------------------------
+
+def _l_shape():
+    corners = np.array([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], dtype=float)
+    sides = zip(corners, np.roll(corners, -1, axis=0))
+    return build_from_borders([
+        Border(lambda t, a=a, b=b: tuple(a + t * (b - a)), 0.0, 1.0,
+               int(round(8 * np.hypot(*(b - a)))), k + 1)
+        for k, (a, b) in enumerate(sides)])
+
+
+def _barycentric(mesh, x, y):
+    """Every triangle's barycentric coordinates of (x, y), (nt, 3), as
+    sub-triangle areas over the area."""
+    p = mesh.points[mesh.tri]
+    lam = np.empty((mesh.nt, 3))
+    for k in range(3):
+        b, c = p[:, (k + 1) % 3], p[:, (k + 2) % 3]
+        lam[:, k] = (b[:, 0] - x) * (c[:, 1] - y) - (b[:, 1] - y) * (c[:, 0] - x)
+    return lam / (2.0 * mesh.signed_areas()[:, None])
+
+
+def _brute_locate(mesh, x, y):
+    """The lowest-index triangle whose coordinates are all >= -1e-12 * diameter,
+    and its coordinates, or None."""
+    lam = _barycentric(mesh, x, y)
+    hit = np.flatnonzero((lam >= -1e-12 * mesh.diameter()).all(axis=1))
+    return (int(hit[0]), lam[hit[0]]) if len(hit) else None
+
+
+@pytest.fixture(scope="module", params=["square10", "circle50", "holed", "l_shape"])
+def located_mesh(request):
+    built = {"holed": _holed_disk, "l_shape": _l_shape}.get(request.param)
+    return built() if built else request.getfixturevalue(request.param)
+
+
+def test_location_matches_a_brute_scan(located_mesh):
+    mesh = located_mesh
+    rng = np.random.default_rng(0)
+    u1 = FeSpace(mesh, "P1").function(rng.standard_normal(mesh.nv))
+    u0 = FeSpace(mesh, "P0").function(np.arange(mesh.nt, dtype=float))
+    lo, hi = mesh.bbox()
+    inside = outside = 0
+    for x, y in rng.uniform(lo - 0.1, hi + 0.1, size=(300, 2)):
+        found = _brute_locate(mesh, x, y)
+        if found is None:
+            outside += 1
+            for u in (u0, u1):
+                with pytest.raises(OutOfDomainError):
+                    evaluate(u, x, y)
+            continue
+        inside += 1
+        t, lam = found
+        assert evaluate(u0, x, y) == t
+        assert abs(evaluate(u1, x, y) - lam @ u1.dofs[mesh.tri[t]]) <= 1e-12
+    assert inside > 100 and outside > 10
+
+
+def test_location_at_vertices_and_shared_edges(located_mesh):
+    mesh = located_mesh
+    rng = np.random.default_rng(1)
+    u1 = FeSpace(mesh, "P1").function(rng.standard_normal(mesh.nv))
+    u0 = FeSpace(mesh, "P0").function(np.arange(mesh.nt, dtype=float))
+    for v in rng.choice(mesh.nv, size=min(mesh.nv, 60), replace=False):
+        x, y = mesh.points[v]
+        assert evaluate(u1, x, y) == u1.dofs[v]
+        assert evaluate(u0, x, y) == _brute_locate(mesh, x, y)[0]
+    for a, b, t, n in _interior_edges(mesh)[::5]:
+        x, y = mesh.points[[a, b]].mean(axis=0)
+        assert evaluate(u0, x, y) == t
+        value, lam = evaluate(u1, x, y), _barycentric(mesh, x, y)
+        for s in (t, n):
+            assert abs(value - lam[s] @ u1.dofs[mesh.tri[s]]) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_a_point_that_is_not_finite_is_outside(square10, x):
+    u = interpolate(FeSpace(square10, "P1"), lambda x, y: x)
+    for point in ((x, 0.5), (0.5, x)):
+        with pytest.raises(OutOfDomainError, match="outside the mesh"):
+            evaluate(u, *point)
 
 
 def test_mesh_caches_do_not_keep_the_mesh_alive():

@@ -392,22 +392,6 @@ def test_coarse_l_shapes_recover_their_segments(monkeypatch):
 
 # -- adjacency and the structured square against loop references ----------------
 
-def _neighbors_reference(mesh):
-    nbr = np.full((mesh.nt, 3), -1, dtype=np.int64)
-    owner = {}
-    for t in range(mesh.nt):
-        for k in range(3):
-            a, b = int(mesh.tri[t, k]), int(mesh.tri[t, (k + 1) % 3])
-            key = (min(a, b), max(a, b))
-            if key in owner:
-                t2, k2 = owner.pop(key)
-                nbr[t, k] = t2
-                nbr[t2, k2] = t
-            else:
-                owner[key] = (t, k)
-    return nbr
-
-
 def _edge_triangle_reference(mesh):
     owner = {}
     for t in range(mesh.nt):
@@ -434,7 +418,6 @@ def _holed_disk():
 @pytest.mark.parametrize("which", ["square10", "circle50", "holed"])
 def test_adjacency_matches_dict_reference(which, request):
     mesh = _holed_disk() if which == "holed" else request.getfixturevalue(which)
-    assert np.array_equal(mesh.neighbors(), _neighbors_reference(mesh))
     first, count = mesh.edge_triangle()
     ref_first, ref_count = _edge_triangle_reference(mesh)
     assert np.array_equal(first, ref_first)
@@ -442,10 +425,9 @@ def test_adjacency_matches_dict_reference(which, request):
 
 
 def test_adjacency_of_an_edge_shared_three_times():
-    # three triangles on edge (0, 1): copies pair in (t, k) order, the third stays open
+    # three triangles on edge (0, 1): the lowest index is the first, and all three count
     pts = [(0, 0), (1, 0), (0.5, 1), (0.5, 2), (0.5, 3)]
     mesh = Mesh(pts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)], [(0, 1)])
-    assert np.array_equal(mesh.neighbors(), _neighbors_reference(mesh))
     assert [a.tolist() for a in mesh.edge_triangle()] == [[0], [3]]
 
 
