@@ -6,9 +6,9 @@ integrands and coefficient expressions as it is.  Interpolation evaluates a
 coefficient, the same kind of expression an integrand takes, through
 `Field.values` at one site per DOF (`dof_values`); FE assignment in scripts,
 Dirichlet values and mesh transforms all go through it.  Point evaluation at
-arbitrary coordinates takes the triangles whose barycenters lie within one
-radius of the point (a k-d tree query), keeps the lowest-index one whose
-barycentric test accepts it, and interpolates barycentrically.
+arbitrary coordinates tests every triangle's barycentric coordinates in one
+vectorized scan, keeps the lowest-index triangle that accepts the point, and
+interpolates barycentrically.
 """
 
 import numpy as np
@@ -134,47 +134,27 @@ def interpolate(space: FeSpace, f) -> FeFunction:
     return space.function(dof_values(space, f))
 
 
-def _locator(mesh: Mesh):
-    """A k-d tree of the triangle barycenters; the radius `reach` around a
-    barycenter that holds every point its triangle accepts; the stacked
-    (gx, gy, x, y), each (nt, 3), of the basis gradients and the vertices; and
-    the acceptance tolerance.  Cached on the mesh; it holds no reference to it."""
-    def build():
-        # imported here: scipy.spatial adds about 0.1 s and 7 MB to every start
-        from scipy.spatial import cKDTree
-        b = mesh.barycenters()
-        p = mesh.points[mesh.tri]                   # (nt, 3, 2)
-        tol = 1e-12 * max(mesh.diameter(), 1e-300)
-        r = np.sqrt(np.square(p - b[:, None, :]).sum(axis=2).max(initial=0.0))
-        # lam >= -tol is the triangle scaled by 1 + 3 tol about its barycenter;
-        # the 1e-9 covers rounding in lam and in the tree's distances
-        geo = np.stack([*mesh.basis_gradients(), p[..., 0], p[..., 1]])
-        tree = cKDTree(b, balanced_tree=False, compact_nodes=False)
-        return tree, r * (1.0 + 3.0 * tol + 1e-9), geo, tol
-    return mesh._cached("locator", build)
-
-
 def evaluate(u: FeFunction, x: float, y: float) -> float:
     """Value of the FE function at a point of the domain.  The point lies in
-    the lowest-index triangle whose barycentric coordinates are all >= -tol."""
+    the lowest-index triangle whose barycentric coordinates are all at least
+    -1e-12 times the mesh diameter."""
     mesh = u.space.mesh
     x, y = float(x), float(y)
     if not (np.isfinite(x) and np.isfinite(y)):
         raise OutOfDomainError(f"point ({x:g}, {y:g}) is outside the mesh")
-    tree, reach, geo, tol = _locator(mesh)
-    near = tree.query_ball_point((x, y), reach, return_sorted=True)
-    gx, gy, vx, vy = geo.take(near, axis=1)
+    gx, gy = mesh.basis_gradients()
+    px, py = mesh.points[:, 0][mesh.tri], mesh.points[:, 1][mesh.tri]  # (nt, 3)
     # lambda_k is affine with gradient (gx, gy) and lambda_k(v_k) = 1
-    lam = 1.0 + gx * (x - vx) + gy * (y - vy)
-    hit = (lam >= -tol).all(axis=1).nonzero()[0]
+    lam = 1.0 + gx * (x - px) + gy * (y - py)
+    hit = (lam >= -1e-12 * mesh.diameter()).all(axis=1).nonzero()[0]
     if len(hit) == 0:
         raise OutOfDomainError(f"point ({x:g}, {y:g}) is outside the mesh")
-    t, lam = near[hit[0]], lam[hit[0]]
+    t, lam = int(hit[0]), lam[hit[0]]
     if u.space.elem == "P0":
         return float(u.dofs[t])
-    k = int(lam.argmax())
+    k = int(np.argmax(lam))
     if lam[k] >= 1.0 - 1e-12:  # vertex hit: exact DOF value
         return float(u.dofs[mesh.tri[t, k]])
-    lam = np.maximum(lam, 0.0)
+    lam = np.clip(lam, 0.0, None)
     lam /= lam.sum()
     return float(lam @ u.dofs[mesh.tri[t]])

@@ -104,8 +104,10 @@ class Mesh:
         return (self.points.min(axis=0), self.points.max(axis=0))
 
     def diameter(self) -> float:
-        lo, hi = self.bbox()
-        return float(np.hypot(*(hi - lo)))
+        def build():
+            lo, hi = self.bbox()
+            return float(np.hypot(*(hi - lo)))
+        return self._cached("diameter", build)
 
     def _edge_table(self):
         """Every triangle edge (v[k], v[k+1]) as the key min*nv + max, sorted,

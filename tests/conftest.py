@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from femscript.mesh import Mesh, build_from_borders, build_square
+from femscript.mesh import Border, Mesh, build_from_borders, build_square
 from femscript.studies import circle_border
 
 
@@ -23,6 +23,40 @@ def square16():
 @pytest.fixture(scope="session")
 def circle50():
     return build_from_borders([circle_border(50)])
+
+
+def hole_borders(inner_count):
+    """The unit circle around a circle of radius 0.3 at (0.3, 0): a clockwise
+    inner border (inner_count < 0) carves a hole, a counter-clockwise one an
+    interface."""
+    a = Border(lambda t: (math.cos(t), math.sin(t)), 0.0, 2 * math.pi, 50, 1)
+    b = Border(lambda t: (0.3 + 0.3 * math.cos(t), 0.3 * math.sin(t)),
+               0.0, 2 * math.pi, inner_count, 2)
+    return [a, b]
+
+
+def polygon_borders(corners, counts):
+    """One straight border per side, labeled 1, 2, ... in order."""
+    import numpy as np
+    borders = []
+    for k, n in enumerate(counts):
+        a = np.array(corners[k], dtype=float)
+        b = np.array(corners[(k + 1) % len(corners)], dtype=float)
+        borders.append(Border(lambda t, a=a, b=b: tuple(a + t * (b - a)),
+                              0.0, 1.0, n, k + 1))
+    return borders
+
+
+@pytest.fixture(scope="session")
+def holed_disk():
+    return build_from_borders(hole_borders(-30))
+
+
+@pytest.fixture(scope="session")
+def l_shape():
+    """The 4x4 square less its 3x3 upper right corner, two samples per unit."""
+    return build_from_borders(polygon_borders(
+        [(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)], [8, 2, 6, 6, 2, 8]))
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import pytest
 
 from femscript.errors import InvalidArgumentError, NumericError, OutOfDomainError
 from femscript.fespace import FeSpace, evaluate, interpolate
-from femscript.mesh import Border, build_from_borders, build_square
+from femscript.mesh import build_square
 
 
 def test_ndof_p1(square10):
@@ -115,15 +115,8 @@ def test_interpolation_projection_property(square10):
     assert np.array_equal(u.dofs, v.dofs)
 
 
-def _holed_disk():
-    outer = Border(lambda t: (math.cos(t), math.sin(t)), 0.0, 2 * math.pi, 50, 1)
-    hole = Border(lambda t: (0.3 + 0.3 * math.cos(t), 0.3 * math.sin(t)),
-                  0.0, 2 * math.pi, -30, 2)
-    return build_from_borders([outer, hole])
-
-
-def test_evaluate_respects_holes():
-    mesh = _holed_disk()
+def test_evaluate_respects_holes(holed_disk):
+    mesh = holed_disk
     V = FeSpace(mesh, "P1")
     u = interpolate(V, lambda x, y: x + y)
     assert u(-0.6, 0.0) == pytest.approx(-0.6, abs=1e-12)
@@ -168,15 +161,6 @@ def test_continuity_across_interior_edges(circle50):
 
 # -- point location against a brute-force scan ---------------------------------
 
-def _l_shape():
-    corners = np.array([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], dtype=float)
-    sides = zip(corners, np.roll(corners, -1, axis=0))
-    return build_from_borders([
-        Border(lambda t, a=a, b=b: tuple(a + t * (b - a)), 0.0, 1.0,
-               int(round(8 * np.hypot(*(b - a)))), k + 1)
-        for k, (a, b) in enumerate(sides)])
-
-
 def _barycentric(mesh, x, y):
     """Every triangle's barycentric coordinates of (x, y), (nt, 3), as
     sub-triangle areas over the area."""
@@ -196,10 +180,9 @@ def _brute_locate(mesh, x, y):
     return (int(hit[0]), lam[hit[0]]) if len(hit) else None
 
 
-@pytest.fixture(scope="module", params=["square10", "circle50", "holed", "l_shape"])
+@pytest.fixture(params=["square10", "circle50", "holed_disk", "l_shape"])
 def located_mesh(request):
-    built = {"holed": _holed_disk, "l_shape": _l_shape}.get(request.param)
-    return built() if built else request.getfixturevalue(request.param)
+    return request.getfixturevalue(request.param)
 
 
 def test_location_matches_a_brute_scan(located_mesh):

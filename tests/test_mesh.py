@@ -15,7 +15,7 @@ from femscript.mesh import (Border, Mesh, build_from_borders, build_square,
 from femscript.mesh.delaunay import EPS_REL, _incircle, _orient, _Triangulation
 from femscript.studies import circle_border, disk_mesh
 
-from conftest import conformity_report, delaunay_violations
+from conftest import conformity_report, delaunay_violations, hole_borders, polygon_borders
 
 
 def test_square_1x1_counts():
@@ -72,15 +72,8 @@ def test_circle_area_is_polygon_area(circle50):
     assert abs(circle50.total_area() - math.pi) / math.pi < 0.02
 
 
-def _hole_borders(inner_count):
-    a = Border(lambda t: (math.cos(t), math.sin(t)), 0.0, 2 * math.pi, 50, 1)
-    b = Border(lambda t: (0.3 + 0.3 * math.cos(t), 0.3 * math.sin(t)),
-               0.0, 2 * math.pi, inner_count, 2)
-    return [a, b]
-
-
-def test_hole_mesh_has_no_triangle_in_hole():
-    m = build_from_borders(_hole_borders(-30))
+def test_hole_mesh_has_no_triangle_in_hole(holed_disk):
+    m = holed_disk
     bc = m.barycenters()
     inside = (bc[:, 0] - 0.3) ** 2 + bc[:, 1] ** 2 < 0.3 ** 2
     assert not inside.any()
@@ -88,15 +81,15 @@ def test_hole_mesh_has_no_triangle_in_hole():
 
 
 def test_interface_mesh_keeps_full_area():
-    m = build_from_borders(_hole_borders(+30))
+    m = build_from_borders(hole_borders(+30))
     poly = 25.0 * math.sin(2.0 * math.pi / 50.0)
     assert abs(m.total_area() - poly) <= 1e-11
     assert abs(m.total_area() - math.pi) / math.pi < 0.02
     assert m.ne == 80
 
 
-def test_label_count_matches_border_counts():
-    m = build_from_borders(_hole_borders(-30))
+def test_label_count_matches_border_counts(holed_disk):
+    m = holed_disk
     labels = m.edge_label.tolist()
     assert labels.count(1) == 50
     assert labels.count(2) == 30
@@ -192,8 +185,8 @@ def test_conformity_square_and_circle(square10, circle50):
         assert all(c == 1 for c in labeled_counts.values())
 
 
-def test_conformity_hole_mesh():
-    m = build_from_borders(_hole_borders(-30))
+def test_conformity_hole_mesh(holed_disk):
+    m = holed_disk
     nonmanifold, unlabeled_hull, labeled_counts = conformity_report(m)
     assert not nonmanifold
     assert not unlabeled_hull
@@ -332,27 +325,9 @@ def test_segment_recovery_flips_every_crossing_edge():
         assert tr.tris == tris
 
 
-def _polygon_borders(corners, counts):
-    """One straight border per side, labeled 1, 2, ... in order."""
-    borders = []
-    for k, n in enumerate(counts):
-        a = np.array(corners[k], dtype=float)
-        b = np.array(corners[(k + 1) % len(corners)], dtype=float)
-        borders.append(Border(lambda t, a=a, b=b: tuple(a + t * (b - a)),
-                              0.0, 1.0, n, k + 1))
-    return borders
-
-
-def _l_shape_borders(spacing=0.5):
-    corners = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)]
-    counts = [max(1, int(round(np.hypot(*np.subtract(corners[(k + 1) % 6], corners[k]))
-                                / spacing))) for k in range(6)]
-    return _polygon_borders(corners, counts)
-
-
-def test_l_shape_reflex_corner():
+def test_l_shape_reflex_corner(l_shape):
     """A non-convex polygon meshes exactly, labels intact."""
-    m = build_from_borders(_l_shape_borders())
+    m = l_shape
     assert abs(m.total_area() - 7.0) <= 1e-11
     assert (m.signed_areas() > 0).all()
     assert sorted(set(m.edge_label.tolist())) == [1, 2, 3, 4, 5, 6]
@@ -378,7 +353,7 @@ def test_coarse_l_shapes_recover_their_segments(monkeypatch):
         corners = [(0, 0), (4, 0), (4, w), (w, w), (w, 4), (0, 4)]
         counts = [rng.randint(1, 3) for _ in corners]
         calls.clear()
-        m = build_from_borders(_polygon_borders(corners, counts))
+        m = build_from_borders(polygon_borders(corners, counts))
         recovered += bool(calls)
         nonmanifold, unlabeled_hull, labeled_counts = conformity_report(m)
         assert not nonmanifold and not unlabeled_hull
@@ -408,16 +383,10 @@ def _edge_triangle_reference(mesh):
     return first, count
 
 
-def _holed_disk():
-    outer = Border(lambda t: (math.cos(t), math.sin(t)), 0.0, 2 * math.pi, 50, 1)
-    hole = Border(lambda t: (0.3 + 0.3 * math.cos(t), 0.3 * math.sin(t)),
-                  0.0, 2 * math.pi, -30, 2)
-    return build_from_borders([outer, hole])
-
-
-@pytest.mark.parametrize("which", ["square10", "circle50", "holed"])
+@pytest.mark.parametrize("which", ["square10", "circle50",
+                                   pytest.param("holed_disk", id="holed")])
 def test_adjacency_matches_dict_reference(which, request):
-    mesh = _holed_disk() if which == "holed" else request.getfixturevalue(which)
+    mesh = request.getfixturevalue(which)
     first, count = mesh.edge_triangle()
     ref_first, ref_count = _edge_triangle_reference(mesh)
     assert np.array_equal(first, ref_first)
@@ -506,13 +475,13 @@ def test_golden_disk_meshes(disk_meshes):
     assert {mesh.ne: _mesh_digest(mesh) for mesh in disk_meshes} == GOLDEN_DISKS
 
 
-def test_golden_border_set_meshes():
+def test_golden_border_set_meshes(holed_disk, l_shape):
     """As `test_golden_disk_meshes`, for other settings and border sets."""
     meshes = {
         "size_factor_1.4": build_from_borders([circle_border(64)], size_factor=1.4),
-        "hole": build_from_borders(_hole_borders(-30)),
-        "interface": build_from_borders(_hole_borders(+30)),
-        "l_shape": build_from_borders(_l_shape_borders()),
+        "hole": holed_disk,
+        "interface": build_from_borders(hole_borders(+30)),
+        "l_shape": l_shape,
     }
     assert {k: _mesh_digest(m) for k, m in meshes.items()} == GOLDEN_BORDER_SETS
 
@@ -538,15 +507,15 @@ def _smallest_angles(mesh):
     return np.min(angles, axis=0)
 
 
-def test_refined_meshes_keep_angles_of_20_degrees(disk_meshes):
+def test_refined_meshes_keep_angles_of_20_degrees(disk_meshes, holed_disk, l_shape):
     """Delaunay refinement with the circumradius-to-shortest-edge bound
     QUALITY_BOUND = 1 leaves no angle below 20 degrees, just under the 20.7
     degrees up to which Ruppert refinement is proven to terminate, on the
     default disks and on a hole, an interface and a reflex corner."""
     meshes = {f"disk N={m.ne}": m for m in disk_meshes}
-    meshes.update(hole=build_from_borders(_hole_borders(-30)),
-                  interface=build_from_borders(_hole_borders(+30)),
-                  l_shape=build_from_borders(_l_shape_borders()))
+    meshes.update(hole=holed_disk,
+                  interface=build_from_borders(hole_borders(+30)),
+                  l_shape=l_shape)
     smallest = {k: float(_smallest_angles(m).min()) for k, m in meshes.items()}
     assert min(smallest.values()) >= 20.0, smallest
 
