@@ -6,14 +6,15 @@ Field, FormExpr), and one small type per language concept that has no kernel
 counterpart: `Stream` (cout, cin, cerr and files), `Transposed` (v' of an
 array or of a bracket list), `BorderValue` and `BorderSum` (buildmesh's
 argument; `C(n)` is a sum of one run), plus functions and `FormValue` (a varf,
-problem or solve).  Variational integrands evaluate in a "field" environment
-where x and y are coordinate fields; an FE function is a field and the unknown
-and test function are forms, so one evaluator serves plain arithmetic,
-analytic functions, and form assembly alike.  A form body's term algebra
-collects an integral as a `forms.FormTerm` and an `on()` clause as a
-`forms.DirichletBC` in a `Terms` value, which `Interpreter._eval_form` turns
-into one `forms.VarForm`; both assembly routines take that as is.  The VarForm
-is kept while every name the body read is unchanged.
+problem or solve).  As in FreeFem++, x and y are globals holding the
+coordinate fields, which a declaration shadows as it shadows any outer name;
+an FE function is a field and the unknown and test function are forms, so one
+evaluator serves plain arithmetic, analytic functions, and form assembly
+alike.  A form body's term algebra collects an integral as a `forms.FormTerm`
+and an `on()` clause as a `forms.DirichletBC` in a `Terms` value, which
+`Interpreter._eval_form` turns into one `forms.VarForm`; both assembly
+routines take that as is.  The VarForm is kept while every name the body
+read is unchanged.
 
 Operators hand fields, forms, `Terms`, numbers and arrays to their own
 arithmetic (Python's operators); `binary_op` keeps only the rules that are the
@@ -301,8 +302,7 @@ class VertexProxy:
 @dataclass
 class Builtin:
     name: str
-    fn: object          # a plain function of (interp, env, args, named)
-    lazy: bool = False
+    fn: object          # a plain function of (interp, args, named)
     nargs: int = 0      # positional arguments the builtin reads at least
 
 
@@ -541,10 +541,12 @@ class Interpreter:
     def _install_builtins(self):
         g = self.globals
 
-        def builtin(name, fn, lazy=False, nargs=0):
-            g.define(name, Builtin(name, fn, lazy, nargs), "builtin")
+        def builtin(name, fn, nargs=0):
+            g.define(name, Builtin(name, fn, nargs), "builtin")
 
         g.define("verbosity", 2, "int")
+        g.define("x", FIELD_X, "coordinate")
+        g.define("y", FIELD_Y, "coordinate")
         constants = [("pi", math.pi), ("true", 1), ("false", 0), ("endl", ENDL),
                      ("qf1pTlump", "lumped"), ("qf2pT", "default"), ("qf5pT", "order5")]
         for name, value in constants + [(n, n) for n in (*ELEMENT_NAMES, *SOLVER_NAMES)]:
@@ -555,38 +557,38 @@ class Interpreter:
 
         for name, fn in MATH:
             builtin(name, self._make_math(name, fn), nargs=1)
-        builtin("abs", lambda i, e, a, n: abs(a[0]), nargs=1)
-        builtin("pow", lambda i, e, a, n: _simplify(a[0] ** a[1]), nargs=2)
-        builtin("atan2", lambda i, e, a, n: math.atan2(a[0], a[1]), nargs=2)
-        builtin("min", lambda i, e, a, n: _simplify(min(a)), nargs=1)
-        builtin("max", lambda i, e, a, n: _simplify(max(a)), nargs=1)
-        builtin("imag", lambda i, e, a, n: complex(a[0]).imag, nargs=1)
-        builtin("real", lambda i, e, a, n: complex(a[0]).real, nargs=1)
-        builtin("int", lambda i, e, a, n: int(a[0]), nargs=1)
-        builtin("complex", lambda i, e, a, n: complex(a[0]), nargs=1)
-        builtin("conj", lambda i, e, a, n: complex(a[0]).conjugate(), nargs=1)
+        builtin("abs", lambda i, a, n: abs(a[0]), nargs=1)
+        builtin("pow", lambda i, a, n: _simplify(a[0] ** a[1]), nargs=2)
+        builtin("atan2", lambda i, a, n: math.atan2(a[0], a[1]), nargs=2)
+        builtin("min", lambda i, a, n: _simplify(min(a)), nargs=1)
+        builtin("max", lambda i, a, n: _simplify(max(a)), nargs=1)
+        builtin("imag", lambda i, a, n: complex(a[0]).imag, nargs=1)
+        builtin("real", lambda i, a, n: complex(a[0]).real, nargs=1)
+        builtin("int", lambda i, a, n: int(a[0]), nargs=1)
+        builtin("complex", lambda i, a, n: complex(a[0]), nargs=1)
+        builtin("conj", lambda i, a, n: complex(a[0]).conjugate(), nargs=1)
         builtin("exit", Interpreter._bi_exit)
-        builtin("clock", lambda i, e, a, n: time.perf_counter() - i._t0)
+        builtin("clock", lambda i, a, n: time.perf_counter() - i._t0)
         builtin("exec", Interpreter._bi_exec, nargs=1)
         builtin("plot", Interpreter._bi_plot)
         builtin("set", Interpreter._bi_set, nargs=1)
-        builtin("square", Interpreter._bi_square, lazy=True, nargs=2)
-        builtin("movemesh", Interpreter._bi_movemesh, lazy=True, nargs=2)
+        builtin("square", Interpreter._bi_square, nargs=2)
+        builtin("movemesh", Interpreter._bi_movemesh, nargs=2)
         builtin("buildmesh", Interpreter._bi_buildmesh, nargs=1)
         builtin("savemesh", Interpreter._bi_savemesh, nargs=2)
         builtin("readmesh", Interpreter._bi_readmesh, nargs=1)
         for name in ("adaptmesh", "trunc", "jump", "mean", "intalledges", "int3d", "dz"):
             builtin(name, self._bi_unsupported(name))
-        builtin("dx", lambda i, e, a, n: F.dx(a[0]), nargs=1)
-        builtin("dy", lambda i, e, a, n: F.dy(a[0]), nargs=1)
+        builtin("dx", lambda i, a, n: F.dx(a[0]), nargs=1)
+        builtin("dy", lambda i, a, n: F.dy(a[0]), nargs=1)
         builtin("int2d", self._bi_integrator("int2d"), nargs=1)
         builtin("int1d", self._bi_integrator("int1d"), nargs=1)
-        builtin("on", Interpreter._bi_on, lazy=True)
-        builtin("trace", lambda i, e, a, n: _trace(a[0]), nargs=1)
-        builtin("det", lambda i, e, a, n: _simplify(_det(a[0])), nargs=1)
+        builtin("on", Interpreter._bi_on)
+        builtin("trace", lambda i, a, n: _trace(a[0]), nargs=1)
+        builtin("det", lambda i, a, n: _simplify(_det(a[0])), nargs=1)
 
     def _make_math(self, name, fn):
-        def call(interp, env, args, named):
+        def call(interp, args, named):
             if len(args) != 1:
                 raise EvalError(f"{name} takes one argument")
             v = args[0]
@@ -595,17 +597,17 @@ class Interpreter:
             return _simplify(fn(v))
         return call
 
-    def _bi_exit(self, env, args, named):
+    def _bi_exit(self, args, named):
         raise ExitSignal(args[0] if args else 0)
 
-    def _bi_exec(self, env, args, named):
+    def _bi_exec(self, args, named):
         cmd = str(args[0])
         if not self.allow_exec:
             self._log(1, f"exec suppressed (enable with --allow-exec): {cmd!r}")
             return 0
         return subprocess.run(cmd, shell=True, cwd=self.script_dir).returncode
 
-    def _bi_set(self, env, args, named):
+    def _bi_set(self, args, named):
         A = args[0]
         if not isinstance(A, SparseMatrix):
             raise EvalError("set() expects a matrix")
@@ -617,31 +619,27 @@ class Interpreter:
                 self._log(1, f"set: ignoring named parameter {key!r}")
         return 0
 
-    def _moved(self, mesh, pair_ast, env):
+    def _moved(self, mesh, pair):
         """`mesh` with its vertices moved to [fx, fy], evaluated at the P1
         DOF sites of `mesh`."""
-        pair = self.eval_field_expr(pair_ast, env)
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise EvalError("coordinate transform must be [fx, fy]")
         space = FeSpace(mesh, "P1")
         qx, qy = (interpolate_field(space, self._as_field(p)).dofs for p in pair)
         return move_mesh(mesh, lambda x, y: (qx, qy))
 
-    def _bi_square(self, env, args, named):
-        m = int(self.eval(args[0].value, env))
-        n = int(self.eval(args[1].value, env))
-        mesh = build_square(m, n)
-        if len(args) > 2:
-            mesh = self._moved(mesh, args[2].value, env)
-        return mesh
+    def _bi_square(self, args, named):
+        for key in named:
+            self._log(1, f"square: ignoring named parameter {key!r}")
+        mesh = build_square(int(args[0]), int(args[1]))
+        return self._moved(mesh, args[2]) if len(args) > 2 else mesh
 
-    def _bi_movemesh(self, env, args, named):
-        mesh = self.eval(args[0].value, env)
-        if not isinstance(mesh, Mesh):
+    def _bi_movemesh(self, args, named):
+        if not isinstance(args[0], Mesh):
             raise EvalError("movemesh expects a mesh first")
-        return self._moved(mesh, args[1].value, env)
+        return self._moved(args[0], args[1])
 
-    def _bi_buildmesh(self, env, args, named):
+    def _bi_buildmesh(self, args, named):
         for key in named:
             self._log(1, f"buildmesh: ignoring named parameter {key!r}")
         v = args[0]
@@ -665,51 +663,39 @@ class Interpreter:
 
         return Border(param, bv.t0, bv.t1, count, int(body(bv.t0)["label"]))
 
-    def _bi_savemesh(self, env, args, named):
+    def _bi_savemesh(self, args, named):
         mesh, path = args[0], args[1]
         if not isinstance(mesh, Mesh):
             raise EvalError("savemesh expects a mesh")
         save_msh(mesh, self._resolve(path))
         return 0
 
-    def _bi_readmesh(self, env, args, named):
+    def _bi_readmesh(self, args, named):
         return load_msh(self._resolve(args[0]))
 
     def _bi_unsupported(self, name):
-        def call(interp, env, args, named):
+        def call(interp, args, named):
             raise UnsupportedError(f"{name} is outside the supported subset")
         return call
 
     def _bi_integrator(self, kind):
-        def call(interp, env, args, named):
+        def call(interp, args, named):
             if not isinstance(args[0], Mesh):
                 raise EvalError(f"{kind} expects a mesh")
             labels = tuple(int(a) for a in args[1:]) if kind == "int1d" else ()
             return Integrator(kind, args[0], labels, str(named.get("qft", "default")))
         return call
 
-    def _bi_on(self, env, args, named_asts):
-        labels = []
-        var = None
-        value_ast = None
-        for arg in args:
-            if arg.name is None:
-                v = self.eval(arg.value, env)
-                if isinstance(v, BorderValue):
-                    labels.append(self._make_border(v, 1).label)
-                else:
-                    labels.append(int(v))
-            else:
-                if var is not None:
-                    raise EvalError("on() supports a single unknown")
-                var = arg.name
-                value_ast = arg.value
-        if var is None:
-            raise EvalError("on() needs `unknown=value`")
-        value = self._as_field(self.eval_field_expr(value_ast, env))
-        return Terms(dirichlet=[(var, F.DirichletBC(frozenset(labels), value))])
+    def _bi_on(self, args, named):
+        labels = [self._make_border(v, 1).label if isinstance(v, BorderValue) else int(v)
+                  for v in args]
+        if len(named) != 1:
+            raise EvalError("on() supports a single unknown" if named
+                            else "on() needs `unknown=value`")
+        (var, value), = named.items()
+        return Terms(dirichlet=[(var, F.DirichletBC(frozenset(labels), self._as_field(value)))])
 
-    def _bi_plot(self, env, args, named):
+    def _bi_plot(self, args, named):
         ps = named.get("ps")
         if ps and self.plot_files:
             target = None
@@ -835,7 +821,7 @@ class Interpreter:
         for d in stmt.decls:
             u = FeFunction(space)
             if d.init is not None:
-                self._convert("fe", d.name, self.eval_field_expr(d.init, env), u)
+                self._convert("fe", d.name, self.eval(d.init, env), u)
             env.define(d.name, u, "fe")
 
     def _assign_fe(self, u: FeFunction, value):
@@ -922,21 +908,13 @@ class Interpreter:
         except FemError as exc:
             raise _locate(exc, node.line)
 
-    def eval_field_expr(self, node, env):
-        """Evaluate with x and y bound to coordinate fields."""
-        fenv = Env(parent=env)
-        fenv.define("x", FIELD_X, "coordinate")
-        fenv.define("y", FIELD_Y, "coordinate")
-        return self.eval(node, fenv)
-
     def _as_field(self, v) -> Field:
         if isinstance(v, Field):
             return v
         if isinstance(v, FuncValue):
             if not v.analytic:
                 raise EvalError(f"function {v.name!r} needs explicit arguments here")
-            out = self.eval_field_expr(v.body, v.env)
-            return self._as_field(out)
+            return self._as_field(self.eval(v.body, v.env))
         if _is_number(v):
             if isinstance(v, complex):
                 raise UnsupportedError("complex values cannot enter integrands")
@@ -1030,12 +1008,7 @@ class Interpreter:
         return self.binary_op(node.op, left, right)
 
     def _ev_Assign(self, node, env):
-        # an FE function's right-hand side is a function of x and y
-        owner = env.owner(node.target.name) if isinstance(node.target, A.Ident) else None
-        if owner is not None and owner.types[node.target.name] == "fe":
-            value = self.eval_field_expr(node.value, env)
-        else:
-            value = self.eval(node.value, env)
+        value = self.eval(node.value, env)
         if node.op != "=":
             op = node.op[0]
             current = self.eval(node.target, env)
@@ -1102,23 +1075,22 @@ class Interpreter:
                 or isinstance(callee, Integrator)
                 or isinstance(callee, FuncValue) and callee.analytic):
             self._pure = False
-        if isinstance(callee, Builtin):
-            if sum(a.name is None for a in node.args) < callee.nargs:
-                raise EvalError(f"{callee.name} needs {callee.nargs} argument"
-                                f"{'s' if callee.nargs > 1 else ''}")
-            if callee.lazy:
-                return self._call_builtin(callee, env, node.args, {})
-        if isinstance(callee, Integrator):
-            return self._integrate(callee, node, env)
         args = []
         named = {}
         for a in node.args:
             if a.name is None:
                 args.append(self.eval(a.value, env))
+            elif a.name in named:
+                raise EvalError(f"named argument {a.name!r} given twice")
             else:
                 named[a.name] = self.eval(a.value, env)
         if isinstance(callee, Builtin):
-            return self._call_builtin(callee, env, args, named)
+            if len(args) < callee.nargs:
+                raise EvalError(f"{callee.name} needs {callee.nargs} argument"
+                                f"{'s' if callee.nargs > 1 else ''}")
+            return self._call_builtin(callee, args, named)
+        if isinstance(callee, Integrator):
+            return self._integrate(callee, args, named)
         if isinstance(callee, FuncValue):
             return self._call_func(callee, args)
         if isinstance(callee, FeFunction):
@@ -1139,10 +1111,10 @@ class Interpreter:
             return _simplify(callee[_checked_index(callee.shape, args)])
         raise EvalError(f"cannot call {_describe(callee)}")
 
-    def _call_builtin(self, callee, env, args, named):
+    def _call_builtin(self, callee, args, named):
         """Call a builtin; a bad argument type or value raises EvalError."""
         try:
-            return callee.fn(self, env, args, named)
+            return callee.fn(self, args, named)
         except (TypeError, ValueError, ArithmeticError) as exc:
             if isinstance(exc, FemError):
                 raise
@@ -1152,12 +1124,13 @@ class Interpreter:
         if f.analytic:
             if len(args) != 2:
                 raise EvalError(f"analytic function {f.name!r} is evaluated at (x, y)")
+            # a field argument composes (mu(y,x) in an integrand); any other is a point
             fenv = Env(parent=f.env)
-            fenv.define("x", args[0], "coordinate")
-            fenv.define("y", args[1], "coordinate")
-            if all(_is_number(a) for a in args):
-                return _simplify(self.eval(f.body, fenv))
-            return self.eval(f.body, fenv)
+            for name, v in zip("xy", args):
+                if not (isinstance(v, Field) or isinstance(v, FuncValue) and v.analytic):
+                    v = _scalar("real", name, v)
+                fenv.define(name, v, "coordinate")
+            return _simplify(self.eval(f.body, fenv))
         if len(args) != len(f.params):
             raise EvalError(f"function {f.name!r} takes {len(f.params)} arguments")
         call_env = Env(parent=f.env)
@@ -1237,10 +1210,10 @@ class Interpreter:
 
     # -- integrals and problems ------------------------------------------------------
 
-    def _integrate(self, integ: Integrator, node, env):
-        if len(node.args) != 1 or node.args[0].name is not None:
+    def _integrate(self, integ: Integrator, args, named):
+        if len(args) != 1 or named:
             raise EvalError("integral takes a single integrand")
-        value = self.eval_field_expr(node.args[0].value, env)
+        value = args[0]
         if isinstance(value, F.FormExpr):
             if not value.is_pure():
                 return self._form_term(integ, value)

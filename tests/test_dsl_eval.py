@@ -112,6 +112,8 @@ def test_endl_in_a_string_is_a_newline():
 def test_analytic_function_called_at_a_point():
     r, _ = run("func f=x*y;\nreal a=f(0.5,0.25);")
     assert r.env.lookup("a") == 0.125
+    _, out = run("func mu=1+x/2;\ncout << mu(1,0);")
+    assert out == "1.5"      # x is real, so x/2 is not C integer division
     with pytest.raises(EvalError, match=r"^line 2: analytic function 'f' is evaluated at "
                                         r"\(x, y\)$") as err:
         run("func f=x*y;\nreal a=f(1);")
@@ -196,17 +198,43 @@ def test_internal_values_do_not_reach_the_script(src, message):
     assert err.value.line == 2
 
 
-@pytest.mark.parametrize("args, message", [
-    ('"a",0', "real x needs a number, not a string"),
-    ("1i,0", "real x cannot hold a complex value"),
-    ("a,0", r"real x needs a number, not a real\[int\]"),
-    ("0,a", r"real y needs a number, not a real\[int\]"),
-    ("Th,0", "real x needs a number, not a mesh"),
-], ids=["string", "complex", "array-x", "array-y", "mesh"])
-def test_fe_point_evaluation_takes_real_coordinates(args, message):
-    src = f"mesh Th=square(2,2); fespace Vh(Th,P1); Vh u=x; real[int] a(2);\ncout << u({args});"
+POINT_ARGS = [
+    ("string", '"a",0', "real x needs a number, not a string"),
+    ("complex", "1i,0", "real x cannot hold a complex value"),
+    ("array-x", "a,0", r"real x needs a number, not a real\[int\]"),
+    ("array-y", "0,a", r"real y needs a number, not a real\[int\]"),
+    ("mesh", "Th,0", "real x needs a number, not a mesh"),
+]
+
+
+# an FE function `u` and an analytic func `mu` take the same real coordinates
+@pytest.mark.parametrize("f, args, message", [
+    pytest.param(f, args, message, id=name if f == "u" else f"{f}-{name}")
+    for f in ("u", "mu") for name, args, message in POINT_ARGS])
+def test_fe_point_evaluation_takes_real_coordinates(f, args, message):
+    src = ("mesh Th=square(2,2); fespace Vh(Th,P1); Vh u=x; func mu=1+x+y; real[int] a(2);"
+           f"\ncout << {f}({args});")
     with pytest.raises(EvalError, match=f"^line 2: {message}$"):
         run(src)
+
+
+# -- x and y are globals holding the coordinates; a declaration shadows them ------
+
+@pytest.mark.parametrize("decl, lo, hi", [
+    ("real x=2;", 2, 2), ("{ real x=2; }", 0, 1)], ids=["declared", "block"])
+def test_a_declaration_shadows_the_coordinate(decl, lo, hi):
+    r, _ = run(f"mesh Th=square(2,2); fespace Vh(Th,P1);\n{decl} Vh u=x;")
+    dofs = r.env.lookup("u").dofs
+    assert (dofs.min(), dofs.max()) == (lo, hi)
+
+
+@pytest.mark.parametrize("stmt, message", [
+    ("x=3;", "cannot assign to the coordinate 'x'$"),
+    ("cout << x;", "cannot write " + POINT_OR_INTEGRAL)], ids=["assign", "write"])
+def test_the_coordinates_are_not_variables(stmt, message):
+    with pytest.raises(EvalError, match="^line 2: " + message) as err:
+        run("mesh Th=square(2,2);\n" + stmt)
+    assert err.value.line == 2
 
 
 # -- one store rule: a variable's declared type converts every write ------------
@@ -873,7 +901,7 @@ def test_builtin_bad_argument_gives_the_line(call):
     assert err.value.line == 2
 
 
-def test_lazy_builtin_missing_argument_gives_the_line():
+def test_movemesh_missing_argument_gives_the_line():
     with pytest.raises(EvalError, match="^line 2: movemesh needs 2 arguments"):
         run("mesh Th=square(2,2);\nmesh Tk=movemesh(Th);")
 
@@ -1216,6 +1244,23 @@ def test_square_transform_and_its_fold():
     assert np.array_equal(Th.tri, ref.tri)
     with pytest.raises(FoldOverError):
         run("mesh Th=square(3,3,[-x, y]);")
+
+
+def test_square_ignores_a_named_parameter(capsys):
+    r, _ = run("mesh Th=square(4,4,flags=1);", verbosity=1)
+    assert r.env.lookup("Th").nt == 32
+    assert "square: ignoring named parameter 'flags'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    ("1,u=0,v=0", "on() supports a single unknown"),
+    ("1", "on() needs `unknown=value`"),
+    ("1,u=0,u=1", "named argument 'u' given twice")],
+    ids=["two-unknowns", "no-unknown", "repeated-unknown"])
+def test_on_needs_one_unknown(args, message):
+    with pytest.raises(EvalError, match=f"^line 2: {re.escape(message)}$") as err:
+        run(VARF + f"int2d(Th)(u*v)+on({args});" + MATRIX)
+    assert err.value.line == 2
 
 
 # -- a Python error on bad script data becomes an EvalError with the line --------
