@@ -31,6 +31,22 @@ when a contribution to it is nonzero, as a second bincount counts, so the
 lumped P1 mass is diagonal and an entry whose contributions cancel is
 stored.  A linear form's element vectors, one per product, are summed into
 each DOF the same way.
+
+A linear form is linear in its FE coefficients, so the second assembly of
+the same VarForm over the same test space builds a plan, kept on the form,
+that later assemblies apply.  Each product's coefficient is split through
+negation, sums, differences and products or quotients by a `Constant` into
+scaled parts.  An invariant part (a `Constant`, a `Coordinate`, an invariant
+`Op`) is assembled once into one kept vector, from its own subtree so that
+the `Op`'s kept values answer it.  A P1 or P0 FE function on the form's mesh,
+or its dx or dy, becomes one kept matrix K, the bilinear form with that
+function's basis as the trial part over the same term and rule, applied as
+scale * (K @ dofs).  A product with any other part (`uold*uold*v`,
+`sin(uold)*v`, a `FunctionField`) keeps the element path.  The first
+assembly takes the element path throughout, and so does any assembly whose
+kept FE functions have a DOF that is not finite, so that the error names the
+same point.  A reused form's vector is deterministic, but may differ from a
+fresh form's by rounding.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -40,7 +56,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fespace import FeFunction, FeSpace, dof_values
-from .fields import CellContext, Constant, Field, FeGradField, as_field
+from .fields import CellContext, Constant, Coordinate, Field, FeGradField, Op, as_field
 from .linalg import SparseMatrix, _sorted_runs
 
 DEFAULT_TGV = 1e30
@@ -258,6 +274,8 @@ class VarForm:
     linear_terms: list = dc_field(default_factory=list)
     dirichlet: list = dc_field(default_factory=list)
 
+    _linear = None      # (test space, plan or None) of assemble_linear
+
     def __post_init__(self):
         if not (self.bilinear_terms or self.linear_terms or self.dirichlet):
             raise InvalidArgumentError("variational form has no terms")
@@ -448,21 +466,91 @@ def _dirichlet_union(form, space):
     return np.unique(np.concatenate(out))
 
 
+def _element_vector(test, products):
+    """Each DOF's sum of the element vectors of the (term, test kind,
+    coefficient) `products`, in input order from 0.0 (module docstring)."""
+    dofs_acc, vals_acc, last = [], [], None
+    for term, vk, f in products:
+        if term is not last:
+            (ctx, scale, nq), last = _term_context(test.mesh, term), term
+        Bv, dof_v = _cell_basis(test, vk, ctx, nq)
+        loc = _element_sums(0.0, f.values(ctx) * scale, Bv)
+        dofs_acc.append(dof_v.ravel())
+        vals_acc.append(loc.ravel())
+    if not dofs_acc:
+        return np.zeros(test.ndof)
+    return np.bincount(np.concatenate(dofs_acc), np.concatenate(vals_acc), minlength=test.ndof)
+
+
+def _split(f, scale, mesh):
+    """[(scale, part)] whose scaled sum is the coefficient `f`, or None when a
+    part is neither invariant nor an FE function or its derivative on `mesh`
+    (module docstring)."""
+    if isinstance(f, (Constant, Coordinate)) or isinstance(f, Op) and f.invariant:
+        return [(scale, f)]
+    if isinstance(f, FeFunction) and f.space.mesh is mesh or \
+            isinstance(f, FeGradField) and f.u.space.mesh is mesh:
+        return [(scale, f)]
+    if not isinstance(f, Op):
+        return None
+    a, b = f.operands[0], f.operands[-1]
+    if f.op is np.negative:
+        return _split(a, -scale, mesh)
+    if f.op is np.add or f.op is np.subtract:
+        pa = _split(a, scale, mesh)
+        pb = _split(b, scale if f.op is np.add else -scale, mesh)
+        return None if pa is None or pb is None else pa + pb
+    if f.op is np.multiply and isinstance(a, Constant):
+        return _split(b, scale * a.value, mesh)
+    if f.op is np.multiply and isinstance(b, Constant):
+        return _split(a, scale * b.value, mesh)
+    if f.op is np.divide and isinstance(b, Constant):
+        return _split(a, scale / b.value, mesh)
+    return None
+
+
+def _linear_plan(form, test):
+    """(kept vector, [(scale, K, FE function)], products left to the element
+    path) of the linear terms over `test` (module docstring)."""
+    kept, applied, rest = np.zeros(test.ndof), [], []
+    for term in form.linear_terms:
+        for (_, vk), f in term.expr.terms.items():
+            parts = _split(f, 1.0, test.mesh)
+            if parts is None:
+                rest.append((term, vk, f))
+                continue
+            for s, g in parts:
+                if isinstance(g, FeFunction):
+                    fe, uk = g, "val"
+                elif isinstance(g, FeGradField):
+                    fe, uk = g.u, "dx" if g.axis == 0 else "dy"
+                else:
+                    kept += s * _element_vector(test, [(term, vk, g)])
+                    continue
+                basis = FormExpr({(uk, vk): Constant(1.0)})
+                K = assemble_bilinear(VarForm([FormTerm(term.kind, basis, term.labels,
+                                                        term.quad)]), fe.space, test)
+                applied.append((s, K, fe))
+    return kept, applied, rest
+
+
 def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> np.ndarray:
     """Assemble the vector of all linear terms, then pin Dirichlet entries to
-    tgv times the boundary value at each pinned DOF."""
-    mesh = test.mesh
-    dofs_acc, vals_acc = [], []
-    for term in form.linear_terms:
-        ctx, scale, nq = _term_context(mesh, term)
-        for (_, vk), f in term.expr.terms.items():
-            Bv, dof_v = _cell_basis(test, vk, ctx, nq)
-            loc = _element_sums(0.0, f.values(ctx) * scale, Bv)
-            dofs_acc.append(dof_v.ravel())
-            vals_acc.append(loc.ravel())
-    # bincount sums each DOF's contributions in input order, starting from 0.0
-    b = (np.bincount(np.concatenate(dofs_acc), np.concatenate(vals_acc), minlength=test.ndof)
-         if dofs_acc else np.zeros(test.ndof))
+    tgv times the boundary value at each pinned DOF.  A form assembled again
+    over the same space applies its plan (module docstring)."""
+    if form._linear is None or form._linear[0] is not test:
+        form._linear = (test, None)
+    elif form._linear[1] is None:
+        form._linear = (test, _linear_plan(form, test))
+    plan = form._linear[1]
+    if plan is not None and all(np.isfinite(fe.dofs).all() for _, _, fe in plan[1]):
+        kept, applied, rest = plan
+        b = _element_vector(test, rest) + kept
+        for s, K, fe in applied:
+            b += s * (K @ fe.dofs)
+    else:
+        b = _element_vector(test, [(t, vk, f) for t in form.linear_terms
+                                   for (_, vk), f in t.expr.terms.items()])
     for bc in form.dirichlet:
         dofs = dirichlet_dofs(test, bc.labels)
         b[dofs] = dof_values(test, bc.value, dofs) * tgv

@@ -731,3 +731,97 @@ def test_fe_function_of_another_mesh_in_an_integrand_rejected(square10, square16
         _assembled(U * g * V, Vh)
     with pytest.raises(InvalidArgumentError):
         integrate_2d(square10, g * g)
+
+
+# -- a linear form assembled again applies its plan ----------------------------
+
+def _heat_source():
+    from femscript.fields import Op, Y
+    return Constant(1.0) * Op(np.sin, np.pi * X) * Op(np.sin, np.pi * Y) * 1.0
+
+
+def _fe(space, fn):
+    from femscript.fespace import interpolate
+    return interpolate(space, fn)
+
+
+def _plan_cases(mesh):
+    Vh, Ph = FeSpace(mesh, "P1"), FeSpace(mesh, "P0")
+    uold = _fe(Vh, lambda x, y: np.sin(3 * x) * y + 0.5)
+    g = _fe(Vh, lambda x, y: np.exp(x - y))
+    w = _fe(Ph, lambda x, y: 1.0 + x * y)
+    return Vh, uold, {
+        # the problem's negated right-hand side of the heat listing
+        "heat": [FormTerm("int2d", -(-(as_form((uold * 1.0) / 0.01 + _heat_source()) * V)))],
+        "-(c*uold)*v": [FormTerm("int2d", -(2.5 * uold) * V)],
+        "int1d": [FormTerm("int1d", (uold - 0.5 * X) * V, frozenset({2}))],
+        "P0": [FormTerm("int2d", w * V, quad="order5")],
+        "two FE functions": [FormTerm("int2d", (uold + g / 3.0) * V + dx(uold) * dy(V))],
+    }
+
+
+def _agree(got, ref, pinned=()):
+    """Pinned entries bit for bit, the others to 1e-13 of their largest."""
+    free = np.ones(len(ref), dtype=bool)
+    free[list(pinned)] = False
+    return (np.array_equal(got[~free], ref[~free]) and
+            np.abs(got - ref)[free].max() <= 1e-13 * np.abs(ref[free]).max())
+
+
+@pytest.mark.parametrize("case", ["heat", "-(c*uold)*v", "int1d", "P0", "two FE functions"])
+def test_a_reassembled_linear_form_applies_its_plan(square10, monkeypatch, case):
+    from femscript import forms
+    Vh, uold, cases = _plan_cases(square10)
+    bc = [DirichletBC(frozenset({1, 3}), Constant(0.25))]
+    pinned = dirichlet_dofs(Vh, {1, 3})
+
+    def fresh():
+        return assemble_linear(VarForm(linear_terms=cases[case], dirichlet=bc), Vh)
+    form = VarForm(linear_terms=cases[case], dirichlet=bc)
+    first = assemble_linear(form, Vh)
+    assert np.array_equal(first, fresh())
+    assemble_linear(form, Vh)                         # builds the plan
+    calls = []
+    monkeypatch.setattr(forms, "_element_sums", lambda *a: calls.append(a))
+    again = assemble_linear(form, Vh)
+    assert calls == []
+    assert _agree(again, first, pinned)
+    monkeypatch.undo()
+    uold.dofs[:] = np.cos(square10.points[:, 0])      # written in place
+    changed = assemble_linear(form, Vh)
+    assert _agree(changed, fresh(), pinned)
+    assert case == "P0" or not _agree(changed, first, pinned)
+    uold.dofs = 1.0 + square10.points[:, 1]           # a new array
+    assert _agree(assemble_linear(form, Vh), fresh(), pinned)
+
+
+@pytest.mark.parametrize("coef", ["uold*uold", "sin(uold)", "function", "x*uold"])
+def test_a_product_that_does_not_split_keeps_the_element_path(square10, coef):
+    from femscript.fields import Op
+    Vh, uold, _ = _plan_cases(square10)
+    f = {"uold*uold": uold * uold, "sin(uold)": Op(np.sin, uold),
+         "function": as_field(lambda x, y: x + y * y), "x*uold": X * uold}[coef]
+    form = VarForm(linear_terms=[FormTerm("int2d", -(f * V) / 4.0)])
+    first = assemble_linear(form, Vh)
+    for _ in range(2):
+        assert np.array_equal(assemble_linear(form, Vh).view(np.uint64), first.view(np.uint64))
+    # beside a product that splits
+    terms = [FormTerm("int2d", f * V), FormTerm("int2d", -uold * V)]
+    mixed = VarForm(linear_terms=terms)
+    for _ in range(3):
+        assert _agree(assemble_linear(mixed, Vh), assemble_linear(VarForm(linear_terms=terms), Vh))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_dof_is_named_by_a_reused_form_as_by_a_fresh_one(square10, bad):
+    Vh, uold, cases = _plan_cases(square10)
+    form = VarForm(linear_terms=cases["heat"])
+    uold.dofs[7] = bad
+    with pytest.raises(NumericError) as first:
+        assemble_linear(form, Vh)
+    uold.dofs[7] = 0.0
+    assemble_linear(form, Vh)
+    assemble_linear(form, Vh)
+    uold.dofs[7] = bad
+    with pytest.raises(NumericError) as later:
+        assemble_linear(form, Vh)
+    assert str(later.value) == str(first.value)
+    assert str(first.value).startswith("coefficient is not finite at (")
