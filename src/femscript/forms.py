@@ -38,15 +38,15 @@ that later assemblies apply.  Each product's coefficient is split through
 negation, sums, differences and products or quotients by a `Constant` into
 scaled parts.  An invariant part (a `Constant`, a `Coordinate`, an invariant
 `Op`) is assembled once into one kept vector, from its own subtree so that
-the `Op`'s kept values answer it.  A P1 or P0 FE function on the form's mesh,
-or its dx or dy, becomes one kept matrix K, the bilinear form with that
-function's basis as the trial part over the same term and rule, applied as
-scale * (K @ dofs).  A product with any other part (`uold*uold*v`,
-`sin(uold)*v`, a `FunctionField`) keeps the element path.  The first
-assembly takes the element path throughout, and so does any assembly whose
-kept FE functions have a DOF that is not finite, so that the error names the
-same point.  A reused form's vector is deterministic, but may differ from a
-fresh form's by rounding.
+the `Op`'s kept values answer it.  A P1 or P0 FE function on the form's mesh
+becomes one kept matrix K, the bilinear form with that function's basis as
+the trial part over the same term and rule, applied as K @ (scale * dofs).
+A product with any other part (`uold*uold*v`, `sin(uold)*v`, `dx(uold)*v`, a
+`FunctionField`) keeps the element path.  The first assembly takes the
+element path throughout, and so does any assembly whose scaled DOFs or
+planned vector hold a value that is not finite, so that the error names the
+same point as a fresh form's.  A reused form's vector is deterministic, but
+may differ from a fresh form's by rounding.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -484,12 +484,10 @@ def _element_vector(test, products):
 
 def _split(f, scale, mesh):
     """[(scale, part)] whose scaled sum is the coefficient `f`, or None when a
-    part is neither invariant nor an FE function or its derivative on `mesh`
-    (module docstring)."""
-    if isinstance(f, (Constant, Coordinate)) or isinstance(f, Op) and f.invariant:
-        return [(scale, f)]
-    if isinstance(f, FeFunction) and f.space.mesh is mesh or \
-            isinstance(f, FeGradField) and f.u.space.mesh is mesh:
+    part is neither invariant nor an FE function on `mesh` (module
+    docstring)."""
+    if isinstance(f, (Constant, Coordinate)) or isinstance(f, Op) and f.invariant or \
+            isinstance(f, FeFunction) and f.space.mesh is mesh:
         return [(scale, f)]
     if not isinstance(f, Op):
         return None
@@ -504,7 +502,7 @@ def _split(f, scale, mesh):
         return _split(b, scale * a.value, mesh)
     if f.op is np.multiply and isinstance(b, Constant):
         return _split(a, scale * b.value, mesh)
-    if f.op is np.divide and isinstance(b, Constant):
+    if f.op is np.divide and isinstance(b, Constant) and b.value != 0:
         return _split(a, scale / b.value, mesh)
     return None
 
@@ -520,17 +518,13 @@ def _linear_plan(form, test):
                 rest.append((term, vk, f))
                 continue
             for s, g in parts:
-                if isinstance(g, FeFunction):
-                    fe, uk = g, "val"
-                elif isinstance(g, FeGradField):
-                    fe, uk = g.u, "dx" if g.axis == 0 else "dy"
-                else:
+                if not isinstance(g, FeFunction):
                     kept += s * _element_vector(test, [(term, vk, g)])
                     continue
-                basis = FormExpr({(uk, vk): Constant(1.0)})
+                basis = FormExpr({("val", vk): Constant(1.0)})
                 K = assemble_bilinear(VarForm([FormTerm(term.kind, basis, term.labels,
-                                                        term.quad)]), fe.space, test)
-                applied.append((s, K, fe))
+                                                        term.quad)]), g.space, test)
+                applied.append((s, K, g))
     return kept, applied, rest
 
 
@@ -542,13 +536,16 @@ def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> n
         form._linear = (test, None)
     elif form._linear[1] is None:
         form._linear = (test, _linear_plan(form, test))
-    plan = form._linear[1]
-    if plan is not None and all(np.isfinite(fe.dofs).all() for _, _, fe in plan[1]):
+    plan, b = form._linear[1], None
+    if plan is not None:
         kept, applied, rest = plan
-        b = _element_vector(test, rest) + kept
-        for s, K, fe in applied:
-            b += s * (K @ fe.dofs)
-    else:
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            scaled = [s * fe.dofs for s, _, fe in applied]
+            if all(np.isfinite(d).all() for d in scaled):
+                b = _element_vector(test, rest) + kept
+                for (_, K, _), d in zip(applied, scaled):
+                    b += K @ d
+    if b is None or not np.isfinite(b).all():
         b = _element_vector(test, [(t, vk, f) for t in form.linear_terms
                                    for (_, vk), f in t.expr.terms.items()])
     for bc in form.dirichlet:

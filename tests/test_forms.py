@@ -756,7 +756,7 @@ def _plan_cases(mesh):
         "-(c*uold)*v": [FormTerm("int2d", -(2.5 * uold) * V)],
         "int1d": [FormTerm("int1d", (uold - 0.5 * X) * V, frozenset({2}))],
         "P0": [FormTerm("int2d", w * V, quad="order5")],
-        "two FE functions": [FormTerm("int2d", (uold + g / 3.0) * V + dx(uold) * dy(V))],
+        "two FE functions": [FormTerm("int2d", (uold + g / 3.0) * V)],
     }
 
 
@@ -795,12 +795,13 @@ def test_a_reassembled_linear_form_applies_its_plan(square10, monkeypatch, case)
     assert _agree(assemble_linear(form, Vh), fresh(), pinned)
 
 
-@pytest.mark.parametrize("coef", ["uold*uold", "sin(uold)", "function", "x*uold"])
+@pytest.mark.parametrize("coef", ["uold*uold", "sin(uold)", "function", "x*uold", "dx(uold)"])
 def test_a_product_that_does_not_split_keeps_the_element_path(square10, coef):
     from femscript.fields import Op
     Vh, uold, _ = _plan_cases(square10)
     f = {"uold*uold": uold * uold, "sin(uold)": Op(np.sin, uold),
-         "function": as_field(lambda x, y: x + y * y), "x*uold": X * uold}[coef]
+         "function": as_field(lambda x, y: x + y * y), "x*uold": X * uold,
+         "dx(uold)": dx(uold)}[coef]
     form = VarForm(linear_terms=[FormTerm("int2d", -(f * V) / 4.0)])
     first = assemble_linear(form, Vh)
     for _ in range(2):
@@ -810,18 +811,36 @@ def test_a_product_that_does_not_split_keeps_the_element_path(square10, coef):
     mixed = VarForm(linear_terms=terms)
     for _ in range(3):
         assert _agree(assemble_linear(mixed, Vh), assemble_linear(VarForm(linear_terms=terms), Vh))
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_a_non_finite_dof_is_named_by_a_reused_form_as_by_a_fresh_one(square10, bad):
+
+
+# 1e307 is finite, but uold/dt is not; the int1d case's DOF is off the
+# label, where its column of K is empty, but on a triangle along it
+@pytest.mark.parametrize("case, bad", [("heat", np.nan), ("heat", np.inf), ("heat", 1e307),
+                                       ("int1d", np.nan), ("int1d", np.inf)])
+def test_a_non_finite_dof_is_named_by_a_reused_form_as_by_a_fresh_one(square10, case, bad):
     Vh, uold, cases = _plan_cases(square10)
-    form = VarForm(linear_terms=cases["heat"])
-    uold.dofs[7] = bad
+    form = VarForm(linear_terms=cases[case])
+    x, y = square10.points.T
+    k = 7 if case == "heat" else int(np.argmin(abs(x - 0.9) + abs(y - 0.5)))
+    uold.dofs[k] = bad
     with pytest.raises(NumericError) as first:
         assemble_linear(form, Vh)
-    uold.dofs[7] = 0.0
+    uold.dofs[k] = 0.0
     assemble_linear(form, Vh)
     assemble_linear(form, Vh)
-    uold.dofs[7] = bad
+    uold.dofs[k] = bad
     with pytest.raises(NumericError) as later:
         assemble_linear(form, Vh)
     assert str(later.value) == str(first.value)
     assert str(first.value).startswith("coefficient is not finite at (")
+
+
+def test_a_quotient_by_zero_is_named_by_a_reused_form_as_by_a_fresh_one(square10):
+    Vh, uold, _ = _plan_cases(square10)
+    form = VarForm(linear_terms=[FormTerm("int2d", (uold / Constant(0.0)) * V)])
+    messages = set()
+    for _ in range(3):                      # the third builds the plan
+        with pytest.raises(NumericError) as err:
+            assemble_linear(form, Vh)
+        messages.add(str(err.value))
+    assert len(messages) == 1 and messages.pop().startswith("coefficient is not finite at (")

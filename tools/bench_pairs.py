@@ -8,9 +8,10 @@ S = 1..N, once in that copy and once in the working tree, with the
 `run_seconds` of BENCHMARK.json.  On odd seeds the base runs first, on even
 seeds the working tree does, so that a drift in the host's speed falls on
 both sides alike.  Writes BENCH_<W>.json at the root of the working tree:
-the machine and versions, both revisions, each run's end-to-end metrics and
-check counts, and per metric the medians, quartiles, win counts and a
-verdict against the bound that BENCHMARK.json fixes:
+the machine and versions, both revisions (with the working tree's files
+that differ from its HEAD, other than these reports), each run's end-to-end
+metrics and check counts, and per metric the medians, quartiles, win counts
+and a verdict against the bound that BENCHMARK.json fixes:
   - "better": the working tree wins at least nine pairs in ten (ties count
     for neither side) and its median beats the base's by more than the
     distance between the base's quartiles;
@@ -102,8 +103,11 @@ def main(argv=None):
     if args.workload not in [w["name"] for w in spec["workloads"]]:
         sys.exit(f"unknown workload {args.workload!r}")
     base_sha = git("rev-parse", "--verify", args.base + "^{commit}")
+    differ = git("diff", "--name-only", "HEAD") + "\n" + \
+        git("ls-files", "--others", "--exclude-standard")
     change = {"head": git("rev-parse", "HEAD"),
-              "uncommitted_changes": bool(git("status", "--porcelain"))}
+              "uncommitted_changes": [f for f in differ.split()
+                                      if not (f.startswith("BENCH_") and f.endswith(".json"))]}
 
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
