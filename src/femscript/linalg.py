@@ -16,12 +16,16 @@ solves:
   value) are all symmetric in pattern, where this ordering fills less than
   SuperLU's default COLAMD: on the 5-point square at N = 256, L+U stores
   3.5M entries against 6.3M.  relax=1 and panel_size=1 keep SuperLU from
-  amalgamating supernodes: with its default relaxation the same ordering
-  factors the N = 256 disk Jacobian in 3.4 s instead of 0.05 s (COLAMD:
-  0.11 s), on one core.
-SuperLU pivots partially.  The conjugate gradient is written
-here, Jacobi preconditioned, and serves as the independent cross-check of
-the direct route on symmetric positive definite systems.
+  amalgamating supernodes, which on the N = 256 disk Jacobian takes 2.1 s
+  instead of 0.028 s (one core).
+SuperLU pivots partially.  Minimum degree reads only the pattern, so it runs
+once per pattern: the first factorization keeps SuperLU's perm_c in the
+matrix's ordering cell, which same-pattern matrices share (`SparseMatrix`),
+and later ones factor the column-permuted copy in natural order.  SuperLU
+postorders that copy to the identity, so their solutions are bit-identical.
+The conjugate gradient is written here, Jacobi preconditioned, and serves as
+the independent cross-check of the direct route on symmetric positive
+definite systems.
 """
 
 from dataclasses import dataclass
@@ -71,6 +75,10 @@ class SparseMatrix:
 
     Column indices are strictly increasing within each row and duplicates
     are summed away at construction.  Stored zeros are never pruned.
+
+    A matrix derived without a pattern change (`scale`, `scale_columns`, a
+    same-pattern `+` or one with an empty operand, `with_diagonal` inserting
+    nothing) shares its source's ordering cell; any other starts an empty one.
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -91,12 +99,14 @@ class SparseMatrix:
             raise InvalidArgumentError(
                 f"row {rows[bad[0]]}: column indices not strictly increasing")
         self._csr, self._lu = _csr_matrix(data, indices, indptr, (n, m)), None
+        self._order = [None]
 
     @classmethod
-    def _wrap(cls, csr):
-        """Wrap a canonical csr_matrix built in this module, unchecked."""
+    def _wrap(cls, csr, order=None):
+        """Wrap a canonical csr_matrix built in this module, unchecked; `order`
+        is the ordering cell of a matrix with the same pattern, if any."""
         self = cls.__new__(cls)
-        self._csr, self._lu = csr, None
+        self._csr, self._lu, self._order = csr, None, [None] if order is None else order
         return self
 
     @classmethod
@@ -168,11 +178,13 @@ class SparseMatrix:
         # Not scipy's +, which drops entries that sum to exactly zero.
         a, b = self._csr, other._csr
         if not a.nnz or not b.nnz:
-            c = b if not a.nnz else a
-            data = c.data.astype(np.result_type(a.data, b.data), copy=False)
-            return SparseMatrix._wrap(_csr_matrix(data, c.indices, c.indptr, c.shape))
+            c = other if not a.nnz else self
+            data = c._csr.data.astype(np.result_type(a.data, b.data), copy=False)
+            return SparseMatrix._wrap(_csr_matrix(data, c._csr.indices, c._csr.indptr,
+                                                  c.shape), c._order)
         if np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices):
-            return SparseMatrix._wrap(_csr_matrix(a.data + b.data, a.indices, a.indptr, a.shape))
+            return SparseMatrix._wrap(_csr_matrix(a.data + b.data, a.indices, a.indptr,
+                                                  a.shape), self._order)
         r1 = np.repeat(np.arange(self.shape[0]), np.diff(a.indptr))
         r2 = np.repeat(np.arange(other.shape[0]), np.diff(b.indptr))
         return SparseMatrix.from_coo(
@@ -181,7 +193,8 @@ class SparseMatrix:
 
     def scale(self, alpha):
         A = self._csr
-        return SparseMatrix._wrap(_csr_matrix(A.data * alpha, A.indices, A.indptr, A.shape))
+        return SparseMatrix._wrap(_csr_matrix(A.data * alpha, A.indices, A.indptr, A.shape),
+                                  self._order)
 
     def scale_columns(self, d):
         """Copy with column j multiplied by d[j], that is A @ diag(d)."""
@@ -190,7 +203,7 @@ class SparseMatrix:
             raise InvalidArgumentError(f"column scaling needs {self.shape[1]} factors")
         A = self._csr
         return SparseMatrix._wrap(_csr_matrix(A.data * d[A.indices], A.indices, A.indptr,
-                                              A.shape))
+                                              A.shape), self._order)
 
     def with_diagonal(self, dof_indices, value) -> "SparseMatrix":
         """Copy with the diagonal of the given rows overwritten by `value`,
@@ -206,7 +219,7 @@ class SparseMatrix:
         on_diag = A.indices[pos] == seg_rows
         data = A.data.copy()
         data[pos[on_diag]] = value
-        out = SparseMatrix._wrap(_csr_matrix(data, A.indices, A.indptr, A.shape))
+        out = SparseMatrix._wrap(_csr_matrix(data, A.indices, A.indptr, A.shape), self._order)
         missing = np.setdiff1d(r, seg_rows[on_diag], assume_unique=True)
         if len(missing):
             out = out + SparseMatrix.from_coo(missing, missing,
@@ -229,7 +242,7 @@ class LuFactorization:
             raise InvalidArgumentError("LU needs a square matrix")
         self.shape = A.shape
         csr, n = A._csr, A.shape[0]
-        self._diag = self._splu = None
+        self._diag = self._splu = self._perm_c = None
         if csr.nnz <= n and np.array_equal(csr.indices,
                                            np.repeat(np.arange(n), np.diff(csr.indptr))):
             self._method = "diagonal"
@@ -238,19 +251,32 @@ class LuFactorization:
                 raise SingularMatrixError("Factor is exactly singular")
             return
         self._method = "MMD_AT_PLUS_A"
+        # perm_c moves column j to perm_c[j]: the same CSR, columns renamed
+        self._perm_c = perm_c = A._order[0]
+        if perm_c is not None:
+            csr = _csr_matrix(csr.data, perm_c[csr.indices], csr.indptr, csr.shape)
         try:
-            self._splu = _spla.splu(csr.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
-                                    panel_size=1)
+            self._splu = _spla.splu(csr.tocsc(), relax=1, panel_size=1, permc_spec=(
+                "MMD_AT_PLUS_A" if perm_c is None else "NATURAL"))
         except RuntimeError as exc:
             raise SingularMatrixError(str(exc)) from exc
+        if perm_c is None:                      # a copy: a view would keep the factors alive
+            A._order[0] = self._splu.perm_c.copy()
 
     @property
     def method(self):
         return self._method
 
+    @property
+    def nnz(self):
+        """nnz(L+U) as SuperLU counts it; n for the diagonal method."""
+        return self.shape[0] if self._splu is None else self._splu.nnz
+
     def solve(self, b):
         b = _rhs(b, self.shape[0])
         x = b / self._diag if self._splu is None else self._splu.solve(b)
+        if self._perm_c is not None:
+            x = x[self._perm_c]
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError("factorization produced non-finite solution")
         return x

@@ -142,6 +142,39 @@ def test_disk_newton_jacobians_get_minimum_degree(disk_meshes, monkeypatch):
     assert {lu.method for _, lu in seen} == {"MMD_AT_PLUS_A"}
 
 
+@pytest.mark.parametrize("problem", ["ellnl", "ellnl_dbc"])
+def test_newton_jacobians_reuse_one_ordering_bit_identically(disk_meshes, monkeypatch, problem):
+    seen = factorized_by(monkeypatch, lambda: studies.run_fixed_point(
+        problem, 32, mesh=disk_meshes[1], method="newton"))
+    assert len(seen) > 1 and all(A._order is seen[0][0]._order for A, _ in seen)
+    b = np.random.default_rng(4).standard_normal(seen[0][0].shape[0])
+    for A, lu in seen:
+        csr = A._csr
+        fresh = factorize(SparseMatrix(csr.indptr, csr.indices, csr.data, A.shape))
+        assert np.array_equal(lu.solve(b), fresh.solve(b))
+        assert lu.nnz == fresh.nnz
+
+
+def test_a_reused_ordering_keeps_the_singular_errors():
+    A = tridiag(6, -1.0, 3.0, -1.0)
+    assert factorize(A).nnz > A.shape[0]
+    assert A._order[0].base is None             # the cell keeps no factorization alive
+    d = np.ones(6)
+    d[2] = 0.0                                  # an exactly zero column
+    for B in (A.scale(0.0), A.scale_columns(d)):
+        copy = SparseMatrix(B._csr.indptr, B._csr.indices, B._csr.data, B.shape)
+        with pytest.raises(SingularMatrixError) as fresh:
+            factorize(copy)
+        with pytest.raises(SingularMatrixError) as reused:
+            factorize(B)
+        assert str(reused.value) == str(fresh.value)
+        assert B._order is A._order
+    tiny = A.scale(1e-320)                      # subnormal pivots: the solve overflows
+    with pytest.raises(SingularMatrixError, match="non-finite"):
+        factorize(tiny).solve(np.ones(6))
+    assert tiny._order is A._order
+
+
 def test_unsymmetric_pattern_is_solved():
     A = SparseMatrix.from_coo([0, 1, 1, 2], [0, 0, 1, 2], [2.0, 1.0, 3.0, 4.0], (3, 3))
     assert np.array_equal(factorize(A).solve(np.array([2.0, 4.0, 8.0])), [1.0, 1.0, 2.0])

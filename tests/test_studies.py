@@ -9,7 +9,8 @@ from femscript.fields import Constant, as_field
 from femscript.forms import (DirichletBC, FormTerm, TestFunction, TrialFunction,
                              VarForm, as_form, assemble_bilinear, assemble_linear,
                              dirichlet_dofs, dx, dy, integrate_2d)
-from femscript.linalg import factorize
+from femscript import linalg
+from femscript.linalg import SparseMatrix, factorize
 from femscript.mesh import build_square
 from femscript.studies import (ConvergenceRow, FixedPointConfig, ThetaSchemeConfig,
                                convergence_rate, ellnl_dbc_exact, ellnl_exact,
@@ -116,6 +117,47 @@ def test_nonlinear_study_rows_carry_iterations():
     for row in rows:
         _, iters, err = run_fixed_point("ellnl", row.N, method="newton")
         assert row.iterations == iters and err < 1e-10
+
+
+@pytest.fixture
+def permc_specs(monkeypatch):
+    """The column orderings that SuperLU is asked for, in call order."""
+    specs, splu = [], linalg._spla.splu
+
+    def counted(A, **kw):
+        specs.append(kw["permc_spec"])
+        return splu(A, **kw)
+
+    monkeypatch.setattr(linalg._spla, "splu", counted)
+    return specs
+
+
+@pytest.mark.parametrize("method", ["newton", "picard"])
+@pytest.mark.parametrize("problem", ["ellnl", "ellnl_dbc"])
+def test_fixed_point_orders_its_jacobians_once(disk_meshes, permc_specs, problem, method):
+    _, iters, _ = run_fixed_point(problem, 32, mesh=disk_meshes[1], method=method)
+    assert iters > 1
+    assert permc_specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (iters - 1)
+
+
+def test_only_pattern_keeping_operations_share_an_ordering(permc_specs):
+    rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(6), np.arange(6))) <= 1)
+    off = (rows != 3) | (cols != 3)             # a tridiagonal without entry (3, 3)
+    rows, cols = rows[off], cols[off]
+    A = SparseMatrix.from_coo(rows, cols, np.where(rows == cols, 4.0, -1.0), (6, 6))
+    factorize(A)
+    csr, empty = A._csr, SparseMatrix.from_coo([], [], [], A.shape)
+    diag = SparseMatrix.from_coo(range(6), range(6), np.ones(6), A.shape)
+    keep = [A.scale(2.0), A.scale_columns(np.arange(1.0, 7.0)), A + A.scale(0.5),
+            A.with_diagonal([0, 5], 9.0), A + empty, empty + A]
+    fresh = [SparseMatrix(csr.indptr, csr.indices, csr.data, A.shape),
+             SparseMatrix.from_coo(rows, cols, csr.data, A.shape),
+             SparseMatrix._from_sorted(rows, cols, csr.data, A.shape), A.T, A + diag,
+             A.with_diagonal([3], 9.0)]
+    del permc_specs[:]
+    for B in keep + fresh:
+        factorize(B)
+    assert permc_specs == ["NATURAL"] * len(keep) + ["MMD_AT_PLUS_A"] * len(fresh)
 
 
 def test_fixed_point_unknown_method():

@@ -10,8 +10,9 @@ seeds the working tree does, so that a drift in the host's speed falls on
 both sides alike.  Writes BENCH_<W>.json at the root of the working tree:
 the machine and versions, both revisions (with the working tree's files
 that differ from its HEAD, other than these reports), each run's end-to-end
-metrics and check counts, and per metric the medians, quartiles, win counts
-and a verdict against the bound that BENCHMARK.json fixes:
+metrics, check counts and median pass wall time (`wall_s_median`, from
+bench/run.py's report line), and per metric the medians, quartiles, win
+counts and a verdict against the bound that BENCHMARK.json fixes:
   - "better": the working tree wins at least nine pairs in ten (ties count
     for neither side) and its median beats the base's by more than the
     distance between the base's quartiles;
@@ -19,6 +20,8 @@ and a verdict against the bound that BENCHMARK.json fixes:
   - "unresolved": the base's own quartile spread is wider than the bound,
     unless every run of the working tree reads better than every base run;
   - "no worse" otherwise.
+Each side's median `wall_s_median` is printed beside `wall_per_ref`, which
+splits a ratio move into pass time and reference-kernel time.
 """
 
 import argparse
@@ -58,9 +61,9 @@ def run_bench(tree, workload, seed, seconds):
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"bench/run.py failed in {tree} (status {proc.returncode}):\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    report, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
     return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
+            "failed": result["failed"], "wall_s_median": report["wall_s_median"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -127,6 +130,8 @@ def main(argv=None):
                   for side in ("base", "change")}
         metrics[m["name"]] = dict(summarize(values["base"], values["change"], m["better"],
                                             m["bound"]), unit=m["unit"], **values)
+    wall_s = {side: statistics.median(r[side]["wall_s_median"] for r in runs)
+              for side in ("base", "change")}
     report = {
         "workload": args.workload, "pairs": args.pairs, "run_seconds": spec["run_seconds"],
         "machine": {"nproc": os.cpu_count(), "platform": platform.platform(),
@@ -136,12 +141,15 @@ def main(argv=None):
         "failed": {side: sum(r[side]["failed"] for r in runs) for side in ("base", "change")},
         "attempted": {side: sum(r[side]["attempted"] for r in runs)
                       for side in ("base", "change")},
-        "metrics": metrics, "runs": runs}
+        "metrics": metrics, "wall_s_median": wall_s, "runs": runs}
     out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     for name, m in metrics.items():
         print(f"{name}: base {m['base_median']:.4g}, change {m['change_median']:.4g} "
               f"({m['change_vs_base']:.3f}x), wins {m['wins']}/{args.pairs}: {m['verdict']}")
+        if name == "wall_per_ref":
+            print(f"  pass wall_s_median: base {wall_s['base']:.4g} s, "
+                  f"change {wall_s['change']:.4g} s")
     print(f"wrote {out}")
     return 0
 
