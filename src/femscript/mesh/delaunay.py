@@ -26,7 +26,14 @@ bits, so a faster version must keep all three:
   calls it only when the in-circle determinant exceeds EPS_REL times the
   square of the largest squared distance from the opposite vertex to the
   triangle's corners, taking the edges a flip exposes last in first out, an
-  order that decides which of two cocircular diagonals survives.
+  order that decides which of two cocircular diagonals survives. One call
+  takes every edge a split or a recovery sweep exposes, pushed in reverse:
+  each edge's flips end before the next edge is popped, as with one call
+  per edge in order.
+
+Points and triangles are (x, y) and (a, b, c) tuples, replaced whole and
+never mutated (a tuple row reads faster than three subscripts of a flat
+list); neighbour rows are lists.
 """
 
 import math
@@ -113,8 +120,8 @@ class _Triangulation:
     """Incremental Delaunay with constrained edges (flip-based insertion)."""
 
     def __init__(self, scale):
-        self.pts = []            # [x, y]
-        self.tris = []           # [a, b, c] CCW
+        self.pts = []            # (x, y)
+        self.tris = []           # (a, b, c) CCW
         self.nbr = []            # [n0, n1, n2], edge k = (v[k], v[k+1])
         self.kept = []           # classification flag per triangle
         self.constrained = set()  # {(min,max)}
@@ -132,8 +139,8 @@ class _Triangulation:
     def init_super(self, lo, hi):
         cx, cy = (lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2
         r = 50.0 * max(hi[0] - lo[0], hi[1] - lo[1], 1e-30)
-        self.pts = [[cx - 2 * r, cy - r], [cx + 2 * r, cy - r], [cx, cy + 2 * r]]
-        self.tris = [[0, 1, 2]]
+        self.pts = [(cx - 2 * r, cy - r), (cx + 2 * r, cy - r), (cx, cy + 2 * r)]
+        self.tris = [(0, 1, 2)]
         self.nbr = [[-1, -1, -1]]
         self.kept = [False]
         self.n_super = 3
@@ -144,26 +151,35 @@ class _Triangulation:
     def locate(self, p, hint=None):
         """Walk to the triangle containing p.
 
-        Returns (t, kind, k): kind "in", or "edge" with local edge k,
-        or "vertex" with local vertex k.  Each step crosses the edge of the
-        first smallest orient, the tie rule of `min(range(3), key=...)`.
+        Returns (t, kind, k): kind "vertex" with local vertex k, else "edge"
+        with local edge k, else "in" with k = -1.  Each step crosses the edge
+        of the first smallest orient, the tie rule of `min(range(3), key=...)`.
         """
         tris, nbr, pts = self.tris, self.nbr, self.pts
         t = self._hint if hint is None else hint
         px, py = p
-        neg_tol = -self.tol_orient
+        tol = self.tol_orient
+        neg_tol = -tol
         for _ in range(4 * len(tris) + 16):
             i, j, k = tris[t]
-            pa, pb, pc = pts[i], pts[j], pts[k]
-            o0 = (pb[0] - pa[0]) * (py - pa[1]) - (pb[1] - pa[1]) * (px - pa[0])
-            o1 = (pc[0] - pb[0]) * (py - pb[1]) - (pc[1] - pb[1]) * (px - pb[0])
-            o2 = (pa[0] - pc[0]) * (py - pc[1]) - (pa[1] - pc[1]) * (px - pc[0])
+            (ax, ay), (bx, by), (cx, cy) = pts[i], pts[j], pts[k]
+            o0 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            o1 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
+            o2 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
             if o1 < o0:
                 worst, low = (2, o2) if o2 < o1 else (1, o1)
             else:
                 worst, low = (2, o2) if o2 < o0 else (0, o0)
             if not low < neg_tol:
-                return self._classify(t, p, (o0, o1, o2))
+                self._hint = t
+                d2 = self.tol_pt2
+                k = (0 if (px - ax) ** 2 + (py - ay) ** 2 <= d2 else
+                     1 if (px - bx) ** 2 + (py - by) ** 2 <= d2 else
+                     2 if (px - cx) ** 2 + (py - cy) ** 2 <= d2 else -1)
+                if k >= 0:
+                    return t, "vertex", k
+                k = 0 if abs(o0) <= tol else 1 if abs(o1) <= tol else 2 if abs(o2) <= tol else -1
+                return t, "in" if k < 0 else "edge", k
             t = nbr[t][worst]
             if t == -1:
                 break
@@ -172,21 +188,9 @@ class _Triangulation:
     def _locate_brute(self, p):
         for t, vs in enumerate(self.tris):
             pa, pb, pc = (self.pts[v] for v in vs)
-            o = _orient(pa, pb, p), _orient(pb, pc, p), _orient(pc, pa, p)
-            if min(o) >= -self.tol_orient:
-                return self._classify(t, p, o)
+            if min(_orient(pa, pb, p), _orient(pb, pc, p), _orient(pc, pa, p)) >= -self.tol_orient:
+                return self.locate(p, t)    # the walk stops at once in t
         raise GeometryError(f"point {p} outside the triangulation")
-
-    def _classify(self, t, p, o):
-        """`locate`'s answer for p in triangle t, whose edge orients are o."""
-        self._hint = t
-        for k, q in enumerate(self.pts[v] for v in self.tris[t]):
-            if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= self.tol_pt2:
-                return t, "vertex", k
-        for k in range(3):
-            if abs(o[k]) <= self.tol_orient:
-                return t, "edge", k
-        return t, "in", -1
 
     # -- insertion -----------------------------------------------------------
     # After a split or a flip, the neighbour m's entry that named `old` names
@@ -196,32 +200,33 @@ class _Triangulation:
         """Insert p, returning its vertex index (existing index if welded)."""
         return self._insert_at(p, self.locate(p), [])
 
-    def _insert_at(self, p, where, changed):
-        """Insert p where `locate` found it: (t, kind, k).  Returns -1 if p
-        lies on a constrained edge."""
+    def _insert_at(self, p, where, queue):
+        """Insert p where `locate` found it: (t, kind, k), appending to queue
+        the triangles the insertion changes, in the order they change.
+        Returns -1 if p lies on a constrained edge."""
         t, kind, k = where
+        vt = self.tris[t]
         if kind == "vertex":
-            return self.tris[t][k]
-        pi = len(self.pts)
-        self.pts.append([float(p[0]), float(p[1])])
-        if kind == "in":
-            self._split_interior(t, pi, changed)
-        elif self._edge_key(self.tris[t][k], self.tris[t][NXT[k]]) in self.constrained:
-            self.pts.pop()
+            return vt[k]
+        if kind == "edge" and self._edge_key(vt[k], vt[NXT[k]]) in self.constrained:
             return -1
+        pi = len(self.pts)
+        self.pts.append((float(p[0]), float(p[1])))
+        if kind == "in":
+            self._split_interior(t, pi, queue)
         else:
-            self._split_edge(t, k, pi, changed)
+            self._split_edge(t, k, pi, queue)
         return pi
 
-    def _split_interior(self, t, pi, changed):
+    def _split_interior(self, t, pi, queue):
         tris, nbr = self.tris, self.nbr
         a, b, c = tris[t]
         nab, nbc, nca = nbr[t]
         t2 = len(tris)
         t3 = t2 + 1
-        tris[t] = [a, b, pi]
+        tris[t] = (a, b, pi)
         nbr[t] = [nab, t2, t3]
-        tris += ([b, c, pi], [c, a, pi])
+        tris += ((b, c, pi), (c, a, pi))
         nbr += ([nbc, t3, t], [nca, t, t2])
         self.kept += (self.kept[t],) * 2
         if nbc != -1:
@@ -230,18 +235,18 @@ class _Triangulation:
         if nca != -1:
             m = nbr[nca]
             m[0 if m[0] == t else 1 if m[1] == t else 2 if m[2] == t else _broken()] = t3
-        changed.extend((t, t2, t3))
-        for tt in (t, t2, t3):
-            self._legalize(tt, 0, changed)
+        queue.extend((t, t2, t3))
+        self._legalize([(t3, 0), (t2, 0), (t, 0)], queue)
 
-    def _split_edge(self, t, k, pi, changed):
+    def _split_edge(self, t, k, pi, queue):
         tris, nbr, kept = self.tris, self.nbr, self.kept
-        a, b, c = tris[t][k], tris[t][NXT[k]], tris[t][PRV[k]]
+        vt = tris[t]
+        a, b, c = vt[k], vt[NXT[k]], vt[PRV[k]]
         n, n_bc, n_ap = nbr[t][k], nbr[t][NXT[k]], nbr[t][PRV[k]]  # across ab, bc, ca
         t2 = len(tris)
         # upper side: t -> (a, pi, c), t2 -> (pi, b, c)
-        tris[t] = [a, pi, c]
-        tris.append([pi, b, c])
+        tris[t] = (a, pi, c)
+        tris.append((pi, b, c))
         kept.append(kept[t])
         nbr.append([-1, n_bc, t])
         if n_bc != -1:
@@ -249,9 +254,8 @@ class _Triangulation:
             m[0 if m[0] == t else 1 if m[1] == t else 2 if m[2] == t else _broken()] = t2
         if n == -1:
             nbr[t] = [-1, t2, n_ap]
-            changed.extend((t, t2))
-            self._legalize(t, 2, changed)
-            self._legalize(t2, 1, changed)
+            queue.extend((t, t2))
+            self._legalize([(t2, 1), (t, 2)], queue)
             return
         vn = tris[n]
         kn = (0 if vn[0] == b and vn[1] == a else 1 if vn[1] == b and vn[2] == a
@@ -260,8 +264,8 @@ class _Triangulation:
         n_da, n_bd = nbr[n][NXT[kn]], nbr[n][PRV[kn]]  # across (a, d) and (d, b)
         t4 = len(tris)
         # lower side: n -> (b, pi, d), t4 -> (pi, a, d)
-        tris[n] = [b, pi, d]
-        tris.append([pi, a, d])
+        tris[n] = (b, pi, d)
+        tris.append((pi, a, d))
         kept.append(kept[n])
         nbr.append([t, n_da, n])
         if n_da != -1:
@@ -270,20 +274,17 @@ class _Triangulation:
         nbr[t] = [t4, t2, n_ap]
         nbr[n] = [t2, t4, n_bd]
         nbr[t2][0] = n
-        changed.extend((t, t2, n, t4))
-        self._legalize(t, 2, changed)
-        self._legalize(t2, 1, changed)
-        self._legalize(n, 2, changed)
-        self._legalize(t4, 1, changed)
+        queue.extend((t, t2, n, t4))
+        self._legalize([(t4, 1), (n, 2), (t2, 1), (t, 2)], queue)
 
-    def _legalize(self, t0, k0, changed):
-        """Flip edge k0 of t0, and then the edges a flip exposes, while the
-        opposite vertex lies inside the circumcircle: `_incircle` exceeds
-        EPS_REL times the square of the largest squared distance from it to
-        the triangle's corners."""
+    def _legalize(self, stack, changed):
+        """Pop edges (t, k) off stack and flip each while the opposite vertex
+        lies inside the circumcircle: `_incircle` exceeds EPS_REL times the
+        square of the largest squared distance from it to the triangle's
+        corners. A flip pushes the two edges it exposes and appends its two
+        triangles to changed."""
         tris, nbr, pts = self.tris, self.nbr, self.pts
         constrained = self.constrained
-        stack = [(t0, k0)]
         while stack:
             t, k = stack.pop()
             vt = tris[t]
@@ -300,17 +301,19 @@ class _Triangulation:
                 kn, d = 2, y
             else:
                 continue
-            pa, pb, pc, pd = pts[vt[0]], pts[vt[1]], pts[vt[2]], pts[d]
-            adx, ady = pa[0] - pd[0], pa[1] - pd[1]
-            bdx, bdy = pb[0] - pd[0], pb[1] - pd[1]
-            cdx, cdy = pc[0] - pd[0], pc[1] - pd[1]
+            u, v, w = vt
+            (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts[u], pts[v], pts[w], pts[d]
+            adx, ady = ax - dx, ay - dy
+            bdx, bdy = bx - dx, by - dy
+            cdx, cdy = cx - dx, cy - dy
             ad = adx * adx + ady * ady
             bd = bdx * bdx + bdy * bdy
             cd = cdx * cdx + cdy * cdy
             det = (adx * (bdy * cd - bd * cdy)
                    - ady * (bdx * cd - bd * cdx)
                    + ad * (bdx * cdy - bdy * cdx))
-            if det <= 0.0 or det <= EPS_REL * max(ad, bd, cd) ** 2:
+            big = bd if bd > ad else ad     # max(ad, bd, cd)
+            if det <= 0.0 or det <= EPS_REL * (cd if cd > big else big) ** 2:
                 continue
             self._flip(t, k, n, kn)
             changed.extend((t, n))
@@ -325,9 +328,9 @@ class _Triangulation:
         a, b, c, d = vt[k], vt[NXT[k]], vt[PRV[k]], tris[n][PRV[kn]]
         n_bc, n_ca = nbr[t][NXT[k]], nbr[t][PRV[k]]
         n_ad, n_db = nbr[n][NXT[kn]], nbr[n][PRV[kn]]
-        tris[t] = [a, d, c]
+        tris[t] = (a, d, c)
         nbr[t] = [n_ad, n, n_ca]
-        tris[n] = [d, b, c]
+        tris[n] = (d, b, c)
         nbr[n] = [n_db, n_bc, t]
         if n_ad != -1:
             m = nbr[n_ad]
@@ -409,9 +412,7 @@ class _Triangulation:
         changed = cavity
         while changed:
             touched, changed = changed, []
-            for t in touched:
-                for k in range(3):
-                    self._legalize(t, k, changed)
+            self._legalize([(t, k) for t in reversed(touched) for k in (2, 1, 0)], changed)
 
 
 def _weld_key(x, y, tol):
@@ -562,12 +563,14 @@ def build_from_borders(borders, size_factor=None) -> Mesh:
 
     queue = deque(t for t, k in enumerate(tr.kept) if k)
     blocked = set()
-    good = set()    # points never move: a good (ordered) triple stays good
+    good = set()    # points never move: a good (ordered) row stays good
     pts, tris, kept, tol = tr.pts, tr.tris, tr.kept, tr.tol_orient
     while queue:
         t = queue.popleft()
+        if not kept[t] or t in blocked:
+            continue
         vs = tris[t]
-        if t in blocked or not kept[t] or tuple(vs) in good:
+        if vs in good:
             continue
         a, b, c = pts[vs[0]], pts[vs[1]], pts[vs[2]]
         d = 2.0 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
@@ -587,21 +590,18 @@ def build_from_borders(borders, size_factor=None) -> Mesh:
         # the circumradius over the shortest edge, bounded by QUALITY_BOUND
         if not (math.sqrt(max(e)) > size_factor * target
                 or math.dist(cc, a) > QUALITY_BOUND * math.sqrt(min(e))):
-            good.add(tuple(vs))
+            good.add(vs)
             continue
         where = tr.locate(cc, hint=t)
         loc_t, kind, _ = where
-        if kind == "vertex" or not tr.kept[loc_t]:
+        if kind == "vertex" or not kept[loc_t]:
             blocked.add(t)
             continue
-        if len(tr.pts) > MAX_POINTS:
+        if len(pts) > MAX_POINTS:
             raise GeometryError("refinement exceeded the point budget")
-        changed = []
-        vi = tr._insert_at(cc, where, changed)
-        if vi < 0:
+        if tr._insert_at(cc, where, queue) < 0:
             blocked.add(t)
             continue
-        queue.extend(changed)
         queue.append(t)
 
     return _extract_mesh(tr, segs, vert_of)

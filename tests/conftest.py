@@ -1,5 +1,7 @@
 import math
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,20 @@ def square16():
 @pytest.fixture(scope="session")
 def circle50():
     return build_from_borders([circle_border(50)])
+
+
+@contextmanager
+def time_bound(seconds):
+    """Raise TimeoutError in the block once it has run `seconds` seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def hole_borders(inner_count):

@@ -1,7 +1,5 @@
 import hashlib
 import io
-import signal
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -11,6 +9,8 @@ from femscript.dsl import LexError, ParseError, Parser, parse, run_source, token
 from femscript.dsl import astnodes as A
 from femscript.dsl.parser import expand_macro
 from femscript.errors import FemError
+
+from conftest import time_bound
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.edp"))
 
@@ -187,20 +187,6 @@ def test_fe_declaration_needs_known_space():
     # `Vh uh;` with no fespace named Vh parses as an expression and fails later
     with pytest.raises(ParseError):
         parse("Vh uh;")
-
-
-@contextmanager
-def time_bound(seconds):
-    """Raise TimeoutError in the block once it has run `seconds` seconds."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 RECURSIVE_MACROS = {

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import math
@@ -15,7 +16,8 @@ from femscript.mesh import (Border, Mesh, build_from_borders, build_square,
 from femscript.mesh.delaunay import EPS_REL, _incircle, _orient, _Triangulation
 from femscript.studies import circle_border, disk_mesh
 
-from conftest import conformity_report, delaunay_violations, hole_borders, polygon_borders
+from conftest import (conformity_report, delaunay_violations, hole_borders, polygon_borders,
+                      time_bound)
 
 
 def test_square_1x1_counts():
@@ -320,7 +322,7 @@ def test_segment_recovery_flips_every_crossing_edge():
         assert tr._edge_key(a, b) in tr.live_edges()
         assert all(_orient(*(tr.pts[v] for v in vs)) > 0 for vs in tr.tris)
         assert all(n == -1 or t in tr.nbr[n] for t, ns in enumerate(tr.nbr) for n in ns)
-        tris = [list(vs) for vs in tr.tris]
+        tris = list(tr.tris)
         _legalize_sweep(tr)
         assert tr.tris == tris
 
@@ -363,6 +365,26 @@ def test_coarse_l_shapes_recover_their_segments(monkeypatch):
         assert m.ne == sum(counts)
         assert sorted(set(m.edge_label.tolist())) == [1, 2, 3, 4, 5, 6]
     assert recovered >= 50, recovered
+
+
+@pytest.mark.xfail(strict=True, raises=GeometryError,
+                   reason="the circumcenter of a sliver along a long unsplit boundary segment "
+                          "lies outside the super-triangle (CHANGES.md, FOUND line on thin "
+                          "border sets)")
+@pytest.mark.parametrize("n", [8, 16])
+def test_thin_rectangle_meshes(n):
+    """The 4 x 0.1 rectangle sampled a(1)+b(n)+c(1)+d(n) is a valid border
+    set: it should mesh conformingly, with its area, every sample and every
+    label, and within a bounded time."""
+    with time_bound(10):
+        m = build_from_borders(polygon_borders([(0, 0), (4, 0), (4, 0.1), (0, 0.1)], [1, n, 1, n]))
+    nonmanifold, unlabeled_hull, labeled_counts = conformity_report(m)
+    assert not nonmanifold and not unlabeled_hull
+    assert all(c == 1 for c in labeled_counts.values())
+    assert abs(m.total_area() - 0.4) <= 1e-9
+    assert (m.signed_areas() > 0).all()
+    assert m.ne == 2 + 2 * n
+    assert sorted(set(m.edge_label.tolist())) == [1, 2, 3, 4]
 
 
 # -- adjacency and the structured square against loop references ----------------
@@ -533,18 +555,36 @@ def _tie_inputs(kind):
             + [(i / 10, i / 10) for i in range(2, 11, 2)])
 
 
+def _classify_reference(tr, t, p, o):
+    """`locate`'s answer for p in triangle t, whose edge orients are o: the
+    first corner within tolerance, else the first edge, else the inside."""
+    for k, q in enumerate(tr.pts[v] for v in tr.tris[t]):
+        if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= tr.tol_pt2:
+            return t, "vertex", k
+    for k in range(3):
+        if abs(o[k]) <= tr.tol_orient:
+            return t, "edge", k
+    return t, "in", -1
+
+
 def _locate_reference(tr, p, t):
-    """The walk with `min(range(3), key=...)` choosing the edge to cross."""
+    """The walk with `min(range(3), key=...)` choosing the edge to cross,
+    then, if it leaves the triangulation, the first triangle holding p."""
     for _ in range(4 * len(tr.tris) + 16):
         pa, pb, pc = (tr.pts[v] for v in tr.tris[t])
         o = _orient(pa, pb, p), _orient(pb, pc, p), _orient(pc, pa, p)
         worst = min(range(3), key=o.__getitem__)
         if o[worst] >= -tr.tol_orient:
-            return tr._classify(t, p, o), sorted(o)[0] == sorted(o)[1]
+            return _classify_reference(tr, t, p, o), sorted(o)[0] == sorted(o)[1]
         t = tr.nbr[t][worst]
         if t == -1:
             break
-    return tr._locate_brute(p), False
+    for t, vs in enumerate(tr.tris):
+        pa, pb, pc = (tr.pts[v] for v in vs)
+        o = _orient(pa, pb, p), _orient(pb, pc, p), _orient(pc, pa, p)
+        if min(o) >= -tr.tol_orient:
+            return _classify_reference(tr, t, p, o), False
+    raise GeometryError(f"point {p} outside the triangulation")
 
 
 def _legalize_sweep(tr):
@@ -563,10 +603,26 @@ def _legalize_sweep(tr):
             det = _incircle(*(tr.pts[v] for v in vs), pd)
             tol = EPS_REL * max(math.dist(tr.pts[v], pd) ** 2 for v in vs) ** 2
             flips = []
-            tr._legalize(t, k, flips)
+            tr._legalize([(t, k)], flips)
             assert bool(flips) == (det > tol and tr._edge_key(a, b) not in tr.constrained)
             dets.append((det, tol))
     return dets
+
+
+def _seeded_legalize_keeps_the_order(tr):
+    """On copies of tr: one `_legalize` seeded with every edge, pushed in
+    reverse, leaves the rows, neighbours and flipped triangles of one call
+    per edge in order; seeded in call order, it leaves other rows."""
+    edges = [(t, k) for t in range(len(tr.tris)) for k in range(3)]
+    calls, seeded, forward = (copy.deepcopy(tr) for _ in range(3))
+    called, flipped = [], []
+    for edge in edges:
+        calls._legalize([edge], called)
+    seeded._legalize(edges[::-1], flipped)
+    assert called
+    assert (seeded.tris, seeded.nbr, flipped) == (calls.tris, calls.nbr, called)
+    forward._legalize(list(edges), [])
+    assert forward.tris != calls.tris
 
 
 @pytest.mark.parametrize("kind", ["lattice", "circle", "collinear"])
@@ -574,7 +630,9 @@ def test_inlined_predicates_keep_their_ties(kind):
     """On cocircular and collinear input, `_legalize` flips an edge exactly
     where `_incircle` exceeds its threshold relative to the triangle's size,
     and `locate` crosses the first smallest orient, as `min(range(3),
-    key=...)` picks it."""
+    key=...)` picks it. One `_legalize` seeded with many edges flips as one
+    call per edge does: on cocircular input the order decides which
+    diagonal survives."""
     pts = _tie_inputs(kind)
     tr = _Triangulation(scale=1.0)
     tr.init_super((0.0, 0.0), (1.0, 1.0))
@@ -597,15 +655,17 @@ def test_inlined_predicates_keep_their_ties(kind):
     # nudged vertices: determinants far below EPS_REL * scale**4 still flip
     rng = np.random.default_rng(5)
     for a in range(tr.n_super, len(tr.pts), 3):
-        tr.pts[a] = [x + 1e-11 * rng.standard_normal() for x in tr.pts[a]]
+        tr.pts[a] = tuple(x + 1e-11 * rng.standard_normal() for x in tr.pts[a])
+    _seeded_legalize_keeps_the_order(tr)
     assert any(tol < det <= EPS_REL for det, tol in _legalize_sweep(tr))
     # moved vertices and some constrained edges: flips, and edges that must not
     for a in range(tr.n_super, len(tr.pts), 3):
         old = tr.pts[a]
-        tr.pts[a] = [old[0] + 0.03 * rng.standard_normal(), old[1] + 0.03 * rng.standard_normal()]
+        tr.pts[a] = (old[0] + 0.03 * rng.standard_normal(), old[1] + 0.03 * rng.standard_normal())
         if any(a in vs and _orient(*(tr.pts[v] for v in vs)) <= tr.tol_orient
                for vs in tr.tris):
             tr.pts[a] = old
     tr.constrained = {tr._edge_key(a, b) for a, b in sorted(tr.live_edges())[::5]}
+    _seeded_legalize_keeps_the_order(tr)
     dets = _legalize_sweep(tr) + _legalize_sweep(tr)
     assert any(det > tol for det, tol in dets)
