@@ -18,19 +18,21 @@ An int2d term's quadrature points are a whole-mesh `CellContext`: its DOF
 maps, gradient tables and P0 values are views of the mesh's and the space's
 tables, and the points' x and y are computed only if a coefficient reads them.
 
-Assembly gives each term one array of element matrices, which each of its
-products adds into in dict order, summed over the quadrature points in q
-order; a product whose two bases are the same at every point (P1
-derivatives, P0) sums its coefficient over q first and adds once.  The plan
-cached on the mesh, keyed by the trial and test elements and each term's
-kind and labels, holds each contribution's slot (its entry's place in (row,
-col) order, from the stable sort of linalg._sorted_runs) and each entry's
-row and column.  One np.bincount sums each slot's contributions in input
-order from 0.0, the same bit for bit at every call.  An entry is stored
-when a contribution to it is nonzero, as a second bincount counts, so the
-lumped P1 mass is diagonal and an entry whose contributions cancel is
-stored.  A linear form's element vectors, one per product, are summed into
-each DOF the same way.
+Assembly gives each term one (nloc_v, nloc_u, n) array of element matrices,
+a contiguous length-n vector per local (i, j) entry, into which each product
+adds (C * Bv[i]) * Bu[j] in dict order and q order; C is summed over q first
+when neither basis varies over q (P1 derivatives, P0), and a basis the same
+on every element (an int2d P1 value, P0) is a scalar.  These are the
+operations of the former (n, nloc_v, nloc_u) kernel in its order, and the
+array is transposed once into that order.  The plan cached on the mesh,
+keyed by the trial and test elements and each term's kind and labels, holds
+each contribution's slot (its entry's place in (row, col) order, from the
+stable sort of linalg._sorted_runs) and each entry's row and column.  One
+np.bincount sums each slot's contributions in input order from 0.0, the same
+bit for bit at every call.  An entry is stored when a contribution to it is
+nonzero, as a second bincount counts, so the lumped P1 mass is diagonal and
+an entry whose contributions cancel is stored.  A linear form's element
+vectors, (nloc_v, n) per product, are summed into each DOF the same way.
 
 A linear form is linear in its FE coefficients, so the second assembly of
 the same VarForm over the same test space builds a plan, kept on the form,
@@ -301,28 +303,22 @@ def _edge_context(mesh, sel):
     tri = tri_of[sel]
     if (tri < 0).any():
         raise InvalidArgumentError("labeled edge not attached to any triangle")
-    a = mesh.edge[sel, 0]
-    b = mesh.edge[sel, 1]
-    pa = mesh.points[a]
-    pb = mesh.points[b]
-    x = pa[:, None, 0] * (1 - s)[None, :] + pb[:, None, 0] * s[None, :]
-    y = pa[:, None, 1] * (1 - s)[None, :] + pb[:, None, 1] * s[None, :]
+    a, b = mesh.edge[sel].T
+    pa, pb = mesh.points[a], mesh.points[b]
+    x, y = (pa[:, None, i] * (1 - s)[None, :] + pb[:, None, i] * s[None, :] for i in (0, 1))
     lam = np.zeros((len(sel), len(s), 3))
     tv = mesh.tri[tri]
     for k in range(3):
         lam[:, :, k] = np.where((tv[:, k] == a)[:, None], (1 - s)[None, :],
                                 np.where((tv[:, k] == b)[:, None], s[None, :], 0.0))
-    ctx = CellContext(mesh, tri, lam, (x, y))
-    length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    return ctx, length
+    return CellContext(mesh, tri, lam, (x, y)), np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
 
 
 def _select_edges(mesh, labels):
     labels = frozenset(int(v) for v in labels)
     if not labels:
         raise InvalidArgumentError("empty boundary label set")
-    have = set(mesh.boundary_labels())
-    missing = labels - have
+    missing = labels - set(mesh.boundary_labels())
     if missing:
         raise InvalidArgumentError(f"labels {sorted(missing)} not present on the boundary")
     return np.where(np.isin(mesh.edge_label, list(labels)))[0]
@@ -372,7 +368,7 @@ def _cell_basis(space, kind, ctx, nq):
     n = ctx.shape[0]
     if space.elem == "P0":
         dofs = np.arange(ctx.mesh.nt)[ctx.tri][:, None]
-        return np.full((n, 1, 1), 1.0 if kind == "val" else 0.0), dofs
+        return np.broadcast_to(1.0 if kind == "val" else 0.0, (n, 1, 1)), dofs
     dofs = ctx.mesh.tri[ctx.tri]
     if kind == "val":
         return np.broadcast_to(ctx.lam, (n, nq, 3)), dofs
@@ -380,19 +376,27 @@ def _cell_basis(space, kind, ctx, nq):
     return (gx if kind == "dx" else gy)[ctx.tri][:, None, :], dofs
 
 
-def _element_sums(loc, C, *bases):
-    """`loc` (0.0 or element arrays) plus each element's sum, in q order, of
-    the scaled coefficient C (n, nq) times the basis tables `bases`, their DOF
-    axes placed for broadcasting (module docstring)."""
-    C = C.reshape(C.shape + (1,) * (bases[0].ndim - 2))
-    if all(B.shape[1] == 1 for B in bases):
-        C = sum(C[:, q:q + 1] for q in range(C.shape[1]))   # arrays: in q order
+def _element_sums(loc, C, *tables):
+    """`loc` (None or an (nloc, ..., n) array) plus each element's sum, in q
+    order, of C (n, nq) times the basis tables (n, nq or 1, nloc), one length-n
+    vector per local index, as the former kernel summed (module docstring)."""
+    if loc is None:
+        loc = np.zeros(tuple(B.shape[2] for B in tables) + (len(C),))
+    if all(B.shape[1] == 1 for B in tables):
+        C = sum(C[:, q] for q in range(C.shape[1]))[:, None]   # in q order
     for q in range(C.shape[1]):
-        p = C[:, q]
-        for B in bases:
-            p = p * B[:, q if B.shape[1] > 1 else 0]
-        loc += p
+        _add_products(loc, C[:, q], [B[:, min(q, B.shape[1] - 1)] for B in tables])
     return loc
+
+
+def _add_products(loc, p, tables):
+    """loc[i, ...] += p * tables[0][:, i] * ..., a stride-0 column as a scalar."""
+    for i, b in enumerate(tables[0].T):
+        p_i = p * (b[:1] if b.strides[0] == 0 else b)
+        if len(tables) > 1:
+            _add_products(loc[i], p_i, tables[1:])
+        else:
+            loc[i] += p_i
 
 
 def dirichlet_dofs(space: FeSpace, labels):
@@ -439,31 +443,27 @@ def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
     blocks, vals_acc = [], []
     for term in form.bilinear_terms:
         ctx, scale, nq = _term_context(mesh, term)
-        loc = 0.0
+        loc = None
         for (uk, vk), f in term.expr.terms.items():
             Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
             Bv, dof_v = _cell_basis(test, vk, ctx, nq)
-            loc = _element_sums(loc, f.values(ctx) * scale, Bv[:, :, :, None], Bu[:, :, None, :])
+            loc = _element_sums(loc, f.values(ctx) * scale, Bv, Bu)
         blocks.append((dof_v, dof_u))
-        vals_acc.append(loc.ravel())
+        vals_acc.append(loc.transpose(2, 0, 1))
     key = ("bilinear_plan", trial.elem, test.elem,
            tuple((t.kind, t.labels) for t in form.bilinear_terms))
     slot, rows, cols = _bilinear_plan(mesh, blocks, key, shape)
-    vals = np.concatenate(vals_acc or [np.zeros(0)])
+    vals = np.concatenate(vals_acc or [np.zeros(0)], axis=None)
     sums = np.bincount(slot, vals, minlength=len(rows)).astype(float, copy=False)  # int if empty
     live = np.bincount(slot, vals != 0.0, minlength=len(rows)) > 0
     A = SparseMatrix._from_sorted(rows[live], cols[live], sums[live], shape)
     pinned = _dirichlet_union(form, trial)
-    if len(pinned):
-        A = A.with_diagonal(pinned, tgv)
-    return A
+    return A.with_diagonal(pinned, tgv) if len(pinned) else A
 
 
 def _dirichlet_union(form, space):
-    if not form.dirichlet:
-        return np.zeros(0, dtype=np.int64)
-    out = [dirichlet_dofs(space, bc.labels) for bc in form.dirichlet]
-    return np.unique(np.concatenate(out))
+    return np.unique(np.concatenate([dirichlet_dofs(space, bc.labels) for bc in form.dirichlet]
+                                    or [np.zeros(0, dtype=np.int64)]))
 
 
 def _element_vector(test, products):
@@ -474,12 +474,12 @@ def _element_vector(test, products):
         if term is not last:
             (ctx, scale, nq), last = _term_context(test.mesh, term), term
         Bv, dof_v = _cell_basis(test, vk, ctx, nq)
-        loc = _element_sums(0.0, f.values(ctx) * scale, Bv)
-        dofs_acc.append(dof_v.ravel())
-        vals_acc.append(loc.ravel())
+        dofs_acc.append(dof_v)
+        vals_acc.append(_element_sums(None, f.values(ctx) * scale, Bv).T)
     if not dofs_acc:
         return np.zeros(test.ndof)
-    return np.bincount(np.concatenate(dofs_acc), np.concatenate(vals_acc), minlength=test.ndof)
+    return np.bincount(np.concatenate(dofs_acc, axis=None), np.concatenate(vals_acc, axis=None),
+                       minlength=test.ndof)
 
 
 def _split(f, scale, mesh):

@@ -19,15 +19,10 @@ class Mesh:
         self.tri = np.ascontiguousarray(triangles, dtype=np.int64)
         edges = np.asarray(edges, dtype=np.int64)
         self.edge = edges.reshape(-1, 2)
-        if vertex_labels is None:
-            vertex_labels = np.zeros(len(self.points), dtype=np.int64)
-        if regions is None:
-            regions = np.zeros(len(self.tri), dtype=np.int64)
-        if edge_labels is None:
-            edge_labels = np.zeros(len(self.edge), dtype=np.int64)
-        self.vertex_label = np.ascontiguousarray(vertex_labels, dtype=np.int64)
-        self.region = np.ascontiguousarray(regions, dtype=np.int64)
-        self.edge_label = np.ascontiguousarray(edge_labels, dtype=np.int64)
+        self.vertex_label, self.region, self.edge_label = (
+            np.ascontiguousarray(np.zeros(n) if v is None else v, dtype=np.int64)
+            for v, n in ((vertex_labels, len(self.points)), (regions, len(self.tri)),
+                         (edge_labels, len(self.edge))))
         self._cache = {}
         self._validate()
         for arr in (self.points, self.tri, self.edge, self.vertex_label,
@@ -92,12 +87,12 @@ class Mesh:
         Returns (gx, gy), each of shape (nt, 3).
         """
         def build():
-            p = self.points[self.tri]
-            x, y = p[:, :, 0], p[:, :, 1]
-            a2 = 2.0 * self.signed_areas()
-            gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-            gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-            return gx / a2[:, None], gy / a2[:, None]
+            x, y = self.points[:, 0][self.tri.T], self.points[:, 1][self.tri.T]
+            a2, g = 2.0 * self.signed_areas(), np.empty((2,) + self.tri.shape)
+            for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                np.divide(y[i] - y[j], a2, out=g[0, :, k])
+                np.divide(x[j] - x[i], a2, out=g[1, :, k])
+            return g[0], g[1]
         return self._cached("grads", build)
 
     def bbox(self):
@@ -182,9 +177,8 @@ def build_square(m: int, n: int) -> Mesh:
 
 
 def _signed_areas(points, tri):
-    p = points[tri]
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    x, y = points[:, 0][tri.T], points[:, 1][tri.T]     # (3, nt): a vector per corner
+    return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
 
 
 def move_mesh(mesh: Mesh, transform) -> Mesh:

@@ -111,6 +111,9 @@ class Border:
         ts = np.linspace(self.t0, self.t1, n + 1)
         pts = [self.param(float(t)) for t in ts]
         pts = [(float(p[0]), float(p[1])) for p in pts]
+        for t, p in zip(ts, pts):
+            if not all(map(math.isfinite, p)):
+                raise GeometryError(f"border {self.label}: point {p} at t={t:g} is not finite")
         if self.count < 0:
             pts.reverse()
         return pts
@@ -170,7 +173,7 @@ class _Triangulation:
                 worst, low = (2, o2) if o2 < o1 else (1, o1)
             else:
                 worst, low = (2, o2) if o2 < o0 else (0, o0)
-            if not low < neg_tol:
+            if low >= neg_tol:      # never for NaN: a point not finite is outside
                 self._hint = t
                 d2 = self.tol_pt2
                 k = (0 if (px - ax) ** 2 + (py - ay) ** 2 <= d2 else
@@ -186,6 +189,8 @@ class _Triangulation:
         return self._locate_brute(p)
 
     def _locate_brute(self, p):
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            raise GeometryError(f"point {p} outside the triangulation")
         for t, vs in enumerate(self.tris):
             pa, pb, pc = (self.pts[v] for v in vs)
             if min(_orient(pa, pb, p), _orient(pb, pc, p), _orient(pc, pa, p)) >= -self.tol_orient:

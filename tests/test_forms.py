@@ -272,6 +272,11 @@ def _weighted_mass(w):
     return lambda mesh: bilinear(as_form(U) * as_field(FeSpace(mesh, "P1").function(w)) * V)
 
 
+def _plan_mesh(where):
+    from femscript.studies import circle_border
+    return build_square(7, 5) if where == "square" else build_from_borders([circle_border(24)])
+
+
 # Each case assembles its forms in turn on one fresh mesh.
 PLAN_CASES = {
     "square-stiffness": ("square", "P1", "P1", [lambda m: bilinear(STIFF)]),
@@ -290,9 +295,8 @@ PLAN_CASES = {
 
 @pytest.mark.parametrize("case", list(PLAN_CASES))
 def test_planned_assembly_matches_the_unplanned_recipe_bit_for_bit(case):
-    from femscript.studies import circle_border
     where, trial_elem, test_elem, forms = PLAN_CASES[case]
-    mesh = build_square(7, 5) if where == "square" else build_from_borders([circle_border(24)])
+    mesh = _plan_mesh(where)
     trial, test = FeSpace(mesh, trial_elem), FeSpace(mesh, test_elem)
     nnz = []
     for make in forms:
@@ -311,6 +315,130 @@ def test_planned_assembly_matches_the_unplanned_recipe_bit_for_bit(case):
     if case == "weighted-mass-zero-then-not":
         # one plan, two stored patterns: nothing for w = 0, the mass pattern after
         assert len(plans) == 1 and nnz[0] == 0 < nnz[1]
+
+
+def _sort_plan(blocks, shape):
+    """The sort-based plan builder: the stable argsort of every contribution's
+    (row, col) key, each run of equal keys numbered in sorted order."""
+    m = np.int64(shape[1])
+    key = np.concatenate([(dv[:, :, None] * m + du[:, None, :]).ravel() for dv, du in blocks]
+                         or [np.zeros(0, dtype=np.int64)])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[len(key) > 0, key[1:] != key[:-1]])
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(order)]))
+    return slot, key[starts] // m, key[starts] % m
+
+
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_bilinear_plan_matches_the_sort_based_builder(case):
+    where, trial_elem, test_elem, forms = PLAN_CASES[case]
+    mesh = _plan_mesh(where)
+    trial, test = FeSpace(mesh, trial_elem), FeSpace(mesh, test_elem)
+    for make in forms:
+        form = make(mesh)
+        assemble_bilinear(form, trial, test)
+        blocks = []
+        for term in form.bilinear_terms:
+            ctx, _ = _reference_context(mesh, term)
+            blocks.append((_reference_basis(test, "val", ctx)[1],
+                           _reference_basis(trial, "val", ctx)[1]))
+        key = ("bilinear_plan", trial_elem, test_elem,
+               tuple((t.kind, t.labels) for t in form.bilinear_terms))
+        for got, ref in zip(mesh._cache[key], _sort_plan(blocks, (test.ndof, trial.ndof))):
+            assert np.array_equal(got, ref)
+
+
+def _reference_linear(form, test):
+    """Element-first linear assembly written out: per product, one element
+    vector summed point by point in q order (C summed over q first, in q
+    order, when the basis does not vary over q); then the element vectors
+    scattered in order from 0.0."""
+    b = np.zeros(test.ndof)
+    for term in form.linear_terms:
+        ctx, scale = _reference_context(test.mesh, term)
+        for (_, vk), f in term.expr.terms.items():
+            C = f.values(ctx) * scale
+            Bv, dof_v = _reference_basis(test, vk, ctx)
+            if Bv.shape[1] == 1:
+                c = np.zeros(len(C))
+                for q in range(C.shape[1]):
+                    c = c + C[:, q]
+                C = c[:, None]
+            loc = np.zeros(dof_v.shape)
+            for q in range(C.shape[1]):
+                loc = loc + C[:, q, None] * Bv[:, min(q, Bv.shape[1] - 1), :]
+            np.add.at(b, dof_v.ravel(), loc.ravel())
+    return b
+
+
+def _reference_integral(mesh, g, kind="int2d", labels=None, quad="default"):
+    """Element-first integral: each triangle's area (or edge's length) from
+    its own corners, times its values' dot with the rule's weights, then the
+    sum over the elements.  The dots (one matvec: a row-by-row dot rounds
+    differently) and the pairwise np.sum are the kernel's own reductions."""
+    from types import SimpleNamespace
+    from femscript.forms import EDGE_RULE, RULES_2D
+    ctx, _ = _reference_context(mesh, SimpleNamespace(kind=kind, labels=labels, quad=quad))
+    if kind == "int2d":
+        x, y = mesh.points[:, 0], mesh.points[:, 1]
+        measure = np.array([0.5 * ((x[b] - x[a]) * (y[c] - y[a]) - (x[c] - x[a]) * (y[b] - y[a]))
+                            for a, b, c in mesh.tri])
+        w = RULES_2D[quad].w
+    else:
+        ends = mesh.points[mesh.edge[np.isin(mesh.edge_label, list(labels))]]
+        measure = np.array([np.hypot(*(q - p)) for p, q in ends])
+        w = EDGE_RULE[1]
+    vals = as_field(g).values(ctx)
+    return float(np.sum(measure * (vals @ w)))
+
+
+def _linear_cases(mesh):
+    from femscript.fespace import interpolate
+    from femscript.fields import Y
+    Vh, Ph = FeSpace(mesh, "P1"), FeSpace(mesh, "P0")
+    uh = interpolate(Vh, lambda x, y: np.sin(3 * x) * y + 0.5)
+    wh = interpolate(Ph, lambda x, y: 1.0 + x * y)
+    labels = frozenset(mesh.boundary_labels()[:2])
+    return {
+        "P1-order5": (Vh, [FormTerm("int2d", (X * X + 1.0) * V, quad="order5")]),
+        "P1-lumped-fe": (Vh, [FormTerm("int2d", uh * V, quad="lumped")]),
+        "P1-v-and-dx(v)": (Vh, [FormTerm("int2d", uh * V + (1.0 + Y) * dx(V) - wh * dy(V))]),
+        "P1-dx(uh)": (Vh, [FormTerm("int2d", dx(uh) * V), FormTerm("int2d", -2.0 * V)]),
+        "P1-int1d": (Vh, [FormTerm("int1d", (uh - X) * V, labels),
+                          FormTerm("int1d", dy(V), labels)]),
+        "P0-default": (Ph, [FormTerm("int2d", uh * V)]),
+        "P0-order5-fe": (Ph, [FormTerm("int2d", (wh + X * Y) * V, quad="order5")]),
+        "P0-lumped": (Ph, [FormTerm("int2d", uh * uh * V, quad="lumped")]),
+        "P0-int1d": (Ph, [FormTerm("int1d", uh * V + dx(V), labels)]),
+    }, uh, wh, labels
+
+
+@pytest.mark.parametrize("where", ["square", "disk"])
+@pytest.mark.parametrize("case", ["P1-order5", "P1-lumped-fe", "P1-v-and-dx(v)", "P1-dx(uh)",
+                                  "P1-int1d", "P0-default", "P0-order5-fe", "P0-lumped",
+                                  "P0-int1d"])
+def test_first_linear_assembly_matches_the_element_first_recipe_bit_for_bit(where, case):
+    mesh = _plan_mesh(where)
+    cases = _linear_cases(mesh)[0]
+    space, terms = cases[case]
+    got = assemble_linear(VarForm(linear_terms=terms), space)
+    ref = _reference_linear(VarForm(linear_terms=terms), space)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("where", ["square", "disk"])
+def test_integrals_match_the_element_first_recipe_bit_for_bit(where):
+    from femscript.fields import Y
+    mesh = _plan_mesh(where)
+    _, uh, wh, labels = _linear_cases(mesh)
+    for g in (1.0, X * Y + 1.0, uh * uh, wh * uh - X, dx(uh) * wh):
+        for quad in ("default", "lumped", "order5"):
+            got = integrate_2d(mesh, g, quad)
+            assert got == _reference_integral(mesh, g, quad=quad)
+        got = integrate_1d(mesh, labels, g)
+        assert got == _reference_integral(mesh, g, "int1d", labels)
 
 
 def test_form_without_bilinear_terms_assembles_the_pinned_diagonal(square10):

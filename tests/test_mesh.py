@@ -234,6 +234,61 @@ def test_move_mesh_fold_raises(square10):
         move_mesh(square10, lambda x, y: (-x, y))
 
 
+def _geometry_meshes():
+    square = build_square(7, 5)
+    return {"square": square, "disk": build_from_borders([circle_border(24)]),
+            "moved": move_mesh(square, lambda x, y: (x + 0.1 * np.sin(3 * y), y + 0.05 * x * x))}
+
+
+@pytest.mark.parametrize("which", ["square", "disk", "moved"])
+def test_geometry_tables_match_a_scalar_formula_bit_for_bit(which):
+    """Each triangle's signed area and barycentric gradients, evaluated in
+    Python floats triangle by triangle, equal the mesh's tables bit for bit."""
+    mesh = _geometry_meshes()[which]
+    areas, gx, gy = [], [], []
+    for vs in mesh.tri:
+        (x0, y0), (x1, y1), (x2, y2) = (tuple(float(c) for c in mesh.points[v]) for v in vs)
+        area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+        a2 = 2.0 * area
+        areas.append(area)
+        gx.append([(y1 - y2) / a2, (y2 - y0) / a2, (y0 - y1) / a2])
+        gy.append([(x2 - x1) / a2, (x0 - x2) / a2, (x1 - x0) / a2])
+    got_gx, got_gy = mesh.basis_gradients()
+    for got, ref in ((mesh.signed_areas(), areas), (got_gx, gx), (got_gy, gy)):
+        ref = np.array(ref)
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _sampled_circle(bad, label=7):
+    """The unit circle as two borders; the second, labelled `label`, gives
+    `bad` as its y beyond t = 4."""
+    return [Border(lambda t: (math.cos(t), math.sin(t)), 0.0, 3.0, 10, 1),
+            Border(lambda t: (math.cos(t), bad if t > 4.0 else math.sin(t)),
+                   3.0, 2 * math.pi, 10, label)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_border_sample_names_its_border(bad):
+    with pytest.raises(GeometryError, match=r"^border 7: point \(.*\) at t=4\.3\d* is not finite"):
+        build_from_borders(_sampled_circle(bad))
+    with pytest.raises(GeometryError, match="border 2: point"):
+        build_from_borders([Border(lambda t: (t, 0.0), 0.0, 1.0, 2, 1),
+                            Border(lambda t: (bad, t), 0.0, 1.0, 2, 2)])
+
+
+@pytest.mark.parametrize("p", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+                               (0.5, -math.inf), (-math.inf, math.inf), (math.nan, math.inf)])
+def test_locate_puts_a_non_finite_point_outside(p):
+    tr = _Triangulation(scale=1.0)
+    tr.init_super((0.0, 0.0), (1.0, 1.0))
+    for q in [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.4, 0.6)]:
+        tr.insert(q)
+    for hint in range(len(tr.tris)):
+        with pytest.raises(GeometryError, match="outside the triangulation"):
+            tr.locate(p, hint)
+
+
 def test_msh_roundtrip(tmp_path):
     m = build_square(2, 2)
     path = tmp_path / "m.msh"

@@ -1,13 +1,16 @@
 """Alternated benchmark pairs of a base revision and the working tree.
 
-    python tools/bench_pairs.py --base REV --workload W --pairs N
+    python tools/bench_pairs.py --base REV --workload W [W ...] --pairs N
+    python tools/bench_pairs.py --base REV --workload all --pairs N
 
-Extracts the committed files of REV (`git archive`) into a temporary
-directory and runs `bench/run.py --workload W --seed S --trace 0` for
-S = 1..N, once in that copy and once in the working tree, with the
-`run_seconds` of BENCHMARK.json.  On odd seeds the base runs first, on even
-seeds the working tree does, so that a drift in the host's speed falls on
-both sides alike.  Writes BENCH_<W>.json at the root of the working tree:
+Extracts the committed files of REV (`git archive`) once into a temporary
+directory.  For each workload W in turn (`all` names every workload of
+BENCHMARK.json, in its order), runs `bench/run.py --workload W --seed S
+--trace 0` for S = 1..N, once in that copy and once in the working tree,
+with the `run_seconds` of BENCHMARK.json.  On odd seeds the base runs first,
+on even seeds the working tree does, so that a drift in the host's speed
+falls on both sides alike.  Writes one BENCH_<W>.json per workload at the
+root of the working tree, each as soon as its pairs are done:
 the machine and versions, both revisions (with the working tree's files
 that differ from its HEAD, other than these reports), each run's end-to-end
 metrics, check counts and median pass wall time (`wall_s_median`, from
@@ -21,7 +24,8 @@ counts and a verdict against the bound that BENCHMARK.json fixes:
     unless every run of the working tree reads better than every base run;
   - "no worse" otherwise.
 Each side's median `wall_s_median` is printed beside `wall_per_ref`, which
-splits a ratio move into pass time and reference-kernel time.
+splits a ratio move into pass time and reference-kernel time.  Every printed
+verdict line starts with its workload's name.
 """
 
 import argparse
@@ -94,36 +98,22 @@ def summarize(base, change, better, bound):
             "bound": bound, "verdict": verdict}
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--base", required=True, help="git revision to compare against")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, required=True)
-    args = p.parse_args(argv)
-    if args.pairs < 2:
-        sys.exit("--pairs must be at least 2")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.workload not in [w["name"] for w in spec["workloads"]]:
-        sys.exit(f"unknown workload {args.workload!r}")
-    base_sha = git("rev-parse", "--verify", args.base + "^{commit}")
-    differ = git("diff", "--name-only", "HEAD") + "\n" + \
-        git("ls-files", "--others", "--exclude-standard")
-    change = {"head": git("rev-parse", "HEAD"),
-              "uncommitted_changes": [f for f in differ.split()
-                                      if not (f.startswith("BENCH_") and f.endswith(".json"))]}
-
+def pairs(workload, base_tree, n, seconds):
+    """N alternated pairs of runs of `workload`, base and working tree."""
     runs = []
-    with tempfile.TemporaryDirectory() as tmp:
-        base_tree = extract(base_sha, tmp)
-        for seed in range(1, args.pairs + 1):
-            order = ["base", "change"] if seed % 2 else ["change", "base"]
-            pair = {"seed": seed, "order": order}
-            for side in order:
-                tree = base_tree if side == "base" else ROOT
-                pair[side] = run_bench(tree, args.workload, seed, spec["run_seconds"])
-                print(f"seed {seed} {side}: {pair[side]['metrics']}", file=sys.stderr)
-            runs.append(pair)
+    for seed in range(1, n + 1):
+        order = ["base", "change"] if seed % 2 else ["change", "base"]
+        pair = {"seed": seed, "order": order}
+        for side in order:
+            tree = base_tree if side == "base" else ROOT
+            pair[side] = run_bench(tree, workload, seed, seconds)
+            print(f"{workload} seed {seed} {side}: {pair[side]['metrics']}", file=sys.stderr)
+        runs.append(pair)
+    return runs
 
+
+def write_report(spec, workload, args, base_sha, change, runs):
+    """BENCH_<workload>.json from the runs, and its verdict lines printed."""
     metrics = {}
     for m in spec["end_to_end"]:
         values = {side: [r[side]["metrics"][m["name"]] for r in runs]
@@ -133,7 +123,7 @@ def main(argv=None):
     wall_s = {side: statistics.median(r[side]["wall_s_median"] for r in runs)
               for side in ("base", "change")}
     report = {
-        "workload": args.workload, "pairs": args.pairs, "run_seconds": spec["run_seconds"],
+        "workload": workload, "pairs": args.pairs, "run_seconds": spec["run_seconds"],
         "machine": {"nproc": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version(),
                     "numpy": version("numpy"), "scipy": version("scipy")},
@@ -142,15 +132,43 @@ def main(argv=None):
         "attempted": {side: sum(r[side]["attempted"] for r in runs)
                       for side in ("base", "change")},
         "metrics": metrics, "wall_s_median": wall_s, "runs": runs}
-    out = ROOT / f"BENCH_{args.workload}.json"
+    out = ROOT / f"BENCH_{workload}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     for name, m in metrics.items():
-        print(f"{name}: base {m['base_median']:.4g}, change {m['change_median']:.4g} "
+        print(f"{workload} {name}: base {m['base_median']:.4g}, change {m['change_median']:.4g} "
               f"({m['change_vs_base']:.3f}x), wins {m['wins']}/{args.pairs}: {m['verdict']}")
         if name == "wall_per_ref":
-            print(f"  pass wall_s_median: base {wall_s['base']:.4g} s, "
+            print(f"{workload}   pass wall_s_median: base {wall_s['base']:.4g} s, "
                   f"change {wall_s['change']:.4g} s")
-    print(f"wrote {out}")
+    print(f"wrote {out}", flush=True)
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, help="git revision to compare against")
+    p.add_argument("--workload", required=True, nargs="+", help="workload names, or all")
+    p.add_argument("--pairs", type=int, required=True)
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        sys.exit("--pairs must be at least 2")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = known if "all" in args.workload else args.workload
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        sys.exit(f"unknown workload {unknown[0]!r}; choose from {known} or all")
+    base_sha = git("rev-parse", "--verify", args.base + "^{commit}")
+    differ = git("diff", "--name-only", "HEAD") + "\n" + \
+        git("ls-files", "--others", "--exclude-standard")
+    change = {"head": git("rev-parse", "HEAD"),
+              "uncommitted_changes": [f for f in differ.split()
+                                      if not (f.startswith("BENCH_") and f.endswith(".json"))]}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base_tree = extract(base_sha, tmp)
+        for workload in dict.fromkeys(workloads):
+            runs = pairs(workload, base_tree, args.pairs, spec["run_seconds"])
+            write_report(spec, workload, args, base_sha, change, runs)
     return 0
 
 
