@@ -35,20 +35,38 @@ an entry whose contributions cancel is stored.  A linear form's element
 vectors, (nloc_v, n) per product, are summed into each DOF the same way.
 
 A linear form is linear in its FE coefficients, so the second assembly of
-the same VarForm over the same test space builds a plan, kept on the form,
-that later assemblies apply.  Each product's coefficient is split through
-negation, sums, differences and products or quotients by a `Constant` into
-scaled parts.  An invariant part (a `Constant`, a `Coordinate`, an invariant
-`Op`) is assembled once into one kept vector, from its own subtree so that
-the `Op`'s kept values answer it.  A P1 or P0 FE function on the form's mesh
-becomes one kept matrix K, the bilinear form with that function's basis as
-the trial part over the same term and rule, applied as K @ (scale * dofs).
-A product with any other part (`uold*uold*v`, `sin(uold)*v`, `dx(uold)*v`, a
-`FunctionField`) keeps the element path.  The first assembly takes the
-element path throughout, and so does any assembly whose scaled DOFs or
-planned vector hold a value that is not finite, so that the error names the
-same point as a fresh form's.  A reused form's vector is deterministic, but
-may differ from a fresh form's by rounding.
+the same VarForm over the same test space (and tgv) builds a plan, kept on
+the form, that later assemblies apply.  Each product's coefficient is split
+through negation, sums, differences and products or quotients by a
+`Constant` into scaled parts.  An invariant part (a `Constant`, a
+`Coordinate`, an invariant `Op`) is assembled once into one kept vector,
+from its own subtree so that the `Op`'s kept values answer it.  A P1 or P0
+FE function on the form's mesh becomes one kept matrix K, the bilinear form
+with that function's basis as the trial part over the same term and rule,
+applied as K @ (scale * dofs).  A product with any other part
+(`uold*uold*v`, `sin(uold)*v`, `dx(uold)*v`, an invariant `Op` times an FE
+function, a `FunctionField`) keeps the element path.  The plan also keeps
+each Dirichlet clause's pinned DOFs and, for an invariant value, its
+tgv-scaled values; an FE-valued clause is read again at every call.  The
+first assembly takes the element path throughout, and so does any
+assembly whose scaled DOFs or planned vector hold a value that is not
+finite, so that the error names the same point as a fresh form's.
+
+A bilinear form is linear in its FE coefficients too (the tensor
+representation of Kirby & Logg), so the second assembly of the same
+VarForm over the same trial and test spaces splits its products the same
+way, per term.  The invariant parts are summed once into one kept array of
+element matrices.  A P1 or P0 FE function's part is kept as one table of
+element matrices per corner of its element, the element sums with that
+corner's basis function as the coefficient, and each assembly adds the
+tables weighted by the function's scaled DOFs at those corners.  Any other
+product adds its element sums as on the element path.  The slot plan, the
+CSR index arrays and the positions of the pinned diagonal are kept as well,
+and reused while the live mask (the entries with a nonzero contribution) is
+unchanged; a changed mask builds the pattern as a fresh assembly does.  A
+value that is not finite sends the assembly down the element path, as for
+a linear form.  A reused form's vector or matrix is deterministic, but may
+differ from a fresh form's by rounding.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -56,10 +74,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericError
 from .fespace import FeFunction, FeSpace, dof_values
 from .fields import CellContext, Constant, Coordinate, Field, FeGradField, Op, as_field
-from .linalg import SparseMatrix, _sorted_runs
+from .linalg import SparseMatrix, _csr_matrix, _sorted_runs
 
 DEFAULT_TGV = 1e30
 
@@ -276,7 +294,8 @@ class VarForm:
     linear_terms: list = dc_field(default_factory=list)
     dirichlet: list = dc_field(default_factory=list)
 
-    _linear = None      # (test space, plan or None) of assemble_linear
+    _linear = None      # (test space, tgv, plan or None) of assemble_linear
+    _bilinear = None    # _Kept of assemble_bilinear
 
     def __post_init__(self):
         if not (self.bilinear_terms or self.linear_terms or self.dirichlet):
@@ -433,32 +452,138 @@ def _bilinear_plan(mesh, blocks, key, shape):
     return mesh._cached(key, build)
 
 
+class _Kept:
+    """What assemble_bilinear keeps on a form for one (trial, test) pair: the
+    slot plan (slot, rows, cols), the split parts per term, and the pattern
+    (live mask, CSR indices and indptr, live entries' and pinned diagonal's
+    positions in them) (module docstring)."""
+
+    def __init__(self, trial, test):
+        self.trial, self.test = trial, test
+        self.slots = self.parts = self.pattern = None
+
+
 def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
                       tgv: float = DEFAULT_TGV) -> SparseMatrix:
-    """Assemble the matrix of all bilinear terms, then pin Dirichlet rows."""
+    """Assemble the matrix of all bilinear terms, then pin Dirichlet rows.  A
+    form assembled again over the same spaces applies its plan (module
+    docstring)."""
     if trial.mesh is not test.mesh:
         raise InvalidArgumentError("trial and test spaces live on different meshes")
-    mesh = trial.mesh
-    shape = (test.ndof, trial.ndof)
-    blocks, vals_acc = [], []
-    for term in form.bilinear_terms:
-        ctx, scale, nq = _term_context(mesh, term)
-        loc = None
-        for (uk, vk), f in term.expr.terms.items():
-            Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
-            Bv, dof_v = _cell_basis(test, vk, ctx, nq)
-            loc = _element_sums(loc, f.values(ctx) * scale, Bv, Bu)
-        blocks.append((dof_v, dof_u))
-        vals_acc.append(loc.transpose(2, 0, 1))
-    key = ("bilinear_plan", trial.elem, test.elem,
-           tuple((t.kind, t.labels) for t in form.bilinear_terms))
-    slot, rows, cols = _bilinear_plan(mesh, blocks, key, shape)
-    vals = np.concatenate(vals_acc or [np.zeros(0)], axis=None)
-    sums = np.bincount(slot, vals, minlength=len(rows)).astype(float, copy=False)  # int if empty
+    kept, shape, sums = form._bilinear, (test.ndof, trial.ndof), None
+    if kept is None or kept.trial is not trial or kept.test is not test:
+        kept = form._bilinear = _Kept(trial, test)
+    elif kept.slots is not None:                # assembled before: plan
+        vals = _planned_contributions(form, kept)
+        if vals is not None:
+            sums = np.bincount(kept.slots[0], vals, minlength=len(kept.slots[1]))
+            sums = sums if np.isfinite(sums).all() else None
+    if sums is None:
+        blocks, locs = _element_matrices(form, trial, test)
+        if kept.slots is None:
+            key = ("bilinear_plan", trial.elem, test.elem,
+                   tuple((t.kind, t.labels) for t in form.bilinear_terms))
+            kept.slots = _bilinear_plan(trial.mesh, blocks, key, shape)
+        vals = _contributions(locs)
+        sums = np.bincount(kept.slots[0], vals, minlength=len(kept.slots[1]))
+    slot, rows, cols = kept.slots
+    sums = sums.astype(float, copy=False)       # int if empty
     live = np.bincount(slot, vals != 0.0, minlength=len(rows)) > 0
+    if kept.pattern is not None and np.array_equal(kept.pattern[0], live):
+        _, indices, indptr, pos, diag = kept.pattern
+        if pos is None:
+            data = sums[live]
+        else:
+            data = np.zeros(len(indices))
+            data[pos] = sums[live]
+        data[diag] = tgv
+        return SparseMatrix._wrap(_csr_matrix(data, indices, indptr, shape))
     A = SparseMatrix._from_sorted(rows[live], cols[live], sums[live], shape)
     pinned = _dirichlet_union(form, trial)
-    return A.with_diagonal(pinned, tgv) if len(pinned) else A
+    A = A.with_diagonal(pinned, tgv) if len(pinned) else A
+    if kept.parts is not None:
+        kept.pattern = (live,) + _positions(A, rows[live], cols[live], pinned)
+    return A
+
+
+def _element_matrices(form, trial, test, parts=None):
+    """Each bilinear term's (test DOF map, trial DOF map) and its element
+    matrices (nloc_v, nloc_u, n): the element path's sums of its products,
+    or, given the plan's `parts`, its invariant contributions plus each FE
+    function's corner tables weighted by its scaled DOFs there, plus the
+    element path's sums of the products left to it (module docstring)."""
+    blocks, locs = [], []
+    for i, term in enumerate(form.bilinear_terms):
+        loc, products = None, term.expr.terms.items()
+        if parts is not None:
+            fixed, tables, products = parts[i]
+            loc = fixed.copy() if tables or products else fixed
+            for s, g, dof_g, corners in tables:
+                w = (s * g.dofs)[dof_g]
+                for k, table in enumerate(corners):
+                    loc += table * w[k]
+        if products:
+            ctx, scale, nq = _term_context(trial.mesh, term)
+            for (uk, vk), f in products:
+                Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
+                Bv, dof_v = _cell_basis(test, vk, ctx, nq)
+                loc = _element_sums(loc, f.values(ctx) * scale, Bv, Bu)
+            blocks.append((dof_v, dof_u))
+        locs.append(loc)
+    return blocks, locs
+
+
+def _contributions(locs):
+    """The element matrices in the plan's input order, element by element."""
+    return np.concatenate([loc.transpose(2, 0, 1) for loc in locs] or [np.zeros(0)],
+                          axis=None)
+
+
+def _bilinear_parts(form, trial, test):
+    """Per bilinear term: (its invariant contributions, [(scale, FE function,
+    its DOF map by corner, corner tables)], products left to the element
+    path) (module docstring)."""
+    parts = []
+    for term in form.bilinear_terms:
+        ctx, scale, nq = _term_context(trial.mesh, term)
+        kept, tables, rest = np.zeros((test.nlocal, trial.nlocal, ctx.shape[0])), [], []
+        for (uk, vk), f in term.expr.terms.items():
+            split = _split(f, 1.0, trial.mesh)
+            if split is None:
+                rest.append(((uk, vk), f))
+                continue
+            Bu, _ = _cell_basis(trial, uk, ctx, nq)
+            Bv, _ = _cell_basis(test, vk, ctx, nq)
+            for s, g in split:
+                if isinstance(g, FeFunction):
+                    Bg, dof_g = _cell_basis(g.space, "val", ctx, nq)
+                    tables.append((s, g, dof_g.T.copy(), _element_sums(None, scale, Bg, Bv, Bu)))
+                else:
+                    _element_sums(kept, s * g.values(ctx) * scale, Bv, Bu)
+        parts.append((kept, tables, rest))
+    return parts
+
+
+def _planned_contributions(form, kept):
+    """The contributions by the plan, built if need be, or None when a value
+    is not finite, for the element path to name (module docstring)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if kept.parts is None:
+                kept.parts = _bilinear_parts(form, kept.trial, kept.test)
+            return _contributions(_element_matrices(form, kept.trial, kept.test, kept.parts)[1])
+        except NumericError:
+            return None
+
+
+def _positions(A, rows, cols, pinned):
+    """A's CSR arrays, the positions in them of the (rows, cols) entries
+    (None when those are all of A's), and of the pinned diagonal entries."""
+    csr, m = A._csr, np.int64(A.shape[1])
+    keys = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(csr.indptr)) * m \
+        + csr.indices
+    pos = None if len(rows) == csr.nnz else np.searchsorted(keys, rows * m + cols)
+    return csr.indices, csr.indptr, pos, np.searchsorted(keys, pinned * m + pinned)
 
 
 def _dirichlet_union(form, space):
@@ -482,12 +607,15 @@ def _element_vector(test, products):
                        minlength=test.ndof)
 
 
+def _invariant(f):
+    return isinstance(f, (Constant, Coordinate)) or isinstance(f, Op) and f.invariant
+
+
 def _split(f, scale, mesh):
     """[(scale, part)] whose scaled sum is the coefficient `f`, or None when a
     part is neither invariant nor an FE function on `mesh` (module
     docstring)."""
-    if isinstance(f, (Constant, Coordinate)) or isinstance(f, Op) and f.invariant or \
-            isinstance(f, FeFunction) and f.space.mesh is mesh:
+    if _invariant(f) or isinstance(f, FeFunction) and f.space.mesh is mesh:
         return [(scale, f)]
     if not isinstance(f, Op):
         return None
@@ -507,9 +635,10 @@ def _split(f, scale, mesh):
     return None
 
 
-def _linear_plan(form, test):
+def _linear_plan(form, test, tgv):
     """(kept vector, [(scale, K, FE function)], products left to the element
-    path) of the linear terms over `test` (module docstring)."""
+    path, [(pinned DOFs, kept pinned values or None, clause value)]) of the
+    linear terms and Dirichlet clauses over `test` (module docstring)."""
     kept, applied, rest = np.zeros(test.ndof), [], []
     for term in form.linear_terms:
         for (_, vk), f in term.expr.terms.items():
@@ -524,21 +653,34 @@ def _linear_plan(form, test):
                 basis = FormExpr({("val", vk): Constant(1.0)})
                 K = assemble_bilinear(VarForm([FormTerm(term.kind, basis, term.labels,
                                                         term.quad)]), g.space, test)
-                applied.append((s, K, g))
-    return kept, applied, rest
+                applied.append((s, K._csr, g))
+    return kept, applied, rest, _pins(form, test, tgv)
+
+
+def _pins(form, test, tgv):
+    """[(pinned DOFs, pinned values or None, clause value)] of the Dirichlet
+    clauses: the values, tgv times the clause's value at each pinned DOF, of
+    an invariant clause; an FE-valued one is read at each call."""
+    pins = []
+    for bc in form.dirichlet:
+        dofs = dirichlet_dofs(test, bc.labels)
+        fixed = _invariant(bc.value)
+        pins.append((dofs, dof_values(test, bc.value, dofs) * tgv if fixed else None, bc.value))
+    return pins
 
 
 def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> np.ndarray:
     """Assemble the vector of all linear terms, then pin Dirichlet entries to
     tgv times the boundary value at each pinned DOF.  A form assembled again
-    over the same space applies its plan (module docstring)."""
-    if form._linear is None or form._linear[0] is not test:
-        form._linear = (test, None)
-    elif form._linear[1] is None:
-        form._linear = (test, _linear_plan(form, test))
-    plan, b = form._linear[1], None
+    over the same space with the same tgv applies its plan (module
+    docstring)."""
+    if form._linear is None or form._linear[0] is not test or form._linear[1] != tgv:
+        form._linear = (test, tgv, None)
+    elif form._linear[2] is None:
+        form._linear = (test, tgv, _linear_plan(form, test, tgv))
+    plan, b = form._linear[2], None
     if plan is not None:
-        kept, applied, rest = plan
+        kept, applied, rest, pins = plan
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
             scaled = [s * fe.dofs for s, _, fe in applied]
             if all(np.isfinite(d).all() for d in scaled):
@@ -548,7 +690,6 @@ def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> n
     if b is None or not np.isfinite(b).all():
         b = _element_vector(test, [(t, vk, f) for t in form.linear_terms
                                    for (_, vk), f in t.expr.terms.items()])
-    for bc in form.dirichlet:
-        dofs = dirichlet_dofs(test, bc.labels)
-        b[dofs] = dof_values(test, bc.value, dofs) * tgv
+    for dofs, pinned, value in _pins(form, test, tgv) if plan is None else pins:
+        b[dofs] = dof_values(test, value, dofs) * tgv if pinned is None else pinned
     return b

@@ -28,13 +28,15 @@ the independent cross-check of the direct route on symmetric positive
 definite systems.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as _sp
 import scipy.sparse.linalg as _spla
 
-from .errors import InvalidArgumentError, SingularMatrixError, SolverError, UnsupportedError
+from .errors import (InvalidArgumentError, NumericError, SingularMatrixError, SolverError,
+                     UnsupportedError)
 
 
 def _check_range(idx, bound, what):
@@ -278,6 +280,9 @@ class LuFactorization:
         if self._perm_c is not None:
             x = x[self._perm_c]
         if not np.all(np.isfinite(x)):
+            if not np.all(np.isfinite(b)):
+                k = int(np.argmin(np.isfinite(b)))
+                raise NumericError(f"right-hand side is not finite at entry {k}: {b[k]:g}")
             raise SingularMatrixError("factorization produced non-finite solution")
         return x
 
@@ -303,7 +308,11 @@ def solve_cg(A: SparseMatrix, b, tol: float = 1e-10, maxit=None) -> CgResult:
     """Jacobi-preconditioned conjugate gradient from a zero initial guess.
 
     Stops when the 2-norm of the residual drops below tol * ||b||; raises
-    SolverError on an indefinite breakdown (p' A p <= 0).
+    SolverError on a breakdown, p' A p not positive: an indefinite matrix,
+    or a NaN or infinity in A or b, which ends it within two iterations.
+    The iteration updates preallocated vectors in place and takes the norm
+    as sqrt(r @ r), the operations np.linalg.norm and the out-of-place
+    updates perform, so its iterates are theirs bit for bit.
     """
     n = A.shape[0]
     b = _rhs(b, n)
@@ -315,28 +324,31 @@ def solve_cg(A: SparseMatrix, b, tol: float = 1e-10, maxit=None) -> CgResult:
         return CgResult(x, True, 0, 0.0)
     if maxit <= 0:
         return CgResult(x, False, 0, 1.0)
-    diag = A.diagonal().astype(float)
+    csr = A._csr
+    diag = csr.diagonal().astype(float)
     inv_diag = np.where(np.abs(diag) > 0, 1.0 / np.where(diag == 0, 1.0, diag), 1.0)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
+    r, step = b.copy(), np.empty(n)
     rel = 1.0
-    for it in range(1, maxit + 1):
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise SolverError(f"conjugate gradient breakdown: p'Ap = {pAp:g}")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rel = float(np.linalg.norm(r)) / bnorm
-        if rel <= tol:
-            return CgResult(x, True, it, rel)
+    with np.errstate(invalid="ignore", over="ignore"):     # a NaN ends it below
         z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        p = z.copy()
+        rz = float(r @ z)
+        for it in range(1, maxit + 1):
+            Ap = csr @ p
+            pAp = float(p @ Ap)
+            if not pAp > 0.0:
+                raise SolverError(f"conjugate gradient breakdown: p'Ap = {pAp:g}")
+            alpha = rz / pAp
+            x += np.multiply(alpha, p, out=step)
+            r -= np.multiply(alpha, Ap, out=step)
+            rel = math.sqrt(r @ r) / bnorm
+            if rel <= tol:
+                return CgResult(x, True, it, rel)
+            np.multiply(inv_diag, r, out=z)
+            rz_new = float(r @ z)
+            p *= rz_new / rz
+            p += z
+            rz = rz_new
     return CgResult(x, False, maxit, rel)
 
 

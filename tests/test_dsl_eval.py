@@ -15,6 +15,7 @@ from femscript.linalg import SparseMatrix, dot
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.edp"))
 HEAT_LISTING = Path(__file__).resolve().parents[1] / "bench" / "listings" / "heat_euler.edp"
+CUBIC_LISTING = HEAT_LISTING.with_name("cubic_picard.edp")
 
 
 def run(src, stdin="", **kw):
@@ -771,6 +772,58 @@ def test_a_heat_loop_recomputes_only_what_can_change(monkeypatch):
     for names in checks[1:]:                # the four memo hits
         assert names and len(names) == len(set(names))
     assert len(linear_sums) == 5 and linear_sums[2:] == [0, 0, 0]   # the kept plan
+
+
+def test_the_cubic_listing_reassembles_its_matrix_from_a_kept_plan(monkeypatch):
+    # counted, not timed: the element sums and pattern builds of each
+    # assembly of the problem's matrix
+    from femscript import forms
+    counts = collections.Counter()
+    element_sums, from_sorted = forms._element_sums, SparseMatrix._from_sorted.__func__
+    assemble_bilinear, per_call = forms.assemble_bilinear, []
+
+    def counted_sums(*args):
+        counts["element sums"] += 1
+        return element_sums(*args)
+
+    def counted_pattern(cls, *args):
+        counts["patterns"] += 1
+        return from_sorted(cls, *args)
+
+    def counted_bilinear(form, *args, **kwargs):
+        before = dict(counts)
+        A = assemble_bilinear(form, *args, **kwargs)
+        if form.linear_terms:                   # the problem's, not a linear plan's K
+            per_call.append(tuple(counts[k] - before.get(k, 0)
+                                  for k in ("element sums", "patterns")))
+        return A
+    monkeypatch.setattr(forms, "_element_sums", counted_sums)
+    monkeypatch.setattr(SparseMatrix, "_from_sorted", classmethod(counted_pattern))
+    monkeypatch.setattr(forms, "assemble_bilinear", counted_bilinear)
+    r, _ = run("int N=16;\nreal amp=1.0;\nreal tol=1e-10;\nint maxiter=100;\n"
+               + CUBIC_LISTING.read_text())
+    assert r.env.lookup("iter") == len(per_call) > 5
+    # the element path, then the plan's build (two invariant products and
+    # V's corner tables), then neither
+    assert per_call[:2] == [(3, 1), (3, 1)]
+    assert set(per_call[2:]) == {(0, 0)}
+
+
+def test_a_kept_dirichlet_clause_sees_a_write_to_its_fe_function():
+    src = """
+    mesh Th=square(4,4);
+    fespace Vh(Th,P1);
+    Vh u, v, g=x+y;
+    real[int] seen(4);
+    problem p(u,v,solver=CG) = int2d(Th)(dx(u)*dx(v)+dy(u)*dy(v)) + on(1,2,3,4,u=g);
+    for (int k=0; k<4; k++) {
+        g[] = g[] * 2.;
+        p;
+        seen(k) = u[].max;
+    }
+    """
+    r, _ = run(src)
+    assert np.abs(r.env.lookup("seen") - [4.0, 8.0, 16.0, 32.0]).max() <= 1e-12
 
 
 def test_a_varf_reevaluates_when_a_coefficient_or_the_space_changes():

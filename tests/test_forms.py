@@ -972,3 +972,164 @@ def test_a_quotient_by_zero_is_named_by_a_reused_form_as_by_a_fresh_one(square10
             assemble_linear(form, Vh)
         messages.add(str(err.value))
     assert len(messages) == 1 and messages.pop().startswith("coefficient is not finite at (")
+
+
+def test_a_kept_pin_is_the_per_call_pin_byte_for_byte(square10, monkeypatch):
+    from femscript import forms
+    from femscript.fields import Coordinate, Op
+    Vh, uold, _ = _plan_cases(square10)
+    g = _fe(Vh, lambda x, y: x - 2 * y)
+    clauses = [DirichletBC(frozenset({1}), Constant(0.25)),
+               DirichletBC(frozenset({2}), Op(np.cos, X) * 3.0 + 1.0),
+               DirichletBC(frozenset({3}), g),
+               DirichletBC(frozenset({4, 1}), Coordinate(1) - 0.5)]
+    terms = [FormTerm("int2d", uold * V)]
+    pinned = dirichlet_dofs(Vh, ALL_LABELS)
+    form = VarForm(linear_terms=terms, dirichlet=clauses)
+    sites, dof_values = [], forms.dof_values
+
+    def recorded(space, f, dofs):
+        sites[-1].append(f)
+        return dof_values(space, f, dofs)
+    monkeypatch.setattr(forms, "dof_values", recorded)
+    for step, tgv in enumerate([1e30, 1e30, 1e30, 1e10, 1e10, 1e10]):
+        sites.append([])
+        got = assemble_linear(form, Vh, tgv=tgv)
+        monkeypatch.setattr(forms, "dof_values", dof_values)
+        ref = assemble_linear(VarForm(linear_terms=terms, dirichlet=clauses), Vh, tgv=tgv)
+        monkeypatch.setattr(forms, "dof_values", recorded)
+        assert np.array_equal(got[pinned].view(np.uint64), ref[pinned].view(np.uint64))
+        g.dofs[:] = g.dofs * 1.5 + step            # a g[]=... write, seen at the next call
+    # a planned call reads the FE clause alone; a new tgv is a new plan
+    assert [len(s) for s in sites] == [4, 4, 1, 4, 4, 1]
+    assert sites[2] == sites[5] == [g]
+
+
+# -- a bilinear form assembled again applies its plan ---------------------------
+
+def _bilinear_plan_cases(mesh):
+    Vh, Ph = FeSpace(mesh, "P1"), FeSpace(mesh, "P0")
+    w = _fe(Vh, lambda x, y: np.sin(3 * x) * y + 0.5)
+    c = _fe(Ph, lambda x, y: 1.0 + x * y)
+    source = _heat_source()
+    return Vh, w, c, {
+        "P1": [FormTerm("int2d", STIFF), FormTerm("int2d", as_form(U) * (2.0 * w - 1.5) * V)],
+        "P0": [FormTerm("int2d", (c / 4.0 + 1.0) * dx(U) * dx(V) + dy(U) * dy(V))],
+        "P1 and P0": [FormTerm("int2d", -(as_form(U) * (w + c * 3.0 - source) * V),
+                               quad="order5")],
+        "int1d": [FormTerm("int2d", STIFF),
+                  FormTerm("int1d", as_form(U) * (w - 0.5 * X) * V, frozenset({2, 3}))],
+        "lumped": [FormTerm("int2d", as_form(U) * w * V / 0.01 + STIFF, quad="lumped")],
+        "no split": [FormTerm("int2d", as_form(U) * (w * w) * V + dx(U) * dx(V) * w)],
+    }
+
+
+BILINEAR_PLAN_CASES = ["P1", "P0", "P1 and P0", "int1d", "lumped", "no split"]
+
+
+def _same_matrix(A, R, pinned=()):
+    """The same pattern, the pinned diagonal bit for bit and every other
+    entry to 1e-13 of the largest."""
+    A, R = A._csr, R._csr
+    if not (np.array_equal(A.indptr, R.indptr) and np.array_equal(A.indices, R.indices)):
+        return False
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    free = ~((rows == A.indices) & np.isin(rows, pinned))
+    return (np.array_equal(A.data[~free], R.data[~free]) and
+            np.abs(A.data - R.data)[free].max() <= 1e-13 * np.abs(R.data[free]).max())
+
+
+@pytest.mark.parametrize("case", BILINEAR_PLAN_CASES)
+def test_a_reassembled_bilinear_form_applies_its_plan(square10, monkeypatch, case):
+    from femscript import forms
+    Vh, w, c, cases = _bilinear_plan_cases(square10)
+    bc = [DirichletBC(frozenset({1, 4}), Constant(0.0))]
+    pinned = dirichlet_dofs(Vh, {1, 4})
+
+    def fresh():
+        return assemble_bilinear(VarForm(bilinear_terms=cases[case], dirichlet=bc), Vh, Vh)
+    form = VarForm(bilinear_terms=cases[case], dirichlet=bc)
+    first = assemble_bilinear(form, Vh, Vh)
+    ref = _reference_bilinear(form, Vh, Vh).with_diagonal(pinned, 1e30)._csr
+    assert np.array_equal(first._csr.data.view(np.uint64), ref.data.view(np.uint64))
+    assert _same_matrix(assemble_bilinear(form, Vh, Vh), first, pinned)   # builds the plan
+    calls, element_sums = [], forms._element_sums
+    monkeypatch.setattr(forms, "_element_sums", lambda *a: calls.append(a) or element_sums(*a))
+    again = assemble_bilinear(form, Vh, Vh)
+    # the element path for w*w and for w times the invariant Op 1*1 of dx(U)*dx(V)
+    assert len(calls) == (2 if case == "no split" else 0)
+    monkeypatch.undo()
+    assert _same_matrix(again, first, pinned)
+    w.dofs[:] = np.cos(square10.points[:, 0])      # written in place
+    c.dofs[:] = 2.0 - c.dofs
+    changed = assemble_bilinear(form, Vh, Vh)
+    assert _same_matrix(changed, fresh(), pinned) and not _same_matrix(changed, first, pinned)
+    w.dofs = 1.0 + square10.points[:, 1]           # a new array
+    assert _same_matrix(assemble_bilinear(form, Vh, Vh, tgv=1e20),
+                        assemble_bilinear(VarForm(bilinear_terms=cases[case], dirichlet=bc),
+                                          Vh, Vh, tgv=1e20), pinned)
+
+
+@pytest.mark.parametrize("trial_elem, test_elem", [("P1", "P0"), ("P0", "P1")])
+def test_a_reassembled_bilinear_form_on_p0_spaces_applies_its_plan(square10, trial_elem,
+                                                                   test_elem):
+    Vh, w, c, _ = _bilinear_plan_cases(square10)
+    trial, test = FeSpace(square10, trial_elem), FeSpace(square10, test_elem)
+    terms = [FormTerm("int2d", as_form(U) * (w + c) * V)]
+    form = VarForm(bilinear_terms=terms)
+    for step in range(4):
+        got = assemble_bilinear(form, trial, test)
+        assert _same_matrix(got, assemble_bilinear(VarForm(bilinear_terms=terms), trial, test))
+        w.dofs[:] += step
+
+
+def test_a_reassembled_bilinear_form_follows_its_live_pattern(monkeypatch):
+    from femscript import forms
+    # the stiffness of the square's diagonal edges is exactly zero, so a
+    # weighted mass that vanishes on a triangle leaves its entries out
+    mesh = build_square(6, 6)
+    Vh = FeSpace(mesh, "P1")
+    w = Vh.function()
+    terms = [FormTerm("int2d", STIFF + as_form(U) * w * V)]
+    form, x = VarForm(bilinear_terms=terms), mesh.points[:, 0]
+    built, nnz, from_sorted = [], [], SparseMatrix._from_sorted.__func__
+
+    def counted(cls, *args):
+        built[-1] += 1
+        return from_sorted(cls, *args)
+    for dofs in [0.0, 1.0, 2.0, 3.0, np.where(x > 0.5, 1.0, 0.0), np.where(x > 0.5, 2.0, 0.0),
+                 0.0, 0.0]:
+        w.dofs[:] = dofs
+        built.append(0)
+        monkeypatch.setattr(SparseMatrix, "_from_sorted", classmethod(counted))
+        got = assemble_bilinear(form, Vh, Vh)
+        monkeypatch.undo()
+        ref = assemble_bilinear(VarForm(bilinear_terms=terms), Vh, Vh)
+        assert _same_matrix(got, ref)
+        nnz.append(got.nnz)
+    assert nnz[0] < nnz[4] < nnz[1] == nnz[2] == nnz[3] and nnz[4] == nnz[5] and nnz[6] == nnz[0]
+    # the first two calls build a pattern, then only a changed mask does
+    assert built == [1, 1, 0, 0, 1, 0, 1, 0]
+
+
+# 1e307 is finite, but w/0.01 is not; the int1d case's DOF is off the labels
+@pytest.mark.parametrize("case, bad", [("P1", np.nan), ("P1", np.inf), ("lumped", 1e307),
+                                       ("int1d", np.nan), ("P1 and P0", np.nan),
+                                       ("no split", np.inf)])
+def test_a_non_finite_dof_is_named_by_a_reused_bilinear_form_as_by_a_fresh_one(
+        square10, case, bad):
+    Vh, w, c, cases = _bilinear_plan_cases(square10)
+    form = VarForm(bilinear_terms=cases[case])
+    x, y = square10.points.T
+    k = 7 if case != "int1d" else int(np.argmin(abs(x - 0.9) + abs(y - 0.5)))
+    w.dofs[k] = bad
+    with pytest.raises(NumericError) as first:
+        assemble_bilinear(form, Vh, Vh)
+    w.dofs[k] = 0.0
+    assemble_bilinear(form, Vh, Vh)
+    assemble_bilinear(form, Vh, Vh)
+    w.dofs[k] = bad
+    with pytest.raises(NumericError) as later:
+        assemble_bilinear(form, Vh, Vh)
+    assert str(later.value) == str(first.value)
+    assert str(first.value).startswith("coefficient is not finite at (")

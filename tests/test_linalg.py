@@ -3,7 +3,8 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from femscript import studies
-from femscript.errors import InvalidArgumentError, SingularMatrixError, SolverError, UnsupportedError
+from femscript.errors import (InvalidArgumentError, NumericError, SingularMatrixError, SolverError,
+                             UnsupportedError)
 from femscript.linalg import SparseMatrix, det, dot, factorize, solve_cg, trace
 from femscript.studies import ThetaSchemeConfig
 
@@ -88,6 +89,20 @@ def test_lu_nan_diagonal_raises_at_solve():
     assert lu.method == "diagonal"
     with pytest.raises(SingularMatrixError):
         lu.solve(np.ones(2))
+
+
+@pytest.mark.parametrize("method", ["diagonal", "MMD_AT_PLUS_A"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lu_names_a_right_hand_side_that_is_not_finite(method, bad):
+    A = tridiag(4, 0.0 if method == "diagonal" else -1.0, 2.0, 0.0)
+    if method == "diagonal":
+        A = SparseMatrix.from_dense(A.to_dense())
+    lu = factorize(A)
+    assert lu.method == method
+    b = np.ones(4)
+    b[2] = bad
+    with pytest.raises(NumericError, match=f"^right-hand side is not finite at entry 2: {bad:g}$"):
+        lu.solve(b)
 
 
 @pytest.mark.parametrize("b", [np.ones(3), np.ones((2, 2)), 1.0])
@@ -219,6 +234,81 @@ def test_cg_reports_nonconvergence():
     b = np.ones(60)
     res = solve_cg(A, b, tol=1e-14, maxit=3)
     assert not res.converged and res.iterations == 3
+
+
+def _former_cg(A, b, tol=1e-10, maxit=None):
+    """The conjugate gradient as it was written before its updates went in
+    place: out-of-place vectors and np.linalg.norm."""
+    n = A.shape[0]
+    if maxit is None:
+        maxit = 10 * n
+    x = np.zeros(n)
+    bnorm = float(np.linalg.norm(b))
+    diag = A.diagonal().astype(float)
+    inv_diag = np.where(np.abs(diag) > 0, 1.0 / np.where(diag == 0, 1.0, diag), 1.0)
+    r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    rel = 1.0
+    for it in range(1, maxit + 1):
+        Ap = A @ p
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rel = float(np.linalg.norm(r)) / bnorm
+        if rel <= tol:
+            return x, True, it, rel
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, False, maxit, rel
+
+
+def _cg_cases():
+    from femscript.fespace import FeSpace
+    from femscript.forms import (DirichletBC, FormTerm, TestFunction, TrialFunction, VarForm,
+                                 as_form, assemble_bilinear, dx, dy)
+    from femscript.fields import Constant
+    mesh = studies.disk_mesh(16)
+    Vh, u, v = FeSpace(mesh, "P1"), TrialFunction(), TestFunction()
+    w = Vh.function(1.0 + mesh.points[:, 0] ** 2)
+    form = VarForm([FormTerm("int2d", dx(u) * dx(v) + dy(u) * dy(v) + as_form(u) * w * v)],
+                   dirichlet=[DirichletBC(frozenset({1}), Constant(0.0))])
+    disk = assemble_bilinear(form, Vh, Vh)
+    rng = np.random.default_rng(11)
+    spd, b = random_spd(40, seed=3)
+    return {"tridiagonal": (tridiag(200, -1.0, 2.0, -1.0), np.ones(200), {}),
+            "random spd": (spd, b, {"tol": 1e-13}),
+            "penalized disk": (disk, rng.standard_normal(Vh.ndof), {}),
+            "truncated by maxit": (disk, rng.standard_normal(Vh.ndof), {"maxit": 7})}
+
+
+@pytest.mark.parametrize("case", ["tridiagonal", "random spd", "penalized disk",
+                                  "truncated by maxit"])
+def test_in_place_cg_matches_the_former_loop_bit_for_bit(case):
+    A, b, kw = _cg_cases()[case]
+    res = solve_cg(A, b, **kw)
+    x, converged, iterations, rel = _former_cg(A, b, **kw)
+    assert res.converged == converged and res.iterations == iterations
+    assert res.converged == (case != "truncated by maxit")
+    assert np.array_equal(res.x.view(np.uint64), x.view(np.uint64))
+    assert res.relative_residual == rel
+
+
+@pytest.mark.parametrize("where, bad", [("rhs", np.nan), ("rhs", np.inf), ("rhs", -np.inf),
+                                        ("matrix", np.nan), ("matrix", np.inf)])
+def test_cg_stops_at_once_on_a_value_that_is_not_finite(where, bad):
+    from conftest import time_bound
+    n = 2738
+    A, b = tridiag(n, -1.0, 2.01, -1.0), np.ones(n)
+    if where == "rhs":
+        b[5] = bad
+    else:
+        A._csr.data[A._csr.indptr[5] + 1] = bad      # the diagonal of row 5
+    with time_bound(5), pytest.raises(SolverError, match="breakdown"):
+        solve_cg(A, b)
 
 
 # -- dense helpers -----------------------------------------------------------------

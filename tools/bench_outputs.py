@@ -1,13 +1,13 @@
 """Dump and compare the outputs of one pass of each benchmark workload.
 
-    python tools/bench_outputs.py dump [--root DIR] out.pkl [workload ...]
+    python tools/bench_outputs.py dump [--root DIR] [--seed S] out.pkl [workload ...]
     python tools/bench_outputs.py compare a.pkl b.pkl
 
 dump      imports femscript from DIR/src and loads DIR/bench/workloads.py by
           path (DIR defaults to the checkout holding this script).  For each
-          named workload (all by default) it runs prepare(1), warm and one
-          run pass in a temporary directory, and pickles {workload: outputs}
-          to out.pkl.  Nothing is written under bench/.
+          named workload (all by default) it runs prepare(S) (S defaults to
+          1), warm and one run pass in a temporary directory, and pickles
+          {workload: outputs} to out.pkl.  Nothing is written under bench/.
 compare   for each workload in both files: whether the pickled outputs are
           byte-identical, then one line per output key (nested dict keys
           joined by "/") with the largest relative deviation over its float
@@ -20,6 +20,7 @@ compare   for each workload in both files: whether the pickled outputs are
 
 To check a change against its parent, dump both checkouts with this script,
 one with --root pointing at a copy of the parent, and compare the files.
+Compare on a seed not used while writing the change as well as on seed 1.
 """
 
 import argparse
@@ -53,7 +54,7 @@ def load_workloads(root):
     return module.WORKLOADS
 
 
-def dump(root, path, names):
+def dump(root, path, names, seed=1):
     workloads = load_workloads(root)
     unknown = set(names) - set(workloads)
     if unknown:
@@ -61,7 +62,7 @@ def dump(root, path, names):
     outputs = {}
     for name in names or list(workloads):
         wl = workloads[name]
-        inputs = wl.prepare(1)
+        inputs = wl.prepare(seed)
         with tempfile.TemporaryDirectory() as workdir:
             wl.warm(inputs, workdir)
             outputs[name] = wl.run(inputs, workdir, lap=lambda: None)
@@ -136,6 +137,7 @@ def main(argv=None):
     sub = p.add_subparsers(dest="cmd", required=True)
     d = sub.add_parser("dump")
     d.add_argument("--root", type=Path, default=ROOT)
+    d.add_argument("--seed", type=int, default=1)
     d.add_argument("out")
     d.add_argument("workloads", nargs="*")
     c = sub.add_parser("compare")
@@ -143,7 +145,7 @@ def main(argv=None):
     c.add_argument("b")
     args = p.parse_args(argv)
     if args.cmd == "dump":
-        dump(args.root.resolve(), args.out, args.workloads)
+        dump(args.root.resolve(), args.out, args.workloads, args.seed)
     else:
         sys.exit(compare(args.a, args.b))
 
