@@ -16,7 +16,8 @@ values depend on the sites alone (an FE function changes in place, a
 `FunctionField` may read outside state).  The outermost invariant `Op` of a
 tree keeps its read-only values over the last whole-mesh int2d context, keyed
 by that mesh (weakly) and the rule's `lam` (by identity); edge and DOF sites,
-and the leaves X and Y, shared by all, keep nothing.
+and the leaves X and Y, shared by all, keep nothing.  An `Op` evaluates each
+distinct operand object once, so `e * e` computes `e` once.
 """
 
 import weakref
@@ -24,6 +25,7 @@ import weakref
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
+from .linalg import _all_finite
 
 
 class CellContext:
@@ -63,14 +65,14 @@ class Field:
     def values(self, ctx) -> np.ndarray:
         """`eval_cells` as floats of the sites' shape; raises NumericError at
         the first site where a value is not finite, computed in IEEE arithmetic
-        without numpy's warnings."""
+        without numpy's warnings.  The value is checked before it is broadcast."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = np.broadcast_to(np.asarray(self._cells(ctx), dtype=float), ctx.shape)
-        if not np.all(np.isfinite(vals)):
-            k = int(np.argmin(np.isfinite(vals).ravel()))
+            vals = np.asarray(self._cells(ctx), dtype=float)
+        if not _all_finite(vals):
+            k = int(np.argmin(np.isfinite(np.broadcast_to(vals, ctx.shape)).ravel()))
             raise NumericError(f"coefficient is not finite at "
                                f"({ctx.x.flat[k]:g}, {ctx.y.flat[k]:g})")
-        return vals
+        return np.broadcast_to(vals, ctx.shape)
 
     # arithmetic -----------------------------------------------------------
 
@@ -185,9 +187,10 @@ class Op(Field):
                              isinstance(f, Op) and f.invariant for f in operands)
 
     def eval_cells(self, ctx):
-        if self.invariant:      # the operands of an invariant node keep nothing
-            return self.op(*(f.eval_cells(ctx) for f in self.operands))
-        return self.op(*(f._cells(ctx) for f in self.operands))
+        # the operands of an invariant node keep nothing; e * e evaluates e once
+        vals = {f: f.eval_cells(ctx) if self.invariant else f._cells(ctx)
+                for f in dict.fromkeys(self.operands)}
+        return self.op(*map(vals.get, self.operands))
 
     def _cells(self, ctx):
         if not (self.invariant and isinstance(ctx.tri, slice)):    # not whole-mesh int2d

@@ -77,7 +77,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericError
 from .fespace import FeFunction, FeSpace, dof_values
 from .fields import CellContext, Constant, Coordinate, Field, FeGradField, Op, as_field
-from .linalg import SparseMatrix, _csr_matrix, _sorted_runs
+from .linalg import SparseMatrix, _all_finite, _csr_matrix, _sorted_runs
 
 DEFAULT_TGV = 1e30
 
@@ -477,7 +477,7 @@ def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
         vals = _planned_contributions(form, kept)
         if vals is not None:
             sums = np.bincount(kept.slots[0], vals, minlength=len(kept.slots[1]))
-            sums = sums if np.isfinite(sums).all() else None
+            sums = sums if _all_finite(sums) else None
     if sums is None:
         blocks, locs = _element_matrices(form, trial, test)
         if kept.slots is None:
@@ -579,9 +579,7 @@ def _planned_contributions(form, kept):
 def _positions(A, rows, cols, pinned):
     """A's CSR arrays, the positions in them of the (rows, cols) entries
     (None when those are all of A's), and of the pinned diagonal entries."""
-    csr, m = A._csr, np.int64(A.shape[1])
-    keys = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(csr.indptr)) * m \
-        + csr.indices
+    csr, m, keys = A._csr, np.int64(A.shape[1]), A._keys()
     pos = None if len(rows) == csr.nnz else np.searchsorted(keys, rows * m + cols)
     return csr.indices, csr.indptr, pos, np.searchsorted(keys, pinned * m + pinned)
 
@@ -683,11 +681,11 @@ def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> n
         kept, applied, rest, pins = plan
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
             scaled = [s * fe.dofs for s, _, fe in applied]
-            if all(np.isfinite(d).all() for d in scaled):
+            if all(map(_all_finite, scaled)):
                 b = _element_vector(test, rest) + kept
                 for (_, K, _), d in zip(applied, scaled):
                     b += K @ d
-    if b is None or not np.isfinite(b).all():
+    if b is None or not _all_finite(b):
         b = _element_vector(test, [(t, vk, f) for t in form.linear_terms
                                    for (_, vk), f in t.expr.terms.items()])
     for dofs, pinned, value in _pins(form, test, tgv) if plan is None else pins:

@@ -8,8 +8,8 @@ zero (scipy's prunes them, changing the pattern and so the LU ordering).
 The direct solver chooses its method once per matrix, from the stored
 pattern alone, and caches the factorization on the matrix for repeated
 solves:
-- every stored entry on the diagonal (the lumped-mass heat matrix at
-  theta = 0): x = b / d, bit-identical to SuperLU's solution;
+- a real matrix storing only diagonal entries (the lumped-mass heat
+  matrix at theta = 0): x = b / d, bit-identical to SuperLU's solution;
 - any other pattern: SuperLU with minimum degree on the pattern of A'+A.
   The matrices built here (stiffness matrices, mass-plus-stiffness steps,
   and the Newton Jacobians, which are symmetric in pattern but not in
@@ -56,12 +56,19 @@ def _sorted_runs(key):
 
 
 def _rhs(b, n):
-    """The right-hand side of an n x n solve as a float vector of length n."""
-    b = np.asarray(b, dtype=float)
+    """The right-hand side of an n x n solve as a float or complex vector of length n."""
+    b = np.asarray(b, dtype=complex if np.iscomplexobj(b) else float)
     if b.shape != (n,):
         raise InvalidArgumentError(f"right-hand side of shape {b.shape} for {n} unknowns; "
                                    f"needs a vector of length {n}")
     return b
+
+
+def _all_finite(x) -> bool:
+    """np.isfinite(x).all() for a real or complex array, read from the sum of
+    |x_i|^2 (one BLAS dot), which is finite only when every entry is; when it
+    is not (a NaN, an infinity, or an entry beyond 1e154), entry by entry."""
+    return math.isfinite(np.vdot(x, x).real) or bool(np.isfinite(x).all())
 
 
 def _csr_matrix(data, indices, indptr, shape):
@@ -73,14 +80,15 @@ def _csr_matrix(data, indices, indptr, shape):
 
 
 class SparseMatrix:
-    """Real CSR matrix; immutable once constructed.
+    """Real or complex CSR matrix; immutable once constructed.
 
     Column indices are strictly increasing within each row and duplicates
     are summed away at construction.  Stored zeros are never pruned.
 
     A matrix derived without a pattern change (`scale`, `scale_columns`, a
-    same-pattern `+` or one with an empty operand, `with_diagonal` inserting
-    nothing) shares its source's ordering cell; any other starts an empty one.
+    `+` where one operand's pattern holds the other's, `with_diagonal`
+    inserting nothing) shares its source's ordering cell, the larger
+    operand's for `+`; any other starts an empty one.
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -177,21 +185,25 @@ class SparseMatrix:
     def __add__(self, other):
         if not isinstance(other, SparseMatrix) or other.shape != self.shape:
             raise InvalidArgumentError("can only add sparse matrices of equal shape")
-        # Not scipy's +, which drops entries that sum to exactly zero.
-        a, b = self._csr, other._csr
-        if not a.nnz or not b.nnz:
-            c = other if not a.nnz else self
-            data = c._csr.data.astype(np.result_type(a.data, b.data), copy=False)
-            return SparseMatrix._wrap(_csr_matrix(data, c._csr.indices, c._csr.indptr,
-                                                  c.shape), c._order)
-        if np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices):
-            return SparseMatrix._wrap(_csr_matrix(a.data + b.data, a.indices, a.indptr,
-                                                  a.shape), self._order)
-        r1 = np.repeat(np.arange(self.shape[0]), np.diff(a.indptr))
-        r2 = np.repeat(np.arange(other.shape[0]), np.diff(b.indptr))
-        return SparseMatrix.from_coo(
-            np.concatenate([r1, r2]), np.concatenate([a.indices, b.indices]),
-            np.concatenate([a.data, b.data]), self.shape)
+        # Not scipy's +, which prunes exact zeros; a held pattern is summed in place.
+        big, small = (self, other) if self.nnz >= other.nnz else (other, self)
+        a, b, pos = big._csr, small._csr, slice(None)
+        if not (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)):
+            keys, sub = big._keys(), small._keys()
+            pos = np.searchsorted(keys, sub)
+            if not np.array_equal(keys.take(pos, mode="clip"), sub):
+                k, m = np.concatenate([keys, sub]), self.shape[1]
+                return SparseMatrix.from_coo(k // m, k % m, np.concatenate([a.data, b.data]),
+                                             self.shape)
+        data = a.data.astype(np.result_type(a.data, b.data))
+        data[pos] += b.data
+        return SparseMatrix._wrap(_csr_matrix(data, a.indices, a.indptr, a.shape), big._order)
+
+    def _keys(self):
+        """Each stored entry's row * ncols + column, in storage (ascending) order."""
+        csr = self._csr
+        return np.repeat(np.arange(self.shape[0], dtype=np.int64) * self.shape[1],
+                         np.diff(csr.indptr)) + csr.indices
 
     def scale(self, alpha):
         A = self._csr
@@ -244,9 +256,10 @@ class LuFactorization:
             raise InvalidArgumentError("LU needs a square matrix")
         self.shape = A.shape
         csr, n = A._csr, A.shape[0]
+        self._complex = np.iscomplexobj(csr.data)
         self._diag = self._splu = self._perm_c = None
-        if csr.nnz <= n and np.array_equal(csr.indices,
-                                           np.repeat(np.arange(n), np.diff(csr.indptr))):
+        if not self._complex and csr.nnz <= n and np.array_equal(
+                csr.indices, np.repeat(np.arange(n), np.diff(csr.indptr))):
             self._method = "diagonal"
             self._diag = csr.diagonal()
             if not np.all(self._diag):          # a zero, stored or missing
@@ -276,11 +289,15 @@ class LuFactorization:
 
     def solve(self, b):
         b = _rhs(b, self.shape[0])
+        if np.iscomplexobj(b) and not self._complex:    # SuperLU takes b of its factor's type
+            x = np.empty(len(b), dtype=complex)
+            x.real, x.imag = self.solve(b.real), self.solve(b.imag)
+            return x
         x = b / self._diag if self._splu is None else self._splu.solve(b)
         if self._perm_c is not None:
             x = x[self._perm_c]
-        if not np.all(np.isfinite(x)):
-            if not np.all(np.isfinite(b)):
+        if not _all_finite(x):
+            if not _all_finite(b):
                 k = int(np.argmin(np.isfinite(b)))
                 raise NumericError(f"right-hand side is not finite at entry {k}: {b[k]:g}")
             raise SingularMatrixError("factorization produced non-finite solution")
@@ -316,6 +333,8 @@ def solve_cg(A: SparseMatrix, b, tol: float = 1e-10, maxit=None) -> CgResult:
     """
     n = A.shape[0]
     b = _rhs(b, n)
+    if np.iscomplexobj(b) or np.iscomplexobj(A._csr.data):
+        raise UnsupportedError("conjugate gradient needs a real matrix and right-hand side")
     if maxit is None:
         maxit = 10 * n
     x = np.zeros(n)

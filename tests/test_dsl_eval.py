@@ -340,6 +340,12 @@ def test_matrix_assigned_a_dense_array_solves():
     assert out == "0.5\n1\n"
 
 
+def test_a_complex_right_hand_side_keeps_its_imaginary_part():
+    r, out = run("matrix A=[[2.,0.],[0.,4.]]; complex[int] b(2); b[0]=1+2i; b[1]=3;\n"
+                 "complex[int] x(2); x=A^-1*b; cout << x[0] << endl;")
+    assert out == "(0.5,1)\n"
+
+
 def test_undeclared_identifier_reports_line():
     with pytest.raises(EvalError) as err:
         run("int a=1;\nint b=zz;")

@@ -1133,3 +1133,40 @@ def test_a_non_finite_dof_is_named_by_a_reused_bilinear_form_as_by_a_fresh_one(
         assemble_bilinear(form, Vh, Vh)
     assert str(later.value) == str(first.value)
     assert str(first.value).startswith("coefficient is not finite at (")
+
+
+# -- an operation whose two operands are one object evaluates it once ---------
+
+def test_a_repeated_operand_is_evaluated_once(square10):
+    from femscript.fespace import interpolate
+    from femscript.fields import FunctionField, Op
+    calls = []
+
+    def fn(x, y):
+        calls.append(len(x))
+        return np.sin(np.pi * x) * np.exp(y) - 0.3
+
+    f = FunctionField(fn)
+    ctx = _int2d_context(square10)
+    v = f.values(ctx)
+    calls.clear()
+    got = (f * f).values(ctx)
+    assert len(calls) == 1
+    assert np.array_equal(got.view(np.uint64), np.multiply(v, v).view(np.uint64))
+    # operands that are only equal are two evaluations
+    calls.clear()
+    assert np.array_equal((f * FunctionField(fn)).values(ctx), got) and len(calls) == 2
+    # the heat error's integrand: e = u_h - exact, then e * e
+    uh = interpolate(FeSpace(square10, "P1"), lambda x, y: x * y)
+    e = uh - f
+    calls.clear()
+    err = integrate_2d(square10, e * e, quad="order5")
+    assert len(calls) == 1
+    from femscript.forms import RULES_2D
+    ctx5 = CellContext(square10, slice(None), RULES_2D["order5"].lam)
+    ev = e.values(ctx5)
+    assert err == float(np.sum(square10.signed_areas() * (np.multiply(ev, ev)
+                                                           @ RULES_2D["order5"].w)))
+    # an invariant node takes the same shortcut: x * x reads x once
+    xx = Op(np.multiply, X, X)
+    assert np.array_equal(xx.values(ctx), ctx.x * ctx.x)

@@ -148,3 +148,13 @@ def test_console_entry_point(tmp_path):
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "16" in r.stdout
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--T", "-1"], "T must be finite and positive"), (["--T", "0"], "T must be finite and positive"),
+    (["--T", "nan"], "T must be finite and positive"), (["--mu", "inf"], "mu must be finite and positive"),
+])
+def test_cli_heat_study_rejects_settings_that_cannot_run(args, message, capsys):
+    assert main(["study", "heat", "--nref", "2"] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"

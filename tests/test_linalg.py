@@ -446,3 +446,110 @@ def test_same_pattern_and_empty_sums_match_the_coo_path_bit_for_bit():
         assert not len(rows) or (np.shares_memory((A + B)._csr.indices, A._csr.indices)
                                  and np.shares_memory((empty + B)._csr.indices,
                                                       B._csr.indices))
+
+
+# -- sums on a contained pattern ------------------------------------------------
+
+def _five_point_pattern(k):
+    """(rows, cols) of the 5-point pattern on a k x k grid."""
+    r, c = np.divmod(np.arange(k * k), k)
+    return np.nonzero((np.abs(r[:, None] - r[None, :]) + np.abs(c[:, None] - c[None, :])) <= 1)
+
+
+def _signed_zeros(rng):
+    """Random values a fifth of which are 0.0 and a fifth -0.0."""
+    def vals(m):
+        v = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, m)
+        kind = rng.integers(0, 5, m)
+        v[kind == 0] = 0.0
+        v[kind == 1] = -0.0
+        return v
+    return vals
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_sum_on_a_contained_pattern_matches_the_coo_path_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    vals = _signed_zeros(rng)
+    rows, cols = _five_point_pattern(5)
+    p, d = vals(len(rows)), vals(25)
+    # both signs of zero against both, on the diagonal
+    p[np.flatnonzero(rows == cols)[:4]], d[:4] = [-0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, -0.0, 0.0]
+    P = SparseMatrix.from_coo(rows, cols, p, (25, 25))
+    D = SparseMatrix.from_coo(np.arange(25), np.arange(25), d, P.shape)
+    sub = np.sort(rng.choice(P._keys(), 40, replace=False))     # a random sub-pattern
+    Q = SparseMatrix.from_coo(sub // 25, sub % 25, vals(40), P.shape)
+    for S, T in ((D, P), (P, D), (Q, P), (P, Q)):
+        R = S + T
+        assert _same_bits(R, _coo_sum(S, T))
+        big = S if S.nnz >= T.nnz else T
+        assert R._order is big._order and R.nnz == big.nnz
+    R = D + P
+    assert np.array_equal(np.signbit(R._csr.data[np.isin(R._keys(), 26 * np.arange(4))]),
+                          [True, False, False, False])
+    R = D + Q                                   # not nested: a union on a new pattern
+    assert _same_bits(R, _coo_sum(D, Q))
+    assert R._order is not D._order and R._order is not Q._order
+    # a complex operand on a real pattern
+    C = SparseMatrix.from_coo(np.arange(25), np.arange(25), vals(25) * 1j, P.shape)
+    assert np.array_equal((P + C).to_dense(), P.to_dense() + C.to_dense())
+
+
+def test_same_size_patterns_that_are_not_nested_are_summed_as_a_union():
+    rng = np.random.default_rng(7)
+    vals = _signed_zeros(rng)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        keys = rng.permutation(n * n)[:2 * n]
+        a, b = np.sort(keys[:n]), np.sort(keys[n:])        # equal sizes, disjoint
+        b[: n // 2] = a[: n // 2]                           # overlapping in part
+        b = np.sort(b)
+        A = SparseMatrix.from_coo(a // n, a % n, vals(n), (n, n))
+        B = SparseMatrix.from_coo(b // n, b % n, vals(n), (n, n))
+        for S, T in ((A, B), (B, A)):
+            R = S + T
+            assert _same_bits(R, _coo_sum(S, T))
+            assert R._order is not S._order and R._order is not T._order
+
+
+# -- the finiteness test --------------------------------------------------------
+
+@pytest.mark.parametrize("x", [
+    [], np.array(1.0), np.array(np.nan), np.array(-np.inf), [1.0, 2.0], [np.nan, 1.0],
+    [1.0, np.inf], [-np.inf, np.inf], [1e200, 1.0], [1e200, np.nan], [1e308, -1e308],
+    np.full((3, 4), 1e300), [[1.0, 2.0], [3.0, np.nan]], [1 + 2j, 3.0], [1e200j, 1.0],
+    [complex(1, np.nan), 2.0], [complex(np.inf, 0.0)], [complex(0.0, -np.inf)],
+    np.broadcast_to(np.array([[1.0], [np.nan]]), (2, 3)), np.arange(5),
+])
+def test_the_finiteness_helper_answers_as_isfinite_all(x):
+    from femscript.linalg import _all_finite
+    assert _all_finite(np.asarray(x)) is bool(np.isfinite(x).all())
+
+
+# -- complex right-hand sides ---------------------------------------------------
+
+@pytest.mark.parametrize("M", [[[2.0, 0.0], [0.0, 4.0]], [[2.0, 1.0], [1.0, 4.0]],
+                               [[2.0 + 1.0j, 0.0], [0.0, 4.0]], [[2.0, 1.0j], [1.0, 4.0]]],
+                         ids=["real diagonal", "real SuperLU", "complex diagonal pattern",
+                              "complex SuperLU"])
+def test_lu_keeps_the_imaginary_part_of_a_complex_right_hand_side(M):
+    M = np.array(M)
+    lu = factorize(SparseMatrix.from_dense(M))
+    b = np.array([1.0 + 2.0j, 3.0])
+    x = lu.solve(b)
+    assert x.dtype == complex and np.allclose(M @ x, b, rtol=1e-14, atol=0)
+    if not np.iscomplexobj(M):      # two real solves, bit for bit
+        assert np.array_equal(x.real, lu.solve(b.real)) and np.array_equal(x.imag,
+                                                                          lu.solve(b.imag))
+    else:                           # a real b on a complex factor
+        assert np.allclose(M @ lu.solve(b.real), b.real, rtol=1e-14, atol=0)
+    with pytest.raises(NumericError, match="right-hand side is not finite at entry 1"):
+        lu.solve(np.array([1.0, complex(0.0, np.inf)]))
+
+
+def test_cg_refuses_complex_matrices_and_right_hand_sides():
+    A = tridiag(4, -1.0, 4.0, -1.0)
+    with pytest.raises(UnsupportedError, match="real matrix and right-hand side"):
+        solve_cg(A, np.array([1.0, 2.0j, 0.0, 1.0]))
+    with pytest.raises(UnsupportedError, match="real matrix and right-hand side"):
+        solve_cg(A + SparseMatrix.from_coo([0], [0], [1j], A.shape), np.ones(4))

@@ -297,3 +297,24 @@ def test_row_dataclass_shape():
     row = ConvergenceRow(N=16, h=1 / 16, error=1.0)
     assert row.dt is None and row.rate_space is None and row.rate_time is None
     assert row.iterations is None
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"T": -1.0}, "T must be finite and positive"), ({"T": 0.0}, "T must be finite"),
+    ({"T": math.nan}, "T must be finite"), ({"T": math.inf}, "T must be finite"),
+    ({"mu": math.inf}, "mu must be finite and positive"), ({"mu": math.nan}, "mu must be"),
+    ({"mu": -1.0}, "mu must be"), ({"N": 0}, "N must be at least 1"), ({"N": -3}, "N must be"),
+])
+def test_theta_scheme_settings_that_cannot_run_are_rejected(kw, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        ThetaSchemeConfig(theta=0.5, **kw)
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"tol": math.nan}, "tolerance must be finite and positive"),
+    ({"tol": math.inf}, "tolerance must be finite"), ({"tol": -1e-3}, "tolerance must be"),
+    ({"max_iter": 0}, "max_iter must be at least 1"), ({"max_iter": -2}, "max_iter must be"),
+])
+def test_fixed_point_settings_that_cannot_run_are_rejected(kw, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        FixedPointConfig(**kw)
