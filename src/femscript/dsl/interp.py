@@ -14,9 +14,10 @@ alike.  A form body's term algebra collects an integral as a `forms.FormTerm`
 and an `on()` clause as a `forms.DirichletBC` in a `Terms` value, which
 `Interpreter._eval_form` turns into one `forms.VarForm`; both assembly
 routines take that as is.  The VarForm is kept while every name the body
-read is unchanged, and `forms.assemble_linear` keeps a plan on it from its
+read is unchanged, and both assembly routines keep a plan on it from its
 second assembly on, so a time loop's right-hand side costs one matvec per FE
-coefficient instead of an element-kernel pass.
+coefficient, and a Picard loop's matrix skips the element kernels of its
+invariant and FE-linear parts.
 
 Operators hand fields, forms, `Terms`, numbers and arrays to their own
 arithmetic (Python's operators); `binary_op` keeps only the rules that are the

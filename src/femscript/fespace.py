@@ -123,7 +123,7 @@ def dof_values(space: FeSpace, f, dofs=None) -> np.ndarray:
     except (TypeError, ValueError):
         if not isinstance(field, FunctionField):
             raise
-        vals = FunctionField(lambda x, y: [float(f(float(xi), float(yi)))
+        vals = FunctionField(lambda x, y: [f(float(xi), float(yi))
                                            for xi, yi in zip(x, y)]).values(ctx)
     return vals[:, 0].copy()
 

@@ -24,7 +24,7 @@ import weakref
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError, UnsupportedError
 from .linalg import _all_finite
 
 
@@ -153,7 +153,10 @@ class FunctionField(Field):
         self.fn = fn
 
     def eval_cells(self, ctx):
-        vals = np.asarray(self.fn(ctx.x.ravel(), ctx.y.ravel()), dtype=float)
+        vals = np.asarray(self.fn(ctx.x.ravel(), ctx.y.ravel()))
+        if np.iscomplexobj(vals):
+            raise UnsupportedError("complex values cannot enter integrands")
+        vals = vals.astype(float, copy=False)
         return vals.reshape(ctx.shape) if vals.ndim else vals
 
 

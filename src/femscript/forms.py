@@ -34,39 +34,28 @@ nonzero, as a second bincount counts, so the lumped P1 mass is diagonal and
 an entry whose contributions cancel is stored.  A linear form's element
 vectors, (nloc_v, n) per product, are summed into each DOF the same way.
 
-A linear form is linear in its FE coefficients, so the second assembly of
-the same VarForm over the same test space (and tgv) builds a plan, kept on
-the form, that later assemblies apply.  Each product's coefficient is split
-through negation, sums, differences and products or quotients by a
-`Constant` into scaled parts.  An invariant part (a `Constant`, a
-`Coordinate`, an invariant `Op`) is assembled once into one kept vector,
-from its own subtree so that the `Op`'s kept values answer it.  A P1 or P0
-FE function on the form's mesh becomes one kept matrix K, the bilinear form
-with that function's basis as the trial part over the same term and rule,
-applied as K @ (scale * dofs).  A product with any other part
-(`uold*uold*v`, `sin(uold)*v`, `dx(uold)*v`, an invariant `Op` times an FE
-function, a `FunctionField`) keeps the element path.  The plan also keeps
-each Dirichlet clause's pinned DOFs and, for an invariant value, its
-tgv-scaled values; an FE-valued clause is read again at every call.  The
-first assembly takes the element path throughout, and so does any
-assembly whose scaled DOFs or planned vector hold a value that is not
-finite, so that the error names the same point as a fresh form's.
-
-A bilinear form is linear in its FE coefficients too (the tensor
-representation of Kirby & Logg), so the second assembly of the same
-VarForm over the same trial and test spaces splits its products the same
-way, per term.  The invariant parts are summed once into one kept array of
-element matrices.  A P1 or P0 FE function's part is kept as one table of
-element matrices per corner of its element, the element sums with that
-corner's basis function as the coefficient, and each assembly adds the
-tables weighted by the function's scaled DOFs at those corners.  Any other
-product adds its element sums as on the element path.  The slot plan, the
-CSR index arrays and the positions of the pinned diagonal are kept as well,
-and reused while the live mask (the entries with a nonzero contribution) is
-unchanged; a changed mask builds the pattern as a fresh assembly does.  A
-value that is not finite sends the assembly down the element path, as for
-a linear form.  A reused form's vector or matrix is deterministic, but may
-differ from a fresh form's by rounding.
+A form is linear in its FE coefficients (the tensor representation of
+Kirby & Logg), so the second assembly of the same VarForm over the same
+spaces (and, for a vector, tgv) builds a plan, kept on the form, that later
+assemblies apply; one builder, `_plan`, serves both kinds.  Each product's
+coefficient is split through negation, sums, differences and products or
+quotients by a `Constant` into scaled parts.  The invariant parts (a
+`Constant`, a `Coordinate`, an invariant `Op` read through its kept values)
+are summed once into kept contributions.  A P1 or P0 FE function on the
+form's mesh becomes one CSR matrix K from its DOFs to the contributions, a
+row per contribution with an entry per corner of its element, applied as
+K @ (scale * dofs).  Any other product (`uold*uold*v`, `sin(uold)*v`,
+`dx(uold)*v`, an invariant `Op` times an FE function, a `FunctionField`)
+keeps the element path.  A linear form folds the kept contributions and
+each K through its DOF scatter once, so a call costs an ndof-sized matvec
+per FE function; it keeps each Dirichlet clause's pinned DOFs and an
+invariant clause's tgv-scaled values, and reads an FE-valued clause at
+every call.  A bilinear form applies K per contribution, which the live mask
+(the entries with a nonzero contribution) reads, and reuses its CSR arrays
+and pinned diagonal's positions while the mask is unchanged.  A first
+assembly takes the element path, as does one whose plan meets a value that
+is not finite, so that the error names the point a fresh form's names.  A
+reused form's result is deterministic but may differ by rounding.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -294,7 +283,7 @@ class VarForm:
     linear_terms: list = dc_field(default_factory=list)
     dirichlet: list = dc_field(default_factory=list)
 
-    _linear = None      # (test space, tgv, plan or None) of assemble_linear
+    _linear = None      # _Kept of assemble_linear
     _bilinear = None    # _Kept of assemble_bilinear
 
     def __post_init__(self):
@@ -453,14 +442,70 @@ def _bilinear_plan(mesh, blocks, key, shape):
 
 
 class _Kept:
-    """What assemble_bilinear keeps on a form for one (trial, test) pair: the
-    slot plan (slot, rows, cols), the split parts per term, and the pattern
-    (live mask, CSR indices and indptr, live entries' and pinned diagonal's
-    positions in them) (module docstring)."""
+    """What an assembly keeps on a form for (trial, test) or (test, tgv): the
+    plan and a matrix's slot plan and pattern (live mask, CSR indices and
+    indptr, positions of the live entries and the pinned diagonal in them)."""
 
-    def __init__(self, trial, test):
-        self.trial, self.test = trial, test
-        self.slots = self.parts = self.pattern = None
+    def __init__(self, key):
+        self.key, self.plan, self.slots, self.pattern = key, None, None, None
+
+
+def _planned(form, name, key, build, apply):
+    """The form's _Kept under `name` for `key`, new when the key differs, and
+    from the second assembly on `apply(plan)`, the plan built by `build()`;
+    None where a value is not finite, for the element path to name it."""
+    kept = getattr(form, name)
+    if kept is None or kept.key != key:      # each item compared by identity, then ==
+        setattr(form, name, _Kept(key))
+        return getattr(form, name), None
+    with np.errstate(over="ignore", invalid="ignore"):      # checked below
+        try:
+            kept.plan = kept.plan or build()
+            out = apply(kept.plan)
+        except NumericError:
+            return kept, None
+    return kept, out if _all_finite(out) else None
+
+
+def _plan(terms, trial, test):
+    """The plan of bilinear terms, or of linear ones when `trial` is None: the
+    invariant parts' contributions; [(scale, FE function, K)]; [(term,
+    products, first contribution)] left to the element path; and each term's
+    test and trial DOF maps (module docstring)."""
+    fixed, found, rest, blocks, start = [], {}, [], [], 0
+    spaces = [sp for sp in (test, trial) if sp is not None]
+    for term in terms:
+        ctx, scale, nq = _term_context(test.mesh, term)
+        loc, left = np.zeros([sp.nlocal for sp in spaces] + [ctx.shape[0]]), []
+        for (uk, vk), f in term.expr.terms.items():
+            split = _split(f, 1.0, test.mesh)
+            if split is None:
+                left.append(((uk, vk), f))
+                continue
+            tables = [_cell_basis(sp, k, ctx, nq)[0] for sp, k in zip(spaces, (vk, uk))]
+            for s, g in split:
+                if not isinstance(g, FeFunction):
+                    _element_sums(loc, s * g.values(ctx) * scale, *tables)
+                    continue
+                # one row per contribution, one entry per corner of g's element
+                Bg, dof_g = _cell_basis(g.space, "val", ctx, nq)
+                corners = np.moveaxis(_element_sums(None, scale, *tables, Bg), -1, 0)
+                cols = np.expand_dims(dof_g, tuple(range(1, len(spaces) + 1)))
+                found.setdefault((s, g), []).append((
+                    np.arange(start, start + loc.size).repeat(dof_g.shape[1]),
+                    np.broadcast_to(cols, corners.shape).ravel(), corners.ravel()))
+        fixed.append(loc)
+        blocks.append([_cell_basis(sp, "val", ctx, nq)[1] for sp in spaces])
+        if left:
+            rest.append((term, left, start))
+        start += loc.size
+    parts = []
+    for (s, g), entries in found.items():
+        rows, cols, vals = map(np.concatenate, zip(*entries))
+        order = np.argsort(rows, kind="stable")     # a row's entries together, in input order
+        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=start))]
+        parts.append((s, g, _csr_matrix(vals[order], cols[order], indptr, (start, g.space.ndof))))
+    return _contributions(fixed), parts, rest, blocks
 
 
 def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
@@ -470,24 +515,28 @@ def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
     docstring)."""
     if trial.mesh is not test.mesh:
         raise InvalidArgumentError("trial and test spaces live on different meshes")
-    kept, shape, sums = form._bilinear, (test.ndof, trial.ndof), None
-    if kept is None or kept.trial is not trial or kept.test is not test:
-        kept = form._bilinear = _Kept(trial, test)
-    elif kept.slots is not None:                # assembled before: plan
-        vals = _planned_contributions(form, kept)
-        if vals is not None:
-            sums = np.bincount(kept.slots[0], vals, minlength=len(kept.slots[1]))
-            sums = sums if _all_finite(sums) else None
-    if sums is None:
-        blocks, locs = _element_matrices(form, trial, test)
-        if kept.slots is None:
-            key = ("bilinear_plan", trial.elem, test.elem,
-                   tuple((t.kind, t.labels) for t in form.bilinear_terms))
-            kept.slots = _bilinear_plan(trial.mesh, blocks, key, shape)
-        vals = _contributions(locs)
-        sums = np.bincount(kept.slots[0], vals, minlength=len(kept.slots[1]))
+
+    def apply(plan):
+        fixed, parts, rest, _ = plan
+        vals = fixed.copy()
+        for s, g, K in parts:
+            vals += K @ (s * g.dofs)
+        _, locs = _element_matrices([(t, p) for t, p, _ in rest], trial, test)
+        for (_, _, first), loc in zip(rest, locs):
+            vals[first:first + loc.size] += _contributions([loc])
+        return vals
+    kept, vals = _planned(form, "_bilinear", (trial, test),
+                          lambda: _plan(form.bilinear_terms, trial, test), apply)
+    shape = (test.ndof, trial.ndof)
+    blocks, locs = (kept.plan[3], None) if vals is not None else _element_matrices(
+        [(t, t.expr.terms.items()) for t in form.bilinear_terms], trial, test)
+    if kept.slots is None:          # built before the contributions, for the peak memory
+        key = ("bilinear_plan", trial.elem, test.elem,
+               tuple((t.kind, t.labels) for t in form.bilinear_terms))
+        kept.slots = _bilinear_plan(trial.mesh, blocks, key, shape)
+    vals = _contributions(locs) if vals is None else vals
     slot, rows, cols = kept.slots
-    sums = sums.astype(float, copy=False)       # int if empty
+    sums = np.bincount(slot, vals, minlength=len(rows)).astype(float, copy=False)  # int if empty
     live = np.bincount(slot, vals != 0.0, minlength=len(rows)) > 0
     if kept.pattern is not None and np.array_equal(kept.pattern[0], live):
         _, indices, indptr, pos, diag = kept.pattern
@@ -501,79 +550,32 @@ def assemble_bilinear(form: VarForm, trial: FeSpace, test: FeSpace,
     A = SparseMatrix._from_sorted(rows[live], cols[live], sums[live], shape)
     pinned = _dirichlet_union(form, trial)
     A = A.with_diagonal(pinned, tgv) if len(pinned) else A
-    if kept.parts is not None:
+    if kept.plan is not None:
         kept.pattern = (live,) + _positions(A, rows[live], cols[live], pinned)
     return A
 
 
-def _element_matrices(form, trial, test, parts=None):
-    """Each bilinear term's (test DOF map, trial DOF map) and its element
-    matrices (nloc_v, nloc_u, n): the element path's sums of its products,
-    or, given the plan's `parts`, its invariant contributions plus each FE
-    function's corner tables weighted by its scaled DOFs there, plus the
-    element path's sums of the products left to it (module docstring)."""
+def _element_matrices(terms, trial, test):
+    """Each (term, products) pair's (test DOF map, trial DOF map) and its
+    element matrices (nloc_v, nloc_u, n), the sums of the products (module
+    docstring)."""
     blocks, locs = [], []
-    for i, term in enumerate(form.bilinear_terms):
-        loc, products = None, term.expr.terms.items()
-        if parts is not None:
-            fixed, tables, products = parts[i]
-            loc = fixed.copy() if tables or products else fixed
-            for s, g, dof_g, corners in tables:
-                w = (s * g.dofs)[dof_g]
-                for k, table in enumerate(corners):
-                    loc += table * w[k]
-        if products:
-            ctx, scale, nq = _term_context(trial.mesh, term)
-            for (uk, vk), f in products:
-                Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
-                Bv, dof_v = _cell_basis(test, vk, ctx, nq)
-                loc = _element_sums(loc, f.values(ctx) * scale, Bv, Bu)
-            blocks.append((dof_v, dof_u))
+    for term, products in terms:
+        ctx, scale, nq = _term_context(trial.mesh, term)
+        loc = None
+        for (uk, vk), f in products:
+            Bu, dof_u = _cell_basis(trial, uk, ctx, nq)
+            Bv, dof_v = _cell_basis(test, vk, ctx, nq)
+            loc = _element_sums(loc, f.values(ctx) * scale, Bv, Bu)
+        blocks.append((dof_v, dof_u))
         locs.append(loc)
     return blocks, locs
 
 
 def _contributions(locs):
-    """The element matrices in the plan's input order, element by element."""
-    return np.concatenate([loc.transpose(2, 0, 1) for loc in locs] or [np.zeros(0)],
+    """The element matrices or vectors in input order, element by element."""
+    return np.concatenate([np.moveaxis(loc, -1, 0) for loc in locs] or [np.zeros(0)],
                           axis=None)
-
-
-def _bilinear_parts(form, trial, test):
-    """Per bilinear term: (its invariant contributions, [(scale, FE function,
-    its DOF map by corner, corner tables)], products left to the element
-    path) (module docstring)."""
-    parts = []
-    for term in form.bilinear_terms:
-        ctx, scale, nq = _term_context(trial.mesh, term)
-        kept, tables, rest = np.zeros((test.nlocal, trial.nlocal, ctx.shape[0])), [], []
-        for (uk, vk), f in term.expr.terms.items():
-            split = _split(f, 1.0, trial.mesh)
-            if split is None:
-                rest.append(((uk, vk), f))
-                continue
-            Bu, _ = _cell_basis(trial, uk, ctx, nq)
-            Bv, _ = _cell_basis(test, vk, ctx, nq)
-            for s, g in split:
-                if isinstance(g, FeFunction):
-                    Bg, dof_g = _cell_basis(g.space, "val", ctx, nq)
-                    tables.append((s, g, dof_g.T.copy(), _element_sums(None, scale, Bg, Bv, Bu)))
-                else:
-                    _element_sums(kept, s * g.values(ctx) * scale, Bv, Bu)
-        parts.append((kept, tables, rest))
-    return parts
-
-
-def _planned_contributions(form, kept):
-    """The contributions by the plan, built if need be, or None when a value
-    is not finite, for the element path to name (module docstring)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            if kept.parts is None:
-                kept.parts = _bilinear_parts(form, kept.trial, kept.test)
-            return _contributions(_element_matrices(form, kept.trial, kept.test, kept.parts)[1])
-        except NumericError:
-            return None
 
 
 def _positions(A, rows, cols, pinned):
@@ -589,16 +591,16 @@ def _dirichlet_union(form, space):
                                     or [np.zeros(0, dtype=np.int64)]))
 
 
-def _element_vector(test, products):
-    """Each DOF's sum of the element vectors of the (term, test kind,
-    coefficient) `products`, in input order from 0.0 (module docstring)."""
-    dofs_acc, vals_acc, last = [], [], None
-    for term, vk, f in products:
-        if term is not last:
-            (ctx, scale, nq), last = _term_context(test.mesh, term), term
-        Bv, dof_v = _cell_basis(test, vk, ctx, nq)
-        dofs_acc.append(dof_v)
-        vals_acc.append(_element_sums(None, f.values(ctx) * scale, Bv).T)
+def _element_vector(test, terms):
+    """Each DOF's sum of the element vectors of the (term, products) pairs
+    `terms`, in input order from 0.0 (module docstring)."""
+    dofs_acc, vals_acc = [], []
+    for term, products in terms:
+        ctx, scale, nq = _term_context(test.mesh, term)
+        for (_, vk), f in products:
+            Bv, dof_v = _cell_basis(test, vk, ctx, nq)
+            dofs_acc.append(dof_v)
+            vals_acc.append(_element_sums(None, f.values(ctx) * scale, Bv).T)
     if not dofs_acc:
         return np.zeros(test.ndof)
     return np.bincount(np.concatenate(dofs_acc, axis=None), np.concatenate(vals_acc, axis=None),
@@ -633,28 +635,6 @@ def _split(f, scale, mesh):
     return None
 
 
-def _linear_plan(form, test, tgv):
-    """(kept vector, [(scale, K, FE function)], products left to the element
-    path, [(pinned DOFs, kept pinned values or None, clause value)]) of the
-    linear terms and Dirichlet clauses over `test` (module docstring)."""
-    kept, applied, rest = np.zeros(test.ndof), [], []
-    for term in form.linear_terms:
-        for (_, vk), f in term.expr.terms.items():
-            parts = _split(f, 1.0, test.mesh)
-            if parts is None:
-                rest.append((term, vk, f))
-                continue
-            for s, g in parts:
-                if not isinstance(g, FeFunction):
-                    kept += s * _element_vector(test, [(term, vk, g)])
-                    continue
-                basis = FormExpr({("val", vk): Constant(1.0)})
-                K = assemble_bilinear(VarForm([FormTerm(term.kind, basis, term.labels,
-                                                        term.quad)]), g.space, test)
-                applied.append((s, K._csr, g))
-    return kept, applied, rest, _pins(form, test, tgv)
-
-
 def _pins(form, test, tgv):
     """[(pinned DOFs, pinned values or None, clause value)] of the Dirichlet
     clauses: the values, tgv times the clause's value at each pinned DOF, of
@@ -672,22 +652,27 @@ def assemble_linear(form: VarForm, test: FeSpace, tgv: float = DEFAULT_TGV) -> n
     tgv times the boundary value at each pinned DOF.  A form assembled again
     over the same space with the same tgv applies its plan (module
     docstring)."""
-    if form._linear is None or form._linear[0] is not test or form._linear[1] != tgv:
-        form._linear = (test, tgv, None)
-    elif form._linear[2] is None:
-        form._linear = (test, tgv, _linear_plan(form, test, tgv))
-    plan, b = form._linear[2], None
-    if plan is not None:
-        kept, applied, rest, pins = plan
-        with np.errstate(over="ignore", invalid="ignore"):   # checked below
-            scaled = [s * fe.dofs for s, _, fe in applied]
-            if all(map(_all_finite, scaled)):
-                b = _element_vector(test, rest) + kept
-                for (_, K, _), d in zip(applied, scaled):
-                    b += K @ d
-    if b is None or not _all_finite(b):
-        b = _element_vector(test, [(t, vk, f) for t in form.linear_terms
-                                   for (_, vk), f in t.expr.terms.items()])
-    for dofs, pinned, value in _pins(form, test, tgv) if plan is None else pins:
+    def build():            # the plan folded through the DOF scatter
+        fixed, parts, rest, blocks = _plan(form.linear_terms, None, test)
+        dofs = np.concatenate([dof_v for dof_v, in blocks] or [np.zeros(0, dtype=np.intp)],
+                              axis=None)
+        folded = []
+        for s, g, K in parts:
+            K = K.tocoo()
+            folded.append((s, g, SparseMatrix.from_coo(dofs[K.row], K.col, K.data,
+                                                       (test.ndof, K.shape[1]))._csr))
+        return (np.bincount(dofs, fixed, minlength=test.ndof), folded,
+                [(t, p) for t, p, _ in rest], _pins(form, test, tgv))
+
+    def apply(plan):
+        fixed, parts, rest, _ = plan
+        b = _element_vector(test, rest) + fixed
+        for s, g, K in parts:
+            b += K @ (s * g.dofs)
+        return b
+    kept, b = _planned(form, "_linear", (test, tgv), build, apply)
+    if b is None:
+        b = _element_vector(test, [(t, t.expr.terms.items()) for t in form.linear_terms])
+    for dofs, pinned, value in _pins(form, test, tgv) if kept.plan is None else kept.plan[3]:
         b[dofs] = dof_values(test, value, dofs) * tgv if pinned is None else pinned
     return b

@@ -293,13 +293,20 @@ class LuFactorization:
             x = np.empty(len(b), dtype=complex)
             x.real, x.imag = self.solve(b.real), self.solve(b.imag)
             return x
-        x = b / self._diag if self._splu is None else self._splu.solve(b)
+        if self._splu is None:
+            with np.errstate(over="ignore", invalid="ignore"):     # checked below
+                x = b / self._diag
+        else:
+            x = self._splu.solve(b)
         if self._perm_c is not None:
             x = x[self._perm_c]
         if not _all_finite(x):
             if not _all_finite(b):
                 k = int(np.argmin(np.isfinite(b)))
                 raise NumericError(f"right-hand side is not finite at entry {k}: {b[k]:g}")
+            if self._splu is None and _all_finite(self._diag):
+                k = int(np.argmin(np.isfinite(x)))
+                raise NumericError(f"solution overflows at entry {k}")
             raise SingularMatrixError("factorization produced non-finite solution")
         return x
 

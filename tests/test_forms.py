@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import quad_oracle as oracle
-from femscript.errors import InvalidArgumentError, NumericError
+from femscript.errors import InvalidArgumentError, NumericError, UnsupportedError
 from femscript.fespace import FeSpace
 from femscript.fields import CellContext, Constant, X, as_field
 from femscript.forms import (DirichletBC, FormTerm, TestFunction, TrialFunction,
@@ -47,6 +47,20 @@ def test_integral_nonfinite_raises(square10):
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
             integrate_2d(square10, as_field(lambda x, y: 1.0 / (x - 0.5)))
+
+
+@pytest.mark.parametrize("use", ["integrate_2d", "interpolate", "interpolate site by site"])
+def test_a_complex_callable_is_refused(square10, use):
+    import cmath
+    from femscript.fespace import interpolate
+    fn = lambda x, y: (1 + 2j) * np.ones_like(x)      # noqa: E731
+    with pytest.raises(UnsupportedError, match="complex values cannot enter integrands"):
+        if use == "integrate_2d":
+            integrate_2d(square10, fn)
+        elif use == "interpolate":
+            interpolate(FeSpace(square10, "P1"), fn)
+        else:                                           # fails on arrays
+            interpolate(FeSpace(square10, "P1"), lambda x, y: cmath.sqrt(x - 2))
 
 
 def test_boundary_integral_whole(square16):
@@ -873,6 +887,11 @@ def _fe(space, fn):
     return interpolate(space, fn)
 
 
+def _side(mesh, *labels):
+    """The labels on the square; the disk's one label, its whole boundary."""
+    return frozenset(labels) if len(mesh.boundary_labels()) > 1 else frozenset({1})
+
+
 def _plan_cases(mesh):
     Vh, Ph = FeSpace(mesh, "P1"), FeSpace(mesh, "P0")
     uold = _fe(Vh, lambda x, y: np.sin(3 * x) * y + 0.5)
@@ -882,7 +901,7 @@ def _plan_cases(mesh):
         # the problem's negated right-hand side of the heat listing
         "heat": [FormTerm("int2d", -(-(as_form((uold * 1.0) / 0.01 + _heat_source()) * V)))],
         "-(c*uold)*v": [FormTerm("int2d", -(2.5 * uold) * V)],
-        "int1d": [FormTerm("int1d", (uold - 0.5 * X) * V, frozenset({2}))],
+        "int1d": [FormTerm("int1d", (uold - 0.5 * X) * V, _side(mesh, 2))],
         "P0": [FormTerm("int2d", w * V, quad="order5")],
         "two FE functions": [FormTerm("int2d", (uold + g / 3.0) * V)],
     }
@@ -896,12 +915,21 @@ def _agree(got, ref, pinned=()):
             np.abs(got - ref)[free].max() <= 1e-13 * np.abs(ref[free]).max())
 
 
-@pytest.mark.parametrize("case", ["heat", "-(c*uold)*v", "int1d", "P0", "two FE functions"])
-def test_a_reassembled_linear_form_applies_its_plan(square10, monkeypatch, case):
+def _square_and_disk(cases):
+    """(case, where) parameters; a square10 one keeps its case as its id."""
+    return [pytest.param(c, w, id=c if w == "square10" else f"{c}-disk")
+            for w in ("square10", "disk") for c in cases]
+
+
+@pytest.mark.parametrize("case, where", _square_and_disk(
+    ["heat", "-(c*uold)*v", "int1d", "P0", "two FE functions"]))
+def test_a_reassembled_linear_form_applies_its_plan(square10, monkeypatch, case, where):
     from femscript import forms
-    Vh, uold, cases = _plan_cases(square10)
-    bc = [DirichletBC(frozenset({1, 3}), Constant(0.25))]
-    pinned = dirichlet_dofs(Vh, {1, 3})
+    mesh = square10 if where == "square10" else _plan_mesh("disk")
+    Vh, uold, cases = _plan_cases(mesh)
+    # the disk's one label is its whole boundary, where the int1d load lands
+    bc = [DirichletBC(frozenset({1, 3}), Constant(0.25))] if where == "square10" else []
+    pinned = dirichlet_dofs(Vh, {1, 3}) if bc else []
 
     def fresh():
         return assemble_linear(VarForm(linear_terms=cases[case], dirichlet=bc), Vh)
@@ -915,12 +943,25 @@ def test_a_reassembled_linear_form_applies_its_plan(square10, monkeypatch, case)
     assert calls == []
     assert _agree(again, first, pinned)
     monkeypatch.undo()
-    uold.dofs[:] = np.cos(square10.points[:, 0])      # written in place
+    uold.dofs[:] = np.cos(mesh.points[:, 0])          # written in place
     changed = assemble_linear(form, Vh)
     assert _agree(changed, fresh(), pinned)
     assert case == "P0" or not _agree(changed, first, pinned)
-    uold.dofs = 1.0 + square10.points[:, 1]           # a new array
+    uold.dofs = 1.0 + mesh.points[:, 1]               # a new array
     assert _agree(assemble_linear(form, Vh), fresh(), pinned)
+
+
+def test_a_linear_plan_assembles_no_bilinear_form(monkeypatch):
+    from femscript import forms
+    mesh = build_square(6, 6)
+    Vh, uold, cases = _plan_cases(mesh)
+    calls, assemble = [], forms.assemble_bilinear
+    monkeypatch.setattr(forms, "assemble_bilinear",
+                        lambda *a, **k: calls.append(a) or assemble(*a, **k))
+    form = VarForm(linear_terms=cases["-(c*uold)*v"])
+    for _ in range(3):
+        assemble_linear(form, Vh)
+    assert calls == [] and [k for k in mesh._cache if k[0] == "bilinear_plan"] == []
 
 
 @pytest.mark.parametrize("coef", ["uold*uold", "sin(uold)", "function", "x*uold", "dx(uold)"])
@@ -1018,7 +1059,7 @@ def _bilinear_plan_cases(mesh):
         "P1 and P0": [FormTerm("int2d", -(as_form(U) * (w + c * 3.0 - source) * V),
                                quad="order5")],
         "int1d": [FormTerm("int2d", STIFF),
-                  FormTerm("int1d", as_form(U) * (w - 0.5 * X) * V, frozenset({2, 3}))],
+                  FormTerm("int1d", as_form(U) * (w - 0.5 * X) * V, _side(mesh, 2, 3))],
         "lumped": [FormTerm("int2d", as_form(U) * w * V / 0.01 + STIFF, quad="lumped")],
         "no split": [FormTerm("int2d", as_form(U) * (w * w) * V + dx(U) * dx(V) * w)],
     }
@@ -1039,12 +1080,14 @@ def _same_matrix(A, R, pinned=()):
             np.abs(A.data - R.data)[free].max() <= 1e-13 * np.abs(R.data[free]).max())
 
 
-@pytest.mark.parametrize("case", BILINEAR_PLAN_CASES)
-def test_a_reassembled_bilinear_form_applies_its_plan(square10, monkeypatch, case):
+@pytest.mark.parametrize("case, where", _square_and_disk(BILINEAR_PLAN_CASES))
+def test_a_reassembled_bilinear_form_applies_its_plan(square10, monkeypatch, case, where):
     from femscript import forms
-    Vh, w, c, cases = _bilinear_plan_cases(square10)
-    bc = [DirichletBC(frozenset({1, 4}), Constant(0.0))]
-    pinned = dirichlet_dofs(Vh, {1, 4})
+    mesh = square10 if where == "square10" else _plan_mesh("disk")
+    Vh, w, c, cases = _bilinear_plan_cases(mesh)
+    labels = _side(mesh, 1, 4)
+    bc = [DirichletBC(labels, Constant(0.0))]
+    pinned = dirichlet_dofs(Vh, labels)
 
     def fresh():
         return assemble_bilinear(VarForm(bilinear_terms=cases[case], dirichlet=bc), Vh, Vh)
@@ -1060,11 +1103,11 @@ def test_a_reassembled_bilinear_form_applies_its_plan(square10, monkeypatch, cas
     assert len(calls) == (2 if case == "no split" else 0)
     monkeypatch.undo()
     assert _same_matrix(again, first, pinned)
-    w.dofs[:] = np.cos(square10.points[:, 0])      # written in place
+    w.dofs[:] = np.cos(mesh.points[:, 0])          # written in place
     c.dofs[:] = 2.0 - c.dofs
     changed = assemble_bilinear(form, Vh, Vh)
     assert _same_matrix(changed, fresh(), pinned) and not _same_matrix(changed, first, pinned)
-    w.dofs = 1.0 + square10.points[:, 1]           # a new array
+    w.dofs = 1.0 + mesh.points[:, 1]               # a new array
     assert _same_matrix(assemble_bilinear(form, Vh, Vh, tgv=1e20),
                         assemble_bilinear(VarForm(bilinear_terms=cases[case], dirichlet=bc),
                                           Vh, Vh, tgv=1e20), pinned)

@@ -190,6 +190,14 @@ def test_a_reused_ordering_keeps_the_singular_errors():
     assert tiny._order is A._order
 
 
+def test_an_overflowing_diagonal_solve_names_its_entry():
+    lu = factorize(SparseMatrix.from_dense([[1e-300, 0.0], [0.0, 1.0]]))
+    assert lu.method == "diagonal"
+    with pytest.raises(NumericError, match="solution overflows at entry 0$"):
+        lu.solve([1e10, 1.0])
+    assert np.array_equal(lu.solve([1e-10, 1.0]), [1e290, 1.0])
+
+
 def test_unsymmetric_pattern_is_solved():
     A = SparseMatrix.from_coo([0, 1, 1, 2], [0, 0, 1, 2], [2.0, 1.0, 3.0, 4.0], (3, 3))
     assert np.array_equal(factorize(A).solve(np.array([2.0, 4.0, 8.0])), [1.0, 1.0, 2.0])

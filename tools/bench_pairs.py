@@ -14,7 +14,8 @@ root of the working tree, each as soon as its pairs are done:
 the machine and versions, both revisions (with the working tree's files
 that differ from its HEAD, other than these reports), each run's end-to-end
 metrics, check counts and median pass wall time (`wall_s_median`, from
-bench/run.py's report line), and per metric the medians, quartiles, win
+bench/run.py's report line), the line count of src/**/*.py on both sides
+(`src_lines`, also printed), and per metric the medians, quartiles, win
 counts and a verdict against the bound that BENCHMARK.json fixes:
   - "better": the working tree wins at least nine pairs in ten (ties count
     for neither side) and its median beats the base's by more than the
@@ -57,6 +58,11 @@ def extract(rev, dest):
         tar.extractall(Path(dest) / "tree", filter="data")
     archive.unlink()
     return Path(dest) / "tree"
+
+
+def src_lines(tree):
+    """The number of lines of src/**/*.py under `tree`."""
+    return sum(len(p.read_text().splitlines()) for p in Path(tree).glob("src/**/*.py"))
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -112,7 +118,7 @@ def pairs(workload, base_tree, n, seconds):
     return runs
 
 
-def write_report(spec, workload, args, base_sha, change, runs):
+def write_report(spec, workload, args, base_sha, change, lines, runs):
     """BENCH_<workload>.json from the runs, and its verdict lines printed."""
     metrics = {}
     for m in spec["end_to_end"]:
@@ -131,7 +137,7 @@ def write_report(spec, workload, args, base_sha, change, runs):
         "failed": {side: sum(r[side]["failed"] for r in runs) for side in ("base", "change")},
         "attempted": {side: sum(r[side]["attempted"] for r in runs)
                       for side in ("base", "change")},
-        "metrics": metrics, "wall_s_median": wall_s, "runs": runs}
+        "metrics": metrics, "wall_s_median": wall_s, "src_lines": lines, "runs": runs}
     out = ROOT / f"BENCH_{workload}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     for name, m in metrics.items():
@@ -166,9 +172,11 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = extract(base_sha, tmp)
+        lines = {"base": src_lines(base_tree), "change": src_lines(ROOT)}
+        print(f"src lines: base {lines['base']}, change {lines['change']}", flush=True)
         for workload in dict.fromkeys(workloads):
             runs = pairs(workload, base_tree, args.pairs, spec["run_seconds"])
-            write_report(spec, workload, args, base_sha, change, runs)
+            write_report(spec, workload, args, base_sha, change, lines, runs)
     return 0
 
 
